@@ -5,7 +5,7 @@ from .potential import (RealAnalyticPotential, Monomial, flat, space_form, secti
 from .curvature import (HermitianMetric, CurvatureTensor, RealFrameCurvature,
                         CurvatureJets, metric_at, curvature_at, ricci_at, scalar_at,
                         real_frame_components, curvature_jets_along)
-from .geodesic import (GeodesicRay, JacobiSystemState, RadialDensity, shoot,
+from .geodesic import (GeodesicBatch, GeodesicRay, JacobiSystemState, RadialDensity, shoot,
                        jacobi_integrate, radial_density)
 from .model_space import ModelSpace, density, laplacian, sphere_area, ball_volume, model_series
 from .series import (SeriesExpansion, JacobiCoefficients, jacobi_recursion,

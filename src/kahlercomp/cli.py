@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -183,9 +182,11 @@ def cmd_check(args) -> int:
             raise ValueError("--K is required for thm3/thm4/rigidity checks")
         rule = build_rule(pot.n, args.quad_degree)
         grid = _grid(args)
-        flow = comparison.SphereFlow(pot, np.zeros(pot.n, dtype=complex),
-                                     float(max(grid.max(), 8.08e-2 if args.which == "rigidity" else 0)),
-                                     rule=rule, tol=args.tol, threads=args.threads)
+        r_max = float(grid.max())
+        if args.which == "rigidity":
+            r_max = max(r_max, comparison.RIGIDITY_FLOW_RADIUS)
+        flow = comparison.SphereFlow(pot, np.zeros(pot.n, dtype=complex), r_max,
+                                     rule=rule, tol=args.tol)
         if args.which == "thm3":
             rep = comparison.check_volume_ratio(pot, args.K, r_grid=grid, rule=rule,
                                                 flow=flow, seed=args.seed)
@@ -244,7 +245,6 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=os.cpu_count())
         p.add_argument("--tol", type=float, default=1e-11,
                        help="ODE integration tolerance")
         p.add_argument("--quad-degree", type=int, default=None,

@@ -16,7 +16,6 @@ averaged version rules out.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -46,6 +45,12 @@ __all__ = [
 TOL_VOLUME = 1e-6      # relative, volume ratios
 TOL_LAPLACIAN = 1e-7   # absolute, average Laplacian
 CERT_TOL = 1e-9
+
+# radii of the rigidity probe's W-series fit; its flow reaches 1% past the
+# last radius so that radius lies inside the integrated range
+RIGIDITY_R_LO = 5e-3
+RIGIDITY_R_HI = 8e-2
+RIGIDITY_FLOW_RADIUS = RIGIDITY_R_HI * 1.01
 
 
 @dataclass(frozen=True)
@@ -187,10 +192,14 @@ def find_lambda(a, rho, samples=4000, seed=0, with_trace=False):
 # ---------------------------------------------------------------------------
 
 class SphereFlow:
-    """Geodesic rays over all nodes of a sphere rule from a common base point."""
+    """Geodesic rays over all nodes of a sphere rule from a common base point.
+
+    The rays are integrated as one ``GeodesicBatch``; each reduction reads its
+    dense output once per radius for all rays and sums in fixed node order.
+    """
 
     def __init__(self, pot: RealAnalyticPotential, p, r_max, rule: SphereRule | None = None,
-                 tol=1e-11, threads: int | None = None):
+                 tol=1e-11):
         self.pot = pot
         self.p = np.asarray(p, dtype=complex).reshape(pot.n)
         self.rule = rule if rule is not None else build_rule(pot.n)
@@ -198,46 +207,26 @@ class SphereFlow:
         self.tol = float(tol)
         G = curv.workspace(pot).metric_values(self.p)
         dirs = tangent_nodes(self.rule, curv.real_metric_matrix(G))
-
-        def make(e0):
-            return geodesic.shoot(pot, self.p, e0, self.r_max, tol=tol)
-
-        if threads and threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                self.rays = list(pool.map(make, dirs))
-        else:
-            self.rays = [make(e0) for e0 in dirs]
+        self.rays = geodesic.GeodesicBatch(pot, self.p, dirs, self.r_max, tol=tol)
 
     def densities(self, r):
-        vals = np.empty(len(self.rays))
-        logd = np.empty(len(self.rays))
-        for i, ray in enumerate(self.rays):
-            d = ray.density(r)
-            vals[i] = d.value
-            logd[i] = d.log_derivative
-        return vals, logd
+        return self.rays.densities(r)
 
     def ball_volume(self, r) -> float:
-        return math.fsum(w * ray.cumulative_volume(r)
-                         for w, ray in zip(self.rule.weights, self.rays))
+        return math.fsum(self.rule.weights * self.rays.cumulative_volume(r))
 
     def w_value(self, r) -> float:
         vals, _ = self.densities(r)
         m = 2 * self.pot.n - 1
-        return math.fsum(w * v for w, v in zip(self.rule.weights, vals)) / r ** m
+        return math.fsum(self.rule.weights * vals) / r ** m
 
     def average_laplacian(self, r) -> float:
         vals, logd = self.densities(r)
-        num = math.fsum(w * v * d for w, v, d in zip(self.rule.weights, vals, logd))
-        den = math.fsum(w * v for w, v in zip(self.rule.weights, vals))
-        return num / den
+        weighted = self.rule.weights * vals
+        return math.fsum(weighted * logd) / math.fsum(weighted)
 
     def quality(self, r=None):
-        r = self.r_max if r is None else r
-        wron = max(ray.wronskian_drift(r) for ray in self.rays)
-        frame = max(ray.frame_drift(r) for ray in self.rays)
-        speed = max(ray.unit_speed_drift(r) for ray in self.rays)
-        return {"wronskian": wron, "frame": frame, "speed": speed}
+        return self.rays.quality(self.r_max if r is None else r)
 
 
 def _require_certificate(pot, K, rho, certificate, seed=0):
@@ -257,7 +246,7 @@ def _require_certificate(pot, K, rho, certificate, seed=0):
 def check_volume_ratio(pot: RealAnalyticPotential, K, p=None, r_grid=None,
                        rule=None, tol=TOL_VOLUME, certificate=None,
                        flow: SphereFlow | None = None, tol_ode=1e-11,
-                       threads=None, seed=0) -> ComparisonReport:
+                       seed=0) -> ComparisonReport:
     """Vol(B(b))/Vol(B(a)) against the model ratio over all grid pairs a < b."""
     p = np.zeros(pot.n, dtype=complex) if p is None else np.asarray(p, dtype=complex)
     if r_grid is None:
@@ -268,7 +257,7 @@ def check_volume_ratio(pot: RealAnalyticPotential, K, p=None, r_grid=None,
     b_max = float(r_grid.max())
     certificate = _require_certificate(pot, K, min(b_max, pot.validity_radius), certificate, seed)
     if flow is None:
-        flow = SphereFlow(pot, p, b_max, rule=rule, tol=tol_ode, threads=threads)
+        flow = SphereFlow(pot, p, b_max, rule=rule, tol=tol_ode)
     model = model_space.ModelSpace(pot.n, float(K))
     vols = {float(r): flow.ball_volume(r) for r in r_grid}
     model_vols = {float(r): model_space.ball_volume(model, r) for r in r_grid}
@@ -291,7 +280,7 @@ def check_volume_ratio(pot: RealAnalyticPotential, K, p=None, r_grid=None,
 def check_average_laplacian(pot: RealAnalyticPotential, K, p=None, r_grid=None,
                             rule=None, tol=TOL_LAPLACIAN, certificate=None,
                             flow: SphereFlow | None = None, tol_ode=1e-11,
-                            threads=None, seed=0) -> ComparisonReport:
+                            seed=0) -> ComparisonReport:
     """Area-weighted mean of the radial Laplacian against the model value."""
     p = np.zeros(pot.n, dtype=complex) if p is None else np.asarray(p, dtype=complex)
     if r_grid is None:
@@ -300,7 +289,7 @@ def check_average_laplacian(pot: RealAnalyticPotential, K, p=None, r_grid=None,
     b_max = float(r_grid.max())
     certificate = _require_certificate(pot, K, min(b_max, pot.validity_radius), certificate, seed)
     if flow is None:
-        flow = SphereFlow(pot, p, b_max, rule=rule, tol=tol_ode, threads=threads)
+        flow = SphereFlow(pot, p, b_max, rule=rule, tol=tol_ode)
     model = model_space.ModelSpace(pot.n, float(K))
     rows = []
     margins = []
@@ -521,7 +510,7 @@ class DeviationReport:
 
 def rigidity_probe(pot: RealAnalyticPotential, K, p=None, order=6, rule=None,
                    flow: SphereFlow | None = None, certificate=None,
-                   tol_ode=1e-11, threads=None, seed=0) -> DeviationReport:
+                   tol_ode=1e-11, seed=0) -> DeviationReport:
     """First deviating order of the fitted W series from the model series.
 
     Reports the lowest order whose fitted-minus-model coefficient clears a
@@ -529,12 +518,11 @@ def rigidity_probe(pot: RealAnalyticPotential, K, p=None, order=6, rule=None,
     detected through this order", never an isometry claim.
     """
     p = np.zeros(pot.n, dtype=complex) if p is None else np.asarray(p, dtype=complex)
-    r_lo, r_hi = 5e-3, 8e-2
-    certificate = _require_certificate(pot, K, min(r_hi, pot.validity_radius),
+    certificate = _require_certificate(pot, K, min(RIGIDITY_R_HI, pot.validity_radius),
                                        certificate, seed)
     if flow is None:
-        flow = SphereFlow(pot, p, r_hi * 1.01, rule=rule, tol=tol_ode, threads=threads)
-    grid = np.geomspace(r_lo, r_hi, 24)
+        flow = SphereFlow(pot, p, RIGIDITY_FLOW_RADIUS, rule=rule, tol=tol_ode)
+    grid = np.geomspace(RIGIDITY_R_LO, RIGIDITY_R_HI, 24)
     samples = [(float(r), flow.w_value(float(r))) for r in grid]
     fitted = series.fit_w_series(samples, order)
     model = model_space.model_series(model_space.ModelSpace(pot.n, float(K)), order)

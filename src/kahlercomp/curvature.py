@@ -23,12 +23,13 @@ Conventions, fixed once here and anchored by the test suite:
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .polynomials import CPoly, QC
+from .polynomials import CPoly, NumericPoly, QC
 from .potential import RealAnalyticPotential
 
 __all__ = [
@@ -51,6 +52,7 @@ __all__ = [
     "complete_frame",
     "rm_value",
     "frame_curvature_matrix",
+    "connection_and_curvature",
     "workspace",
 ]
 
@@ -144,63 +146,24 @@ def rm_value(RH, xi, eta, zeta, omega) -> float:
 
 
 def frame_curvature_matrix(RH, frame) -> np.ndarray:
-    """R_uv = <R(e0, e_u)e0, e_v> for u, v >= 1, given the frame's complex reps."""
-    xi0 = frame[0]
-    rest = frame[1:]
-    c1 = (np.einsum("i,uj->uij", xi0, np.conj(rest))
-          - np.einsum("ui,j->uij", rest, np.conj(xi0)))
-    t1 = np.einsum("uij,k,vl,ijkl->uv", c1, xi0, np.conj(rest), RH)
-    t2 = np.einsum("uij,k,vl,ijlk->uv", c1, np.conj(xi0), rest, RH)
-    R = (t1 - t2).real
-    return 0.5 * (R + R.T)
+    """R_uv = <R(e0, e_u)e0, e_v> for u, v >= 1, given the frame's complex reps.
+
+    Leading axes of ``RH`` (..., n, n, n, n) and ``frame`` (..., 2n, n) are
+    batch axes.  With c[u, ij] = xi0_i conj(e_u,j) - e_u,i conj(xi0_j) the
+    matrix is Re(c R c^T) over the flattened index pairs ij and kl.
+    """
+    n = frame.shape[-1]
+    xi0 = frame[..., :1, :, None]
+    rest = frame[..., 1:, :, None]
+    c = xi0 * np.swapaxes(rest.conj(), -1, -2) - rest * np.swapaxes(xi0.conj(), -1, -2)
+    c = c.reshape(c.shape[:-2] + (n * n,))
+    R = (c @ RH.reshape(RH.shape[:-4] + (n * n, n * n)) @ np.swapaxes(c, -1, -2)).real
+    return 0.5 * (R + np.swapaxes(R, -1, -2))
 
 
 # ---------------------------------------------------------------------------
 # cached polynomial workspace per potential
 # ---------------------------------------------------------------------------
-
-class _StackedEvaluator:
-    """Batched evaluation of many exact polynomials sharing one monomial basis."""
-
-    def __init__(self, polys):
-        n = polys[0].n
-        index = {}
-        rows = []
-        for p in polys:
-            row = {}
-            for (a, b), c in p.coeffs.items():
-                col = index.setdefault((a, b), len(index))
-                row[col] = complex(c)
-            rows.append(row)
-        m = len(index)
-        self.n = n
-        self.alpha = np.zeros((m, n), dtype=np.int64)
-        self.beta = np.zeros((m, n), dtype=np.int64)
-        for (a, b), col in index.items():
-            self.alpha[col] = a
-            self.beta[col] = b
-        self.max_pow = int(max(self.alpha.max(initial=0), self.beta.max(initial=0)))
-        self.C = np.zeros((len(polys), m), dtype=complex)
-        for r, row in enumerate(rows):
-            for col, val in row.items():
-                self.C[r, col] = val
-        self._idx = np.arange(n)
-
-    def evaluate(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        pw = np.ones((self.n, self.max_pow + 1), dtype=complex)
-        for d in range(1, self.max_pow + 1):
-            pw[:, d] = pw[:, d - 1] * z
-        cw = pw.conj()
-        mono = pw[self._idx, self.alpha].prod(axis=1) * cw[self._idx, self.beta].prod(axis=1)
-        return self.C @ mono
-
-    def evaluate_many(self, Z) -> np.ndarray:
-        Z = np.asarray(Z, dtype=complex)
-        mono = np.prod(Z[:, None, :] ** self.alpha[None, :, :], axis=2)
-        mono *= np.prod(Z.conj()[:, None, :] ** self.beta[None, :, :], axis=2)
-        return mono @ self.C.T
-
 
 class CurvatureWorkspace:
     """Exact derived polynomials (metric, Ricci) plus fast numeric evaluators."""
@@ -232,22 +195,31 @@ class CurvatureWorkspace:
         flat_dg = [self.dg[k][i][j] for k in range(n) for i in range(n) for j in range(n)]
         flat_d2g = [self.d2g[k][l][i][j]
                     for k in range(n) for l in range(n) for i in range(n) for j in range(n)]
-        self._field_eval = _StackedEvaluator(flat_g + flat_dg + flat_d2g)
-        self._ric_eval = _StackedEvaluator(flat_g + [self.ric[i][j] for i in range(n) for j in range(n)])
+        self._field_eval = NumericPoly(flat_g + flat_dg + flat_d2g)
+        self._ric_eval = NumericPoly(flat_g + [self.ric[i][j] for i in range(n) for j in range(n)])
 
     # -- numeric views ------------------------------------------------------
     def field_values(self, z):
-        """(G, D1, D2) at z: metric, d_k g_ij, d_k dbar_l g_ij."""
+        """(G, D1, D2) at z: metric, d_k g_ij, d_k dbar_l g_ij.
+
+        ``z`` is one point (n,) or a batch (..., n); the leading axes carry
+        over to the results.
+        """
         n = self.n
-        vals = self._field_eval.evaluate(z)
-        G = vals[:n * n].reshape(n, n)
-        D1 = vals[n * n:n * n + n ** 3].reshape(n, n, n)
-        D2 = vals[n * n + n ** 3:].reshape(n, n, n, n)
+        z = np.asarray(z, dtype=complex)
+        lead = z.shape[:-1]
+        vals = self._field_eval.evaluate_many(z.reshape(-1, n))
+        G = vals[:, :n * n].reshape(lead + (n, n))
+        D1 = vals[:, n * n:n * n + n ** 3].reshape(lead + (n, n, n))
+        D2 = vals[:, n * n + n ** 3:].reshape(lead + (n, n, n, n))
         return G, D1, D2
 
     def metric_values(self, z):
+        """Metric matrix at one point (n,) or at a batch (..., n)."""
         n = self.n
-        return self._ric_eval.evaluate(z)[:n * n].reshape(n, n)
+        z = np.asarray(z, dtype=complex)
+        vals = self._ric_eval.evaluate_many(z.reshape(-1, n))
+        return vals[:, :n * n].reshape(z.shape[:-1] + (n, n))
 
     def ricci_values(self, z):
         n = self.n
@@ -262,13 +234,7 @@ class CurvatureWorkspace:
 
     def curvature_values(self, z):
         """Complex curvature array R[i,j,k,l] in the deviation convention."""
-        G, D1, D2 = self.field_values(z)
-        return _assemble_curvature(G, D1, D2)
-
-    def christoffel_values(self, z):
-        G, D1, _ = self.field_values(z)
-        cginv = np.linalg.inv(G).conj()
-        return np.einsum("mq,ikq->mik", cginv, D1)
+        return connection_and_curvature(*self.field_values(z))[1]
 
 
 def _det_expansion(g, trunc):
@@ -289,16 +255,30 @@ def _det_expansion(g, trunc):
     return out
 
 
-def _assemble_curvature(G, D1, D2):
-    # R[i,j,k,l] = -d_i dbar_j g_kl + sum_{m,q} conj(Ginv)[m,q] (d_i g_kq)(dbar_j g_ml)
+def connection_and_curvature(G, D1, D2):
+    """Christoffel table and curvature array from the field values at z.
+
+    Returns ``gam`` with gam[..., i*n + k, m] = Gamma^m_ik
+    = sum_q conj(Ginv)[m,q] d_i g_kq, and the curvature array
+    R[..., i,j,k,l] = -d_i dbar_j g_kl + sum_m gam[ik, m] conj(d_j g_lm).
+    Leading axes are batch axes.
+    """
+    n = G.shape[-1]
+    lead = G.shape[:-2]
     cginv = np.linalg.inv(G).conj()
-    second = np.einsum("mq,ikq,jlm->ijkl", cginv, D1, D1.conj())
-    # D2 is stored as d2g[k][l][i][j] = d_k dbar_l g_ij; the needed slot order
-    # d_i dbar_j g_kl is exactly D2[i, j, k, l]
-    return -D2 + second
+    D1f = D1.reshape(lead + (n * n, n))
+    gam = D1f @ np.swapaxes(cginv, -1, -2)
+    second = (gam @ np.swapaxes(D1f.conj(), -1, -2)).reshape(lead + (n, n, n, n))
+    # second is indexed [i, k, j, l]; D2 is stored as d2g[k][l][i][j] =
+    # d_k dbar_l g_ij, so the needed slot order d_i dbar_j g_kl is D2[i, j, k, l]
+    return gam, np.swapaxes(second, -3, -2) - D2
 
 
-_WORKSPACES: dict = {}
+# Workspaces are cached per potential, least recently used first out.
+# ``verify_counterexample`` holds at most three at once besides the ones
+# ``find_lambda`` builds before it, so it never loses one mid-call.
+WORKSPACE_CACHE_SIZE = 8
+_WORKSPACES: OrderedDict = OrderedDict()
 
 
 def workspace(pot: RealAnalyticPotential) -> CurvatureWorkspace:
@@ -306,6 +286,10 @@ def workspace(pot: RealAnalyticPotential) -> CurvatureWorkspace:
     if ws is None:
         ws = CurvatureWorkspace(pot)
         _WORKSPACES[pot] = ws
+        if len(_WORKSPACES) > WORKSPACE_CACHE_SIZE:
+            _WORKSPACES.popitem(last=False)
+    else:
+        _WORKSPACES.move_to_end(pot)
     return ws
 
 
@@ -411,14 +395,17 @@ def scalar_at(pot: RealAnalyticPotential, z) -> float:
 
 
 def normalize_direction(pot: RealAnalyticPotential, p, e0) -> np.ndarray:
-    """Metric-unit complex representation of a real direction at p."""
+    """Metric-unit complex representation of a real direction at p.
+
+    ``e0`` is one direction (2n,) or a batch of directions (..., 2n).
+    """
     e0 = np.asarray(e0, dtype=float)
-    if np.linalg.norm(e0) < 1e-10:
+    if np.any(np.linalg.norm(e0, axis=-1) < 1e-10):
         raise ValueError("degenerate direction e0; refusing to normalize")
-    xi = complex_rep(e0)
+    xi = e0[..., 0::2] + 1j * e0[..., 1::2]
     G = workspace(pot).metric_values(np.asarray(p, dtype=complex))
-    norm = np.sqrt(real_inner(G, xi, xi))
-    return xi / norm
+    norm = np.sqrt(2.0 * np.real(np.sum((xi @ G) * xi.conj(), axis=-1)))
+    return xi / norm[..., None]
 
 
 def real_frame_components(tensor: CurvatureTensor, e0,
@@ -489,11 +476,11 @@ def curvature_jets_along(pot: RealAnalyticPotential, p, e0, order: int = 4,
 
     xi0 = normalize_direction(pot, p, e0)
     e0_unit = real_rep(xi0)
-    fwd = geodesic.shoot(pot, p, e0_unit, r_max=reach * 1.02, tol=tol)
+    frame = complete_frame(workspace(pot).metric_values(p), xi0)[1:]
     # backward ray transports the same frame vectors; R_uv is quadratic in the
     # velocity, so sampling with velocity -e0 gives R_uv(-r) directly
-    bwd = geodesic.shoot(pot, p, -e0_unit, r_max=reach * 1.02, tol=tol,
-                         frame=fwd.initial_frame)
+    fwd, bwd = geodesic.GeodesicBatch(pot, p, [e0_unit, -e0_unit], r_max=reach * 1.02,
+                                      tol=tol, frames=[frame, frame])
 
     def sample(r):
         ray = fwd if r >= 0 else bwd

@@ -1,11 +1,19 @@
 """Geodesics, parallel transport and the Jacobi system for a potential metric.
 
-One adaptive integration carries the full state: position, velocity, the
-parallel frame vectors e_1..e_{2n-1}, the Jacobi matrix J and its derivative
-J' (columns = Jacobi fields J_u with J(0) = 0, J'(0) = I, components in the
-parallel frame), plus the running radial integral of |det J| used for ball
-volumes.  The Jacobi right-hand side is J'' = R_mat J with
-R_mat[u][v] = <R(e0, e_u)e0, e_v> evaluated along the ray.
+One adaptive integration carries the full state of each ray: position,
+velocity, the parallel frame vectors e_1..e_{2n-1}, the Jacobi matrix J and
+its derivative J' (columns = Jacobi fields J_u with J(0) = 0, J'(0) = I,
+components in the parallel frame), plus the running radial integral of
+|det J| used for ball volumes.  The Jacobi right-hand side is J'' = R_mat J
+with R_mat[u][v] = <R(e0, e_u)e0, e_v> evaluated along the ray.
+
+Rays from one base point are integrated together as a batch; a single ray is
+a batch of one.  The stepper is the DOP853 pair with its error norm and dense
+output (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4-II.6), with scipy's
+tableau and step-size constants.  The rays share one step sequence, but each
+ray's error norm is taken over that ray's own components and a step is
+accepted only when every ray's norm is below one, so each ray meets the
+tolerance it would meet integrated alone.
 """
 
 from __future__ import annotations
@@ -14,12 +22,15 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as dop
+from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
+from scipy.optimize import brentq
 
 from . import curvature as curv
 from .potential import RealAnalyticPotential
 
 __all__ = [
+    "GeodesicBatch",
     "GeodesicRay",
     "JacobiSystemState",
     "RadialDensity",
@@ -29,6 +40,11 @@ __all__ = [
     "jacobi_integrate",
     "radial_density",
 ]
+
+_STAGES = dop.N_STAGES
+_ERROR_EXPONENT = -1.0 / 8.0   # the embedded error estimator has order 7
+_EPS = np.finfo(float).eps
+_SERIES_RADIUS = 1e-4          # below it the density comes from its r-series
 
 
 class ConjugatePointError(ValueError):
@@ -55,148 +71,349 @@ class RadialDensity:
     log_derivative: float   # d/dr log value, from (1/2) tr(G^-1 G')
 
 
-def _pack(z, v, frame_rows, J, Jp, vol):
-    return np.concatenate([
-        z.view(float), v.view(float), frame_rows.reshape(-1).view(float),
-        J.reshape(-1), Jp.reshape(-1), [vol],
-    ])
+# ---------------------------------------------------------------------------
+# DOP853 building blocks on a batch of states (N, d)
+# ---------------------------------------------------------------------------
+
+def _error_norms(K, h, scale):
+    """scipy's DOP853 error norm, taken separately over each row of the batch."""
+    Kf = K.reshape(K.shape[0], -1).T
+    err5 = np.dot(Kf, dop.E5).reshape(scale.shape) / scale
+    err3 = np.dot(Kf, dop.E3).reshape(scale.shape) / scale
+    e5 = np.einsum("ij,ij->i", err5, err5)
+    e3 = np.einsum("ij,ij->i", err3, err3)
+    denom = e5 + 0.01 * e3
+    norms = np.zeros(len(denom))
+    nz = denom > 0
+    norms[nz] = abs(h) * e5[nz] / np.sqrt(denom[nz] * scale.shape[1])
+    return norms
+
+
+def _interpolate(x, y_old, F):
+    """scipy's DOP853 dense output at the normalised abscissa x of one step."""
+    y = np.zeros_like(y_old)
+    for i, f in enumerate(F[::-1]):
+        y += f
+        y *= x if i % 2 == 0 else 1 - x
+    return y + y_old
+
+
+def _series_density(r, m, trace_r0):
+    # series evaluation near 0 avoids the 0/0 in G^-1 G'
+    return r ** m * (1.0 + r * r * trace_r0 / 6.0), m / r + r * trace_r0 / 3.0
+
+
+def _log_derivative(J, Jp):
+    JT = np.swapaxes(J, -1, -2)
+    gram_p = np.swapaxes(Jp, -1, -2) @ J + JT @ Jp
+    return 0.5 * np.trace(np.linalg.solve(JT @ J, gram_p), axis1=-2, axis2=-1)
+
+
+def _conjugate_error(ray, r):
+    # sign flip of det J certifies a crossing; locate it for the report
+    cp = ray.conjugate_point()
+    bracket = (0.0, r) if cp is None else (cp * (1 - 1e-10), cp * (1 + 1e-10))
+    return ConjugatePointError(f"conjugate point reached before r = {r}", bracket=bracket)
+
+
+def _drifts(ws, z, full, J, Jp):
+    """Unit-speed, frame-orthonormality and Wronskian drifts of one state or a batch."""
+    G = ws.metric_values(z)
+    gram = 2.0 * (full @ G @ np.swapaxes(full.conj(), -1, -2)).real
+    speed = np.abs(gram[..., 0, 0] - 1.0)
+    frame = np.abs(gram - np.eye(gram.shape[-1])).max(axis=(-2, -1))
+    W = np.swapaxes(Jp, -1, -2) @ J - np.swapaxes(J, -1, -2) @ Jp
+    return speed, frame, np.abs(W).max(axis=(-2, -1))
+
+
+class GeodesicBatch:
+    """Unit-speed geodesics from a common base point, integrated together to r_max.
+
+    Each ray carries its parallel frame, Jacobi system and dense output.
+    Indexing or iterating gives the rays as ``GeodesicRay`` views; the batch
+    methods read the dense output once per radius for all rays.  A ray that
+    leaves the potential's validity ball is cut at the crossing, located on
+    the dense output, flagged in ``truncated`` and dropped from the active
+    set; the others go on.  A step below 10 ulp of r raises
+    ``IntegrationStalledError``.
+    """
+
+    def __init__(self, pot: RealAnalyticPotential, p, directions, r_max, tol=1e-10,
+                 frames=None):
+        if not r_max > 0:
+            raise ValueError(f"r_max must be positive, got {r_max}")
+        self.pot = pot
+        n = self.n = pot.n
+        m = self.m = 2 * n - 1
+        self.tol = float(tol)
+        self.p = np.asarray(p, dtype=complex).reshape(n)
+        self._ws = curv.workspace(pot)
+        xi0 = curv.normalize_direction(pot, self.p, np.reshape(directions, (-1, 2 * n)))
+        self.e0 = xi0.view(float).copy()
+        N = len(xi0)
+        if frames is None:
+            G0 = self._ws.metric_values(self.p)
+            frames = [curv.complete_frame(G0, xi)[1:] for xi in xi0]
+        self.initial_frames = np.array(frames, dtype=complex).reshape(N, m, n)
+
+        self._dim = 2 * n + 4 * n * n + 2 * m * m + 1
+        y0 = np.zeros((N, self._dim))
+        z, full, _, Jp, _ = self._unpack(y0)
+        z[:] = self.p
+        full[:, 0] = xi0
+        full[:, 1:] = self.initial_frames
+        Jp[:] = np.eye(m)
+        self.nfev = 0
+        self.r_max = np.full(N, float(r_max))
+        self.truncated = np.zeros(N, dtype=bool)
+        self._integrate(y0, float(r_max))
+
+    def __len__(self):
+        return len(self.r_max)
+
+    def __getitem__(self, index) -> "GeodesicRay":
+        return GeodesicRay(self, range(len(self))[index])
+
+    # -- ODE ----------------------------------------------------------------
+    def _unpack(self, Y):
+        """Views (z, [e0, e_1..e_{2n-1}], J, J', vol) into states with leading axes."""
+        n, m = self.n, self.m
+        lead = Y.shape[:-1]
+        o = 2 * n + 4 * n * n
+        z = Y[..., :2 * n].view(complex)
+        full = Y[..., 2 * n:o].view(complex).reshape(lead + (2 * n, n))
+        J = Y[..., o:o + m * m].reshape(lead + (m, m))
+        Jp = Y[..., o + m * m:o + 2 * m * m].reshape(lead + (m, m))
+        return z, full, J, Jp, Y[..., -1]
+
+    def _rhs(self, Y):
+        """Right-hand side for a batch of states (N, d); autonomous in r."""
+        self.nfev += 1
+        n = self.n
+        z, full, J, Jp, _ = self._unpack(Y)
+        gam, RH = curv.connection_and_curvature(*self._ws.field_values(z))
+        v = full[:, 0]
+        # vf[a, i*n + k] = v_i e_a,k, so -(vf @ gam) is -Gamma(v, e_a) for every frame vector
+        vf = (v[:, None, :, None] * full[:, :, None, :]).reshape(len(Y), 2 * n, n * n)
+        out = np.empty_like(Y)
+        dz, dfull, dJ, dJp, dvol = self._unpack(out)
+        dz[:] = v
+        dfull[:] = -(vf @ gam)
+        dJ[:] = Jp
+        dJp[:] = curv.frame_curvature_matrix(RH, full) @ J
+        dvol[:] = np.abs(np.linalg.det(J))
+        return out
+
+    def _initial_step(self, y, f, r_end):
+        """Smallest over the rays of scipy's ``select_initial_step``."""
+        tol = self.tol
+        scale = tol + np.abs(y) * tol
+        root_d = y.shape[1] ** 0.5
+        d0 = np.linalg.norm(y / scale, axis=1) / root_d
+        d1 = np.linalg.norm(f / scale, axis=1) / root_d
+        small = (d0 < 1e-5) | (d1 < 1e-5)
+        h0 = np.where(small, 1e-6, 0.01 * d0 / np.where(small, 1.0, d1))
+        h0 = np.minimum(h0, r_end)
+        f1 = self._rhs(y + h0[:, None] * f)
+        d2 = np.linalg.norm((f1 - f) / scale, axis=1) / root_d / h0
+        flat = (d1 <= 1e-15) & (d2 <= 1e-15)
+        worst = np.where(flat, 1.0, np.maximum(d1, d2))
+        h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3), (0.01 / worst) ** (1 / 8))
+        return float(np.min(np.minimum(np.minimum(100 * h0, h1), r_end)))
+
+    def _stages(self, y, h, K, first, last):
+        """Runge-Kutta stages first..last-1 of a step of size h from y, into K."""
+        Kf = K.reshape(len(K), -1)
+        for s in range(first, last):
+            dy = np.dot(Kf[:s].T, dop.A[s, :s]) * h
+            K[s] = self._rhs(y + dy.reshape(y.shape))
+
+    def _integrate(self, y, r_end):
+        tol = self.tol
+        radius = self.pot.validity_radius
+        bounded = np.isfinite(radius)
+
+        def gap(Y):
+            return radius ** 2 - np.einsum("...i,...i->...", Y[..., :2 * self.n],
+                                           Y[..., :2 * self.n])
+
+        rows = np.arange(len(y))
+        f = self._rhs(y)
+        h_abs = self._initial_step(y, f, r_end)
+        g = gap(y) if bounded else None
+        ts = [0.0]
+        self._segments = []   # (rows, t_old, h, y_old, F) per accepted step
+        t = 0.0
+        while t < r_end and rows.size:
+            min_step = 10 * abs(np.nextafter(t, np.inf) - t)
+            h_abs = max(h_abs, min_step)
+            K = np.empty((dop.N_STAGES_EXTENDED,) + y.shape)
+            Kf = K.reshape(len(K), -1)
+            K[0] = f
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    raise IntegrationStalledError(
+                        f"integration stalled at r = {t}: step {h_abs:.3g} under 10 ulp")
+                t_new = min(t + h_abs, r_end)
+                h = t_new - t
+                h_abs = h
+                self._stages(y, h, K, 1, _STAGES)
+                y_new = y + h * np.dot(Kf[:_STAGES].T, dop.B).reshape(y.shape)
+                f_new = self._rhs(y_new)
+                K[_STAGES] = f_new
+                scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+                worst = _error_norms(K[:_STAGES + 1], h, scale).max()
+                if worst < 1:
+                    factor = MAX_FACTOR if worst == 0 else min(
+                        MAX_FACTOR, SAFETY * worst ** _ERROR_EXPONENT)
+                    h_abs *= min(1, factor) if rejected else factor
+                    break
+                h_abs *= max(MIN_FACTOR, SAFETY * worst ** _ERROR_EXPONENT)
+                rejected = True
+
+            self._stages(y, h, K, _STAGES + 1, dop.N_STAGES_EXTENDED)
+            F = np.empty((dop.INTERPOLATOR_POWER,) + y.shape)
+            delta = y_new - y
+            F[0] = delta
+            F[1] = h * f - delta
+            F[2] = 2 * delta - h * (f_new + f)
+            F[3:] = h * np.dot(dop.D, Kf).reshape((-1,) + y.shape)
+            self._segments.append((rows, t, h, y, F))
+            ts.append(t_new)
+
+            if bounded:
+                # a ray that crosses the ball's sphere is cut at the crossing,
+                # located on its dense output as scipy locates a terminal event
+                g_new = gap(y_new)
+                left = (g >= 0) & (g_new <= 0)
+                for j in np.flatnonzero(left):
+                    def crossing(s, j=j, t_old=t, y_old=y):
+                        return gap(_interpolate((s - t_old) / h, y_old[j], F[:, j]))
+                    self.r_max[rows[j]] = brentq(crossing, t, t_new,
+                                                 xtol=4 * _EPS, rtol=4 * _EPS)
+                    self.truncated[rows[j]] = True
+                keep = ~left
+                rows, y_new, f_new, g = rows[keep], y_new[keep], f_new[keep], g_new[keep]
+            t, y, f = t_new, y_new, f_new
+        self._ts = np.array(ts)
+
+    # -- dense access ---------------------------------------------------------
+    def _states(self, r, rows=None):
+        """Packed states at r for the given ray indices (all rays by default)."""
+        rows = np.arange(len(self)) if rows is None else np.atleast_1d(rows)
+        limit = self.r_max[rows]
+        outside = (r < -1e-15) | (r > limit * (1 + 1e-12))
+        if np.any(outside):
+            i = rows[np.argmax(outside)]
+            raise ValueError(f"r = {r} outside integrated range [0, {self.r_max[i]}]"
+                             + (" (ray truncated at the validity ball)"
+                                if self.truncated[i] else ""))
+        r_i = np.clip(r, 0.0, limit)
+        seg = np.clip(np.searchsorted(self._ts, r_i, side="left") - 1,
+                      0, len(self._segments) - 1)
+        out = np.empty((len(rows), self._dim))
+        for k in np.unique(seg):
+            sel = seg == k
+            seg_rows, t_old, h, y_old, F = self._segments[k]
+            pos = np.searchsorted(seg_rows, rows[sel])
+            if len(pos) < len(seg_rows):
+                y_old, F = y_old[pos], F[:, pos]
+            out[sel] = _interpolate(((r_i[sel] - t_old) / h)[:, None], y_old, F)
+        return out
+
+    def cumulative_volume(self, r) -> np.ndarray:
+        return self._unpack(self._states(r))[4]
+
+    def densities(self, r):
+        """(values, log-derivatives) of every ray's radial density at r."""
+        if r <= 0:
+            raise ValueError("density needs r > 0")
+        if r < _SERIES_RADIUS:
+            z, full, *_ = self._unpack(self._states(0.0))
+            R0 = curv.frame_curvature_matrix(self._ws.curvature_values(z), full)
+            return _series_density(r, self.m, np.trace(R0, axis1=-2, axis2=-1))
+        _, _, J, Jp, _ = self._unpack(self._states(r))
+        det_j = np.linalg.det(J)
+        bad = np.flatnonzero(det_j <= 0)
+        if bad.size:
+            raise _conjugate_error(self[int(bad[0])], r)
+        return det_j, _log_derivative(J, Jp)
+
+    def quality(self, r) -> dict:
+        """Worst Wronskian, frame and unit-speed drift over the rays at r."""
+        z, full, J, Jp, _ = self._unpack(self._states(r))
+        speed, frame, wron = _drifts(self._ws, z, full, J, Jp)
+        return {"wronskian": float(wron.max()), "frame": float(frame.max()),
+                "speed": float(speed.max())}
 
 
 class GeodesicRay:
-    """Unit-speed geodesic with parallel frame, Jacobi system and dense output."""
+    """One ray of a ``GeodesicBatch``: unit-speed geodesic with parallel frame,
+    Jacobi system and dense output."""
 
-    def __init__(self, pot: RealAnalyticPotential, p, e0, r_max, tol=1e-10, frame=None):
-        self.pot = pot
-        self.n = pot.n
-        m = 2 * self.n - 1
-        self.m = m
-        self.tol = float(tol)
-        self.p = np.asarray(p, dtype=complex).reshape(self.n)
-        ws = curv.workspace(pot)
-        self._ws = ws
-
-        xi0 = curv.normalize_direction(pot, self.p, e0)
-        self.e0 = curv.real_rep(xi0)
-        G0 = ws.metric_values(self.p)
-        if frame is None:
-            frame_rows = curv.complete_frame(G0, xi0)[1:]
-        else:
-            frame_rows = np.asarray(frame, dtype=complex).reshape(m, self.n)
-        self.initial_frame = frame_rows.copy()
-
-        y0 = _pack(self.p.copy(), xi0.copy(), frame_rows.copy(),
-                   np.zeros((m, m)), np.eye(m), 0.0)
-        events = []
-        radius = pot.validity_radius
-        if np.isfinite(radius):
-            def exit_ball(r, y, _radius=radius, _n=self.n):
-                zz = y[:2 * _n]
-                return _radius ** 2 - (zz @ zz)
-            exit_ball.terminal = True
-            exit_ball.direction = -1
-            events.append(exit_ball)
-
-        sol = solve_ivp(self._rhs, (0.0, float(r_max)), y0, method="DOP853",
-                        rtol=self.tol, atol=self.tol, dense_output=True,
-                        events=events or None)
-        if sol.status == -1:
-            raise IntegrationStalledError(f"integration stalled: {sol.message}")
-        self.truncated = sol.status == 1
-        self.r_max = float(sol.t[-1])
-        self._sol = sol
+    def __init__(self, batch: GeodesicBatch, index: int):
+        self._batch = batch
+        self._index = index
+        self._ws = batch._ws
+        self.pot = batch.pot
+        self.n = batch.n
+        self.m = batch.m
+        self.tol = batch.tol
+        self.p = batch.p
+        self.e0 = batch.e0[index]
+        self.initial_frame = batch.initial_frames[index]
+        self.truncated = bool(batch.truncated[index])
+        self.r_max = float(batch.r_max[index])
         self._conjugate = None
         self._conjugate_scanned = False
 
-    # -- ODE ----------------------------------------------------------------
-    def _unpack(self, y):
-        n, m = self.n, self.m
-        z = y[0:2 * n].view(complex)
-        v = y[2 * n:4 * n].view(complex)
-        off = 4 * n
-        frame = y[off:off + 2 * n * m].view(complex).reshape(m, n)
-        off += 2 * n * m
-        J = y[off:off + m * m].reshape(m, m)
-        off += m * m
-        Jp = y[off:off + m * m].reshape(m, m)
-        vol = y[off + m * m]
-        return z, v, frame, J, Jp, vol
-
-    def _rhs(self, r, y):
-        n, m = self.n, self.m
-        z, v, frame, J, Jp, _ = self._unpack(np.ascontiguousarray(y))
-        G, D1, D2 = self._ws.field_values(z)
-        cginv = np.linalg.inv(G).conj()
-        gamma = np.einsum("mq,ikq->mik", cginv, D1)
-        acc = -np.einsum("mik,i,k->m", gamma, v, v)
-        dframe = -np.einsum("mik,i,uk->um", gamma, v, frame)
-        RH = -D2 + np.einsum("mq,ikq,jlm->ijkl", cginv, D1, D1.conj())
-        full = np.vstack([v[None, :], frame])
-        R_mat = curv.frame_curvature_matrix(RH, full)
-        dJ = Jp
-        dJp = R_mat @ J
-        dvol = abs(np.linalg.det(J))
-        return _pack(v.copy(), acc, dframe, dJ, dJp, dvol)
-
-    # -- dense access ---------------------------------------------------------
     def _state(self, r):
-        if r < -1e-15 or r > self.r_max * (1 + 1e-12):
-            raise ValueError(f"r = {r} outside integrated range [0, {self.r_max}]"
-                             + (" (ray truncated at the validity ball)" if self.truncated else ""))
-        return self._unpack(np.ascontiguousarray(self._sol.sol(min(max(r, 0.0), self.r_max))))
+        """(z, [e0, e_1..e_{2n-1}], J, J', vol) at r."""
+        return self._batch._unpack(self._batch._states(r, self._index)[0])
 
     def position(self, r):
         return self._state(r)[0].copy()
 
     def velocity_c(self, r):
-        return self._state(r)[1].copy()
+        return self._state(r)[1][0].copy()
 
     def velocity(self, r):
         return curv.real_rep(self.velocity_c(r))
 
     def frame(self, r):
         """Complex reps of [e0(r), e_1(r), ..., e_{2n-1}(r)]."""
-        z, v, frame, *_ = self._state(r)
-        return np.vstack([v[None, :], frame])
+        return self._state(r)[1].copy()
 
     def jacobi(self, r):
-        _, _, _, J, Jp, _ = self._state(r)
+        _, _, J, Jp, _ = self._state(r)
         return J.copy(), Jp.copy()
 
     def cumulative_volume(self, r) -> float:
-        return float(self._state(r)[5])
+        return float(self._state(r)[4])
 
     def frame_curvature(self, r):
         """(R_uv, Ric(e0,e0)) at parameter r, in the transported frame."""
-        z, v, frame, *_ = self._state(r)
-        RH = self._ws.curvature_values(z)
-        full = np.vstack([v[None, :], frame])
-        R_uv = curv.frame_curvature_matrix(RH, full)
+        z, full, *_ = self._state(r)
+        R_uv = curv.frame_curvature_matrix(self._ws.curvature_values(z), full)
         _, ric = self._ws.ricci_values(z)
-        return R_uv, curv.ricci_pairing(ric, v, v)
+        return R_uv, curv.ricci_pairing(ric, full[0], full[0])
 
     # -- quality gates ---------------------------------------------------------
     def unit_speed_drift(self, r) -> float:
-        z, v, *_ = self._state(r)
-        G = self._ws.metric_values(z)
-        return abs(curv.real_inner(G, v, v) - 1.0)
+        return float(_drifts(self._ws, *self._state(r)[:4])[0])
 
     def frame_drift(self, r) -> float:
-        z, v, frame, *_ = self._state(r)
-        G = self._ws.metric_values(z)
-        full = np.vstack([v[None, :], frame])
-        gram = np.array([[curv.real_inner(G, a, b) for b in full] for a in full])
-        return float(np.max(np.abs(gram - np.eye(2 * self.n))))
+        return float(_drifts(self._ws, *self._state(r)[:4])[1])
 
     def wronskian_drift(self, r) -> float:
-        J, Jp = self.jacobi(r)
-        return float(np.max(np.abs(Jp.T @ J - J.T @ Jp)))
+        return float(_drifts(self._ws, *self._state(r)[:4])[2])
 
     # -- conjugate points -------------------------------------------------------
     def conjugate_point(self):
         """First zero of det J in (0, r_max], by grid scan plus bisection."""
         if self._conjugate_scanned:
             return self._conjugate
-        from scipy.optimize import brentq
         grid = np.linspace(0.0, self.r_max, 129)[1:]
         dets = [np.linalg.det(self.jacobi(r)[0]) for r in grid]
         self._conjugate_scanned = True
@@ -212,26 +429,16 @@ class GeodesicRay:
     def density(self, r) -> RadialDensity:
         if r <= 0:
             raise ValueError("density needs r > 0")
-        m = self.m
-        if r < 1e-4:
-            # series evaluation near 0 avoids the 0/0 in G^-1 G'
+        if r < _SERIES_RADIUS:
             R0, _ = self.frame_curvature(0.0)
-            trR = float(np.trace(R0))
-            value = r ** m * (1.0 + r * r * trR / 6.0)
-            logd = m / r + r * trR / 3.0
+            value, logd = _series_density(r, self.m, float(np.trace(R0)))
             return RadialDensity(r=r, value=value, log_derivative=logd)
         J, Jp = self.jacobi(r)
         det_j = np.linalg.det(J)
         if det_j <= 0:
-            # sign flip of det J certifies a crossing; locate it for the report
-            cp = self.conjugate_point()
-            bracket = (0.0, r) if cp is None else (cp * (1 - 1e-10), cp * (1 + 1e-10))
-            raise ConjugatePointError(
-                f"conjugate point reached before r = {r}", bracket=bracket)
-        gram = J.T @ J
-        gram_p = Jp.T @ J + J.T @ Jp
-        logd = 0.5 * float(np.trace(np.linalg.solve(gram, gram_p)))
-        return RadialDensity(r=r, value=float(det_j), log_derivative=logd)
+            raise _conjugate_error(self, r)
+        return RadialDensity(r=r, value=float(det_j),
+                             log_derivative=float(_log_derivative(J, Jp)))
 
     def trace_csv(self, path, r_values):
         with open(path, "w", newline="") as fh:
@@ -248,10 +455,11 @@ class GeodesicRay:
 def shoot(pot: RealAnalyticPotential, p, e0, r_max, tol=1e-10, frame=None) -> GeodesicRay:
     """Integrate the unit-speed geodesic from p in direction e0 up to r_max.
 
-    The ray is truncated (with ``ray.truncated`` set) if it exits the
-    potential's validity ball first.
+    A batch of one.  The ray is truncated (with ``ray.truncated`` set) if it
+    exits the potential's validity ball first.
     """
-    return GeodesicRay(pot, p, e0, r_max, tol=tol, frame=frame)
+    frames = None if frame is None else [frame]
+    return GeodesicBatch(pot, p, [e0], r_max, tol=tol, frames=frames)[0]
 
 
 def jacobi_integrate(ray: GeodesicRay, r) -> JacobiSystemState:

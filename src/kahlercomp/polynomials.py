@@ -280,11 +280,11 @@ class CPoly:
     # -- evaluation --------------------------------------------------------
     def numeric(self) -> "NumericPoly":
         if self._numeric is None:
-            self._numeric = NumericPoly.from_poly(self)
+            self._numeric = NumericPoly([self])
         return self._numeric
 
     def evaluate(self, z) -> complex:
-        return self.numeric().evaluate(z)
+        return complex(self.numeric().evaluate(z)[0])
 
     def __repr__(self):
         terms = []
@@ -295,46 +295,55 @@ class CPoly:
 
 
 class NumericPoly:
-    """Float-coefficient view of a ``CPoly`` for fast (batch) evaluation."""
+    """Float-coefficient view of a stack of ``CPoly`` sharing one monomial basis.
 
-    __slots__ = ("n", "alpha", "beta", "coeff", "max_pow")
+    A single polynomial is a stack of one and a single point a batch of one.
+    Points are evaluated in blocks of ``BLOCK`` rows, so the temporaries of a
+    large batch stay bounded.
+    """
 
-    def __init__(self, n, alpha, beta, coeff):
+    __slots__ = ("n", "alpha", "beta", "C", "max_pow", "_idx")
+
+    BLOCK = 1024
+
+    def __init__(self, polys):
+        polys = list(polys)
+        n = polys[0].n
+        index = {}
+        rows = []
+        for p in polys:
+            row = {}
+            for (a, b), c in p.sorted_terms():
+                row[index.setdefault((a, b), len(index))] = complex(c)
+            rows.append(row)
         self.n = n
-        self.alpha = alpha
-        self.beta = beta
-        self.coeff = coeff
-        self.max_pow = int(max(alpha.max(initial=0), beta.max(initial=0)))
+        self.alpha = np.zeros((len(index), n), dtype=np.int64)
+        self.beta = np.zeros((len(index), n), dtype=np.int64)
+        for (a, b), col in index.items():
+            self.alpha[col] = a
+            self.beta[col] = b
+        self.max_pow = int(max(self.alpha.max(initial=0), self.beta.max(initial=0)))
+        self.C = np.zeros((len(polys), len(index)), dtype=complex)
+        for r, row in enumerate(rows):
+            for col, val in row.items():
+                self.C[r, col] = val
+        self._idx = np.arange(n)
 
-    @classmethod
-    def from_poly(cls, poly: CPoly) -> "NumericPoly":
-        m = len(poly.coeffs)
-        alpha = np.zeros((m, poly.n), dtype=np.int64)
-        beta = np.zeros((m, poly.n), dtype=np.int64)
-        coeff = np.zeros(m, dtype=complex)
-        for row, ((a, b), c) in enumerate(poly.sorted_terms()):
-            alpha[row] = a
-            beta[row] = b
-            coeff[row] = complex(c)
-        return cls(poly.n, alpha, beta, coeff)
-
-    def evaluate(self, z) -> complex:
-        z = np.asarray(z, dtype=complex)
-        if self.coeff.size == 0:
-            return 0.0 + 0.0j
-        pw = np.ones((self.n, self.max_pow + 1), dtype=complex)
-        for d in range(1, self.max_pow + 1):
-            pw[:, d] = pw[:, d - 1] * z
-        cw = pw.conj()
-        idx = np.arange(self.n)
-        mono = pw[idx, self.alpha].prod(axis=1) * cw[idx, self.beta].prod(axis=1)
-        return complex(self.coeff @ mono)
+    def evaluate(self, z) -> np.ndarray:
+        """Values of every polynomial of the stack at one point."""
+        return self.evaluate_many(np.asarray(z, dtype=complex).reshape(1, self.n))[0]
 
     def evaluate_many(self, Z) -> np.ndarray:
-        """Evaluate at all rows of an (N, n) complex array."""
+        """(N, polys) values at the rows of an (N, n) complex array."""
         Z = np.asarray(Z, dtype=complex)
-        if self.coeff.size == 0:
-            return np.zeros(Z.shape[0], dtype=complex)
-        mono = np.prod(Z[:, None, :] ** self.alpha[None, :, :], axis=2)
-        mono *= np.prod(Z.conj()[:, None, :] ** self.beta[None, :, :], axis=2)
-        return mono @ self.coeff
+        out = np.empty((Z.shape[0], self.C.shape[0]), dtype=complex)
+        for lo in range(0, Z.shape[0], self.BLOCK):
+            block = Z[lo:lo + self.BLOCK]
+            pw = np.empty(block.shape + (self.max_pow + 1,), dtype=complex)
+            pw[..., 0] = 1.0
+            for d in range(1, self.max_pow + 1):
+                pw[..., d] = pw[..., d - 1] * block
+            mono = pw[:, self._idx, self.alpha].prod(axis=2)
+            mono *= pw.conj()[:, self._idx, self.beta].prod(axis=2)
+            out[lo:lo + self.BLOCK] = mono @ self.C.T
+        return out

@@ -193,13 +193,26 @@ class TestFlowQuality:
         assert q["frame"] < 1e-9
         assert q["speed"] < 1e-9
 
-    def test_thread_count_does_not_change_results(self, flat2):
+    def test_batch_matches_single_rays(self, section6_pot):
+        """The batched flow agrees with one shoot() per rule node."""
+        import math
+
+        from kahlercomp import curvature as C
+        from kahlercomp import geodesic as G
         from kahlercomp.sphere import build_rule
         rule = build_rule(2, 4)
-        serial = CMP.SphereFlow(flat2, np.zeros(2), 0.03, rule=rule, threads=1)
-        parallel = CMP.SphereFlow(flat2, np.zeros(2), 0.03, rule=rule, threads=4)
-        assert serial.ball_volume(0.03) == parallel.ball_volume(0.03)
-        assert serial.average_laplacian(0.02) == parallel.average_laplacian(0.02)
+        flow = CMP.SphereFlow(section6_pot, np.zeros(2), 0.04, rule=rule, tol=1e-11)
+        G0 = C.workspace(section6_pot).metric_values(np.zeros(2))
+        rays = [G.shoot(section6_pot, np.zeros(2), e0, 0.04, tol=1e-11)
+                for e0 in CMP.tangent_nodes(rule, C.real_metric_matrix(G0))]
+        for r in (0.01, 0.04):
+            vals, logd = flow.densities(r)
+            single = [ray.density(r) for ray in rays]
+            np.testing.assert_allclose(vals, [d.value for d in single], rtol=1e-12)
+            np.testing.assert_allclose(logd, [d.log_derivative for d in single], rtol=1e-12)
+            volume = math.fsum(w * ray.cumulative_volume(r)
+                               for w, ray in zip(rule.weights, rays))
+            assert flow.ball_volume(r) == pytest.approx(volume, rel=1e-12)
 
     def test_three_complex_dimensions(self):
         from kahlercomp.sphere import build_rule

@@ -310,3 +310,29 @@ class TestJets:
         with pytest.raises(ValueError, match="order"):
             C.curvature_jets_along(flat2, np.zeros(2), np.array([1.0, 0, 0, 0]),
                                    order=5)
+
+
+class TestWorkspaceCache:
+    def test_many_potentials_keep_the_cache_at_its_bound(self, monkeypatch):
+        from collections import OrderedDict
+        monkeypatch.setattr(C, "_WORKSPACES", OrderedDict())
+        for k in range(2 * C.WORKSPACE_CACHE_SIZE + 3):
+            C.workspace(P.section6(0.1, k))
+            assert len(C._WORKSPACES) <= C.WORKSPACE_CACHE_SIZE
+        assert len(C._WORKSPACES) == C.WORKSPACE_CACHE_SIZE
+
+    def test_counterexample_builds_each_workspace_once(self, monkeypatch):
+        from collections import OrderedDict
+
+        from kahlercomp import comparison as CMP
+        built = []
+        workspace_class = C.CurvatureWorkspace
+
+        def counting(pot):
+            built.append(pot)
+            return workspace_class(pot)
+
+        monkeypatch.setattr(C, "_WORKSPACES", OrderedDict())
+        monkeypatch.setattr(C, "CurvatureWorkspace", counting)
+        CMP.verify_counterexample(a=0.1, lam=0.5)
+        assert len(built) == len(set(built)) == 3

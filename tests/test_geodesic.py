@@ -208,20 +208,20 @@ class TestConvergenceOrder:
         """Classical RK4 on the combined field self-converges at order >= 4."""
         n, K = 2, -3.0
         pot = P.space_form(n, K)
-        ref = G.shoot(pot, np.zeros(n), np.array([1.0, 0, 0, 0]), 0.4, tol=1e-13)
-        y0 = np.ascontiguousarray(ref._sol.sol(0.0))
+        ref = G.GeodesicBatch(pot, np.zeros(n), [np.array([1.0, 0, 0, 0])], 0.4, tol=1e-13)
+        y0 = ref._states(0.0)
 
         def density_at_end(h):
             y = y0.copy()
             r = 0.0
             while r < 0.4 - 1e-12:
-                k1 = ref._rhs(r, y)
-                k2 = ref._rhs(r + h / 2, y + h / 2 * k1)
-                k3 = ref._rhs(r + h / 2, y + h / 2 * k2)
-                k4 = ref._rhs(r + h, y + h * k3)
+                k1 = ref._rhs(y)
+                k2 = ref._rhs(y + h / 2 * k1)
+                k3 = ref._rhs(y + h / 2 * k2)
+                k4 = ref._rhs(y + h * k3)
                 y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
                 r += h
-            z, v, frame, J, Jp, vol = ref._unpack(y)
+            J = ref._unpack(y)[2][0]
             return float(np.sqrt(np.linalg.det(J.T @ J)))
 
         truth = density_at_end(0.0025)
@@ -239,6 +239,58 @@ class TestConvergenceOrder:
             ray = G.shoot(pot, np.zeros(2), np.array([1.0, 0, 0, 0]), 0.4)
             err = abs(ray.density(0.4).value - M.density(model, 0.4))
             assert err < 1e-9
+
+
+class TestBatchedIntegrator:
+    def test_single_ray_matches_scipy_dop853(self, section6_pot):
+        """solve_ivp(DOP853) on the same right-hand side and tolerance is the oracle."""
+        from scipy.integrate import solve_ivp
+        batch = G.GeodesicBatch(section6_pot, np.zeros(2), [np.array([0.5, 0.2, 0.1, -0.4])],
+                                0.09, tol=1e-11)
+        nfev = batch.nfev
+        sol = solve_ivp(lambda r, y: batch._rhs(y[None])[0], (0.0, 0.09),
+                        batch._states(0.0)[0], method="DOP853", rtol=1e-11, atol=1e-11,
+                        dense_output=True)
+        assert sol.nfev == nfev
+        for r in np.linspace(0.0, 0.09, 7):
+            np.testing.assert_allclose(batch._states(r)[0], sol.sol(r), rtol=0, atol=1e-12)
+
+    def test_error_norm_is_scipys_norm_of_each_ray(self):
+        """Each ray's norm is scipy's over its own components, not one over the stack."""
+        from scipy.integrate._ivp.rk import DOP853
+        rng = np.random.default_rng(3)
+        K = rng.normal(size=(13, 4, 39)) * np.array([1.0, 1e-3, 1e3, 0.0])[None, :, None]
+        scale = rng.uniform(0.5, 2.0, size=(4, 39))
+        norms = G._error_norms(K, 0.01, scale)
+        for i in range(4):
+            assert norms[i] == pytest.approx(
+                DOP853._estimate_error_norm(DOP853, K[:, i], 0.01, scale[i]), rel=1e-13)
+
+    def test_only_the_ray_leaving_the_ball_is_truncated(self, space_form_k1):
+        """The outward ray is cut at |z| = 0.42; the others take further steps."""
+        p = np.array([0.3, 0.0])
+        dirs = [np.array(d, dtype=float) for d in
+                ([1, 0, 0, 0], [-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0])]
+        batch = G.GeodesicBatch(space_form_k1, p, dirs, 0.3, tol=1e-11)
+        assert batch.truncated.tolist() == [True, False, False, False]
+        out, *inside = batch
+        assert out.r_max < 0.3
+        radius = space_form_k1.validity_radius
+        assert np.linalg.norm(out.position(out.r_max)) == pytest.approx(radius, abs=1e-12)
+        alone = G.shoot(space_form_k1, p, dirs[0], 0.3, tol=1e-11)
+        assert alone.truncated and out.r_max == pytest.approx(alone.r_max, abs=1e-10)
+        with pytest.raises(ValueError, match="truncated"):
+            out.position(0.3)
+        with pytest.raises(ValueError, match="truncated"):
+            batch.densities(0.3)
+        for ray, e0 in zip(inside, dirs[1:]):
+            assert ray.r_max == 0.3 and not ray.truncated
+            alone = G.shoot(space_form_k1, p, e0, 0.3, tol=1e-11)
+            for r in (0.2, 0.3):
+                np.testing.assert_allclose(ray.position(r), alone.position(r),
+                                           rtol=0, atol=1e-11)
+                assert ray.density(r).value == pytest.approx(alone.density(r).value,
+                                                             rel=1e-10)
 
 
 class TestTrace:
