@@ -130,19 +130,20 @@ def certify_ricci_bound(pot: RealAnalyticPotential, K, rho, samples=10000,
     Z = np.vstack([np.zeros((1, n), dtype=complex), Z, radial])
 
     ws = curv.workspace(pot)
-    G, ric = ws.ricci_values_many(Z)
-    g_eigs = np.linalg.eigvalsh(G)
-    if np.min(g_eigs) <= 0:
-        bad = int(np.argmin(g_eigs[:, 0]))
+    try:
+        G, ric = ws.ricci_values(Z)
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        # the metric is not positive definite somewhere; its least eigenvalue
+        # marks the witness
+        bad = int(np.argmin(np.linalg.eigvalsh(ws.metric_values(Z))[:, 0]))
         return RicciBoundCertificate(
             potential_id=pot.label, K=float(K), rho=float(rho),
             min_eigenvalue=float("-inf"), samples=Z.shape[0], passed=False,
             witness=tuple(Z[bad].tolist()))
-    # whiten: M = G^{-1/2} (Ric - K G) G^{-1/2}
-    vals, vecs = np.linalg.eigh(G)
-    inv_sqrt = (vecs * (vals ** -0.5)[:, None, :]) @ np.conj(np.swapaxes(vecs, 1, 2))
-    A = ric - float(K) * G
-    M = inv_sqrt @ A @ inv_sqrt
+    # whiten: M = L^-1 (Ric - K G) L^-H, unitarily similar to G^-1/2 (...) G^-1/2
+    X = np.linalg.solve(L, ric - float(K) * G)
+    M = np.linalg.solve(L, np.conj(np.swapaxes(X, 1, 2)))
     eigs = np.linalg.eigvalsh(M)
     idx = int(np.argmin(eigs[:, 0]))
     min_eig = float(eigs[idx, 0])

@@ -19,6 +19,10 @@ Conventions, fixed once here and anchored by the test suite:
   ``sum_u R_uu = -Ric(e0, e0)``.
 * The complex Ricci tensor is ``-d dbar log det g`` and the scalar curvature
   is its trace against the inverse metric, so Ric = K g gives scalar n K.
+  Numerically it is the contraction ``Ric_ij = sum_kl R[i,j,k,l] (G^-1)[l,k]``
+  of the curvature array at the point, which needs only g and its first and
+  second derivatives; the exact log-determinant series is built for the
+  golden checks alone.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -166,7 +171,16 @@ def frame_curvature_matrix(RH, frame) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class CurvatureWorkspace:
-    """Exact derived polynomials (metric, Ricci) plus fast numeric evaluators."""
+    """Exact metric derivatives of a potential plus their numeric evaluators.
+
+    ``g``, ``dg`` and ``d2g`` are exact; ``field_values`` evaluates them as one
+    stack, and the curvature and Ricci values are computed from those numbers
+    (``connection_and_curvature``), the same path the geodesic right-hand side
+    runs.  The exact determinant, log-determinant and Ricci series
+    (``det_g``, ``log_det``, ``ric``, truncated at degree ``max_degree + 4``)
+    are built only when read: they serve the exact golden checks, never a
+    numeric value.
+    """
 
     def __init__(self, pot: RealAnalyticPotential):
         self.pot = pot
@@ -180,23 +194,34 @@ class CurvatureWorkspace:
                    for k in range(n)]  # dg[k][i][j] = d_k g_ij
         self.d2g = [[[[self.dg[k][i][j].dzbar(l) for j in range(n)] for i in range(n)]
                      for l in range(n)] for k in range(n)]  # d2g[k][l][i][j]
-        self.det_g = _det_expansion(self.g, self.trunc)
-        # normalize by det g(0) so the log composition applies; the dropped
-        # additive constant does not survive the d dbar below
-        zero_key = ((0,) * n, (0,) * n)
-        c0 = self.det_g.coeffs[zero_key]
-        if c0.im != 0 or c0.re <= 0:
-            raise ValueError("determinant constant term must be a positive real")
-        x = self.det_g.scale(QC(Fraction(1) / c0.re)) - CPoly.constant(n, 1)
-        self.log_det = x.log1p(self.trunc)
-        self.ric = [[-(self.log_det.dz(i).dzbar(j)) for j in range(n)] for i in range(n)]
 
         flat_g = [self.g[i][j] for i in range(n) for j in range(n)]
         flat_dg = [self.dg[k][i][j] for k in range(n) for i in range(n) for j in range(n)]
         flat_d2g = [self.d2g[k][l][i][j]
                     for k in range(n) for l in range(n) for i in range(n) for j in range(n)]
         self._field_eval = NumericPoly(flat_g + flat_dg + flat_d2g)
-        self._ric_eval = NumericPoly(flat_g + [self.ric[i][j] for i in range(n) for j in range(n)])
+        self._metric_eval = NumericPoly(flat_g)
+
+    # -- exact series, built on first read ------------------------------------
+    @cached_property
+    def det_g(self) -> CPoly:
+        return _det_expansion(self.g, self.trunc)
+
+    @cached_property
+    def log_det(self) -> CPoly:
+        # normalize by det g(0) so the log composition applies; the dropped
+        # additive constant does not survive the d dbar of ``ric``
+        n = self.n
+        c0 = self.det_g.coeffs[((0,) * n, (0,) * n)]
+        if c0.im != 0 or c0.re <= 0:
+            raise ValueError("determinant constant term must be a positive real")
+        x = self.det_g.scale(QC(Fraction(1) / c0.re)) - CPoly.constant(n, 1)
+        return x.log1p(self.trunc)
+
+    @cached_property
+    def ric(self) -> list:
+        n = self.n
+        return [[-(self.log_det.dz(i).dzbar(j)) for j in range(n)] for i in range(n)]
 
     # -- numeric views ------------------------------------------------------
     def field_values(self, z):
@@ -218,19 +243,29 @@ class CurvatureWorkspace:
         """Metric matrix at one point (n,) or at a batch (..., n)."""
         n = self.n
         z = np.asarray(z, dtype=complex)
-        vals = self._ric_eval.evaluate_many(z.reshape(-1, n))
-        return vals[:, :n * n].reshape(z.shape[:-1] + (n, n))
+        vals = self._metric_eval.evaluate_many(z.reshape(-1, n))
+        return vals.reshape(z.shape[:-1] + (n, n))
 
     def ricci_values(self, z):
-        n = self.n
-        vals = self._ric_eval.evaluate(z)
-        return vals[:n * n].reshape(n, n), vals[n * n:].reshape(n, n)
+        """(G, Ric) at one point (n,) or at a batch (..., n).
 
-    def ricci_values_many(self, Z):
+        Ric_ij = sum_kl R[i,j,k,l] (G^-1)[l,k], the contraction of the
+        curvature array, equal to -d_i dbar_j log det g with no series
+        truncation.  Points are taken ``NumericPoly.BLOCK`` rows at a time.
+        """
         n = self.n
-        vals = self._ric_eval.evaluate_many(Z)
-        N = Z.shape[0]
-        return vals[:, :n * n].reshape(N, n, n), vals[:, n * n:].reshape(N, n, n)
+        z = np.asarray(z, dtype=complex)
+        Z = z.reshape(-1, n)
+        G = np.empty((len(Z), n, n), dtype=complex)
+        ric = np.empty_like(G)
+        for lo in range(0, len(Z), NumericPoly.BLOCK):
+            rows = slice(lo, lo + NumericPoly.BLOCK)
+            G[rows], D1, D2 = self.field_values(Z[rows])
+            _, R = connection_and_curvature(G[rows], D1, D2)
+            # conj(G^-1)[k, l] = (G^-1)[l, k] for Hermitian G
+            cginv = np.linalg.inv(G[rows]).conj().reshape(-1, n * n, 1)
+            ric[rows] = (R.reshape(-1, n * n, n * n) @ cginv).reshape(-1, n, n)
+        return G.reshape(z.shape[:-1] + (n, n)), ric.reshape(z.shape[:-1] + (n, n))
 
     def curvature_values(self, z):
         """Complex curvature array R[i,j,k,l] in the deviation convention."""
@@ -243,10 +278,8 @@ def _det_expansion(g, trunc):
     from itertools import permutations
     out = CPoly.zero(g[0][0].n)
     for perm in permutations(range(n)):
-        sign = 1
-        seen = list(perm)
         # permutation parity by counting inversions
-        inv = sum(1 for i in range(n) for j in range(i + 1, n) if seen[i] > seen[j])
+        inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
         sign = -1 if inv % 2 else 1
         term = CPoly.constant(g[0][0].n, sign)
         for i in range(n):
@@ -376,11 +409,8 @@ def curvature_at(pot: RealAnalyticPotential, z) -> CurvatureTensor:
 def ricci_at(pot: RealAnalyticPotential, z) -> np.ndarray:
     """Complex Ricci matrix -d dbar log det g at z."""
     z = _check_point(pot, z)
-    G, ric = workspace(pot).ricci_values(z)
-    eigs = np.linalg.eigvalsh(G)
-    if eigs[0] <= 0:
-        raise KahlerDomainError("outside Kahler domain", eigenvalue=float(eigs[0]))
-    return ric
+    metric_at(pot, z)  # positivity gate
+    return workspace(pot).ricci_values(z)[1]
 
 
 def scalar_at(pot: RealAnalyticPotential, z) -> float:

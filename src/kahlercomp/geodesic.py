@@ -393,11 +393,13 @@ class GeodesicRay:
         return float(self._state(r)[4])
 
     def frame_curvature(self, r):
-        """(R_uv, Ric(e0,e0)) at parameter r, in the transported frame."""
+        """(R_uv, Ric(e0,e0)) at parameter r, in the transported frame.
+
+        Ric(e0, e0) = -tr R_uv, the sum rule of the ``curvature`` module.
+        """
         z, full, *_ = self._state(r)
         R_uv = curv.frame_curvature_matrix(self._ws.curvature_values(z), full)
-        _, ric = self._ws.ricci_values(z)
-        return R_uv, curv.ricci_pairing(ric, full[0], full[0])
+        return R_uv, -float(np.trace(R_uv))
 
     # -- quality gates ---------------------------------------------------------
     def unit_speed_drift(self, r) -> float:

@@ -302,7 +302,7 @@ class NumericPoly:
     large batch stay bounded.
     """
 
-    __slots__ = ("n", "alpha", "beta", "C", "max_pow", "_idx")
+    __slots__ = ("n", "alpha", "beta", "C", "max_pow")
 
     BLOCK = 1024
 
@@ -327,7 +327,6 @@ class NumericPoly:
         for r, row in enumerate(rows):
             for col, val in row.items():
                 self.C[r, col] = val
-        self._idx = np.arange(n)
 
     def evaluate(self, z) -> np.ndarray:
         """Values of every polynomial of the stack at one point."""
@@ -343,7 +342,13 @@ class NumericPoly:
             pw[..., 0] = 1.0
             for d in range(1, self.max_pow + 1):
                 pw[..., d] = pw[..., d - 1] * block
-            mono = pw[:, self._idx, self.alpha].prod(axis=2)
-            mono *= pw.conj()[:, self._idx, self.beta].prod(axis=2)
+            pw_bar = pw.conj()
+            # one variable at a time, so the temporaries stay (rows, monomials)
+            mono = pw[:, 0, self.alpha[:, 0]]
+            mono_bar = pw_bar[:, 0, self.beta[:, 0]]
+            for i in range(1, self.n):
+                mono *= pw[:, i, self.alpha[:, i]]
+                mono_bar *= pw_bar[:, i, self.beta[:, i]]
+            mono *= mono_bar
             out[lo:lo + self.BLOCK] = mono @ self.C.T
         return out

@@ -87,6 +87,8 @@ class RealAnalyticPotential:
         self.validity_radius = float(validity_radius)
         self.label = label or f"potential(n={self.n}, {len(poly.coeffs)} terms)"
         self._validate()
+        # hashed once: workspace lookups would otherwise rehash every Fraction
+        self._hash = hash((self.n, self.poly))
 
     def _validate(self):
         for (a, b), c in self.poly.coeffs.items():
@@ -124,7 +126,7 @@ class RealAnalyticPotential:
                 and self.n == other.n and self.poly == other.poly)
 
     def __hash__(self):
-        return hash((self.n, self.poly))
+        return self._hash
 
     def __repr__(self):
         return f"RealAnalyticPotential({self.label!r})"

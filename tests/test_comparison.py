@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kahlercomp import comparison as CMP
+from kahlercomp import curvature as C
 from kahlercomp import model_space as M
 from kahlercomp import potential as P
 from kahlercomp.model_space import ModelSpace
@@ -30,6 +31,18 @@ class TestCertificates:
         assert not cert.passed
         assert cert.witness is not None
         assert cert.min_eigenvalue == pytest.approx(-0.1, abs=1e-12)
+
+    def test_indefinite_metric_refused_with_witness(self):
+        # g_11 = 1 - 12 |z1|^2 turns negative past |z1| = 0.29 inside rho = 0.6
+        pot = P.RealAnalyticPotential(
+            2, [((1, 0), (1, 0), 1), ((0, 1), (0, 1), 1),
+                ((2, 0), (2, 0), -3), ((0, 2), (0, 2), -3)],
+            validity_radius=1.0)
+        cert = CMP.certify_ricci_bound(pot, 0.0, 0.6, samples=200)
+        assert not cert.passed
+        assert cert.min_eigenvalue == float("-inf")
+        G = C.workspace(pot).metric_values(np.array(cert.witness))
+        assert np.linalg.eigvalsh(G)[0] <= 0
 
     def test_radius_beyond_validity_rejected(self, section6_pot):
         with pytest.raises(ValueError, match="validity"):

@@ -85,16 +85,45 @@ class TestCurvatureTensor:
             assert np.allclose(R, R.transpose(0, 3, 2, 1), atol=1e-13)
             assert np.allclose(np.conj(R), R.transpose(1, 0, 3, 2), atol=1e-13)
 
-    def test_contraction_reproduces_ricci(self):
+    def test_ricci_matches_exact_log_det_series(self):
+        """Oracle: the exact -d dbar log det g series, near 0 where its
+        truncation at max_degree + 4 is negligible."""
         rng = np.random.default_rng(4)
         for seed in range(4):
             pot = P.perturbed(2, seed + 10)
-            z = (rng.normal(size=2) + 1j * rng.normal(size=2)) * 0.04
             ws = C.workspace(pot)
-            RH = ws.curvature_values(z)
-            G, ric = ws.ricci_values(z)
-            contr = np.einsum("kl,ijkl->ij", np.linalg.inv(G).conj(), RH)
-            assert np.allclose(contr, ric, atol=1e-10)
+            Z = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
+            Z *= 0.04 * rng.uniform(0.25, 1.0, size=(5, 1)) / np.linalg.norm(Z, axis=1)[:, None]
+            _, ric = ws.ricci_values(Z)
+            exact = np.array([[[ws.ric[i][j].evaluate(z) for j in range(2)] for i in range(2)]
+                              for z in Z])
+            assert np.max(np.abs(ric - exact)) <= 1e-10
+
+    def test_ricci_matches_log_det_finite_difference(self):
+        """Oracle: -d dbar log det g by a 4th-order central difference of the
+        numeric log det g, where the truncated series is off by 1.7e-5."""
+        pot = P.section6(0.1, 50)
+        ws = C.workspace(pot)
+        z0 = np.array([0.1, 0.0], dtype=complex)
+        x0 = np.array([z0[0].real, z0[0].imag, z0[1].real, z0[1].imag])
+        h = 5e-4
+
+        def log_det(x):
+            return np.linalg.slogdet(ws.metric_values(x[0::2] + 1j * x[1::2]))[1]
+
+        def second(v):
+            f = [log_det(x0 + k * h * v) for k in (-2, -1, 0, 1, 2)]
+            return (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
+
+        E = np.eye(4)
+        H = np.array([[second(E[a]) if a == b else
+                       (second(E[a] + E[b]) - second(E[a] - E[b])) / 4
+                       for b in range(4)] for a in range(4)])
+        # d_i dbar_j = (1/4)(dx_i dx_j + dy_i dy_j + i (dx_i dy_j - dy_i dx_j))
+        fd = np.array([[-0.25 * (H[2 * i, 2 * j] + H[2 * i + 1, 2 * j + 1]
+                                 + 1j * (H[2 * i, 2 * j + 1] - H[2 * i + 1, 2 * j]))
+                        for j in range(2)] for i in range(2)])
+        assert np.max(np.abs(C.ricci_at(pot, z0) - fd)) <= 1e-8
 
     def test_first_bianchi_identity(self):
         rng = np.random.default_rng(6)
@@ -320,6 +349,15 @@ class TestWorkspaceCache:
             C.workspace(P.section6(0.1, k))
             assert len(C._WORKSPACES) <= C.WORKSPACE_CACHE_SIZE
         assert len(C._WORKSPACES) == C.WORKSPACE_CACHE_SIZE
+
+    def test_certificate_leaves_exact_series_unbuilt(self, monkeypatch):
+        from collections import OrderedDict
+
+        from kahlercomp import comparison as CMP
+        monkeypatch.setattr(C, "_WORKSPACES", OrderedDict())
+        pot = P.space_form(3, 1, degree=12)
+        assert CMP.certify_ricci_bound(pot, 1.0, 0.04).passed
+        assert {"det_g", "log_det", "ric"}.isdisjoint(vars(C.workspace(pot)))
 
     def test_counterexample_builds_each_workspace_once(self, monkeypatch):
         from collections import OrderedDict
