@@ -117,21 +117,19 @@ def cmd_series(args) -> int:
     pot = _load_potential(args)
     p = np.zeros(pot.n, dtype=complex)
     order = args.order
-    jet_order = min(4, max(2, order - 2))
+    jet_order = max(2, order - 2)
     rule = build_rule(pot.n, args.quad_degree)
     G = curv.workspace(pot).metric_values(p)
     dirs = tangent_nodes(rule, curv.real_metric_matrix(G))
 
     axis = np.zeros(2 * pot.n)
     axis[0] = 1.0
-    jets = curv.curvature_jets_along(pot, p, axis, order=jet_order)
-    coeffs = series.jacobi_recursion(jets, order + 1)
-    per_dir = series.density_series(coeffs, order)
+    jets = curv.curvature_jets_along(pot, p, np.vstack([axis, dirs]), order=jet_order)
+    per_dir = series.density_series(series.jacobi_recursion(jets[0], order + 1), order)
 
     averaged = np.zeros(order + 1)
-    for e0, w in zip(dirs, rule.weights):
-        j = curv.curvature_jets_along(pot, p, e0, order=jet_order)
-        c = series.jacobi_recursion(j, order + 1)
+    for k, w in enumerate(rule.weights, start=1):
+        c = series.jacobi_recursion(jets[k], order + 1)
         averaged += w * series.density_series(c, order).coefficients
 
     doc = {

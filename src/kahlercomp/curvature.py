@@ -23,10 +23,14 @@ Conventions, fixed once here and anchored by the test suite:
   of the curvature array at the point, which needs only g and its first and
   second derivatives; the exact log-determinant series is built for the
   golden checks alone.
+* Numeric values are Taylor series in a real curve parameter, order on the
+  first axis; a point is a length-1 series, so points and the curvature jets
+  along a geodesic (``curvature_jets_along``) run the same code.
 """
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .polynomials import CPoly, NumericPoly, QC
+from .polynomials import CPoly, NumericPoly, QC, cauchy_product
 from .potential import RealAnalyticPotential
 
 __all__ = [
@@ -153,16 +157,19 @@ def rm_value(RH, xi, eta, zeta, omega) -> float:
 def frame_curvature_matrix(RH, frame) -> np.ndarray:
     """R_uv = <R(e0, e_u)e0, e_v> for u, v >= 1, given the frame's complex reps.
 
-    Leading axes of ``RH`` (..., n, n, n, n) and ``frame`` (..., 2n, n) are
-    batch axes.  With c[u, ij] = xi0_i conj(e_u,j) - e_u,i conj(xi0_j) the
-    matrix is Re(c R c^T) over the flattened index pairs ij and kl.
+    ``RH`` (L, ..., n, n, n, n) and ``frame`` (L, ..., 2n, n) are Taylor series
+    along a curve (a point is a length-1 series); the axes between are batch
+    axes.  With c[u, ij] = xi0_i conj(e_u,j) - e_u,i conj(xi0_j) the matrix is
+    Re(c R c^T) over the flattened index pairs ij and kl.
     """
     n = frame.shape[-1]
     xi0 = frame[..., :1, :, None]
     rest = frame[..., 1:, :, None]
-    c = xi0 * np.swapaxes(rest.conj(), -1, -2) - rest * np.swapaxes(xi0.conj(), -1, -2)
+    c = (cauchy_product(np.multiply, xi0, np.swapaxes(rest.conj(), -1, -2))
+         - cauchy_product(np.multiply, rest, np.swapaxes(xi0.conj(), -1, -2)))
     c = c.reshape(c.shape[:-2] + (n * n,))
-    R = (c @ RH.reshape(RH.shape[:-4] + (n * n, n * n)) @ np.swapaxes(c, -1, -2)).real
+    cR = cauchy_product(np.matmul, c, RH.reshape(RH.shape[:-4] + (n * n, n * n)))
+    R = cauchy_product(np.matmul, cR, np.swapaxes(c, -1, -2)).real
     return 0.5 * (R + np.swapaxes(R, -1, -2))
 
 
@@ -174,12 +181,13 @@ class CurvatureWorkspace:
     """Exact metric derivatives of a potential plus their numeric evaluators.
 
     ``g``, ``dg`` and ``d2g`` are exact; ``field_values`` evaluates them as one
-    stack, and the curvature and Ricci values are computed from those numbers
-    (``connection_and_curvature``), the same path the geodesic right-hand side
-    runs.  The exact determinant, log-determinant and Ricci series
-    (``det_g``, ``log_det``, ``ric``, truncated at degree ``max_degree + 4``)
-    are built only when read: they serve the exact golden checks, never a
-    numeric value.
+    stack along a Taylor series (a point is a length-1 series), and the
+    curvature and Ricci values are computed from those numbers
+    (``connection_and_curvature``), the same path the geodesic right-hand
+    side and the curvature jets run.  The exact determinant, log-determinant
+    and Ricci series (``det_g``, ``log_det``, ``ric``, truncated at degree
+    ``max_degree + 4``) are built only when read: they serve the exact golden
+    checks, never a numeric value.
     """
 
     def __init__(self, pot: RealAnalyticPotential):
@@ -225,25 +233,26 @@ class CurvatureWorkspace:
 
     # -- numeric views ------------------------------------------------------
     def field_values(self, z):
-        """(G, D1, D2) at z: metric, d_k g_ij, d_k dbar_l g_ij.
+        """(G, D1, D2) along z: metric, d_k g_ij, d_k dbar_l g_ij.
 
-        ``z`` is one point (n,) or a batch (..., n); the leading axes carry
-        over to the results.
+        ``z`` (L, ..., n) is the Taylor series of a curve, or of a batch of
+        curves, in a real parameter; ``z[None]`` makes points a length-1
+        series.  The leading axes carry over to the results.
         """
         n = self.n
         z = np.asarray(z, dtype=complex)
         lead = z.shape[:-1]
-        vals = self._field_eval.evaluate_many(z.reshape(-1, n))
-        G = vals[:, :n * n].reshape(lead + (n, n))
-        D1 = vals[:, n * n:n * n + n ** 3].reshape(lead + (n, n, n))
-        D2 = vals[:, n * n + n ** 3:].reshape(lead + (n, n, n, n))
+        vals = self._field_eval.evaluate_many(z.reshape(lead[0], -1, n))
+        G = vals[..., :n * n].reshape(lead + (n, n))
+        D1 = vals[..., n * n:n * n + n ** 3].reshape(lead + (n, n, n))
+        D2 = vals[..., n * n + n ** 3:].reshape(lead + (n, n, n, n))
         return G, D1, D2
 
     def metric_values(self, z):
         """Metric matrix at one point (n,) or at a batch (..., n)."""
         n = self.n
         z = np.asarray(z, dtype=complex)
-        vals = self._metric_eval.evaluate_many(z.reshape(-1, n))
+        vals = self._metric_eval.evaluate_many(z.reshape(1, -1, n))[0]
         return vals.reshape(z.shape[:-1] + (n, n))
 
     def ricci_values(self, z):
@@ -255,21 +264,22 @@ class CurvatureWorkspace:
         """
         n = self.n
         z = np.asarray(z, dtype=complex)
-        Z = z.reshape(-1, n)
-        G = np.empty((len(Z), n, n), dtype=complex)
+        Z = z.reshape(1, -1, n)
+        G = np.empty((Z.shape[1], n, n), dtype=complex)
         ric = np.empty_like(G)
-        for lo in range(0, len(Z), NumericPoly.BLOCK):
+        for lo in range(0, Z.shape[1], NumericPoly.BLOCK):
             rows = slice(lo, lo + NumericPoly.BLOCK)
-            G[rows], D1, D2 = self.field_values(Z[rows])
-            _, R = connection_and_curvature(G[rows], D1, D2)
+            Gs, D1, D2 = self.field_values(Z[:, rows])
+            G[rows] = Gs[0]
+            _, R, cginv = connection_and_curvature(Gs, D1, D2)
             # conj(G^-1)[k, l] = (G^-1)[l, k] for Hermitian G
-            cginv = np.linalg.inv(G[rows]).conj().reshape(-1, n * n, 1)
-            ric[rows] = (R.reshape(-1, n * n, n * n) @ cginv).reshape(-1, n, n)
+            ric[rows] = (R[0].reshape(-1, n * n, n * n)
+                         @ cginv[0].reshape(-1, n * n, 1)).reshape(-1, n, n)
         return G.reshape(z.shape[:-1] + (n, n)), ric.reshape(z.shape[:-1] + (n, n))
 
     def curvature_values(self, z):
-        """Complex curvature array R[i,j,k,l] in the deviation convention."""
-        return connection_and_curvature(*self.field_values(z))[1]
+        """Complex curvature array R[i,j,k,l] at one point (n,) or a batch (..., n)."""
+        return connection_and_curvature(*self.field_values(np.asarray(z)[None]))[1][0]
 
 
 def _det_expansion(g, trunc):
@@ -288,23 +298,35 @@ def _det_expansion(g, trunc):
     return out
 
 
-def connection_and_curvature(G, D1, D2):
-    """Christoffel table and curvature array from the field values at z.
+def _series_inverse(G):
+    """Taylor series of G^-1 from the series G (L, ..., n, n)."""
+    inv = np.empty_like(G)
+    inv[0] = np.linalg.inv(G[0])
+    for k in range(1, len(G)):
+        inv[k] = -inv[0] @ cauchy_product(np.matmul, G[1:k + 1], inv[:k])[k - 1]
+    return inv
 
-    Returns ``gam`` with gam[..., i*n + k, m] = Gamma^m_ik
-    = sum_q conj(Ginv)[m,q] d_i g_kq, and the curvature array
-    R[..., i,j,k,l] = -d_i dbar_j g_kl + sum_m gam[ik, m] conj(d_j g_lm).
-    Leading axes are batch axes.
+
+def connection_and_curvature(G, D1, D2):
+    """Christoffel table, curvature array and conj(G^-1) from the field values.
+
+    The arguments are Taylor series with the order on their first axis, as
+    ``CurvatureWorkspace.field_values`` returns them (a point is a length-1
+    series); the axes between are batch axes.  Returns ``gam`` with
+    gam[..., i*n + k, m] = Gamma^m_ik = sum_q conj(Ginv)[m,q] d_i g_kq, the
+    curvature array R[..., i,j,k,l] = -d_i dbar_j g_kl
+    + sum_m gam[ik, m] conj(d_j g_lm), and conj(G^-1), all as series.
     """
     n = G.shape[-1]
     lead = G.shape[:-2]
-    cginv = np.linalg.inv(G).conj()
+    cginv = _series_inverse(G).conj()
     D1f = D1.reshape(lead + (n * n, n))
-    gam = D1f @ np.swapaxes(cginv, -1, -2)
-    second = (gam @ np.swapaxes(D1f.conj(), -1, -2)).reshape(lead + (n, n, n, n))
+    gam = cauchy_product(np.matmul, D1f, np.swapaxes(cginv, -1, -2))
+    second = cauchy_product(np.matmul, gam, np.swapaxes(D1f.conj(), -1, -2))
+    second = second.reshape(lead + (n, n, n, n))
     # second is indexed [i, k, j, l]; D2 is stored as d2g[k][l][i][j] =
     # d_k dbar_l g_ij, so the needed slot order d_i dbar_j g_kl is D2[i, j, k, l]
-    return gam, np.swapaxes(second, -3, -2) - D2
+    return gam, np.swapaxes(second, -3, -2) - D2, cginv
 
 
 # Workspaces are cached per potential, least recently used first out.
@@ -369,11 +391,18 @@ class RealFrameCurvature:
 
 @dataclass(frozen=True)
 class CurvatureJets:
-    e0: np.ndarray
+    """Jets R[j] = d^j/dr^j R_uv(r) along the geodesic, in the parallel frame.
+
+    Batch axes of the directions lead; indexing picks directions."""
+
+    e0: np.ndarray          # (..., 2n) metric-unit direction
     order: int
-    R: np.ndarray           # (order+1, 2n-1, 2n-1); R[j] = j-th derivative along e0
-    ric: np.ndarray         # (order+1,); Ric^{(j)}(e0, e0)
-    steps: tuple            # finite-difference steps actually used
+    R: np.ndarray           # (..., order+1, 2n-1, 2n-1)
+    ric: np.ndarray         # (..., order+1); Ric^{(j)}(e0, e0) = -tr R^{(j)}
+
+    def __getitem__(self, index) -> "CurvatureJets":
+        return CurvatureJets(e0=self.e0[index], order=self.order,
+                             R=self.R[index], ric=self.ric[index])
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +447,9 @@ def scalar_at(pot: RealAnalyticPotential, z) -> float:
 
     Normalized so Ric = K g gives scalar = n K.
     """
-    z = _check_point(pot, z)
-    G, ric = workspace(pot).ricci_values(z)
-    cginv = np.linalg.inv(G).conj()
-    return float(np.sum(cginv * ric).real)
+    metric = metric_at(pot, z)  # positivity gate
+    ric = workspace(pot).ricci_values(metric.point)[1]
+    return float(np.sum(metric.g_inv.conj() * ric).real)
 
 
 def normalize_direction(pot: RealAnalyticPotential, p, e0) -> np.ndarray:
@@ -456,94 +484,43 @@ def real_frame_components(tensor: CurvatureTensor, e0,
     xi0 = complex_rep(e0)
     xi0 = xi0 / np.sqrt(real_inner(G, xi0, xi0))
     frame_c = complete_frame(G, xi0)
-    R_uv = frame_curvature_matrix(tensor.components, frame_c)
+    R_uv = frame_curvature_matrix(tensor.components[None], frame_c[None])[0]
     frame_r = np.array([real_rep(row) for row in frame_c])
     return RealFrameCurvature(e0=real_rep(xi0), frame=frame_r, R_uv=R_uv)
 
 
-_JET_STENCILS = {
-    1: ((-1, 1), (-0.5, 0.5), 1),
-    2: ((-1, 0, 1), (1.0, -2.0, 1.0), 2),
-    3: ((-2, -1, 1, 2), (-0.5, 1.0, -1.0, 0.5), 3),
-    4: ((-2, -1, 0, 1, 2), (1.0, -4.0, 6.0, -4.0, 1.0), 4),
-}
-
-
-def _richardson(values):
-    """Extrapolate a list of estimates at steps h, h/2, h/4, ... (h^2 error series)."""
-    tab = list(values)
-    k = 1
-    while len(tab) > 1:
-        factor = 4.0 ** k
-        tab = [(factor * tab[i + 1] - tab[i]) / (factor - 1.0) for i in range(len(tab) - 1)]
-        k += 1
-    return tab[0]
-
-
-def curvature_jets_along(pot: RealAnalyticPotential, p, e0, order: int = 4,
-                         tol: float = 1e-12,
-                         steps: tuple = (4e-2, 2e-2, 1e-2)) -> CurvatureJets:
+def curvature_jets_along(pot: RealAnalyticPotential, p, e0, order: int = 4) -> CurvatureJets:
     """Covariant derivative jets of R_uv and Ric(e0,e0) along the geodesic from p.
 
-    Samples the frame curvature matrix along the parallel-transported frame on
-    both sides of p and applies Richardson-extrapolated central differences.
-    Orders 3 and 4 use only the two coarsest steps: the finer step amplifies
-    integrator noise beyond the gain in truncation error.
+    ``e0`` is one direction (2n,) or a batch (..., 2n); any order >= 0.  The
+    geodesic z(r) and its parallel frame are Taylor series in r (Griewank &
+    Walther, *Evaluating Derivatives*, ch. 13): z_{k+1} = v_k / (k+1) and
+    e_{a,k+1} = -Gamma(v, e_a)_k / (k+1); R^(j) is j! times the order-j
+    coefficient of R_uv along them.
     """
-    from . import geodesic  # deferred: geodesic depends on this module
-
-    if order > 4:
-        raise ValueError("jets supported up to order 4")
-    p = np.asarray(p, dtype=complex).reshape(pot.n)
-    steps = tuple(sorted(steps, reverse=True))
-    reach = 2 * steps[0]
-    if np.linalg.norm(p) + reach > pot.validity_radius:
-        scale = (pot.validity_radius - np.linalg.norm(p)) / reach * 0.9
-        if scale <= 0.05:
-            raise KahlerDomainError("no room for the jet stencil inside the validity ball")
-        steps = tuple(h * scale for h in steps)
-        reach = 2 * steps[0]
-
+    metric = metric_at(pot, p)  # inside the ball, positive definite
+    p = metric.point
+    n = pot.n
+    ws = workspace(pot)
     xi0 = normalize_direction(pot, p, e0)
-    e0_unit = real_rep(xi0)
-    frame = complete_frame(workspace(pot).metric_values(p), xi0)[1:]
-    # backward ray transports the same frame vectors; R_uv is quadratic in the
-    # velocity, so sampling with velocity -e0 gives R_uv(-r) directly
-    fwd, bwd = geodesic.GeodesicBatch(pot, p, [e0_unit, -e0_unit], r_max=reach * 1.02,
-                                      tol=tol, frames=[frame, frame])
-
-    def sample(r):
-        ray = fwd if r >= 0 else bwd
-        return ray.frame_curvature(abs(r))
-
-    m = 2 * pot.n - 1
-    cache = {}
-
-    def values(r):
-        key = round(r, 15)
-        if key not in cache:
-            cache[key] = sample(r)
-        return cache[key]
-
-    R0, ric0 = values(0.0)
-    R_jets = np.zeros((order + 1, m, m))
-    ric_jets = np.zeros(order + 1)
-    R_jets[0] = R0
-    ric_jets[0] = ric0
-    for j in range(1, order + 1):
-        offsets, weights, power = _JET_STENCILS[j]
-        use_steps = steps if j <= 2 else steps[:2]
-        ests_R = []
-        ests_ric = []
-        for h in use_steps:
-            accR = np.zeros((m, m))
-            accr = 0.0
-            for off, w in zip(offsets, weights):
-                Rv, rv = values(off * h)
-                accR += w * Rv
-                accr += w * rv
-            ests_R.append(accR / h ** power)
-            ests_ric.append(accr / h ** power)
-        R_jets[j] = _richardson(ests_R)
-        ric_jets[j] = _richardson(ests_ric)
-    return CurvatureJets(e0=e0_unit, order=order, R=R_jets, ric=ric_jets, steps=steps)
+    lead = xi0.shape[:-1]
+    xi0 = xi0.reshape(-1, n)
+    L = order + 1
+    z = np.zeros((L, len(xi0), n), dtype=complex)
+    z[0] = p
+    full = np.zeros((L, len(xi0), 2 * n, n), dtype=complex)
+    full[0] = [complete_frame(metric.g, xi) for xi in xi0]
+    for k in range(order):
+        gam = connection_and_curvature(*ws.field_values(z[:k + 1]))[0]
+        v = full[:k + 1, :, 0]
+        # vf[a, i*n + l] = v_i e_a,l, so -(vf @ gam) is -Gamma(v, e_a), as in the ray RHS
+        vf = cauchy_product(np.multiply, v[:, :, None, :, None], full[:k + 1, :, :, None, :])
+        dfull = cauchy_product(np.matmul, vf.reshape(k + 1, len(xi0), 2 * n, n * n), gam)
+        full[k + 1] = -dfull[k] / (k + 1)
+        z[k + 1] = v[k] / (k + 1)
+    RH = connection_and_curvature(*ws.field_values(z))[1]
+    factorials = np.array([math.factorial(j) for j in range(L)], dtype=float)
+    R = frame_curvature_matrix(RH, full) * factorials[:, None, None, None]
+    R = np.moveaxis(R, 0, 1).reshape(lead + (L, 2 * n - 1, 2 * n - 1))
+    return CurvatureJets(e0=xi0.view(float).reshape(lead + (2 * n,)), order=order, R=R,
+                         ric=-np.trace(R, axis1=-2, axis2=-1))

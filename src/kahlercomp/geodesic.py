@@ -191,16 +191,16 @@ class GeodesicBatch:
         self.nfev += 1
         n = self.n
         z, full, J, Jp, _ = self._unpack(Y)
-        gam, RH = curv.connection_and_curvature(*self._ws.field_values(z))
+        gam, RH, _ = curv.connection_and_curvature(*self._ws.field_values(z[None]))
         v = full[:, 0]
         # vf[a, i*n + k] = v_i e_a,k, so -(vf @ gam) is -Gamma(v, e_a) for every frame vector
         vf = (v[:, None, :, None] * full[:, :, None, :]).reshape(len(Y), 2 * n, n * n)
         out = np.empty_like(Y)
         dz, dfull, dJ, dJp, dvol = self._unpack(out)
         dz[:] = v
-        dfull[:] = -(vf @ gam)
+        dfull[:] = -(vf @ gam[0])
         dJ[:] = Jp
-        dJp[:] = curv.frame_curvature_matrix(RH, full) @ J
+        dJp[:] = curv.frame_curvature_matrix(RH, full[None])[0] @ J
         dvol[:] = np.abs(np.linalg.det(J))
         return out
 
@@ -331,7 +331,7 @@ class GeodesicBatch:
             raise ValueError("density needs r > 0")
         if r < _SERIES_RADIUS:
             z, full, *_ = self._unpack(self._states(0.0))
-            R0 = curv.frame_curvature_matrix(self._ws.curvature_values(z), full)
+            R0 = curv.frame_curvature_matrix(self._ws.curvature_values(z)[None], full[None])[0]
             return _series_density(r, self.m, np.trace(R0, axis1=-2, axis2=-1))
         _, _, J, Jp, _ = self._unpack(self._states(r))
         det_j = np.linalg.det(J)
@@ -398,7 +398,7 @@ class GeodesicRay:
         Ric(e0, e0) = -tr R_uv, the sum rule of the ``curvature`` module.
         """
         z, full, *_ = self._state(r)
-        R_uv = curv.frame_curvature_matrix(self._ws.curvature_values(z), full)
+        R_uv = curv.frame_curvature_matrix(self._ws.curvature_values(z)[None], full[None])[0]
         return R_uv, -float(np.trace(R_uv))
 
     # -- quality gates ---------------------------------------------------------

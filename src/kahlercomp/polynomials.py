@@ -2,8 +2,9 @@
 
 Coefficients are complex numbers with rational real/imaginary parts, so every
 algebraic step (products, determinants, truncated log series, derivatives) is
-exact.  Floating point enters only when a polynomial is evaluated at a point;
-``NumericPoly`` provides the fast vectorized path for that.
+exact.  Floating point enters only when a polynomial is evaluated at a point,
+or along the Taylor series of a curve; ``NumericPoly`` provides the fast
+vectorized path for both.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-__all__ = ["QC", "CPoly", "NumericPoly"]
+__all__ = ["QC", "CPoly", "NumericPoly", "cauchy_product"]
 
 
 def _to_fraction(x) -> Fraction:
@@ -284,7 +285,8 @@ class CPoly:
         return self._numeric
 
     def evaluate(self, z) -> complex:
-        return complex(self.numeric().evaluate(z)[0])
+        z = np.asarray(z, dtype=complex).reshape(1, 1, self.n)
+        return complex(self.numeric().evaluate_many(z)[0, 0, 0])
 
     def __repr__(self):
         terms = []
@@ -292,6 +294,27 @@ class CPoly:
             terms.append(f"{complex(c):.6g}*z^{list(a)}zb^{list(b)}")
         more = "" if len(self.coeffs) <= 8 else f" ... ({len(self.coeffs)} terms)"
         return "CPoly[" + " + ".join(terms) + more + "]"
+
+
+def cauchy_product(op, a, b, out=None):
+    """Taylor series of ``op(a, b)`` for a bilinear ``op``, truncated at len(b).
+
+    The order is the first axis; for length-1 series this is ``op(a, b)``.
+    With ``out`` (which may be ``a``) an elementwise ufunc ``op`` writes the
+    len(out) orders in place, from the highest down, so each reads only
+    coefficients of ``a`` not yet overwritten; at length 1 nothing is allocated.
+    """
+    if out is None:
+        L = len(b)
+        out = op(a[:1], b)
+        for j in range(1, min(len(a), L)):
+            out[j:] += op(a[j:j + 1], b[:L - j])
+        return out
+    for k in range(len(out) - 1, -1, -1):
+        op(a[k], b[0], out=out[k])
+        for j in range(k):
+            out[k] += op(a[j], b[k - j])
+    return out
 
 
 class NumericPoly:
@@ -328,27 +351,28 @@ class NumericPoly:
             for col, val in row.items():
                 self.C[r, col] = val
 
-    def evaluate(self, z) -> np.ndarray:
-        """Values of every polynomial of the stack at one point."""
-        return self.evaluate_many(np.asarray(z, dtype=complex).reshape(1, self.n))[0]
-
     def evaluate_many(self, Z) -> np.ndarray:
-        """(N, polys) values at the rows of an (N, n) complex array."""
+        """(L, N, polys) values along N curves z(t), t real, given as (L, N, n)
+        Taylor series; N points are a length-1 series."""
         Z = np.asarray(Z, dtype=complex)
-        out = np.empty((Z.shape[0], self.C.shape[0]), dtype=complex)
-        for lo in range(0, Z.shape[0], self.BLOCK):
-            block = Z[lo:lo + self.BLOCK]
+        L, N = Z.shape[:2]
+        out = np.empty((L, N, self.C.shape[0]), dtype=complex)
+        for lo in range(0, N, self.BLOCK):
+            block = Z[:, lo:lo + self.BLOCK]
             pw = np.empty(block.shape + (self.max_pow + 1,), dtype=complex)
-            pw[..., 0] = 1.0
+            pw[..., 0] = 0.0
+            pw[0, ..., 0] = 1.0
             for d in range(1, self.max_pow + 1):
-                pw[..., d] = pw[..., d - 1] * block
+                pw[..., d] = cauchy_product(np.multiply, pw[..., d - 1], block)
             pw_bar = pw.conj()
-            # one variable at a time, so the temporaries stay (rows, monomials)
-            mono = pw[:, 0, self.alpha[:, 0]]
-            mono_bar = pw_bar[:, 0, self.beta[:, 0]]
+            # one variable at a time, so the temporaries stay (L, rows, monomials)
+            mono = pw[:, :, 0, self.alpha[:, 0]]
+            mono_bar = pw_bar[:, :, 0, self.beta[:, 0]]
             for i in range(1, self.n):
-                mono *= pw[:, i, self.alpha[:, i]]
-                mono_bar *= pw_bar[:, i, self.beta[:, i]]
-            mono *= mono_bar
-            out[lo:lo + self.BLOCK] = mono @ self.C.T
+                cauchy_product(np.multiply, mono, pw[:, :, i, self.alpha[:, i]], out=mono)
+                cauchy_product(np.multiply, mono_bar, pw_bar[:, :, i, self.beta[:, i]],
+                               out=mono_bar)
+            cauchy_product(np.multiply, mono, mono_bar, out=mono)
+            rows = mono.shape[1]
+            out[:, lo:lo + rows] = (mono.reshape(L * rows, -1) @ self.C.T).reshape(L, rows, -1)
         return out

@@ -196,8 +196,7 @@ def _rule_for(pot, rule):
     return rule if rule is not None else build_rule(pot.n)
 
 
-def c4_sphere_average(pot: RealAnalyticPotential, p, rule: SphereRule | None = None,
-                      jet_tol: float = 1e-12) -> float:
+def c4_sphere_average(pot: RealAnalyticPotential, p, rule: SphereRule | None = None) -> float:
     """Sphere integral of the per-direction r^4 density coefficient at p.
 
     The closed-form simplification of this integral assumes Ric = K g at p;
@@ -212,12 +211,8 @@ def c4_sphere_average(pot: RealAnalyticPotential, p, rule: SphereRule | None = N
         warnings.warn("Ricci is not proportional to the metric at p; "
                       "returning the raw sphere integral")
     H = curv.real_metric_matrix(G)
-    dirs = tangent_nodes(rule, H)
-    vals = []
-    for e0 in dirs:
-        jets = curv.curvature_jets_along(pot, p, e0, order=2, tol=jet_tol)
-        _, _, c4 = direct_low_order_coefficients(jets.R[0], jets.R[1], jets.R[2])
-        vals.append(c4)
+    jets = curv.curvature_jets_along(pot, p, tangent_nodes(rule, H), order=2)
+    vals = [direct_low_order_coefficients(*R)[2] for R in jets.R]
     return math.fsum(w * v for w, v in zip(rule.weights, vals))
 
 

@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
+from kahlercomp import model_space as M
 from kahlercomp import potential as P
+from kahlercomp.model_space import ModelSpace
 
 
 def run_cli(*args):
@@ -66,6 +68,17 @@ class TestSeriesCommand:
         assert r.returncode == 0, r.stderr
         doc = json.loads(r.stdout)
         assert doc["per_direction"]["provenance"] == "symbolic"
+
+    def test_space_form_order_8_matches_model(self):
+        r = run_cli("series", "--catalog", "space_form", "--params", "n=2,K=1",
+                    "--order", "8", "--quad-degree", "4")
+        assert r.returncode == 0, r.stderr
+        avg = json.loads(r.stdout)["sphere_averaged"]["coefficients"]
+        model = M.model_series(ModelSpace(2, 1), 8).coefficients
+        assert len(avg) == len(model) == 9
+        for got, want in zip(avg, model):
+            # the odd model coefficients are zero; there the sum must vanish
+            assert abs(got - want) <= (1e-10 * abs(want) if want else 1e-14), (got, want)
 
     def test_series_reproducible(self, tmp_path):
         args = ("series", "--catalog", "section6", "--params", "a=0.1",

@@ -1,13 +1,23 @@
 """Curvature data: symmetries, sign anchors, golden values, jets."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from kahlercomp import curvature as C
+from kahlercomp import geodesic
 from kahlercomp import potential as P
 from kahlercomp.polynomials import CPoly
+
+
+def indefinite_at_06():
+    """|z1|^2 + |z2|^2 - 3|z1|^4 - 3|z2|^4: its metric is indefinite at (0.6, 0)."""
+    return P.RealAnalyticPotential(
+        2, [((1, 0), (1, 0), 1), ((0, 1), (0, 1), 1),
+            ((2, 0), (2, 0), -3), ((0, 2), (0, 2), -3)],
+        validity_radius=1.0)
 
 
 def space_form_tensor(n, K):
@@ -51,14 +61,15 @@ class TestMetric:
         assert ws.det_g.truncate(4) == det_expected
 
     def test_outside_kahler_domain_reports_eigenvalue(self):
-        pot = P.RealAnalyticPotential(
-            2, [((1, 0), (1, 0), 1), ((0, 1), (0, 1), 1),
-                ((2, 0), (2, 0), -3), ((0, 2), (0, 2), -3)],
-            validity_radius=1.0)
+        pot = indefinite_at_06()
         with pytest.raises(C.KahlerDomainError) as err:
             C.metric_at(pot, np.array([0.6, 0.0]))
         assert err.value.eigenvalue is not None
         assert err.value.eigenvalue < 0
+
+    def test_scalar_curvature_refused_outside_kahler_domain(self):
+        with pytest.raises(C.KahlerDomainError):
+            C.scalar_at(indefinite_at_06(), np.array([0.6, 0.0]))
 
     def test_point_outside_validity_ball(self, section6_pot):
         with pytest.raises(C.KahlerDomainError, match="validity"):
@@ -335,10 +346,35 @@ class TestJets:
         with pytest.raises(ValueError, match="degenerate"):
             C.curvature_jets_along(flat2, np.zeros(2), np.zeros(4), order=1)
 
-    def test_order_cap(self, flat2):
-        with pytest.raises(ValueError, match="order"):
-            C.curvature_jets_along(flat2, np.zeros(2), np.array([1.0, 0, 0, 0]),
-                                   order=5)
+    def test_space_form_jets_vanish_through_order_6(self, space_form_k1):
+        dirs = np.array([[1.0, 0, 0, 0], [0.3, 0.1, 0.5, 0.2], [0.0, -0.4, 0.1, 0.9]])
+        jets = C.curvature_jets_along(space_form_k1, np.zeros(2), dirs, order=6)
+        assert jets.R.shape == (3, 7, 3, 3)
+        assert np.max(np.abs(jets.R[:, 1:])) <= 1e-12
+        assert np.max(np.abs(jets.ric[:, 1:])) <= 1e-12
+
+    def test_section6_jet_polynomial_matches_transported_frame(self):
+        """Order-6 Taylor polynomial of R_uv against an independent DOP853 ray."""
+        pot = P.section6(0.1, 50)
+        e0 = np.array([1.0, 0, 0, 0])
+        jets = C.curvature_jets_along(pot, np.zeros(2), e0, order=6)
+        r = 0.01
+        poly = sum(jets.R[j] * r ** j / math.factorial(j) for j in range(7))
+        ray = geodesic.shoot(pot, np.zeros(2), e0, 2 * r, tol=1e-13)
+        assert np.max(np.abs(poly - ray.frame_curvature(r)[0])) <= 1e-12
+
+    def test_batch_matches_single_directions(self, section6_pot):
+        dirs = np.array([[1.0, 0, 0, 0], [0.4, 0.1, -0.3, 0.2]])
+        jets = C.curvature_jets_along(section6_pot, np.zeros(2), dirs, order=3)
+        for k, e0 in enumerate(dirs):
+            one = C.curvature_jets_along(section6_pot, np.zeros(2), e0, order=3)
+            assert np.allclose(jets[k].R, one.R, rtol=1e-13, atol=1e-13)
+            assert np.allclose(jets[k].e0, one.e0, rtol=0, atol=1e-15)
+
+    def test_indefinite_metric_refused(self):
+        with pytest.raises(C.KahlerDomainError):
+            C.curvature_jets_along(indefinite_at_06(), np.array([0.6, 0.0]),
+                                   np.array([1.0, 0, 0, 0]), order=2)
 
 
 class TestWorkspaceCache:

@@ -1,5 +1,7 @@
-"""Exact polynomial engine: ring axioms spot checks and a sympy oracle."""
+"""Exact polynomial engine: ring axioms spot checks, a sympy oracle and the
+numeric evaluator along points and Taylor series."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +10,7 @@ import sympy as sp
 
 from kahlercomp import curvature as C
 from kahlercomp import potential as P
-from kahlercomp.polynomials import CPoly, QC
+from kahlercomp.polynomials import CPoly, NumericPoly, QC
 
 
 class TestRingOperations:
@@ -118,3 +120,75 @@ class TestSympyOracle:
                     + sp.I * sp.Rational(v.im.numerator, v.im.denominator)
                     for k, v in ws.ric[0][0].part(deg).coeffs.items()}
             assert {k: sp.nsimplify(v) for k, v in mine.items()} == expected, deg
+
+
+def _point_values(npoly, Z):
+    """Plain point evaluation of a NumericPoly stack at the rows of Z (N, n)."""
+    pw = np.empty(Z.shape + (npoly.max_pow + 1,), dtype=complex)
+    pw[..., 0] = 1.0
+    for d in range(1, npoly.max_pow + 1):
+        pw[..., d] = pw[..., d - 1] * Z
+    pw_bar = pw.conj()
+    mono = pw[:, 0, npoly.alpha[:, 0]]
+    mono_bar = pw_bar[:, 0, npoly.beta[:, 0]]
+    for i in range(1, npoly.n):
+        mono *= pw[:, i, npoly.alpha[:, i]]
+        mono_bar *= pw_bar[:, i, npoly.beta[:, i]]
+    mono *= mono_bar
+    return mono @ npoly.C.T
+
+
+def _field_polys(pot):
+    ws = C.workspace(pot)
+    n = pot.n
+    return ([ws.g[i][j] for i in range(n) for j in range(n)]
+            + [ws.dg[k][i][j] for k in range(n) for i in range(n) for j in range(n)]
+            + [ws.d2g[k][l][i][j] for k in range(n) for l in range(n)
+               for i in range(n) for j in range(n)])
+
+
+def _directional(poly, w):
+    """Exact derivative of poly along the real direction with complex rep w."""
+    out = CPoly.zero(poly.n)
+    for i, wi in enumerate(w):
+        out = out + poly.dz(i).scale(complex(wi)) + poly.dzbar(i).scale(complex(wi).conjugate())
+    return out
+
+
+class TestNumericSeries:
+    @pytest.mark.parametrize("pot", [P.section6(Fraction(1, 10), 0), P.perturbed(2, 3),
+                                     P.space_form(3, 1, degree=12), P.flat(2)],
+                             ids=lambda pot: pot.label)
+    def test_length_one_series_is_the_point_path(self, pot):
+        rng = np.random.default_rng(5)
+        Z = (rng.normal(size=(2000, pot.n)) + 1j * rng.normal(size=(2000, pot.n))) * 0.03
+        expected = _point_values(NumericPoly(_field_polys(pot)), Z)
+        G, D1, D2 = C.workspace(pot).field_values(Z[None])
+        got = np.concatenate([G[0].reshape(len(Z), -1), D1[0].reshape(len(Z), -1),
+                              D2[0].reshape(len(Z), -1)], axis=1)
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("pot", [P.section6(Fraction(1, 10), 50), P.perturbed(2, 3)],
+                             ids=lambda pot: pot.label)
+    def test_straight_line_series_matches_exact_derivatives(self, pot):
+        rng = np.random.default_rng(6)
+        z0 = (rng.normal(size=pot.n) + 1j * rng.normal(size=pot.n)) * 0.03
+        w = rng.normal(size=pot.n) + 1j * rng.normal(size=pot.n)
+        polys = _field_polys(pot)
+        exact = []
+        for poly in polys:
+            deriv, row = poly, []
+            for k in range(6):
+                row.append(deriv.evaluate(z0) / math.factorial(k))
+                deriv = _directional(deriv, w)
+            exact.append(row)
+        exact = np.array(exact).T
+        # every truncation length, so each length's top coefficient is checked
+        for L in range(1, 7):
+            Z = np.zeros((L, 1, pot.n), dtype=complex)
+            Z[0, 0] = z0
+            if L > 1:
+                Z[1, 0] = w
+            got = NumericPoly(polys).evaluate_many(Z)[:, 0]
+            err = np.abs(got - exact[:L]) / np.maximum(1.0, np.abs(exact[:L]))
+            assert err.max() <= 1e-12, L

@@ -16,7 +16,7 @@ from kahlercomp.sphere import tangent_nodes, unit_sphere_volume
 def synthetic_jets(R_list, m=3):
     order = len(R_list) - 1
     return C.CurvatureJets(e0=np.zeros(4), order=order,
-                           R=np.array(R_list), ric=np.zeros(order + 1), steps=())
+                           R=np.array(R_list), ric=np.zeros(order + 1))
 
 
 def rand_symmetric(rng, m=3):
