@@ -125,19 +125,16 @@ def cmd_series(args) -> int:
     axis = np.zeros(2 * pot.n)
     axis[0] = 1.0
     jets = curv.curvature_jets_along(pot, p, np.vstack([axis, dirs]), order=jet_order)
-    per_dir = series.density_series(series.jacobi_recursion(jets[0], order + 1), order)
-
-    averaged = np.zeros(order + 1)
-    for k, w in enumerate(rule.weights, start=1):
-        c = series.jacobi_recursion(jets[k], order + 1)
-        averaged += w * series.density_series(c, order).coefficients
+    dens = series.density_series(series.jacobi_recursion(jets, order + 1), order)
+    per_dir = dens.coefficients[0]
+    averaged = rule.weights @ dens.coefficients[1:]
 
     doc = {
         "potential": pot.label,
         "order": order,
         "per_direction": {"e0": "x1-axis",
-                          "coefficients": per_dir.coefficients.tolist(),
-                          "provenance": per_dir.provenance},
+                          "coefficients": per_dir.tolist(),
+                          "provenance": dens.provenance},
         "sphere_averaged": {"coefficients": averaged.tolist(),
                             "provenance": "symbolic",
                             "c0_expected": unit_sphere_volume(pot.n)},
@@ -149,7 +146,7 @@ def cmd_series(args) -> int:
         (out / "report.json").write_text(text)
         _write_csv(out / "tables" / "coefficients.csv",
                    ["order", "per_direction", "sphere_averaged"],
-                   [(k, float(per_dir.coefficients[k]), float(averaged[k]))
+                   [(k, float(per_dir[k]), float(averaged[k]))
                     for k in range(order + 1)])
     else:
         sys.stdout.write(text)

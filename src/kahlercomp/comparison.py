@@ -206,7 +206,7 @@ class SphereFlow:
         self.rule = rule if rule is not None else build_rule(pot.n)
         self.r_max = float(r_max)
         self.tol = float(tol)
-        G = curv.workspace(pot).metric_values(self.p)
+        G = curv.metric_at(pot, self.p).g  # inside the ball, positive definite
         dirs = tangent_nodes(self.rule, curv.real_metric_matrix(G))
         self.rays = geodesic.GeodesicBatch(pot, self.p, dirs, self.r_max, tol=tol)
 

@@ -114,36 +114,46 @@ def ricci_pairing(ric, xi, eta) -> float:
 
 
 def _herm(a, b, G):
-    # Hermitian product sum g_ij a_i conj(b_j); unit real vectors have value 1/2
-    return complex(np.asarray(a) @ G @ np.conj(b))
+    # Hermitian products sum g_ij a_i conj(b_j) over the last axis; unit real
+    # vectors have value 1/2
+    return np.sum((a @ G) * b.conj(), axis=-1)
 
 
 def complete_frame(G, xi0) -> np.ndarray:
     """J-adapted orthonormal frame [xi0, i xi0, w_2, i w_2, ...] as complex reps.
 
     Rows are the complex representations of 2n real orthonormal vectors with
-    e_1 = J e_0 and J e_{2k} = e_{2k+1}.  xi0 must be unit; the completion is
-    deterministic (Gram-Schmidt seeded from the standard basis).
+    e_1 = J e_0 and J e_{2k} = e_{2k+1}.  xi0 must be unit; it is one direction
+    (n,) or a batch (..., n), and the frames are (..., 2n, n).  The completion
+    is deterministic: Gram-Schmidt seeded from the standard basis, a candidate
+    taken for each direction where it leaves the span so far.
     """
-    n = len(xi0)
-    ws = [np.asarray(xi0, dtype=complex)]
+    xi0 = np.asarray(xi0, dtype=complex)
+    lead, n = xi0.shape[:-1], xi0.shape[-1]
+    xi0 = xi0.reshape(-1, n)
+    ws = np.zeros((len(xi0), n, n), dtype=complex)  # ws[:, k] is w_k, zero until taken
+    ws[:, 0] = xi0
+    count = np.ones(len(xi0), dtype=int)
     for cand_idx in range(n):
-        if len(ws) == n:
+        if np.all(count == n):
             break
-        cand = np.zeros(n, dtype=complex)
-        cand[cand_idx] = 1.0
-        for w in ws:
-            cand = cand - (_herm(cand, w, G) / _herm(w, w, G)) * w
+        cand = np.zeros_like(xi0)
+        cand[:, cand_idx] = 1.0
+        for k in range(n - 1):
+            w = ws[:, k]
+            taken = k < count
+            coef = _herm(cand, w, G) / np.where(taken, _herm(w, w, G), 1.0)
+            cand = cand - coef[:, None] * w
         norm2 = _herm(cand, cand, G).real
-        if norm2 > 1e-12:
-            ws.append(cand / np.sqrt(2.0 * norm2))
-    if len(ws) < n:
+        take = (count < n) & (norm2 > 1e-12)
+        ws[take, count[take]] = cand[take] / np.sqrt(2.0 * norm2[take, None])
+        count += take
+    if np.any(count < n):
         raise ValueError("frame completion failed; metric may be degenerate")
-    frame = np.empty((2 * n, n), dtype=complex)
-    for k, w in enumerate(ws):
-        frame[2 * k] = w
-        frame[2 * k + 1] = 1j * w
-    return frame
+    frame = np.empty((len(xi0), 2 * n, n), dtype=complex)
+    frame[:, 0::2] = ws
+    frame[:, 1::2] = 1j * ws
+    return frame.reshape(lead + (2 * n, n))
 
 
 def rm_value(RH, xi, eta, zeta, omega) -> float:
@@ -452,18 +462,17 @@ def scalar_at(pot: RealAnalyticPotential, z) -> float:
     return float(np.sum(metric.g_inv.conj() * ric).real)
 
 
-def normalize_direction(pot: RealAnalyticPotential, p, e0) -> np.ndarray:
-    """Metric-unit complex representation of a real direction at p.
+def normalize_direction(G, e0) -> np.ndarray:
+    """Metric-unit complex representation of a real direction at a point.
 
-    ``e0`` is one direction (2n,) or a batch of directions (..., 2n).
+    ``G`` is the metric matrix there; ``e0`` is one direction (2n,) or a batch
+    of directions (..., 2n).
     """
     e0 = np.asarray(e0, dtype=float)
     if np.any(np.linalg.norm(e0, axis=-1) < 1e-10):
         raise ValueError("degenerate direction e0; refusing to normalize")
     xi = e0[..., 0::2] + 1j * e0[..., 1::2]
-    G = workspace(pot).metric_values(np.asarray(p, dtype=complex))
-    norm = np.sqrt(2.0 * np.real(np.sum((xi @ G) * xi.conj(), axis=-1)))
-    return xi / norm[..., None]
+    return xi / np.sqrt(2.0 * _herm(xi, xi, G).real)[..., None]
 
 
 def real_frame_components(tensor: CurvatureTensor, e0,
@@ -478,11 +487,7 @@ def real_frame_components(tensor: CurvatureTensor, e0,
         if pot is None:
             raise ValueError("need the potential or an explicit metric matrix")
         G = workspace(pot).metric_values(tensor.point)
-    e0 = np.asarray(e0, dtype=float)
-    if np.linalg.norm(e0) < 1e-10:
-        raise ValueError("degenerate direction e0; refusing to normalize")
-    xi0 = complex_rep(e0)
-    xi0 = xi0 / np.sqrt(real_inner(G, xi0, xi0))
+    xi0 = normalize_direction(G, e0)
     frame_c = complete_frame(G, xi0)
     R_uv = frame_curvature_matrix(tensor.components[None], frame_c[None])[0]
     frame_r = np.array([real_rep(row) for row in frame_c])
@@ -502,14 +507,14 @@ def curvature_jets_along(pot: RealAnalyticPotential, p, e0, order: int = 4) -> C
     p = metric.point
     n = pot.n
     ws = workspace(pot)
-    xi0 = normalize_direction(pot, p, e0)
+    xi0 = normalize_direction(metric.g, e0)
     lead = xi0.shape[:-1]
     xi0 = xi0.reshape(-1, n)
     L = order + 1
     z = np.zeros((L, len(xi0), n), dtype=complex)
     z[0] = p
     full = np.zeros((L, len(xi0), 2 * n, n), dtype=complex)
-    full[0] = [complete_frame(metric.g, xi) for xi in xi0]
+    full[0] = complete_frame(metric.g, xi0)
     for k in range(order):
         gam = connection_and_curvature(*ws.field_values(z[:k + 1]))[0]
         v = full[:k + 1, :, 0]

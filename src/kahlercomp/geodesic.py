@@ -146,14 +146,14 @@ class GeodesicBatch:
         n = self.n = pot.n
         m = self.m = 2 * n - 1
         self.tol = float(tol)
-        self.p = np.asarray(p, dtype=complex).reshape(n)
+        metric = curv.metric_at(pot, p)  # inside the ball, positive definite
+        self.p = metric.point
         self._ws = curv.workspace(pot)
-        xi0 = curv.normalize_direction(pot, self.p, np.reshape(directions, (-1, 2 * n)))
+        xi0 = curv.normalize_direction(metric.g, np.reshape(directions, (-1, 2 * n)))
         self.e0 = xi0.view(float).copy()
         N = len(xi0)
         if frames is None:
-            G0 = self._ws.metric_values(self.p)
-            frames = [curv.complete_frame(G0, xi)[1:] for xi in xi0]
+            frames = curv.complete_frame(metric.g, xi0)[:, 1:]
         self.initial_frames = np.array(frames, dtype=complex).reshape(N, m, n)
 
         self._dim = 2 * n + 4 * n * n + 2 * m * m + 1

@@ -3,8 +3,11 @@
 Coefficients are complex numbers with rational real/imaginary parts, so every
 algebraic step (products, determinants, truncated log series, derivatives) is
 exact.  Floating point enters only when a polynomial is evaluated at a point,
-or along the Taylor series of a curve; ``NumericPoly`` provides the fast
-vectorized path for both.
+or along the Taylor series of a curve; ``NumericPoly`` is the one numeric
+evaluator for both.  It factors each monomial into a holomorphic and an
+antiholomorphic part, evaluates the few distinct parts once per point, and
+contracts the monomials with a sparse (CSR) coefficient matrix: no dense
+linear algebra, so no threaded BLAS call.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+from scipy import sparse
 
 __all__ = ["QC", "CPoly", "NumericPoly", "cauchy_product"]
 
@@ -320,36 +324,38 @@ def cauchy_product(op, a, b, out=None):
 class NumericPoly:
     """Float-coefficient view of a stack of ``CPoly`` sharing one monomial basis.
 
-    A single polynomial is a stack of one and a single point a batch of one.
-    Points are evaluated in blocks of ``BLOCK`` rows, so the temporaries of a
-    large batch stay bounded.
+    The basis is factored: the distinct holomorphic exponent tuples ``A``
+    (na, n) and antiholomorphic ones ``B`` (nb, n) are tabulated once, and
+    monomial m is z^A[ia[m]] conj(z)^B[ib[m]].  The coefficients are a
+    ``scipy.sparse`` CSR matrix ``C`` (polys x monomials); the stacks of a
+    curvature workspace store only a few percent of its entries.  A single
+    polynomial is a stack of one and a single point a batch of one.  Points
+    are evaluated in blocks of ``BLOCK`` rows, so the temporaries of a large
+    batch stay bounded.
     """
 
-    __slots__ = ("n", "alpha", "beta", "C", "max_pow")
+    __slots__ = ("n", "A", "B", "ia", "ib", "C", "max_pow")
 
     BLOCK = 1024
 
     def __init__(self, polys):
         polys = list(polys)
         n = polys[0].n
-        index = {}
-        rows = []
-        for p in polys:
-            row = {}
+        holo, anti, index = {}, {}, {}
+        rows, cols, vals = [], [], []
+        for r, p in enumerate(polys):
             for (a, b), c in p.sorted_terms():
-                row[index.setdefault((a, b), len(index))] = complex(c)
-            rows.append(row)
+                key = (holo.setdefault(a, len(holo)), anti.setdefault(b, len(anti)))
+                rows.append(r)
+                cols.append(index.setdefault(key, len(index)))
+                vals.append(complex(c))
         self.n = n
-        self.alpha = np.zeros((len(index), n), dtype=np.int64)
-        self.beta = np.zeros((len(index), n), dtype=np.int64)
-        for (a, b), col in index.items():
-            self.alpha[col] = a
-            self.beta[col] = b
-        self.max_pow = int(max(self.alpha.max(initial=0), self.beta.max(initial=0)))
-        self.C = np.zeros((len(polys), len(index)), dtype=complex)
-        for r, row in enumerate(rows):
-            for col, val in row.items():
-                self.C[r, col] = val
+        self.A = np.array(list(holo), dtype=np.int64).reshape(len(holo), n)
+        self.B = np.array(list(anti), dtype=np.int64).reshape(len(anti), n)
+        self.ia, self.ib = np.array(list(index), dtype=np.int64).reshape(-1, 2).T
+        self.max_pow = int(max(self.A.max(initial=0), self.B.max(initial=0)))
+        self.C = sparse.csr_array((vals, (rows, cols)), shape=(len(polys), len(index)),
+                                  dtype=complex)
 
     def evaluate_many(self, Z) -> np.ndarray:
         """(L, N, polys) values along N curves z(t), t real, given as (L, N, n)
@@ -365,14 +371,15 @@ class NumericPoly:
             for d in range(1, self.max_pow + 1):
                 pw[..., d] = cauchy_product(np.multiply, pw[..., d - 1], block)
             pw_bar = pw.conj()
-            # one variable at a time, so the temporaries stay (L, rows, monomials)
-            mono = pw[:, :, 0, self.alpha[:, 0]]
-            mono_bar = pw_bar[:, :, 0, self.beta[:, 0]]
+            # the exponent tables, one variable at a time, then each monomial
+            # as one product of its holomorphic and antiholomorphic factors
+            za = pw[:, :, 0, self.A[:, 0]]
+            zb = pw_bar[:, :, 0, self.B[:, 0]]
             for i in range(1, self.n):
-                cauchy_product(np.multiply, mono, pw[:, :, i, self.alpha[:, i]], out=mono)
-                cauchy_product(np.multiply, mono_bar, pw_bar[:, :, i, self.beta[:, i]],
-                               out=mono_bar)
-            cauchy_product(np.multiply, mono, mono_bar, out=mono)
+                cauchy_product(np.multiply, za, pw[:, :, i, self.A[:, i]], out=za)
+                cauchy_product(np.multiply, zb, pw_bar[:, :, i, self.B[:, i]], out=zb)
+            mono = za[..., self.ia]
+            cauchy_product(np.multiply, mono, zb[..., self.ib], out=mono)
             rows = mono.shape[1]
-            out[:, lo:lo + rows] = (mono.reshape(L * rows, -1) @ self.C.T).reshape(L, rows, -1)
+            out[:, lo:lo + rows] = (self.C @ mono.reshape(L * rows, -1).T).T.reshape(L, rows, -1)
         return out

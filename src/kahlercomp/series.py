@@ -23,13 +23,13 @@ from itertools import permutations
 import numpy as np
 
 from . import curvature as curv
+from .polynomials import cauchy_product
 from .potential import RealAnalyticPotential
 from .sphere import SphereRule, build_rule, tangent_nodes
 
 __all__ = [
     "SeriesExpansion",
     "JacobiCoefficients",
-    "TPS",
     "jacobi_recursion",
     "density_series",
     "direct_low_order_coefficients",
@@ -55,119 +55,72 @@ class SeriesExpansion:
 class JacobiCoefficients:
     e0: np.ndarray
     order: int
-    C: np.ndarray   # C[u, i, v], 0 <= i <= order; C[:, 0, :] = 0
-
-
-class TPS:
-    """Truncated power series over a fixed-length float coefficient array."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs, length=None):
-        c = np.asarray(coeffs, dtype=float)
-        if length is not None:
-            out = np.zeros(length)
-            out[:min(len(c), length)] = c[:length]
-            c = out
-        self.c = c
-
-    @classmethod
-    def constant(cls, value, length):
-        out = np.zeros(length)
-        out[0] = value
-        return cls(out)
-
-    def __add__(self, other):
-        return TPS(self.c + other.c)
-
-    def __sub__(self, other):
-        return TPS(self.c - other.c)
-
-    def __mul__(self, other):
-        L = len(self.c)
-        return TPS(np.convolve(self.c, other.c)[:L])
-
-    def scale(self, s):
-        return TPS(self.c * s)
-
-    def sqrt_one_plus(self):
-        """sqrt of the series, requiring constant term 1."""
-        if abs(self.c[0] - 1.0) > 1e-12:
-            raise ValueError("sqrt composition expects constant term 1")
-        L = len(self.c)
-        x = TPS(self.c.copy())
-        x.c[0] = 0.0
-        out = TPS.constant(1.0, L)
-        power = TPS.constant(1.0, L)
-        coeff = 1.0
-        for k in range(1, L):
-            coeff *= (0.5 - (k - 1)) / k  # binomial(1/2, k) recursion
-            power = power * x
-            if not power.c.any():
-                break
-            out = out + power.scale(coeff)
-        return out
-
-
-def _det_tps(entries):
-    """Determinant of a square matrix of TPS entries (Leibniz; size <= 5)."""
-    m = len(entries)
-    L = len(entries[0][0].c)
-    acc = TPS.constant(0.0, L)
-    for perm in permutations(range(m)):
-        inv = sum(1 for i in range(m) for j in range(i + 1, m) if perm[i] > perm[j])
-        term = TPS.constant(-1.0 if inv % 2 else 1.0, L)
-        for i in range(m):
-            term = term * entries[i][perm[i]]
-        acc = acc + term
-    return acc
+    C: np.ndarray   # C[..., u, i, v], 0 <= i <= order; C[..., 0, :] = 0
 
 
 def jacobi_recursion(jets: curv.CurvatureJets, N: int) -> JacobiCoefficients:
-    """Jacobi coefficient arrays C^v_{u,i} for 1 <= i <= N from curvature jets."""
+    """Jacobi coefficient arrays C^v_{u,i} for 1 <= i <= N from curvature jets.
+
+    The batch axes of ``jets`` lead here too: C is (..., m, N+1, m).
+    """
     needed = max(0, N - 3)
     if jets.order < needed:
         raise ValueError(f"need jets of order >= {needed} for coefficients to order {N}")
-    m = jets.R.shape[1]
-    C = np.zeros((m, N + 1, m))
+    R = jets.R
+    m = R.shape[-1]
+    C = np.zeros(R.shape[:-3] + (m, N + 1, m))
     if N >= 1:
-        C[:, 1, :] = np.eye(m)
+        C[..., 1, :] = np.eye(m)
     factorials = [math.factorial(j) for j in range(jets.order + 1)]
     for i in range(3, N + 1):
-        block = np.zeros((m, m))
+        block = np.zeros(R.shape[:-3] + (m, m))
         for k in range(1, i - 1):
             j = i - 2 - k
             if j > jets.order:
                 continue
             factor = float(Fraction(1, factorials[j] * i * (i - 1)))
             # sum_w C[u,k,w] R^(j)[v,w]
-            block += factor * (C[:, k, :] @ jets.R[j].T)
-        C[:, i, :] = block
+            block += factor * (C[..., k, :] @ np.swapaxes(R[..., j, :, :], -1, -2))
+        C[..., i, :] = block
     return JacobiCoefficients(e0=jets.e0, order=N, C=C)
 
 
 def density_series(coeffs: JacobiCoefficients, N: int) -> SeriesExpansion:
-    """Per-direction series of sqrt(det <J_u, J_v>)/r^{2n-1} up to order N."""
+    """Per-direction series of sqrt(det <J_u, J_v>)/r^{2n-1} up to order N.
+
+    The batch axes of ``coeffs`` lead; the coefficients are (..., N+1).  The
+    determinant (Leibniz) and the square root are truncated series products
+    (``cauchy_product``) over all directions at once.
+    """
     if N > 2 * coeffs.order - 2:
         raise ValueError("requested order exceeds what the coefficients support")
     C = coeffs.C
-    m = C.shape[0]
+    m = C.shape[-1]
     L = N + 1
-    # Gram/r^2 entries: sum over w of C[u,i,w] C[v,j,w] at power i+j-2
-    gram = [[TPS.constant(0.0, L) for _ in range(m)] for _ in range(m)]
-    max_i = C.shape[1] - 1
-    prods = np.einsum("uiw,vjw->uvij", C, C)
-    for u in range(m):
-        for v in range(m):
-            arr = np.zeros(L)
-            for i in range(1, max_i + 1):
-                for j in range(1, max_i + 1):
-                    t = i + j - 2
-                    if t < L:
-                        arr[t] += prods[u, v, i, j]
-            gram[u][v] = TPS(arr)
-    det = _det_tps(gram)
-    return SeriesExpansion(coefficients=det.sqrt_one_plus().c, provenance="symbolic")
+    # Gram/r^2 entries: sum over w of C[u,i,w] C[v,j,w] at power t = i+j-2
+    i = np.arange(C.shape[-2])
+    at_power = (i[:, None, None] + i[None, :, None] - 2 == np.arange(L)).astype(float)
+    gram = np.einsum("...uiw,...vjw,ijt->t...uv", C, C, at_power)
+    det = np.zeros(gram.shape[:-2])
+    for perm in permutations(range(m)):
+        inv = sum(1 for a in range(m) for b in range(a + 1, m) if perm[a] > perm[b])
+        term = (-1.0 if inv % 2 else 1.0) * gram[..., 0, perm[0]]
+        for u in range(1, m):
+            term = cauchy_product(np.multiply, term, gram[..., u, perm[u]])
+        det += term
+    if np.any(np.abs(det[0] - 1.0) > 1e-12):
+        raise ValueError("sqrt composition expects constant term 1")
+    x = det.copy()
+    x[0] = 0.0
+    out = np.zeros_like(det)
+    out[0] = 1.0
+    term = out.copy()
+    coeff = 1.0
+    for k in range(1, L):
+        coeff *= (0.5 - (k - 1)) / k  # binomial(1/2, k) recursion
+        term = cauchy_product(np.multiply, term, x)
+        out += coeff * term
+    return SeriesExpansion(coefficients=np.moveaxis(out, 0, -1), provenance="symbolic")
 
 
 def direct_low_order_coefficients(R0, R1, R2):

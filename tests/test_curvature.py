@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kahlercomp import comparison
 from kahlercomp import curvature as C
 from kahlercomp import geodesic
 from kahlercomp import potential as P
@@ -70,6 +71,17 @@ class TestMetric:
     def test_scalar_curvature_refused_outside_kahler_domain(self):
         with pytest.raises(C.KahlerDomainError):
             C.scalar_at(indefinite_at_06(), np.array([0.6, 0.0]))
+
+    def test_rays_refused_at_indefinite_base_point(self, rule6):
+        pot = indefinite_at_06()
+        p = np.array([0.6, 0.0])
+        e0 = np.array([1.0, 0, 0, 0])
+        for start in (lambda: geodesic.shoot(pot, p, e0, 0.01),
+                      lambda: geodesic.GeodesicBatch(pot, p, [e0, [0, 0, 1.0, 0]], 0.01),
+                      lambda: comparison.SphereFlow(pot, p, 0.01, rule=rule6)):
+            with pytest.raises(C.KahlerDomainError) as err:
+                start()
+            assert err.value.eigenvalue < 0
 
     def test_point_outside_validity_ball(self, section6_pot):
         with pytest.raises(C.KahlerDomainError, match="validity"):
@@ -234,6 +246,21 @@ class TestRealFrame:
                 assert C.real_inner(G, a, b) == pytest.approx(float(i == j), abs=1e-12)
         for k in range(2):
             assert np.allclose(1j * frame_c[2 * k], frame_c[2 * k + 1])
+
+    def test_batched_frames_match_single_directions(self):
+        """One batched completion equals one call per direction; the axis
+        directions make their rows skip a Gram-Schmidt candidate."""
+        pot = P.space_form(3, 1, degree=12)
+        G = C.metric_at(pot, np.array([0.05, -0.02j, 0.03])).g
+        rng = np.random.default_rng(3)
+        xi0 = C.normalize_direction(G, np.vstack([np.eye(6), rng.normal(size=(20, 6))]))
+        frames = C.complete_frame(G, xi0.reshape(2, 13, 3))
+        assert frames.shape == (2, 13, 6, 3)
+        frames = frames.reshape(26, 6, 3)
+        for k, xi in enumerate(xi0):
+            assert np.abs(frames[k] - C.complete_frame(G, xi)).max() <= 1e-15
+        gram = 2.0 * (frames @ G @ np.swapaxes(frames.conj(), -1, -2)).real
+        assert np.abs(gram - np.eye(6)).max() <= 1e-12
 
     def test_space_form_eigenstructure(self):
         """Brute-force contraction of the constant-curvature tensor form."""

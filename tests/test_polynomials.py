@@ -123,19 +123,56 @@ class TestSympyOracle:
 
 
 def _point_values(npoly, Z):
-    """Plain point evaluation of a NumericPoly stack at the rows of Z (N, n)."""
+    """Plain point evaluation of a NumericPoly stack at the rows of Z (N, n):
+    the exponent tables, the monomials, then the same sparse coefficient product."""
     pw = np.empty(Z.shape + (npoly.max_pow + 1,), dtype=complex)
     pw[..., 0] = 1.0
     for d in range(1, npoly.max_pow + 1):
         pw[..., d] = pw[..., d - 1] * Z
     pw_bar = pw.conj()
-    mono = pw[:, 0, npoly.alpha[:, 0]]
-    mono_bar = pw_bar[:, 0, npoly.beta[:, 0]]
+    za = pw[:, 0, npoly.A[:, 0]]
+    zb = pw_bar[:, 0, npoly.B[:, 0]]
     for i in range(1, npoly.n):
-        mono *= pw[:, i, npoly.alpha[:, i]]
-        mono_bar *= pw_bar[:, i, npoly.beta[:, i]]
-    mono *= mono_bar
-    return mono @ npoly.C.T
+        za *= pw[:, i, npoly.A[:, i]]
+        zb *= pw_bar[:, i, npoly.B[:, i]]
+    return (npoly.C @ (za[:, npoly.ia] * zb[:, npoly.ib]).T).T
+
+
+def _dense_values(polys, Z):
+    """Oracle: each polynomial summed term by term from its ``CPoly.coeffs``,
+    along the (L, N, n) Taylor series Z, with a dense coefficient matrix."""
+    L = len(Z)
+
+    def mul(a, b):
+        out = np.zeros_like(a)
+        for k in range(L):
+            for j in range(k + 1):
+                out[k] += a[j] * b[k - j]
+        return out
+
+    basis = sorted({key for p in polys for key in p.coeffs})
+    dense = np.zeros((len(polys), len(basis)), dtype=complex)
+    for m, key in enumerate(basis):
+        for r, p in enumerate(polys):
+            if key in p.coeffs:
+                dense[r, m] = complex(p.coeffs[key])
+    one = np.zeros(Z.shape[:2], dtype=complex)
+    one[0] = 1.0
+    powers = {}
+
+    def power(x, i, e):
+        if (x, i, e) not in powers:
+            zi = Z[..., i] if x == "z" else Z[..., i].conj()
+            powers[x, i, e] = one if e == 0 else mul(power(x, i, e - 1), zi)
+        return powers[x, i, e]
+
+    mono = np.empty(Z.shape[:2] + (len(basis),), dtype=complex)
+    for m, (a, b) in enumerate(basis):
+        term = one
+        for i in range(Z.shape[-1]):
+            term = mul(mul(term, power("z", i, a[i])), power("zb", i, b[i]))
+        mono[..., m] = term
+    return mono @ dense.T
 
 
 def _field_polys(pot):
@@ -153,6 +190,29 @@ def _directional(poly, w):
     for i, wi in enumerate(w):
         out = out + poly.dz(i).scale(complex(wi)) + poly.dzbar(i).scale(complex(wi).conjugate())
     return out
+
+
+_POTENTIALS = [P.section6(Fraction(1, 10), 0), P.perturbed(2, 3),
+               P.space_form(3, 1, degree=12), P.flat(2)]
+
+
+class TestSparseEvaluator:
+    @pytest.mark.parametrize("L", [1, 4])
+    @pytest.mark.parametrize("pot", _POTENTIALS, ids=lambda pot: pot.label)
+    def test_matches_dense_oracle(self, pot, L):
+        rng = np.random.default_rng(7)
+        Z = (rng.normal(size=(L, 2000, pot.n)) + 1j * rng.normal(size=(L, 2000, pot.n))) * 0.03
+        polys = _field_polys(pot)
+        dense = _dense_values(polys, Z)
+        got = NumericPoly(polys).evaluate_many(Z)
+        err = np.abs(got - dense).max(axis=(0, 1))
+        assert np.all(err <= 1e-14 * np.abs(dense).max(axis=(0, 1)))
+
+    def test_space_form_3_field_stack_counts(self):
+        npoly = NumericPoly(_field_polys(P.space_form(3, 1, degree=12)))
+        assert (len(npoly.A), len(npoly.B)) == (56, 56)
+        assert len(npoly.ia) == len(npoly.ib) == 671
+        assert npoly.C.shape == (117, 671) and npoly.C.nnz == 2808
 
 
 class TestNumericSeries:

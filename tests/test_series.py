@@ -101,6 +101,21 @@ class TestDensitySeries:
         assert ds.coefficients[2] == pytest.approx(ms.coefficients[2] / vol, abs=1e-9)
         assert ds.coefficients[4] == pytest.approx(ms.coefficients[4] / vol, abs=1e-7)
 
+    def test_batch_matches_single_directions(self):
+        rng = np.random.default_rng(4)
+        R = np.array([rand_symmetric(rng) for _ in range(18)]).reshape(2, 3, 3, 3, 3)
+        jets = C.CurvatureJets(e0=np.zeros((2, 3, 4)), order=2, R=R, ric=np.zeros((2, 3, 3)))
+        co = S.jacobi_recursion(jets, 5)
+        ds = S.density_series(co, 4).coefficients
+        assert co.C.shape == (2, 3, 3, 6, 3) and ds.shape == (2, 3, 5)
+        for idx in np.ndindex(2, 3):
+            one = S.jacobi_recursion(jets[idx], 5)
+            assert np.allclose(co.C[idx], one.C, rtol=1e-14, atol=0)
+            assert np.allclose(ds[idx], S.density_series(one, 4).coefficients,
+                               rtol=1e-14, atol=0)
+            c2, c3, c4 = S.direct_low_order_coefficients(*R[idx])
+            assert np.allclose(ds[idx][2:], [c2, c3, c4], rtol=1e-12, atol=1e-14)
+
     def test_order_beyond_support_raises(self):
         co = S.jacobi_recursion(synthetic_jets([np.zeros((3, 3))] * 3), 3)
         with pytest.raises(ValueError, match="exceeds"):
