@@ -214,7 +214,7 @@ class SphereFlow:
         return self.rays.densities(r)
 
     def ball_volume(self, r) -> float:
-        return math.fsum(self.rule.weights * self.rays.cumulative_volume(r))
+        return math.fsum(self.rule.weights * self.rays.volumes(r))
 
     def w_value(self, r) -> float:
         vals, _ = self.densities(r)

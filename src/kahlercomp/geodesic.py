@@ -3,9 +3,8 @@
 One adaptive integration carries the full state of each ray: position,
 velocity, the parallel frame vectors e_1..e_{2n-1}, the Jacobi matrix J and
 its derivative J' (columns = Jacobi fields J_u with J(0) = 0, J'(0) = I,
-components in the parallel frame), plus the running radial integral of
-|det J| used for ball volumes.  The Jacobi right-hand side is J'' = R_mat J
-with R_mat[u][v] = <R(e0, e_u)e0, e_v> evaluated along the ray.
+components in the parallel frame).  The Jacobi right-hand side is
+J'' = R_mat J with R_mat[u][v] = <R(e0, e_u)e0, e_v> evaluated along the ray.
 
 Rays from one base point are integrated together as a batch; a single ray is
 a batch of one.  The stepper is the DOP853 pair with its error norm and dense
@@ -14,6 +13,9 @@ tableau and step-size constants.  The rays share one step sequence, but each
 ray's error norm is taken over that ray's own components and a step is
 accepted only when every ray's norm is below one, so each ray meets the
 tolerance it would meet integrated alone.
+
+Ball volumes integrate |det J| by Gauss-Legendre, exact with ceil((7(2n-1)+1)/2)
+nodes on each step's degree-7 dense output; each ray keeps its running volume.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from scipy.optimize import brentq
 
 from . import curvature as curv
 from .potential import RealAnalyticPotential
+from .sphere import _gauss01
 
 __all__ = [
     "GeodesicBatch",
@@ -90,8 +93,8 @@ def _error_norms(K, h, scale):
 
 
 def _interpolate(x, y_old, F):
-    """scipy's DOP853 dense output at the normalised abscissa x of one step."""
-    y = np.zeros_like(y_old)
+    """scipy's DOP853 dense output at the normalised abscissa x (broadcast) of a step."""
+    y = np.zeros(np.broadcast_shapes(np.shape(x), y_old.shape))
     for i, f in enumerate(F[::-1]):
         y += f
         y *= x if i % 2 == 0 else 1 - x
@@ -156,9 +159,11 @@ class GeodesicBatch:
             frames = curv.complete_frame(metric.g, xi0)[:, 1:]
         self.initial_frames = np.array(frames, dtype=complex).reshape(N, m, n)
 
-        self._dim = 2 * n + 4 * n * n + 2 * m * m + 1
+        self._dim = 2 * n + 4 * n * n + 2 * m * m
+        self._jblock = slice(2 * n + 4 * n * n, 2 * n + 4 * n * n + m * m)
+        self._nodes, self._weights = _gauss01((7 * m + 2) // 2)
         y0 = np.zeros((N, self._dim))
-        z, full, _, Jp, _ = self._unpack(y0)
+        z, full, _, Jp = self._unpack(y0)
         z[:] = self.p
         full[:, 0] = xi0
         full[:, 1:] = self.initial_frames
@@ -176,32 +181,30 @@ class GeodesicBatch:
 
     # -- ODE ----------------------------------------------------------------
     def _unpack(self, Y):
-        """Views (z, [e0, e_1..e_{2n-1}], J, J', vol) into states with leading axes."""
+        """Views (z, [e0, e_1..e_{2n-1}], J, J') into states with leading axes."""
         n, m = self.n, self.m
         lead = Y.shape[:-1]
-        o = 2 * n + 4 * n * n
         z = Y[..., :2 * n].view(complex)
-        full = Y[..., 2 * n:o].view(complex).reshape(lead + (2 * n, n))
-        J = Y[..., o:o + m * m].reshape(lead + (m, m))
-        Jp = Y[..., o + m * m:o + 2 * m * m].reshape(lead + (m, m))
-        return z, full, J, Jp, Y[..., -1]
+        full = Y[..., 2 * n:self._jblock.start].view(complex).reshape(lead + (2 * n, n))
+        J = Y[..., self._jblock].reshape(lead + (m, m))
+        Jp = Y[..., self._jblock.stop:].reshape(lead + (m, m))
+        return z, full, J, Jp
 
     def _rhs(self, Y):
         """Right-hand side for a batch of states (N, d); autonomous in r."""
         self.nfev += 1
         n = self.n
-        z, full, J, Jp, _ = self._unpack(Y)
+        z, full, J, Jp = self._unpack(Y)
         gam, RH, _ = curv.connection_and_curvature(*self._ws.field_values(z[None]))
         v = full[:, 0]
         # vf[a, i*n + k] = v_i e_a,k, so -(vf @ gam) is -Gamma(v, e_a) for every frame vector
         vf = (v[:, None, :, None] * full[:, :, None, :]).reshape(len(Y), 2 * n, n * n)
         out = np.empty_like(Y)
-        dz, dfull, dJ, dJp, dvol = self._unpack(out)
+        dz, dfull, dJ, dJp = self._unpack(out)
         dz[:] = v
         dfull[:] = -(vf @ gam[0])
         dJ[:] = Jp
         dJp[:] = curv.frame_curvature_matrix(RH, full[None])[0] @ J
-        dvol[:] = np.abs(np.linalg.det(J))
         return out
 
     def _initial_step(self, y, f, r_end):
@@ -223,10 +226,18 @@ class GeodesicBatch:
 
     def _stages(self, y, h, K, first, last):
         """Runge-Kutta stages first..last-1 of a step of size h from y, into K."""
-        Kf = K.reshape(len(K), -1)
         for s in range(first, last):
-            dy = np.dot(Kf[:s].T, dop.A[s, :s]) * h
-            K[s] = self._rhs(y + dy.reshape(y.shape))
+            ys = y.copy()  # summed in place: a threaded BLAS gemv here leaves a thread spinning
+            for j in np.flatnonzero(dop.A[s, :s]):
+                ys += (h * dop.A[s, j]) * K[j]
+            K[s] = self._rhs(ys)
+
+    def _volume(self, y_old, F, h, x):
+        """Integral of |det J| over the first fraction x (per ray) of one step."""
+        jb = self._jblock
+        J = _interpolate(np.multiply.outer(self._nodes, x)[..., None], y_old[:, jb], F[:, :, jb])
+        det = np.abs(np.linalg.det(J.reshape(J.shape[:2] + (self.m, self.m))))
+        return h * x * np.einsum("k,kr->r", self._weights, det)
 
     def _integrate(self, y, r_end):
         tol = self.tol
@@ -242,7 +253,8 @@ class GeodesicBatch:
         h_abs = self._initial_step(y, f, r_end)
         g = gap(y) if bounded else None
         ts = [0.0]
-        self._segments = []   # (rows, t_old, h, y_old, F) per accepted step
+        self._segments = []   # (rows, t_old, h, y_old, F, volume at t_old) per accepted step
+        volume = np.zeros(len(y))
         t = 0.0
         while t < r_end and rows.size:
             min_step = 10 * abs(np.nextafter(t, np.inf) - t)
@@ -278,8 +290,10 @@ class GeodesicBatch:
             F[0] = delta
             F[1] = h * f - delta
             F[2] = 2 * delta - h * (f_new + f)
-            F[3:] = h * np.dot(dop.D, Kf).reshape((-1,) + y.shape)
-            self._segments.append((rows, t, h, y, F))
+            for i, row in enumerate(dop.D, start=3):  # not a gemm, for the same reason
+                F[i] = sum((h * row[j]) * K[j] for j in np.flatnonzero(row))
+            self._segments.append((rows, t, h, y, F, volume))
+            volume = volume + self._volume(y, F, h, np.ones(len(y)))
             ts.append(t_new)
 
             if bounded:
@@ -295,12 +309,14 @@ class GeodesicBatch:
                     self.truncated[rows[j]] = True
                 keep = ~left
                 rows, y_new, f_new, g = rows[keep], y_new[keep], f_new[keep], g_new[keep]
+                volume = volume[keep]
             t, y, f = t_new, y_new, f_new
         self._ts = np.array(ts)
 
     # -- dense access ---------------------------------------------------------
-    def _states(self, r, rows=None):
-        """Packed states at r for the given ray indices (all rays by default)."""
+    def _states(self, r, rows=None, volume=False):
+        """Packed states at r for the given ray indices (all rays by default),
+        or with ``volume`` each ray's integral of |det J| over [0, r]."""
         rows = np.arange(len(self)) if rows is None else np.atleast_1d(rows)
         limit = self.r_max[rows]
         outside = (r < -1e-15) | (r > limit * (1 + 1e-12))
@@ -312,18 +328,23 @@ class GeodesicBatch:
         r_i = np.clip(r, 0.0, limit)
         seg = np.clip(np.searchsorted(self._ts, r_i, side="left") - 1,
                       0, len(self._segments) - 1)
-        out = np.empty((len(rows), self._dim))
+        out = np.empty((len(rows),) if volume else (len(rows), self._dim))
         for k in np.unique(seg):
             sel = seg == k
-            seg_rows, t_old, h, y_old, F = self._segments[k]
+            seg_rows, t_old, h, y_old, F, before = self._segments[k]
             pos = np.searchsorted(seg_rows, rows[sel])
             if len(pos) < len(seg_rows):
-                y_old, F = y_old[pos], F[:, pos]
-            out[sel] = _interpolate(((r_i[sel] - t_old) / h)[:, None], y_old, F)
+                y_old, F, before = y_old[pos], F[:, pos], before[pos]
+            x = (r_i[sel] - t_old) / h
+            out[sel] = (before + self._volume(y_old, F, h, x) if volume
+                        else _interpolate(x[:, None], y_old, F))
         return out
 
-    def cumulative_volume(self, r) -> np.ndarray:
-        return self._unpack(self._states(r))[4]
+    def volumes(self, r) -> np.ndarray:
+        """Every ray's integral of |det J| over [0, r]: its share of the ball volume."""
+        if r <= 0:
+            raise ValueError("volume needs r > 0")
+        return self._states(r, volume=True)
 
     def densities(self, r):
         """(values, log-derivatives) of every ray's radial density at r."""
@@ -333,7 +354,7 @@ class GeodesicBatch:
             z, full, *_ = self._unpack(self._states(0.0))
             R0 = curv.frame_curvature_matrix(self._ws.curvature_values(z)[None], full[None])[0]
             return _series_density(r, self.m, np.trace(R0, axis1=-2, axis2=-1))
-        _, _, J, Jp, _ = self._unpack(self._states(r))
+        _, _, J, Jp = self._unpack(self._states(r))
         det_j = np.linalg.det(J)
         bad = np.flatnonzero(det_j <= 0)
         if bad.size:
@@ -342,8 +363,7 @@ class GeodesicBatch:
 
     def quality(self, r) -> dict:
         """Worst Wronskian, frame and unit-speed drift over the rays at r."""
-        z, full, J, Jp, _ = self._unpack(self._states(r))
-        speed, frame, wron = _drifts(self._ws, z, full, J, Jp)
+        speed, frame, wron = _drifts(self._ws, *self._unpack(self._states(r)))
         return {"wronskian": float(wron.max()), "frame": float(frame.max()),
                 "speed": float(speed.max())}
 
@@ -369,28 +389,19 @@ class GeodesicRay:
         self._conjugate_scanned = False
 
     def _state(self, r):
-        """(z, [e0, e_1..e_{2n-1}], J, J', vol) at r."""
+        """(z, [e0, e_1..e_{2n-1}], J, J') at r."""
         return self._batch._unpack(self._batch._states(r, self._index)[0])
 
     def position(self, r):
         return self._state(r)[0].copy()
-
-    def velocity_c(self, r):
-        return self._state(r)[1][0].copy()
-
-    def velocity(self, r):
-        return curv.real_rep(self.velocity_c(r))
 
     def frame(self, r):
         """Complex reps of [e0(r), e_1(r), ..., e_{2n-1}(r)]."""
         return self._state(r)[1].copy()
 
     def jacobi(self, r):
-        _, _, J, Jp, _ = self._state(r)
+        _, _, J, Jp = self._state(r)
         return J.copy(), Jp.copy()
-
-    def cumulative_volume(self, r) -> float:
-        return float(self._state(r)[4])
 
     def frame_curvature(self, r):
         """(R_uv, Ric(e0,e0)) at parameter r, in the transported frame.
@@ -403,13 +414,13 @@ class GeodesicRay:
 
     # -- quality gates ---------------------------------------------------------
     def unit_speed_drift(self, r) -> float:
-        return float(_drifts(self._ws, *self._state(r)[:4])[0])
+        return float(_drifts(self._ws, *self._state(r))[0])
 
     def frame_drift(self, r) -> float:
-        return float(_drifts(self._ws, *self._state(r)[:4])[1])
+        return float(_drifts(self._ws, *self._state(r))[1])
 
     def wronskian_drift(self, r) -> float:
-        return float(_drifts(self._ws, *self._state(r)[:4])[2])
+        return float(_drifts(self._ws, *self._state(r))[2])
 
     # -- conjugate points -------------------------------------------------------
     def conjugate_point(self):

@@ -7,8 +7,10 @@ curvature c/4, giving
     density(r)  = sn_c(r) * sn_{c/4}(r)^{2n-2},
     laplacian(r) = d/dr log density(r),
 
-with sn_lam(r) = sin(sqrt(lam) r)/sqrt(lam) continued through lam <= 0.  These
-forms are not taken on faith: the test suite gates them against direct
+with sn_lam(r) = sin(sqrt(lam) r)/sqrt(lam) continued through lam <= 0.  As
+sn_c = sn_{c/4} sn'_{c/4} (double angle), the area is Vol(S^{2n-1}) times
+sn_{c/4}^{2n-1} sn'_{c/4}, so ball_volume(r) = Vol(S^{2n-1}) sn_{c/4}(r)^{2n} / (2n).
+These forms are not taken on faith: the test suite gates them against direct
 integration of the Jacobi system on the matching truncated potential.
 """
 
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 
 from .series import SeriesExpansion
 from .sphere import unit_sphere_volume
@@ -97,9 +98,8 @@ def sphere_area(model: ModelSpace, r: float) -> float:
 
 def ball_volume(model: ModelSpace, r: float) -> float:
     _check_radius(model, r)
-    val, err = quad(lambda s: sphere_area(model, s), 0.0, r,
-                    epsabs=1e-14, epsrel=1e-12, limit=200)
-    return float(val)
+    n = model.n
+    return unit_sphere_volume(n) * sn(model.c / 4.0, r) ** (2 * n) / (2 * n)
 
 
 def _sn_over_r_series(lam: Fraction, order: int):

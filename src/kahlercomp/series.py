@@ -25,7 +25,7 @@ import numpy as np
 from . import curvature as curv
 from .polynomials import cauchy_product
 from .potential import RealAnalyticPotential
-from .sphere import SphereRule, build_rule, tangent_nodes
+from .sphere import SphereRule, build_rule, tangent_nodes, unit_sphere_volume
 
 __all__ = [
     "SeriesExpansion",
@@ -206,9 +206,6 @@ def fit_w_series(samples, N: int) -> SeriesExpansion:
                            covariance=cov, condition=cond, cv_shift=cv_shift)
 
 
-_R11_CONSTANT_CACHE: dict = {}
-
-
 def _r11_integral(pot, p, rule):
     """Sphere integral of R_11(e0) = <R(e0, Je0)e0, Je0> at p."""
     ws = curv.workspace(pot)
@@ -228,19 +225,11 @@ def kahler_r11_identity_check(pot: RealAnalyticPotential, p,
                               rule: SphereRule | None = None):
     """Check that the sphere integral of R_11 is the fixed multiple of scalar curvature.
 
-    The constant is calibrated once per dimension on a space-form potential and
-    then held fixed; returns (lhs, rhs, residual).
+    On a Kahler manifold the integral of <R(e0, Je0)e0, Je0> over the unit
+    sphere is C s with C = -2 Vol(S^{2n-1}) / (n(n+1)); returns
+    (lhs, rhs, residual).
     """
-    from .potential import space_form  # local to avoid import cycle at module load
-
-    rule = _rule_for(pot, rule)
     n = pot.n
-    if n not in _R11_CONSTANT_CACHE:
-        ref = space_form(n, n + 1)  # curvature parameter b = 1
-        lhs0 = _r11_integral(ref, np.zeros(n), rule)
-        s0 = curv.scalar_at(ref, np.zeros(n))
-        _R11_CONSTANT_CACHE[n] = lhs0 / s0
-    C3 = _R11_CONSTANT_CACHE[n]
-    lhs = _r11_integral(pot, p, rule)
-    rhs = C3 * curv.scalar_at(pot, p)
+    lhs = _r11_integral(pot, p, _rule_for(pot, rule))
+    rhs = -2.0 * unit_sphere_volume(n) / (n * (n + 1)) * curv.scalar_at(pot, p)
     return lhs, rhs, lhs - rhs

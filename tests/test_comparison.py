@@ -104,6 +104,23 @@ class TestTheorem3:
                   for b in grid]
         assert all(ratios[i + 1] <= ratios[i] * (1 + 1e-9) for i in range(len(grid) - 1))
 
+    def test_section6_margins_resolved(self, section6_pot, rule12):
+        """Every margin of the default check is positive, not noise of either sign."""
+        rep = CMP.check_volume_ratio(section6_pot, -1.2, rule=rule12)
+        assert min(r["margin"] for r in rep.rows) > 0
+
+    @pytest.mark.parametrize("name", ["flat", "space_form"])
+    def test_equality_margins_at_roundoff(self, name, flat2, space_form_k1, rule12):
+        pot, K = (flat2, 0.0) if name == "flat" else (space_form_k1, 1.0)
+        rep = CMP.check_volume_ratio(pot, K, rule=rule12)
+        assert max(abs(r["margin"]) for r in rep.rows) <= 1e-13
+
+    def test_three_dimensional_equality_margins_at_roundoff(self):
+        from kahlercomp.sphere import build_rule
+        rep = CMP.check_volume_ratio(P.space_form(3, 1, degree=12), 1.0,
+                                     rule=build_rule(3, 2))
+        assert max(abs(r["margin"]) for r in rep.rows) <= 1e-12
+
     def test_missing_certificate_refused(self, flat2, rule6):
         bad = CMP.certify_ricci_bound(flat2, 0.5, 0.04, samples=200)
         with pytest.raises(ValueError, match="refused"):
@@ -216,16 +233,31 @@ class TestFlowQuality:
         rule = build_rule(2, 4)
         flow = CMP.SphereFlow(section6_pot, np.zeros(2), 0.04, rule=rule, tol=1e-11)
         G0 = C.workspace(section6_pot).metric_values(np.zeros(2))
-        rays = [G.shoot(section6_pot, np.zeros(2), e0, 0.04, tol=1e-11)
-                for e0 in CMP.tangent_nodes(rule, C.real_metric_matrix(G0))]
+        singles = [G.GeodesicBatch(section6_pot, np.zeros(2), [e0], 0.04, tol=1e-11)
+                   for e0 in CMP.tangent_nodes(rule, C.real_metric_matrix(G0))]
         for r in (0.01, 0.04):
             vals, logd = flow.densities(r)
-            single = [ray.density(r) for ray in rays]
+            single = [batch[0].density(r) for batch in singles]
             np.testing.assert_allclose(vals, [d.value for d in single], rtol=1e-12)
             np.testing.assert_allclose(logd, [d.log_derivative for d in single], rtol=1e-12)
-            volume = math.fsum(w * ray.cumulative_volume(r)
-                               for w, ray in zip(rule.weights, rays))
+            volume = math.fsum(w * batch.volumes(r)[0]
+                               for w, batch in zip(rule.weights, singles))
             assert flow.ball_volume(r) == pytest.approx(volume, rel=1e-12)
+
+    def test_ball_volume_range_is_checked(self, space_form_k1):
+        from kahlercomp.sphere import build_rule
+        flow = CMP.SphereFlow(space_form_k1, np.zeros(2), 0.04, rule=build_rule(2, 2))
+        for r in (0.0, -0.01):
+            with pytest.raises(ValueError, match="r > 0"):
+                flow.ball_volume(r)
+        with pytest.raises(ValueError, match="outside integrated range"):
+            flow.ball_volume(0.05)
+        # off-centre, the outward rays are cut where they leave the validity ball
+        flow = CMP.SphereFlow(space_form_k1, np.array([0.3, 0.0]), 0.3,
+                              rule=build_rule(2, 2))
+        assert flow.rays.truncated.any() and not flow.rays.truncated.all()
+        with pytest.raises(ValueError, match="truncated at the validity ball"):
+            flow.ball_volume(0.3)
 
     def test_three_complex_dimensions(self):
         from kahlercomp.sphere import build_rule

@@ -10,6 +10,7 @@ from kahlercomp import geodesic as G
 from kahlercomp import model_space as M
 from kahlercomp import potential as P
 from kahlercomp.model_space import ModelSpace
+from kahlercomp.sphere import unit_sphere_volume
 
 
 class TestShoot:
@@ -163,10 +164,17 @@ class TestDensity:
         d2 = G.shoot(section6_pot, np.zeros(2), -e0, 0.07).density(r)
         assert d1.value == pytest.approx(d2.value, rel=1e-10)
 
-    def test_cumulative_volume_matches_quadrature(self, flat2):
-        ray = G.shoot(flat2, np.zeros(2), np.array([1.0, 0, 0, 0]), 0.5)
+    def test_cumulative_volume_matches_quadrature(self, flat2, space_form_k1):
+        """A batch of one integrates det J to the closed-form volume per direction."""
+        e0 = [np.array([1.0, 0, 0, 0])]
+        flat = G.GeodesicBatch(flat2, np.zeros(2), e0, 0.5)
         # flat per-ray volume integrand r^3
-        assert ray.cumulative_volume(0.4) == pytest.approx(0.4 ** 4 / 4, rel=1e-10)
+        assert flat.volumes(0.4)[0] == pytest.approx(0.4 ** 4 / 4, rel=1e-13)
+        batch = G.GeodesicBatch(space_form_k1, np.zeros(2), e0, 0.04, tol=1e-11)
+        model = ModelSpace(2, 1.0)
+        for r in (0.005, 0.013, 0.04):
+            assert batch.volumes(r)[0] == pytest.approx(
+                M.ball_volume(model, r) / unit_sphere_volume(2), rel=1e-13)
 
 
 class TestConjugatePoints:

@@ -102,6 +102,17 @@ class TestAreaVolume:
             assert fd / M.sphere_area(model, r) == pytest.approx(
                 M.laplacian(model, r), rel=1e-7)
 
+    def test_closed_form_volume_matches_quadrature(self):
+        """Vol(S^{2n-1}) sn_{c/4}^{2n} / (2n) against adaptive quadrature of the area."""
+        from scipy.integrate import quad
+        for n in (2, 3):
+            for K in (1.0, -1.2, 3.0):
+                model = ModelSpace(n, K)
+                for r in (0.005, 0.3):
+                    area = quad(lambda s: M.sphere_area(model, s), 0.0, r,
+                                epsabs=0.0, epsrel=1e-13)[0]
+                    assert M.ball_volume(model, r) == pytest.approx(area, rel=1e-13)
+
     def test_volume_matches_series_extraction(self):
         model = ModelSpace(2, 2.0)
         ms = M.model_series(model, 8)

@@ -10,7 +10,7 @@ from kahlercomp import model_space as M
 from kahlercomp import potential as P
 from kahlercomp import series as S
 from kahlercomp.model_space import ModelSpace
-from kahlercomp.sphere import tangent_nodes, unit_sphere_volume
+from kahlercomp.sphere import build_rule, tangent_nodes, unit_sphere_volume
 
 
 def synthetic_jets(R_list, m=3):
@@ -230,9 +230,11 @@ class TestKahlerIdentity:
         lhs, rhs, res = S.kahler_r11_identity_check(flat2, np.zeros(2), rule=rule8)
         assert lhs == 0.0 and rhs == 0.0 and res == 0.0
 
-    def test_space_form_at_other_curvature(self, rule8):
-        pot = P.space_form(2, -2.0)
-        lhs, rhs, res = S.kahler_r11_identity_check(pot, np.zeros(2), rule=rule8)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_space_form_at_other_curvature(self, n):
+        pot = P.space_form(n, -2.0)
+        lhs, rhs, res = S.kahler_r11_identity_check(pot, np.zeros(n),
+                                                    rule=build_rule(n, 8))
         assert abs(res) < 1e-8
 
     def test_section6_at_origin(self, section6_pot, rule8):
