@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import curvature as curv
 from . import geodesic, model_space, series
@@ -97,15 +96,63 @@ def _verdict(margins, tol):
 # Ricci lower-bound certificates
 # ---------------------------------------------------------------------------
 
+def _halton_permutations(d, seed):
+    """Owen's digit permutations for a scrambled Halton set in d dimensions.
+
+    The bases are the first d primes; base b gets ceil(54 / log2 b) - 1 rows
+    (enough digits to reach double precision), each a shuffle of arange(b)
+    drawn in turn from ``default_rng(seed)``, the shuffles that scipy's
+    ``qmc.Halton(d, seed=seed)`` draws, in the same order.
+    """
+    rng = np.random.default_rng(seed)
+    bases, k = [], 2
+    while len(bases) < d:
+        if all(k % b for b in bases):
+            bases.append(k)
+        k += 1
+    perms = []
+    for b in bases:
+        rows = np.repeat(np.arange(b)[None], math.ceil(54 / math.log2(b)) - 1, axis=0)
+        for row in rows:
+            rng.shuffle(row)
+        perms.append(rows)
+    return perms
+
+
+def _halton(perms, start, count):
+    """Points start..start+count-1 of the scrambled Halton set (Owen,
+    arXiv:1706.02808), summed digit by digit in scipy's order."""
+    out = np.empty((count, len(perms)))
+    for k, rows in enumerate(perms):
+        b = rows.shape[1]
+        idx = np.arange(start, start + count)
+        x = np.zeros(count)
+        f = 1.0 / b
+        for row in rows:
+            if idx[-1]:      # the indices increase, so the last is the largest
+                idx, digit = np.divmod(idx, b)
+                x += row[digit] * f
+            else:            # every remaining digit is 0
+                x += row[0] * f
+            f /= b
+        out[:, k] = x
+    return out
+
+
 def _ball_points(n, rho, count, seed):
-    """Deterministic low-discrepancy points in the real 2n-ball of radius rho."""
-    engine = qmc.Halton(d=2 * n, seed=seed)
-    pts = []
-    while len(pts) < count:
-        block = 2.0 * engine.random(max(count, 256)) - 1.0
-        keep = block[np.einsum("ij,ij->i", block, block) <= 1.0]
-        pts.extend(keep.tolist())
-    pts = np.array(pts[:count]) * rho
+    """Deterministic low-discrepancy points in the real 2n-ball of radius rho:
+    scrambled Halton points of the cube [-1, 1)^2n, drawn in blocks, that fall
+    in the unit ball, scaled by rho."""
+    perms = _halton_permutations(2 * n, seed)
+    block = max(count, 256)
+    kept, total, start = [], 0, 0
+    while total < count:
+        pts = 2.0 * _halton(perms, start, block) - 1.0
+        start += block
+        pts = pts[np.einsum("ij,ij->i", pts, pts) <= 1.0]
+        kept.append(pts)
+        total += len(pts)
+    pts = np.concatenate(kept)[:count] * rho
     return pts[:, 0::2] + 1j * pts[:, 1::2]
 
 
@@ -113,9 +160,10 @@ def certify_ricci_bound(pot: RealAnalyticPotential, K, rho, samples=10000,
                         seed=0) -> RicciBoundCertificate:
     """Sampled evidence that Ric - K g is positive semidefinite on the rho-ball.
 
-    Evaluates the minimum eigenvalue of the metric-whitened Ricci deficit on a
-    Halton sample plus radial grids along 64 directions (and the origin); the
-    certificate passes when the minimum stays above -1e-9.
+    Evaluates the minimum eigenvalue of the metric-whitened Ricci deficit on an
+    Owen-scrambled Halton sample (the same points as scipy's
+    ``qmc.Halton(d=2n, seed=seed)``) plus radial grids along 64 directions
+    (and the origin); the certificate passes when the minimum stays above -1e-9.
     """
     if rho > pot.validity_radius:
         raise ValueError("certificate radius exceeds the validity ball")

@@ -9,10 +9,14 @@ J'' = R_mat J with R_mat[u][v] = <R(e0, e_u)e0, e_v> evaluated along the ray.
 Rays from one base point are integrated together as a batch; a single ray is
 a batch of one.  The stepper is the DOP853 pair with its error norm and dense
 output (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4-II.6), with scipy's
-tableau and step-size constants.  The rays share one step sequence, but each
-ray's error norm is taken over that ray's own components and a step is
-accepted only when every ray's norm is below one, so each ray meets the
-tolerance it would meet integrated alone.
+tableau and step-size constants.  The tableau module
+``scipy/integrate/_ivp/dop853_coefficients.py`` is loaded by its file path: it
+imports only numpy, while importing it as a package member would first load
+all of ``scipy.integrate`` and ``scipy.optimize``, which take longer to import
+than everything else this package needs together.  The rays share one step
+sequence, but each ray's error norm is taken over that ray's own components
+and a step is accepted only when every ray's norm is below one, so each ray
+meets the tolerance it would meet integrated alone.
 
 Ball volumes integrate |det J| by Gauss-Legendre, exact with ceil((7(2n-1)+1)/2)
 nodes on each step's degree-7 dense output; each ray keeps its running volume.
@@ -21,12 +25,12 @@ nodes on each step's degree-7 dense output; each ray keeps its running volume.
 from __future__ import annotations
 
 import csv
+import importlib.util
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients as dop
-from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY
-from scipy.optimize import brentq
+import scipy
 
 from . import curvature as curv
 from .potential import RealAnalyticPotential
@@ -44,9 +48,19 @@ __all__ = [
     "radial_density",
 ]
 
+
+def _load_tableau():
+    path = Path(scipy.__file__).parent / "integrate" / "_ivp" / "dop853_coefficients.py"
+    spec = importlib.util.spec_from_file_location("kahlercomp._dop853_coefficients", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+dop = _load_tableau()
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0   # scipy.integrate._ivp.rk's step control
 _STAGES = dop.N_STAGES
 _ERROR_EXPONENT = -1.0 / 8.0   # the embedded error estimator has order 7
-_EPS = np.finfo(float).eps
 _SERIES_RADIUS = 1e-4          # below it the density comes from its r-series
 
 
@@ -99,6 +113,28 @@ def _interpolate(x, y_old, F):
         y += f
         y *= x if i % 2 == 0 else 1 - x
     return y + y_old
+
+
+def _bisect(f, a, b, xtol=0.0):
+    """A root of f in [a, b], given that f(a) and f(b) do not share a sign.
+
+    Halves the bracket until it is at most xtol wide or its midpoint no
+    longer splits it, and returns the midpoint.
+    """
+    fa = f(a)
+    if fa == 0:
+        return a
+    while True:
+        mid = 0.5 * (a + b)
+        if b - a <= xtol or not a < mid < b:
+            return mid
+        fm = f(mid)
+        if fm == 0:
+            return mid
+        if (fm > 0) == (fa > 0):
+            a, fa = mid, fm
+        else:
+            b = mid
 
 
 def _series_density(r, m, trace_r0):
@@ -298,14 +334,13 @@ class GeodesicBatch:
 
             if bounded:
                 # a ray that crosses the ball's sphere is cut at the crossing,
-                # located on its dense output as scipy locates a terminal event
+                # located on its dense output to the last float
                 g_new = gap(y_new)
                 left = (g >= 0) & (g_new <= 0)
                 for j in np.flatnonzero(left):
                     def crossing(s, j=j, t_old=t, y_old=y):
                         return gap(_interpolate((s - t_old) / h, y_old[j], F[:, j]))
-                    self.r_max[rows[j]] = brentq(crossing, t, t_new,
-                                                 xtol=4 * _EPS, rtol=4 * _EPS)
+                    self.r_max[rows[j]] = _bisect(crossing, t, t_new)
                     self.truncated[rows[j]] = True
                 keep = ~left
                 rows, y_new, f_new, g = rows[keep], y_new[keep], f_new[keep], g_new[keep]
@@ -433,7 +468,7 @@ class GeodesicRay:
         for i in range(len(grid) - 1):
             if dets[i] > 0 and dets[i + 1] <= 0:
                 f = lambda r: np.linalg.det(self.jacobi(r)[0])
-                self._conjugate = float(brentq(f, grid[i], grid[i + 1], xtol=1e-10))
+                self._conjugate = float(_bisect(f, grid[i], grid[i + 1], xtol=1e-10))
                 return self._conjugate
         self._conjugate = None
         return None

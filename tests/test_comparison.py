@@ -52,6 +52,22 @@ class TestCertificates:
         cert = CMP.certify_ricci_bound(section6_pot, -1.2, 0.05, samples=2000)
         assert cert.passed
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("count", [100, 10000])
+    def test_ball_points_are_scipys_scrambled_halton(self, n, seed, count):
+        """scipy's Halton engine with the same blocks and rejection is the oracle;
+        10000 points in 2n = 6 dimensions take 13 blocks, so the index carries over."""
+        from scipy.stats import qmc
+        engine = qmc.Halton(d=2 * n, seed=seed)
+        pts = []
+        while len(pts) < count:
+            block = 2.0 * engine.random(max(count, 256)) - 1.0
+            pts.extend(block[np.einsum("ij,ij->i", block, block) <= 1.0])
+        pts = np.array(pts[:count]) * 0.04
+        expected = pts[:, 0::2] + 1j * pts[:, 1::2]
+        assert np.array_equal(CMP._ball_points(n, 0.04, count, seed), expected)
+
 
 class TestFindLambda:
     def test_zero_curvature_needs_nothing(self):

@@ -199,6 +199,17 @@ class TestConjugatePoints:
         ray = self._fake_ray(0.6180339887)
         assert ray.conjugate_point() == pytest.approx(0.6180339887, abs=1e-9)
 
+    @pytest.mark.parametrize("a, b", [(0.25, 1.0), (-1.0, 0.25)])
+    def test_bisect_root_at_an_endpoint(self, a, b):
+        assert G._bisect(lambda x: x - 0.25, a, b) == 0.25
+        assert G._bisect(lambda x: x - 0.25, a, b, xtol=1e-6) == pytest.approx(0.25, abs=1e-6)
+
+    def test_bisect_on_adjacent_floats_terminates_inside(self):
+        a = 0.3
+        b = np.nextafter(a, 1.0)   # the sign change sits between two floats
+        for xtol in (0.0, 1e-300):
+            assert a <= G._bisect(lambda x: 1.0 if x > a else -1.0, a, b, xtol) <= b
+
     def test_density_raises_with_bracket(self):
         ray = self._fake_ray(0.5)
         with pytest.raises(G.ConjugatePointError, match="conjugate") as err:
@@ -263,6 +274,17 @@ class TestBatchedIntegrator:
         for r in np.linspace(0.0, 0.09, 7):
             np.testing.assert_allclose(batch._states(r)[0], sol.sol(r), rtol=0, atol=1e-12)
 
+    def test_tableau_and_step_constants_are_scipys(self):
+        """The tableau loaded by path is scipy's module; the step constants are rk's."""
+        from scipy.integrate._ivp import dop853_coefficients as dop
+        from scipy.integrate._ivp import rk
+        for name in ("A", "B", "C", "E3", "E5", "D"):
+            assert np.array_equal(getattr(G.dop, name), getattr(dop, name)), name
+        for name in ("N_STAGES", "N_STAGES_EXTENDED", "INTERPOLATOR_POWER"):
+            assert getattr(G.dop, name) == getattr(dop, name), name
+        assert (G.SAFETY, G.MIN_FACTOR, G.MAX_FACTOR) == (rk.SAFETY, rk.MIN_FACTOR,
+                                                          rk.MAX_FACTOR)
+
     def test_error_norm_is_scipys_norm_of_each_ray(self):
         """Each ray's norm is scipy's over its own components, not one over the stack."""
         from scipy.integrate._ivp.rk import DOP853
@@ -287,6 +309,20 @@ class TestBatchedIntegrator:
         assert np.linalg.norm(out.position(out.r_max)) == pytest.approx(radius, abs=1e-12)
         alone = G.shoot(space_form_k1, p, dirs[0], 0.3, tol=1e-11)
         assert alone.truncated and out.r_max == pytest.approx(alone.r_max, abs=1e-10)
+        # the crossing, on the dense output of the step that leaves, against brentq
+        from scipy.optimize import brentq
+        eps = np.finfo(float).eps
+        k = np.searchsorted(batch._ts, out.r_max) - 1
+        rows, t_old, h, y_old, F, _ = batch._segments[k]
+
+        def gap(r):
+            y = G._interpolate((r - t_old) / h, y_old[0], F[:, 0])
+            return radius ** 2 - y[:4] @ y[:4]
+
+        assert rows[0] == 0 and gap(t_old) > 0 > gap(t_old + h)
+        assert abs(out.r_max - brentq(gap, t_old, t_old + h, xtol=4 * eps, rtol=4 * eps)) \
+            <= 4 * eps * out.r_max
+        assert abs(gap(out.r_max)) <= 1e-13
         with pytest.raises(ValueError, match="truncated"):
             out.position(0.3)
         with pytest.raises(ValueError, match="truncated"):
