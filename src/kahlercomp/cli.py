@@ -18,7 +18,7 @@ import numpy as np
 
 from . import comparison, model_space, potential, series
 from . import curvature as curv
-from .sphere import build_rule, tangent_nodes, unit_sphere_volume
+from .sphere import build_rule, fan_out, torus_reduced, unit_sphere_volume
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -118,16 +118,14 @@ def cmd_series(args) -> int:
     p = np.zeros(pot.n, dtype=complex)
     order = args.order
     jet_order = max(2, order - 2)
-    rule = build_rule(pot.n, args.quad_degree)
-    G = curv.workspace(pot).metric_values(p)
-    dirs = tangent_nodes(rule, curv.real_metric_matrix(G))
+    dirs, weights = fan_out(pot, p, build_rule(pot.n, args.quad_degree))
 
     axis = np.zeros(2 * pot.n)
     axis[0] = 1.0
     jets = curv.curvature_jets_along(pot, p, np.vstack([axis, dirs]), order=jet_order)
     dens = series.density_series(series.jacobi_recursion(jets, order + 1), order)
     per_dir = dens.coefficients[0]
-    averaged = rule.weights @ dens.coefficients[1:]
+    averaged = weights @ dens.coefficients[1:]
 
     doc = {
         "potential": pot.label,
@@ -182,6 +180,8 @@ def cmd_check(args) -> int:
             r_max = max(r_max, comparison.RIGIDITY_FLOW_RADIUS)
         flow = comparison.SphereFlow(pot, np.zeros(pot.n, dtype=complex), r_max,
                                      rule=rule, tol=args.tol)
+        payload["rule"] = {"degree": rule.degree, "nodes": len(rule), "rays": len(flow.rays),
+                           "symmetry": "torus" if torus_reduced(pot, flow.p) else "none"}
         if args.which == "thm3":
             rep = comparison.check_volume_ratio(pot, args.K, r_grid=grid, rule=rule,
                                                 flow=flow, seed=args.seed)

@@ -25,7 +25,7 @@ from . import curvature as curv
 from . import geodesic, model_space, series
 from .polynomials import CPoly
 from .potential import RealAnalyticPotential, section6
-from .sphere import SphereRule, build_rule, tangent_nodes, unit_sphere_volume
+from .sphere import SphereRule, fan_out, tangent_nodes, unit_sphere_volume
 
 __all__ = [
     "RicciBoundCertificate",
@@ -141,14 +141,19 @@ def _halton(perms, start, count):
 
 def _ball_points(n, rho, count, seed):
     """Deterministic low-discrepancy points in the real 2n-ball of radius rho:
-    scrambled Halton points of the cube [-1, 1)^2n, drawn in blocks, that fall
-    in the unit ball, scaled by rho."""
+    the first ``count`` scrambled Halton points of the cube [-1, 1)^2n that fall
+    in the unit ball, scaled by rho.  The sequence is drawn in blocks of
+    max(count, 256) points; a block that would bring more points than are
+    missing shrinks to the expected need, the missing count over the ball's
+    share pi^n / (n! 4^n) of the cube, plus slack."""
     perms = _halton_permutations(2 * n, seed)
     block = max(count, 256)
+    share = math.pi ** n / (math.factorial(n) * 4 ** n)
     kept, total, start = [], 0, 0
     while total < count:
-        pts = 2.0 * _halton(perms, start, block) - 1.0
-        start += block
+        size = min(block, math.ceil(1.1 * (count - total) / share) + 64)
+        pts = 2.0 * _halton(perms, start, size) - 1.0
+        start += size
         pts = pts[np.einsum("ij,ij->i", pts, pts) <= 1.0]
         kept.append(pts)
         total += len(pts)
@@ -241,37 +246,38 @@ def find_lambda(a, rho, samples=4000, seed=0, with_trace=False):
 # ---------------------------------------------------------------------------
 
 class SphereFlow:
-    """Geodesic rays over all nodes of a sphere rule from a common base point.
+    """Geodesic rays from a common base point over the directions of a sphere rule.
 
-    The rays are integrated as one ``GeodesicBatch``; each reduction reads its
-    dense output once per radius for all rays and sums in fixed node order.
+    The directions and their weights come from ``sphere.fan_out``: one ray per
+    moment node for a torus-invariant potential at the origin, one per node
+    of the rule's product otherwise.  The rays are integrated as one
+    ``GeodesicBatch``; each reduction reads its dense output once per radius
+    for all rays and sums in fixed ray order.
     """
 
     def __init__(self, pot: RealAnalyticPotential, p, r_max, rule: SphereRule | None = None,
                  tol=1e-11):
         self.pot = pot
         self.p = np.asarray(p, dtype=complex).reshape(pot.n)
-        self.rule = rule if rule is not None else build_rule(pot.n)
         self.r_max = float(r_max)
         self.tol = float(tol)
-        G = curv.metric_at(pot, self.p).g  # inside the ball, positive definite
-        dirs = tangent_nodes(self.rule, curv.real_metric_matrix(G))
+        dirs, self.weights = fan_out(pot, self.p, rule)
         self.rays = geodesic.GeodesicBatch(pot, self.p, dirs, self.r_max, tol=tol)
 
     def densities(self, r):
         return self.rays.densities(r)
 
     def ball_volume(self, r) -> float:
-        return math.fsum(self.rule.weights * self.rays.volumes(r))
+        return math.fsum(self.weights * self.rays.volumes(r))
 
     def w_value(self, r) -> float:
         vals, _ = self.densities(r)
         m = 2 * self.pot.n - 1
-        return math.fsum(self.rule.weights * vals) / r ** m
+        return math.fsum(self.weights * vals) / r ** m
 
     def average_laplacian(self, r) -> float:
         vals, logd = self.densities(r)
-        weighted = self.rule.weights * vals
+        weighted = self.weights * vals
         return math.fsum(weighted * logd) / math.fsum(weighted)
 
     def quality(self, r=None):

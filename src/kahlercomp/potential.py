@@ -121,6 +121,12 @@ class RealAnalyticPotential:
         """True when every term has even total degree (z -> -z symmetry)."""
         return all((sum(a) + sum(b)) % 2 == 0 for (a, b) in self.poly.coeffs)
 
+    @property
+    def torus_invariant(self) -> bool:
+        """True when every term has alpha = beta, i.e. the potential depends on
+        the |z_i|^2 alone and is invariant under z_i -> e^{i theta_i} z_i."""
+        return all(a == b for (a, b) in self.poly.coeffs)
+
     def __eq__(self, other):
         return (isinstance(other, RealAnalyticPotential)
                 and self.n == other.n and self.poly == other.poly)
@@ -270,15 +276,20 @@ def perturbed(n: int, seed: int, magnitude: float = 0.02) -> RealAnalyticPotenti
 
 
 def from_catalog(name: str, **params) -> RealAnalyticPotential:
+    def need(key):
+        if key not in params:
+            raise ValidationError(f"catalog entry {name!r} needs the parameter {key!r}")
+        return params[key]
+
     if name == "flat":
-        return flat(int(params["n"]))
+        return flat(int(need("n")))
     if name == "space_form":
         kwargs = {"degree": int(params["degree"])} if "degree" in params else {}
-        return space_form(int(params["n"]), params["K"], **kwargs)
+        return space_form(int(need("n")), need("K"), **kwargs)
     if name == "section6":
-        return section6(params["a"], params.get("lambda", params.get("lam", 0)))
+        return section6(need("a"), params.get("lambda", params.get("lam", 0)))
     if name == "perturbed":
-        return perturbed(int(params["n"]), int(params["seed"]),
+        return perturbed(int(need("n")), int(need("seed")),
                          float(params.get("magnitude", 0.02)))
     raise ValidationError(f"unknown catalog entry {name!r}; known: {CATALOG_NAMES}")
 

@@ -25,7 +25,7 @@ import numpy as np
 from . import curvature as curv
 from .polynomials import cauchy_product
 from .potential import RealAnalyticPotential
-from .sphere import SphereRule, build_rule, tangent_nodes, unit_sphere_volume
+from .sphere import SphereRule, fan_out, unit_sphere_volume
 
 __all__ = [
     "SeriesExpansion",
@@ -145,17 +145,12 @@ def direct_low_order_coefficients(R0, R1, R2):
     return c2, c3, c4
 
 
-def _rule_for(pot, rule):
-    return rule if rule is not None else build_rule(pot.n)
-
-
 def c4_sphere_average(pot: RealAnalyticPotential, p, rule: SphereRule | None = None) -> float:
     """Sphere integral of the per-direction r^4 density coefficient at p.
 
     The closed-form simplification of this integral assumes Ric = K g at p;
     if that fails the raw integral is still returned, with a warning.
     """
-    rule = _rule_for(pot, rule)
     p = np.asarray(p, dtype=complex).reshape(pot.n)
     ws = curv.workspace(pot)
     G, ric = ws.ricci_values(p)
@@ -163,10 +158,10 @@ def c4_sphere_average(pot: RealAnalyticPotential, p, rule: SphereRule | None = N
     if np.max(np.abs(ric - K_est * G)) > 1e-8:
         warnings.warn("Ricci is not proportional to the metric at p; "
                       "returning the raw sphere integral")
-    H = curv.real_metric_matrix(G)
-    jets = curv.curvature_jets_along(pot, p, tangent_nodes(rule, H), order=2)
+    dirs, weights = fan_out(pot, p, rule)
+    jets = curv.curvature_jets_along(pot, p, dirs, order=2)
     vals = [direct_low_order_coefficients(*R)[2] for R in jets.R]
-    return math.fsum(w * v for w, v in zip(rule.weights, vals))
+    return math.fsum(w * v for w, v in zip(weights, vals))
 
 
 def fit_w_series(samples, N: int) -> SeriesExpansion:
@@ -208,17 +203,14 @@ def fit_w_series(samples, N: int) -> SeriesExpansion:
 
 def _r11_integral(pot, p, rule):
     """Sphere integral of R_11(e0) = <R(e0, Je0)e0, Je0> at p."""
-    ws = curv.workspace(pot)
     p = np.asarray(p, dtype=complex).reshape(pot.n)
-    RH = ws.curvature_values(p)
-    G = ws.metric_values(p)
-    H = curv.real_metric_matrix(G)
-    dirs = tangent_nodes(rule, H)
+    RH = curv.workspace(pot).curvature_values(p)
+    dirs, weights = fan_out(pot, p, rule)
     vals = []
     for e0 in dirs:
         xi = curv.complex_rep(e0)
         vals.append(curv.rm_value(RH, xi, 1j * xi, xi, 1j * xi))
-    return math.fsum(w * v for w, v in zip(rule.weights, vals))
+    return math.fsum(w * v for w, v in zip(weights, vals))
 
 
 def kahler_r11_identity_check(pot: RealAnalyticPotential, p,
@@ -230,6 +222,6 @@ def kahler_r11_identity_check(pot: RealAnalyticPotential, p,
     (lhs, rhs, residual).
     """
     n = pot.n
-    lhs = _r11_integral(pot, p, _rule_for(pot, rule))
+    lhs = _r11_integral(pot, p, rule)
     rhs = -2.0 * unit_sphere_volume(n) / (n * (n + 1)) * curv.scalar_at(pot, p)
     return lhs, rhs, lhs - rhs

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from kahlercomp import cli
 from kahlercomp import model_space as M
 from kahlercomp import potential as P
 from kahlercomp.model_space import ModelSpace
@@ -117,6 +118,20 @@ class TestCheckCommand:
         assert report["counterexample"]["passed_all"] is True
         assert (out / "tables" / "pointwise_gap.csv").exists()
 
+    @pytest.mark.parametrize("catalog, params, K, rule", [
+        ("section6", "a=0.1", "-1.2", {"degree": 6, "nodes": 128, "rays": 2,
+                                       "symmetry": "torus"}),
+        ("perturbed", "n=2,seed=0", "-1", {"degree": 6, "nodes": 128, "rays": 128,
+                                           "symmetry": "none"}),
+    ])
+    def test_report_records_rule(self, tmp_path, capsys, catalog, params, K, rule):
+        out = tmp_path / "rule"
+        status = cli.main(["check", "--which", "thm4", "--catalog", catalog,
+                           "--params", params, "--K", K, "--quad-degree", "6",
+                           "--r-steps", "2", "--out", str(out)])
+        assert status == 0, capsys.readouterr().err
+        assert json.loads((out / "report.json").read_text())["rule"] == rule
+
     def test_reproducible_outputs(self, tmp_path):
         args = ("check", "--which", "thm4", "--catalog", "flat", "--params", "n=2",
                 "--K", "0", "--quad-degree", "4", "--r-steps", "3")
@@ -150,6 +165,16 @@ class TestUsageErrors:
     def test_malformed_params(self):
         r = run_cli("series", "--catalog", "flat", "--params", "n")
         assert r.returncode == 1
+
+    @pytest.mark.parametrize("argv, missing", [
+        (["check", "--which", "thm3", "--catalog", "section6", "--K", "-1.2"], "'a'"),
+        (["check", "--which", "thm4", "--catalog", "flat", "--K", "0"], "'n'"),
+        (["series", "--catalog", "space_form", "--params", "n=2"], "'K'"),
+    ])
+    def test_missing_catalog_parameter(self, argv, missing, capsys):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert missing in err and repr(argv[argv.index("--catalog") + 1]) in err
 
 
 class TestImports:

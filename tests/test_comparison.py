@@ -240,7 +240,11 @@ class TestFlowQuality:
         assert q["speed"] < 1e-9
 
     def test_batch_matches_single_rays(self, section6_pot):
-        """The batched flow agrees with one shoot() per rule node."""
+        """The batched flow agrees with one shoot() per rule node.
+
+        section6 is torus-invariant, so the flow's rays are the rule's moment
+        nodes; each stands for the nodes of its angle torus, which follow it
+        in the rule's moment-major order."""
         import math
 
         from kahlercomp import curvature as C
@@ -252,7 +256,7 @@ class TestFlowQuality:
         singles = [G.GeodesicBatch(section6_pot, np.zeros(2), [e0], 0.04, tol=1e-11)
                    for e0 in CMP.tangent_nodes(rule, C.real_metric_matrix(G0))]
         for r in (0.01, 0.04):
-            vals, logd = flow.densities(r)
+            vals, logd = (np.repeat(x, len(rule) // len(flow.rays)) for x in flow.densities(r))
             single = [batch[0].density(r) for batch in singles]
             np.testing.assert_allclose(vals, [d.value for d in single], rtol=1e-12)
             np.testing.assert_allclose(logd, [d.log_derivative for d in single], rtol=1e-12)
@@ -284,3 +288,43 @@ class TestFlowQuality:
                                           rule=rule, flow=flow)
         assert rep.verdict == "holds"
         assert max(abs(r["margin"]) for r in rep.rows) < 1e-9
+
+
+class TestTorusReduction:
+    """A torus-invariant potential at the origin flows one ray per moment node;
+    the sums agree with the full product of single-angle rays."""
+
+    @pytest.mark.parametrize("pot, rule, r_max", [
+        (P.section6(0.1, 0), (2, 6), 0.0405),
+        (P.space_form(2, 1), (2, 6), 0.0405),
+        (P.space_form(3, 1, degree=12), (3, 2), 0.0405),
+        (P.flat(4), (4, 2), 0.0405),
+    ], ids=["section6", "space_form2", "space_form3", "flat4"])
+    def test_reduced_flow_matches_full_product(self, pot, rule, r_max):
+        import math
+
+        from kahlercomp import geodesic as G
+        from kahlercomp.sphere import build_rule, tangent_nodes
+        rule = build_rule(*rule)
+        flow = CMP.SphereFlow(pot, np.zeros(pot.n), r_max, rule=rule, tol=1e-11)
+        assert len(flow.rays) == len(rule.moment_weights) < len(rule)
+        H = C.real_metric_matrix(C.metric_at(pot, np.zeros(pot.n)).g)
+        full = G.GeodesicBatch(pot, np.zeros(pot.n), tangent_nodes(rule, H), r_max, tol=1e-11)
+        w = rule.weights
+        m = 2 * pot.n - 1
+        for r in (0.005, 0.02, 0.04):
+            vals, logd = full.densities(r)
+            volume = math.fsum(w * full.volumes(r))
+            laplacian = math.fsum(w * vals * logd) / math.fsum(w * vals)
+            w_value = math.fsum(w * vals) / r ** m
+            assert flow.ball_volume(r) == pytest.approx(volume, rel=1e-12, abs=0)
+            assert flow.average_laplacian(r) == pytest.approx(laplacian, rel=1e-12, abs=0)
+            assert flow.w_value(r) == pytest.approx(w_value, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("case", ["off_origin", "not_invariant"])
+    def test_every_node_integrated_otherwise(self, case, section6_pot, rule6):
+        pot, p = ((section6_pot, np.array([0.01, 0.0])) if case == "off_origin"
+                  else (P.perturbed(2, 0), np.zeros(2)))
+        flow = CMP.SphereFlow(pot, p, 0.01, rule=rule6, tol=1e-11)
+        assert len(flow.rays) == len(rule6)
+        assert np.array_equal(flow.weights, rule6.weights)

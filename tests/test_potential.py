@@ -181,6 +181,24 @@ class TestValidation:
         assert pot.poly == P.flat(2).poly
 
 
+class TestTorusInvariance:
+    @pytest.mark.parametrize("pot", [P.section6(0.1, 0), P.section6(-0.1, 50),
+                                     P.space_form(2, 1), P.space_form(3, -1, degree=12),
+                                     P.flat(4)], ids=repr)
+    def test_catalog_entries_with_alpha_equal_beta(self, pot):
+        assert pot.torus_invariant
+
+    def test_terms_with_alpha_not_beta(self):
+        # a generic potential: flat plus random Hermitian terms
+        assert not rand_potential(np.random.default_rng(3)).torus_invariant
+        for pot in (P.perturbed(2, 0), P.perturbed(3, 1)):
+            assert not pot.torus_invariant
+        # |alpha| = |beta| keeps only the diagonal U(1) symmetry, not the torus
+        pot = P.RealAnalyticPotential(2, [((1, 0), (1, 0), 1), ((0, 1), (0, 1), 1),
+                                          ((2, 0), (0, 2), 0.01), ((0, 2), (2, 0), 0.01)])
+        assert not pot.torus_invariant
+
+
 class TestJsonFormat:
     def test_round_trip_is_exact(self):
         pot = P.section6(0.1, 50.0)

@@ -7,7 +7,8 @@ import pytest
 
 from kahlercomp import curvature as C
 from kahlercomp import potential as P
-from kahlercomp.sphere import build_rule, sphere_average, tangent_nodes, unit_sphere_volume
+from kahlercomp.sphere import (build_rule, fan_out, sphere_average, tangent_nodes, torus_reduced,
+                               unit_sphere_volume)
 
 
 class TestRuleBasics:
@@ -28,8 +29,9 @@ class TestRuleBasics:
         assert node_set == anti
 
     def test_unsupported_dimension(self):
-        with pytest.raises(ValueError):
-            build_rule(4)
+        for n in (1, 0):
+            with pytest.raises(ValueError, match="n >= 2"):
+                build_rule(n)
         with pytest.raises(ValueError):
             build_rule(2, 22)
 
@@ -142,3 +144,63 @@ class TestTangentNodes:
         dirs = tangent_nodes(rule, H)
         for v in dirs[:10]:
             assert v @ H @ v == pytest.approx(1.0, abs=1e-12)
+
+
+class TestFactoredRule:
+    @pytest.mark.parametrize("n, degree", [(2, 20), (3, 8), (4, 5), (5, 3)])
+    def test_monomials_exact_through_degree(self, n, degree):
+        """Integral of z^alpha conj(z)^beta over S^{2n-1}: 2 pi^n alpha! / (n-1+|alpha|)!
+        when alpha = beta, 0 otherwise."""
+        rule = build_rule(n, degree)
+        assert len(rule.weights) == len(rule)
+        assert math.fsum(rule.weights) == pytest.approx(unit_sphere_volume(n), abs=1e-12)
+        Z = rule.complex_nodes()
+        powers = Z[None] ** np.arange(degree + 1)[:, None, None]   # (degree+1, N, n)
+        conj_powers = np.conj(powers)
+        exponents = [e for e in np.ndindex(*(degree + 1,) * n) if sum(e) <= degree]
+        worst = 0.0
+        for alpha in exponents:
+            za = np.prod(powers[list(alpha), :, range(n)], axis=0)
+            for beta in exponents:
+                if sum(alpha) + sum(beta) > degree:
+                    continue
+                zb = np.prod(conj_powers[list(beta), :, range(n)], axis=0)
+                val = np.sum(rule.weights * za * zb)   # pairwise summation
+                exact = 0.0
+                if alpha == beta:
+                    exact = (2 * math.pi ** n * math.prod(math.factorial(a) for a in alpha)
+                             / math.factorial(n - 1 + sum(alpha)))
+                worst = max(worst, abs(val - exact))
+        assert worst < 1e-13
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_moment_nodes_carry_the_torus_weights(self, n):
+        rule = build_rule(n, 4)
+        M = len(rule.moment_weights)
+        assert len(rule) == M * rule.n_theta ** n
+        assert np.allclose(rule.moments.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        # moment-major order: node m * T^n has every angle 0
+        assert np.array_equal(rule.moment_nodes(), rule.nodes[::rule.n_theta ** n])
+        grouped = rule.weights.reshape(M, -1).sum(axis=1)
+        np.testing.assert_allclose(grouped, rule.moment_weights * (2 * math.pi) ** n,
+                                   rtol=1e-14)
+
+
+class TestFanOut:
+    def test_invariant_potential_at_origin_uses_moment_nodes(self, section6_pot):
+        rule = build_rule(2, 6)
+        assert torus_reduced(section6_pot, np.zeros(2))
+        dirs, weights = fan_out(section6_pot, np.zeros(2), rule)
+        assert len(dirs) == len(weights) == len(rule.moment_weights) == 2
+        assert math.fsum(weights) == pytest.approx(unit_sphere_volume(2), rel=1e-14)
+
+    @pytest.mark.parametrize("case", ["off_origin", "not_invariant"])
+    def test_every_node_otherwise(self, case, section6_pot):
+        rule = build_rule(2, 6)
+        pot, p = ((section6_pot, np.array([0.01, 0.0])) if case == "off_origin"
+                  else (P.perturbed(2, 0), np.zeros(2)))
+        assert not torus_reduced(pot, p)
+        dirs, weights = fan_out(pot, p, rule)
+        G = C.workspace(pot).metric_values(p)
+        assert np.array_equal(dirs, tangent_nodes(rule, C.real_metric_matrix(G)))
+        assert np.array_equal(weights, rule.weights)
