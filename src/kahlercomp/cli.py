@@ -216,6 +216,7 @@ def cmd_check(args) -> int:
                             for k in range(rep.order + 1)])
         else:
             raise ValueError(f"unknown check {args.which!r}")
+        payload["certificate"] = rep.certificate.to_json_dict()
 
     payload["verdicts"] = verdicts
     if out:

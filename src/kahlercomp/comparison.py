@@ -61,6 +61,14 @@ class RicciBoundCertificate:
     samples: int
     passed: bool
     witness: tuple | None = None
+    symmetry: str = "none"   # "torus": evaluated at the moment representatives |z|
+
+    def to_json_dict(self):
+        """The deterministic facts behind the verdict's Ricci assumption;
+        sampled evidence, so never ``rigorous``."""
+        return {"rho": self.rho, "samples": self.samples,
+                "min_eigenvalue": self.min_eigenvalue, "passed": self.passed,
+                "rigorous": False, "symmetry": self.symmetry}
 
 
 @dataclass
@@ -71,6 +79,7 @@ class ComparisonReport:
     rows: list          # dicts with keys lhs, rhs, margin (+ grid coordinates)
     verdict: str
     tolerances: dict
+    certificate: RicciBoundCertificate | None = None
 
     def to_json_dict(self):
         return {
@@ -161,18 +170,10 @@ def _ball_points(n, rho, count, seed):
     return pts[:, 0::2] + 1j * pts[:, 1::2]
 
 
-def certify_ricci_bound(pot: RealAnalyticPotential, K, rho, samples=10000,
-                        seed=0) -> RicciBoundCertificate:
-    """Sampled evidence that Ric - K g is positive semidefinite on the rho-ball.
-
-    Evaluates the minimum eigenvalue of the metric-whitened Ricci deficit on an
-    Owen-scrambled Halton sample (the same points as scipy's
-    ``qmc.Halton(d=2n, seed=seed)``) plus radial grids along 64 directions
-    (and the origin); the certificate passes when the minimum stays above -1e-9.
-    """
-    if rho > pot.validity_radius:
-        raise ValueError("certificate radius exceeds the validity ball")
-    n = pot.n
+def _certificate_points(n, rho, samples, seed):
+    """The certificate's sample: the origin, ``_ball_points(n, rho, samples,
+    seed)``, and radial grids of 8 radii up to rho along the directions of the
+    first 64 of those points."""
     Z = _ball_points(n, rho, samples, seed)
     dirs = Z[:64]
     norms = np.abs(np.linalg.norm(dirs, axis=1))
@@ -180,31 +181,55 @@ def certify_ricci_bound(pot: RealAnalyticPotential, K, rho, samples=10000,
     dirs = dirs / np.linalg.norm(dirs, axis=1)[:, None]
     radii = np.linspace(rho / 8.0, rho, 8)
     radial = (dirs[:, None, :] * radii[None, :, None]).reshape(-1, n)
-    Z = np.vstack([np.zeros((1, n), dtype=complex), Z, radial])
+    return np.vstack([np.zeros((1, n), dtype=complex), Z, radial])
+
+
+def certify_ricci_bound(pot: RealAnalyticPotential, K, rho, samples=10000,
+                        seed=0) -> RicciBoundCertificate:
+    """Sampled evidence that Ric - K g is positive semidefinite on the rho-ball.
+
+    Evaluates the minimum eigenvalue of the metric-whitened Ricci deficit
+    M = L^-1 (Ric - K g) L^-H, g = L L^H, on ``_certificate_points``: an
+    Owen-scrambled Halton sample (the same points as scipy's
+    ``qmc.Halton(d=2n, seed=seed)``) plus radial grids along 64 directions
+    (and the origin); the certificate passes when the minimum stays above -1e-9.
+
+    For a torus-invariant potential (``symmetry: "torus"``) each point z is
+    evaluated at its moment representative |z|, in real arithmetic.  The
+    reduction is exact: f(Dz) = f(z) for D = diag(e^{i theta}) gives
+    g(z) = D g(|z|) D^H and Ric(z) = D Ric(|z|) D^H, so the Cholesky factor
+    at z is D L(|z|) D^H and M(z) = D M(|z|) D^H has the eigenvalues of M(|z|).
+    The count of points and the witness (the drawn complex point) are those
+    of the unreduced sample.
+    """
+    if rho > pot.validity_radius:
+        raise ValueError("certificate radius exceeds the validity ball")
+    Z = _certificate_points(pot.n, rho, samples, seed)
+    symmetry = "torus" if pot.torus_invariant else "none"
+    at = np.abs(Z) if symmetry == "torus" else Z
+
+    def certificate(min_eig, passed, idx):
+        return RicciBoundCertificate(
+            potential_id=pot.label, K=float(K), rho=float(rho), min_eigenvalue=min_eig,
+            samples=Z.shape[0], passed=passed,
+            witness=None if passed else tuple(Z[idx].tolist()), symmetry=symmetry)
 
     ws = curv.workspace(pot)
     try:
-        G, ric = ws.ricci_values(Z)
+        G, ric = ws.ricci_values(at)
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
         # the metric is not positive definite somewhere; its least eigenvalue
         # marks the witness
-        bad = int(np.argmin(np.linalg.eigvalsh(ws.metric_values(Z))[:, 0]))
-        return RicciBoundCertificate(
-            potential_id=pot.label, K=float(K), rho=float(rho),
-            min_eigenvalue=float("-inf"), samples=Z.shape[0], passed=False,
-            witness=tuple(Z[bad].tolist()))
+        bad = int(np.argmin(np.linalg.eigvalsh(ws.metric_values(at))[:, 0]))
+        return certificate(float("-inf"), False, bad)
     # whiten: M = L^-1 (Ric - K G) L^-H, unitarily similar to G^-1/2 (...) G^-1/2
     X = np.linalg.solve(L, ric - float(K) * G)
     M = np.linalg.solve(L, np.conj(np.swapaxes(X, 1, 2)))
     eigs = np.linalg.eigvalsh(M)
     idx = int(np.argmin(eigs[:, 0]))
     min_eig = float(eigs[idx, 0])
-    passed = min_eig >= -CERT_TOL
-    return RicciBoundCertificate(
-        potential_id=pot.label, K=float(K), rho=float(rho),
-        min_eigenvalue=min_eig, samples=Z.shape[0], passed=passed,
-        witness=None if passed else tuple(Z[idx].tolist()))
+    return certificate(min_eig, min_eig >= -CERT_TOL, idx)
 
 
 def find_lambda(a, rho, samples=4000, seed=0, with_trace=False):
@@ -329,7 +354,8 @@ def check_volume_ratio(pot: RealAnalyticPotential, K, p=None, r_grid=None,
     return ComparisonReport(metric_id=pot.label, K=float(K),
                             grid=[(row["a"], row["b"]) for row in rows], rows=rows,
                             verdict=_verdict(margins, tol),
-                            tolerances={"margin": tol, "ode": tol_ode})
+                            tolerances={"margin": tol, "ode": tol_ode},
+                            certificate=certificate)
 
 
 def check_average_laplacian(pot: RealAnalyticPotential, K, p=None, r_grid=None,
@@ -357,7 +383,8 @@ def check_average_laplacian(pot: RealAnalyticPotential, K, p=None, r_grid=None,
     return ComparisonReport(metric_id=pot.label, K=float(K),
                             grid=list(map(float, r_grid)), rows=rows,
                             verdict=_verdict(margins, tol),
-                            tolerances={"margin": tol, "ode": tol_ode})
+                            tolerances={"margin": tol, "ode": tol_ode},
+                            certificate=certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +578,7 @@ class DeviationReport:
     thresholds: np.ndarray
     first_deviating_order: int | None
     sign: int | None
+    certificate: RicciBoundCertificate | None = None
 
     def to_json_dict(self):
         return {
@@ -595,4 +623,5 @@ def rigidity_probe(pot: RealAnalyticPotential, K, p=None, order=6, rule=None,
     return DeviationReport(metric_id=pot.label, K=float(K), order=order,
                            fitted=fitted.coefficients, model=model.coefficients,
                            deviations=dev, thresholds=thresholds,
-                           first_deviating_order=first, sign=sign)
+                           first_deviating_order=first, sign=sign,
+                           certificate=certificate)

@@ -247,10 +247,13 @@ class CurvatureWorkspace:
 
         ``z`` (L, ..., n) is the Taylor series of a curve, or of a batch of
         curves, in a real parameter; ``z[None]`` makes points a length-1
-        series.  The leading axes carry over to the results.
+        series.  The leading axes carry over to the results.  The values have
+        the dtype of ``NumericPoly.evaluate_many``: float64 for real floating
+        ``z`` when the potential is torus-invariant (its field coefficients
+        are real), complex128 otherwise.
         """
         n = self.n
-        z = np.asarray(z, dtype=complex)
+        z = np.asarray(z)
         lead = z.shape[:-1]
         vals = self._field_eval.evaluate_many(z.reshape(lead[0], -1, n))
         G = vals[..., :n * n].reshape(lead + (n, n))
@@ -259,9 +262,10 @@ class CurvatureWorkspace:
         return G, D1, D2
 
     def metric_values(self, z):
-        """Metric matrix at one point (n,) or at a batch (..., n)."""
+        """Metric matrix at one point (n,) or at a batch (..., n), with the
+        dtype rule of ``field_values``."""
         n = self.n
-        z = np.asarray(z, dtype=complex)
+        z = np.asarray(z)
         vals = self._metric_eval.evaluate_many(z.reshape(1, -1, n))[0]
         return vals.reshape(z.shape[:-1] + (n, n))
 
@@ -270,12 +274,13 @@ class CurvatureWorkspace:
 
         Ric_ij = sum_kl R[i,j,k,l] (G^-1)[l,k], the contraction of the
         curvature array, equal to -d_i dbar_j log det g with no series
-        truncation.  Points are taken ``NumericPoly.BLOCK`` rows at a time.
+        truncation.  Points are taken ``NumericPoly.BLOCK`` rows at a time,
+        with the dtype rule of ``field_values``.
         """
         n = self.n
-        z = np.asarray(z, dtype=complex)
+        z = np.asarray(z)
         Z = z.reshape(1, -1, n)
-        G = np.empty((Z.shape[1], n, n), dtype=complex)
+        G = np.empty((Z.shape[1], n, n), dtype=self._field_eval.result_type(Z))
         ric = np.empty_like(G)
         for lo in range(0, Z.shape[1], NumericPoly.BLOCK):
             rows = slice(lo, lo + NumericPoly.BLOCK)

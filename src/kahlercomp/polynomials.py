@@ -332,6 +332,16 @@ class NumericPoly:
     polynomial is a stack of one and a single point a batch of one.  Points
     are evaluated in blocks of ``BLOCK`` rows, so the temporaries of a large
     batch stay bounded.
+
+    The evaluation is dtype-generic with one code path.  ``C`` is stored as
+    float64 when every coefficient is real (as for every torus-invariant
+    stack: its coefficients c_aa are real and the derivative factors are
+    integers), as complex128 otherwise.  Real floating points with real
+    coefficients are evaluated in float64 throughout (power tables,
+    monomials, the CSR product); every other input is evaluated in
+    complex128, integer points included.  Real coefficients at complex points
+    give the same bits as complex ones, because the CSR product casts them to
+    complex before it multiplies.
     """
 
     __slots__ = ("n", "A", "B", "ia", "ib", "C", "max_pow")
@@ -354,23 +364,33 @@ class NumericPoly:
         self.B = np.array(list(anti), dtype=np.int64).reshape(len(anti), n)
         self.ia, self.ib = np.array(list(index), dtype=np.int64).reshape(-1, 2).T
         self.max_pow = int(max(self.A.max(initial=0), self.B.max(initial=0)))
-        self.C = sparse.csr_array((vals, (rows, cols)), shape=(len(polys), len(index)),
-                                  dtype=complex)
+        vals = np.array(vals, dtype=complex)
+        if not vals.imag.any():
+            vals = vals.real
+        self.C = sparse.csr_array((vals, (rows, cols)), shape=(len(polys), len(index)))
+
+    def result_type(self, Z):
+        """``float`` for real floating points and real coefficients, else ``complex``."""
+        real = np.asarray(Z).dtype.kind == "f" and self.C.dtype.kind == "f"
+        return float if real else complex
 
     def evaluate_many(self, Z) -> np.ndarray:
         """(L, N, polys) values along N curves z(t), t real, given as (L, N, n)
-        Taylor series; N points are a length-1 series."""
-        Z = np.asarray(Z, dtype=complex)
+        Taylor series; N points are a length-1 series.  Float64 when ``Z`` is
+        real floating and the coefficients are real, complex128 otherwise."""
+        Z = np.asarray(Z)
+        dtype = self.result_type(Z)
+        Z = Z.astype(dtype, copy=False)
         L, N = Z.shape[:2]
-        out = np.empty((L, N, self.C.shape[0]), dtype=complex)
+        out = np.empty((L, N, self.C.shape[0]), dtype=dtype)
         for lo in range(0, N, self.BLOCK):
             block = Z[:, lo:lo + self.BLOCK]
-            pw = np.empty(block.shape + (self.max_pow + 1,), dtype=complex)
+            pw = np.empty(block.shape + (self.max_pow + 1,), dtype=dtype)
             pw[..., 0] = 0.0
             pw[0, ..., 0] = 1.0
             for d in range(1, self.max_pow + 1):
                 pw[..., d] = cauchy_product(np.multiply, pw[..., d - 1], block)
-            pw_bar = pw.conj()
+            pw_bar = pw.conj() if dtype is complex else pw
             # the exponent tables, one variable at a time, then each monomial
             # as one product of its holomorphic and antiholomorphic factors
             za = pw[:, :, 0, self.A[:, 0]]

@@ -132,6 +132,39 @@ class TestCheckCommand:
         assert status == 0, capsys.readouterr().err
         assert json.loads((out / "report.json").read_text())["rule"] == rule
 
+    @pytest.mark.parametrize("which", ["thm3", "thm4", "rigidity"])
+    @pytest.mark.parametrize("catalog, params, K, symmetry", [
+        ("section6", "a=0.1", "-1.2", "torus"),
+        ("perturbed", "n=2,seed=0", "-1", "none"),
+    ])
+    def test_report_records_certificate(self, tmp_path, capsys, which, catalog, params, K,
+                                        symmetry):
+        out = tmp_path / "cert"
+        status = cli.main(["check", "--which", which, "--catalog", catalog,
+                           "--params", params, "--K", K, "--quad-degree", "4",
+                           "--r-steps", "3", "--out", str(out)])
+        assert status == 0, capsys.readouterr().err
+        block = json.loads((out / "report.json").read_text())["certificate"]
+        rho = 0.08 if which == "rigidity" else 0.04
+        assert set(block) == {"rho", "samples", "min_eigenvalue", "passed", "rigorous",
+                              "symmetry"}
+        assert block["rho"] == rho and block["samples"] == 10513
+        assert block["passed"] is True and block["rigorous"] is False
+        assert block["symmetry"] == symmetry
+        assert block["min_eigenvalue"] >= -1e-9
+
+    def test_certificate_block_reproducible(self, tmp_path):
+        args = ("check", "--which", "thm3", "--catalog", "section6", "--params", "a=0.1",
+                "--K", "-1.2", "--quad-degree", "4", "--r-steps", "3")
+        reports = []
+        for name in ("r1", "r2"):
+            r = run_cli(*args, "--out", str(tmp_path / name))
+            assert r.returncode == 0, r.stderr
+            reports.append((tmp_path / name / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        block = json.loads(reports[0])["certificate"]
+        assert block["symmetry"] == "torus" and block["passed"] is True
+
     def test_reproducible_outputs(self, tmp_path):
         args = ("check", "--which", "thm4", "--catalog", "flat", "--params", "n=2",
                 "--K", "0", "--quad-degree", "4", "--r-steps", "3")

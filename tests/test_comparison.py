@@ -15,6 +15,55 @@ def section6_flow(section6_pot, rule6):
     return CMP.SphereFlow(section6_pot, np.zeros(2), 0.0405, rule=rule6, tol=1e-11)
 
 
+def _assert_drawn_witness(witness, points):
+    """The witness is one of the complex sample points, not its modulus."""
+    w = np.array(witness)
+    assert w.dtype == complex and np.all(w.imag != 0)
+    assert np.any(np.all(points == w, axis=1))
+    assert not np.array_equal(w, np.abs(w))
+
+
+def _whitened_eigenvalues(pot, K, Z):
+    """Eigenvalues of L^-1 (Ric - K g) L^-H, g = L L^H, at each point of Z."""
+    G, ric = C.workspace(pot).ricci_values(Z)
+    L = np.linalg.cholesky(G)
+    X = np.linalg.solve(L, ric - K * G)
+    return np.linalg.eigvalsh(np.linalg.solve(L, np.conj(np.swapaxes(X, 1, 2))))
+
+
+_INVARIANT = [(P.section6(0.1, 0), -1.2), (P.space_form(3, 1, degree=12), 1.0),
+              (P.space_form(3, -1, degree=12), -1.0), (P.flat(2), 0.0)]
+
+
+class TestTorusReducedCertificate:
+    """An invariant Ric - K g evaluated at |z| equals its value at z up to a
+    diagonal unitary, so the certificate's eigenvalues are those of the
+    unreduced complex evaluation."""
+
+    @pytest.mark.parametrize("pot, K", _INVARIANT, ids=lambda x: getattr(x, "label", ""))
+    def test_eigenvalues_at_moment_representatives(self, pot, K):
+        Z = CMP._ball_points(pot.n, 0.04, 200, 3)
+        at_z = _whitened_eigenvalues(pot, K, Z)
+        at_modulus = _whitened_eigenvalues(pot, K, np.abs(Z))
+        assert at_modulus.dtype == np.float64
+        assert np.abs(at_z - at_modulus).max() <= 1e-13
+
+    @pytest.mark.parametrize("pot, K", _INVARIANT, ids=lambda x: getattr(x, "label", ""))
+    def test_min_eigenvalue_matches_complex_evaluation(self, pot, K):
+        cert = CMP.certify_ricci_bound(pot, K, 0.04)
+        Z = CMP._certificate_points(pot.n, 0.04, 10000, 0)
+        expected = _whitened_eigenvalues(pot, K, Z)[:, 0].min()
+        assert cert.symmetry == "torus" and cert.samples == len(Z)
+        assert abs(cert.min_eigenvalue - expected) <= 1e-14
+
+    def test_generic_potential_is_the_complex_computation(self):
+        pot = P.perturbed(2, 0)
+        cert = CMP.certify_ricci_bound(pot, -1.0, 0.04)
+        Z = CMP._certificate_points(2, 0.04, 10000, 0)
+        assert cert.symmetry == "none" and cert.passed
+        assert cert.min_eigenvalue == _whitened_eigenvalues(pot, -1.0, Z)[:, 0].min()
+
+
 class TestCertificates:
     def test_flat_zero_bound_holds(self, flat2):
         cert = CMP.certify_ricci_bound(flat2, 0.0, 0.05, samples=500)
@@ -31,6 +80,10 @@ class TestCertificates:
         assert not cert.passed
         assert cert.witness is not None
         assert cert.min_eigenvalue == pytest.approx(-0.1, abs=1e-12)
+        # a refusal without ties: the least eigenvalue is at one drawn point
+        cert = CMP.certify_ricci_bound(P.section6(-0.1, 0), 1.2, 0.05, samples=200)
+        assert not cert.passed and cert.symmetry == "torus"
+        _assert_drawn_witness(cert.witness, CMP._ball_points(2, 0.05, 200, 0))
 
     def test_indefinite_metric_refused_with_witness(self):
         # g_11 = 1 - 12 |z1|^2 turns negative past |z1| = 0.29 inside rho = 0.6
@@ -43,6 +96,9 @@ class TestCertificates:
         assert cert.min_eigenvalue == float("-inf")
         G = C.workspace(pot).metric_values(np.array(cert.witness))
         assert np.linalg.eigvalsh(G)[0] <= 0
+        # a radial point along the direction of a drawn ball point
+        assert cert.symmetry == "torus"
+        _assert_drawn_witness(cert.witness, CMP._certificate_points(2, 0.6, 200, 0))
 
     def test_radius_beyond_validity_rejected(self, section6_pot):
         with pytest.raises(ValueError, match="validity"):

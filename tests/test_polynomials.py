@@ -252,3 +252,60 @@ class TestNumericSeries:
             got = NumericPoly(polys).evaluate_many(Z)[:, 0]
             err = np.abs(got - exact[:L]) / np.maximum(1.0, np.abs(exact[:L]))
             assert err.max() <= 1e-12, L
+
+
+class TestDtypeRule:
+    """float64 exactly when the points are real floating and the coefficients real."""
+
+    REAL = P.section6(Fraction(1, 10), 0)       # torus-invariant: real field stack
+    COMPLEX = P.perturbed(2, 3)                 # not invariant: complex coefficients
+
+    @staticmethod
+    def _points(L, imag):
+        rng = np.random.default_rng(11)
+        Z = rng.normal(size=(L, 300, 2)) * 0.03
+        return Z + 1j * rng.normal(size=Z.shape) * 0.03 if imag else Z
+
+    def test_coefficient_storage(self):
+        assert NumericPoly(_field_polys(self.REAL)).C.dtype == np.float64
+        assert NumericPoly(_field_polys(self.COMPLEX)).C.dtype == np.complex128
+
+    @pytest.mark.parametrize("L", [1, 3])
+    def test_real_coefficients_at_real_points(self, L):
+        npoly = NumericPoly(_field_polys(self.REAL))
+        X = self._points(L, imag=False)
+        got = npoly.evaluate_many(X)
+        ref = npoly.evaluate_many(X.astype(complex))
+        assert got.dtype == np.float64 and ref.dtype == np.complex128
+        assert np.array_equal(got, ref.real) and not ref.imag.any()
+
+    @pytest.mark.parametrize("L", [1, 3])
+    def test_complex_coefficients_at_real_points(self, L):
+        npoly = NumericPoly(_field_polys(self.COMPLEX))
+        X = self._points(L, imag=False)
+        got = npoly.evaluate_many(X)
+        assert got.dtype == np.complex128
+        assert got.tobytes() == npoly.evaluate_many(X.astype(complex)).tobytes()
+
+    @pytest.mark.parametrize("pot", [REAL, COMPLEX], ids=lambda pot: pot.label)
+    def test_complex_points_are_complex(self, pot):
+        assert NumericPoly(_field_polys(pot)).evaluate_many(
+            self._points(2, imag=True)).dtype == np.complex128
+
+    @pytest.mark.parametrize("pot", [REAL, COMPLEX], ids=lambda pot: pot.label)
+    def test_integer_points_are_promoted(self, pot):
+        npoly = NumericPoly(_field_polys(pot))
+        Z = np.array([[[1, 0], [0, -2], [3, 1]]])
+        got = npoly.evaluate_many(Z)
+        assert got.dtype == np.complex128
+        assert got.tobytes() == npoly.evaluate_many(Z.astype(complex)).tobytes()
+        # a truncating cast would have turned 1.5 into 1
+        assert not np.array_equal(npoly.evaluate_many(Z * 1.5), got)
+
+    @pytest.mark.parametrize("L", [1, 3])
+    def test_real_coefficients_at_complex_points_keep_the_bits(self, L):
+        polys = _field_polys(self.REAL)
+        real, cplx = NumericPoly(polys), NumericPoly(polys)
+        cplx.C = cplx.C.astype(complex)
+        Z = self._points(L, imag=True)
+        assert real.evaluate_many(Z).tobytes() == cplx.evaluate_many(Z).tobytes()
