@@ -44,6 +44,8 @@ __all__ = [
 TOL_VOLUME = 1e-6      # relative, volume ratios
 TOL_LAPLACIAN = 1e-7   # absolute, average Laplacian
 CERT_TOL = 1e-9
+LAMBDA_SAMPLES = 4000  # certificate samples of each find_lambda step
+HALTON_TABLE = 4096    # largest low-digit table b^m of the Halton draw
 
 # radii of the rigidity probe's W-series fit; its flow reaches 1% past the
 # last radius so that radius lies inside the integrated range
@@ -128,19 +130,49 @@ def _halton_permutations(d, seed):
     return perms
 
 
-def _halton(perms, start, count):
-    """Points start..start+count-1 of the scrambled Halton set (Owen,
-    arXiv:1706.02808), summed digit by digit in scipy's order."""
-    out = np.empty((count, len(perms)))
-    for k, rows in enumerate(perms):
+def _halton_tables(perms):
+    """Per base b: the partial sums over its m low digits for every l < b^m,
+    b^m <= HALTON_TABLE, summed by ``_halton``'s digit loop; the rows of the
+    higher digits; and the factor b^-(m+1) of the first of them."""
+    tables = []
+    for rows in perms:
         b = rows.shape[1]
-        idx = np.arange(start, start + count)
-        x = np.zeros(count)
+        m = 0
+        while b ** (m + 1) <= HALTON_TABLE:
+            m += 1
+        idx = np.arange(b ** m)
+        table = np.zeros(b ** m)
         f = 1.0 / b
+        for row in rows[:m]:
+            idx, digit = np.divmod(idx, b)
+            table += row[digit] * f
+            f /= b
+        tables.append((table, rows[m:], f))
+    return tables
+
+
+def _halton(tables, start, count):
+    """Points start..start+count-1 of the scrambled Halton set (Owen,
+    arXiv:1706.02808) from ``_halton_tables``, summed digit by digit in
+    scipy's order.
+
+    Index i = h b^m + l has the low digits of l and the high digits of h, so
+    its sum over the m low digits is the table entry of l, and each higher
+    digit adds one term per h, drawn on the short range of h and gathered to
+    the points.  Every point receives the same terms in the same order as a
+    digit-by-digit loop on i, so the bits are scipy's.
+    """
+    out = np.empty((count, len(tables)))
+    for k, (table, rows, f) in enumerate(tables):
+        b = rows.shape[1]
+        h, low = np.divmod(np.arange(start, start + count), len(table))
+        x = table[low]
+        at = h - h[0]
+        hs = np.arange(h[0], h[-1] + 1)
         for row in rows:
-            if idx[-1]:      # the indices increase, so the last is the largest
-                idx, digit = np.divmod(idx, b)
-                x += row[digit] * f
+            if hs[-1]:       # h increases, so the last is the largest
+                hs, digit = np.divmod(hs, b)
+                x += (row[digit] * f)[at]
             else:            # every remaining digit is 0
                 x += row[0] * f
             f /= b
@@ -155,13 +187,13 @@ def _ball_points(n, rho, count, seed):
     max(count, 256) points; a block that would bring more points than are
     missing shrinks to the expected need, the missing count over the ball's
     share pi^n / (n! 4^n) of the cube, plus slack."""
-    perms = _halton_permutations(2 * n, seed)
+    tables = _halton_tables(_halton_permutations(2 * n, seed))
     block = max(count, 256)
     share = math.pi ** n / (math.factorial(n) * 4 ** n)
     kept, total, start = [], 0, 0
     while total < count:
         size = min(block, math.ceil(1.1 * (count - total) / share) + 64)
-        pts = 2.0 * _halton(perms, start, size) - 1.0
+        pts = 2.0 * _halton(tables, start, size) - 1.0
         start += size
         pts = pts[np.einsum("ij,ij->i", pts, pts) <= 1.0]
         kept.append(pts)
@@ -175,13 +207,25 @@ def _certificate_points(n, rho, samples, seed):
     seed)``, and radial grids of 8 radii up to rho along the directions of the
     first 64 of those points."""
     Z = _ball_points(n, rho, samples, seed)
-    dirs = Z[:64]
-    norms = np.abs(np.linalg.norm(dirs, axis=1))
-    dirs = dirs[norms > 1e-12]
-    dirs = dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    norms = np.linalg.norm(Z[:64], axis=1)
+    keep = norms > 1e-12
+    dirs = Z[:64][keep] / norms[keep, None]
     radii = np.linspace(rho / 8.0, rho, 8)
     radial = (dirs[:, None, :] * radii[None, :, None]).reshape(-1, n)
     return np.vstack([np.zeros((1, n), dtype=complex), Z, radial])
+
+
+def _forward_substitute(L, B):
+    """X with L X = B for a stack of lower-triangular L (..., n, n) and
+    right-hand sides B (..., n, k): one vectorised step per row of L."""
+    X = np.empty(B.shape, dtype=np.result_type(L, B))
+    for i in range(L.shape[-1]):
+        # formed in place: no temporary the size of a row of the batch
+        row = X[..., i, :]
+        np.einsum("...j,...jk->...k", L[..., i, :i], X[..., :i, :], out=row)
+        np.subtract(B[..., i, :], row, out=row)
+        row /= L[..., i, i, None]
+    return X
 
 
 def certify_ricci_bound(pot: RealAnalyticPotential, K, rho, samples=10000,
@@ -193,6 +237,8 @@ def certify_ricci_bound(pot: RealAnalyticPotential, K, rho, samples=10000,
     Owen-scrambled Halton sample (the same points as scipy's
     ``qmc.Halton(d=2n, seed=seed)``) plus radial grids along 64 directions
     (and the origin); the certificate passes when the minimum stays above -1e-9.
+    The whitening is two batched forward substitutions with the Cholesky
+    factor L, one vectorised step per row of L, for any n.
 
     For a torus-invariant potential (``symmetry: "torus"``) each point z is
     evaluated at its moment representative |z|, in real arithmetic.  The
@@ -202,6 +248,10 @@ def certify_ricci_bound(pot: RealAnalyticPotential, K, rho, samples=10000,
     The count of points and the witness (the drawn complex point) are those
     of the unreduced sample.
     """
+    if samples < 1:
+        raise ValueError(f"certificate samples must be at least 1, got {samples}")
+    if rho <= 0:
+        raise ValueError(f"certificate radius rho must be positive, got {rho}")
     if rho > pot.validity_radius:
         raise ValueError("certificate radius exceeds the validity ball")
     Z = _certificate_points(pot.n, rho, samples, seed)
@@ -224,19 +274,20 @@ def certify_ricci_bound(pot: RealAnalyticPotential, K, rho, samples=10000,
         bad = int(np.argmin(np.linalg.eigvalsh(ws.metric_values(at))[:, 0]))
         return certificate(float("-inf"), False, bad)
     # whiten: M = L^-1 (Ric - K G) L^-H, unitarily similar to G^-1/2 (...) G^-1/2
-    X = np.linalg.solve(L, ric - float(K) * G)
-    M = np.linalg.solve(L, np.conj(np.swapaxes(X, 1, 2)))
+    X = _forward_substitute(L, ric - float(K) * G)
+    M = _forward_substitute(L, np.conj(np.swapaxes(X, 1, 2)))
     eigs = np.linalg.eigvalsh(M)
     idx = int(np.argmin(eigs[:, 0]))
     min_eig = float(eigs[idx, 0])
     return certificate(min_eig, min_eig >= -CERT_TOL, idx)
 
 
-def find_lambda(a, rho, samples=4000, seed=0, with_trace=False):
+def find_lambda(a, rho, samples=LAMBDA_SAMPLES, seed=0, with_trace=False):
     """Smallest stabilizer weight making Ric >= -12a hold on the rho-ball.
 
     Doubling search for a passing value, then bisection to 1 percent relative
-    width; returns the passing endpoint (0.0 when no stabilizer is needed).
+    width; returns the passing endpoint (0.0 when no stabilizer is needed),
+    with ``with_trace`` also the steps (lambda, min_eigenvalue, passed).
     """
     if a == 0:
         lam = 0.0
@@ -396,6 +447,7 @@ class CounterexampleReport:
     a: float
     lam: float
     stages: dict = field(default_factory=dict)
+    lambda_search: dict | None = None   # find_lambda's steps; None for a given lambda
 
     @property
     def passed_all(self) -> bool:
@@ -415,7 +467,7 @@ class CounterexampleReport:
                 return [clean(v) for v in x]
             return x
         return {"a": self.a, "lambda": self.lam, "passed_all": self.passed_all,
-                "stages": clean(self.stages)}
+                "stages": clean(self.stages), "lambda_search": clean(self.lambda_search)}
 
 
 def _poly_from_terms(spec_terms):
@@ -460,14 +512,18 @@ def verify_counterexample(a=0.1, lam=None, rho=0.05, r_grid=None, tol_ode=1e-12,
     curvature values at the origin; (iv) per-direction r^4 density coefficient
     along the x1-axis exceeding the model's; (v) positive pointwise gap
     Laplacian - model Laplacian on a reported interval of small r.  Failing
-    stages are recorded and the remaining stages still run.
+    stages are recorded and the remaining stages still run.  Without ``lam``,
+    ``find_lambda`` picks it and ``lambda_search`` records its steps.
     """
     if a == 0:
         raise ValueError("the counterexample needs a nonzero curvature parameter a")
     a_frac = Fraction(a)
+    search = None
     if lam is None:
-        lam = find_lambda(a, rho, seed=seed)
-    report = CounterexampleReport(a=float(a), lam=float(lam))
+        lam, steps = find_lambda(a, rho, seed=seed, with_trace=True)
+        search = {"rho": float(rho), "samples": LAMBDA_SAMPLES, "seed": seed,
+                  "steps": [list(step) for step in steps]}
+    report = CounterexampleReport(a=float(a), lam=float(lam), lambda_search=search)
     pot = section6(a, lam)
     ws = curv.workspace(pot)
     K = -12.0 * float(a)

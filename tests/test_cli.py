@@ -110,13 +110,21 @@ class TestCheckCommand:
         assert "refused" in r.stderr
 
     def test_counterexample_run(self, tmp_path):
-        out = tmp_path / "cx"
-        r = run_cli("check", "--which", "counterexample", "--params", "a=0.1",
-                    "--out", str(out))
-        assert r.returncode == 0, r.stderr
-        report = json.loads((out / "report.json").read_text())
-        assert report["counterexample"]["passed_all"] is True
-        assert (out / "tables" / "pointwise_gap.csv").exists()
+        blocks = []
+        for name in ("cx1", "cx2"):
+            out = tmp_path / name
+            r = run_cli("check", "--which", "counterexample", "--params", "a=0.1",
+                        "--out", str(out))
+            assert r.returncode == 0, r.stderr
+            report = json.loads((out / "report.json").read_text())
+            assert report["counterexample"]["passed_all"] is True
+            assert (out / "tables" / "pointwise_gap.csv").exists()
+            blocks.append(json.dumps(report["counterexample"]["lambda_search"], sort_keys=True))
+        assert blocks[0] == blocks[1]
+        search = report["counterexample"]["lambda_search"]
+        assert (search["rho"], search["samples"], search["seed"]) == (0.05, 4000, 0)
+        passing = [lam for lam, _, ok in search["steps"] if ok]
+        assert passing[-1] == report["counterexample"]["lambda"]
 
     @pytest.mark.parametrize("catalog, params, K, rule", [
         ("section6", "a=0.1", "-1.2", {"degree": 6, "nodes": 128, "rays": 2,

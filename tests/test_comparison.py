@@ -35,6 +35,32 @@ _INVARIANT = [(P.section6(0.1, 0), -1.2), (P.space_form(3, 1, degree=12), 1.0),
               (P.space_form(3, -1, degree=12), -1.0), (P.flat(2), 0.0)]
 
 
+def _generic_potential(seed):
+    """A benchmark-style generic input: the monomials of perturbed(2, 0), no
+    torus symmetry, with the non-flat coefficients redrawn from ``seed``."""
+    from fractions import Fraction
+
+    from kahlercomp.polynomials import QC
+    rng = np.random.default_rng(seed)
+    base = P.perturbed(2, 0)
+    terms, seen = [], set()
+    for m in base.terms:
+        if (m.alpha, m.beta) in seen:
+            continue
+        if sum(m.alpha) == 1 and m.alpha == m.beta:
+            terms.append((m.alpha, m.beta, m.coeff))
+            continue
+        c = QC(Fraction(float(rng.normal(0, 0.02))),
+               0 if m.alpha == m.beta else Fraction(float(rng.normal(0, 0.02))))
+        terms.append((m.alpha, m.beta, c))
+        if m.alpha != m.beta:
+            terms.append((m.beta, m.alpha, c.conjugate()))
+            seen.add((m.beta, m.alpha))
+    return P.RealAnalyticPotential(2, terms, max_degree=base.max_degree,
+                                   validity_radius=base.validity_radius,
+                                   label=f"generic(n=2, seed={seed})")
+
+
 class TestTorusReducedCertificate:
     """An invariant Ric - K g evaluated at |z| equals its value at z up to a
     diagonal unitary, so the certificate's eigenvalues are those of the
@@ -55,6 +81,16 @@ class TestTorusReducedCertificate:
         expected = _whitened_eigenvalues(pot, K, Z)[:, 0].min()
         assert cert.symmetry == "torus" and cert.samples == len(Z)
         assert abs(cert.min_eigenvalue - expected) <= 1e-14
+
+    @pytest.mark.parametrize("pot, K", [*_INVARIANT[:3], (_generic_potential(1), -1.0)],
+                             ids=lambda x: getattr(x, "label", ""))
+    def test_substitution_whitening_matches_lapack_solve(self, pot, K):
+        """The certificate's batched forward substitution against LAPACK's
+        solve on the points the certificate evaluates."""
+        cert = CMP.certify_ricci_bound(pot, K, 0.04)
+        Z = CMP._certificate_points(pot.n, 0.04, 10000, 0)
+        at = np.abs(Z) if pot.torus_invariant else Z
+        assert abs(cert.min_eigenvalue - _whitened_eigenvalues(pot, K, at)[:, 0].min()) <= 1e-14
 
     def test_generic_potential_is_the_complex_computation(self):
         pot = P.perturbed(2, 0)
@@ -104,16 +140,27 @@ class TestCertificates:
         with pytest.raises(ValueError, match="validity"):
             CMP.certify_ricci_bound(section6_pot, -1.2, 0.5)
 
+    @pytest.mark.parametrize("rho, samples, name", [
+        (0.04, 0, "samples"), (0.04, -5, "samples"), (-0.04, 100, "rho"), (0.0, 100, "rho")])
+    def test_empty_or_inverted_inputs_rejected(self, section6_pot, monkeypatch, rho,
+                                               samples, name):
+        def no_draw(*args):
+            raise AssertionError("drew a sample")
+        monkeypatch.setattr(CMP, "_certificate_points", no_draw)
+        with pytest.raises(ValueError, match=name):
+            CMP.certify_ricci_bound(section6_pot, -1.2, rho, samples=samples)
+
     def test_section6_passes_at_default_parameters(self, section6_pot):
         cert = CMP.certify_ricci_bound(section6_pot, -1.2, 0.05, samples=2000)
         assert cert.passed
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("count", [100, 10000])
     def test_ball_points_are_scipys_scrambled_halton(self, n, seed, count):
         """scipy's Halton engine with the same blocks and rejection is the oracle;
-        10000 points in 2n = 6 dimensions take 13 blocks, so the index carries over."""
+        10000 points in 2n = 6 dimensions take 13 blocks, so the index carries over,
+        and in 2n = 8 dimensions base 19 reads a table of 19^2 = 361 low digits."""
         from scipy.stats import qmc
         engine = qmc.Halton(d=2 * n, seed=seed)
         pts = []
@@ -123,6 +170,39 @@ class TestCertificates:
         pts = np.array(pts[:count]) * 0.04
         expected = pts[:, 0::2] + 1j * pts[:, 1::2]
         assert np.array_equal(CMP._ball_points(n, 0.04, count, seed), expected)
+
+    def test_low_digit_tables(self):
+        tables = CMP._halton_tables(CMP._halton_permutations(8, 0))
+        sizes = [len(table) for table, _, _ in tables]
+        assert sizes == [4096, 2187, 3125, 2401, 1331, 2197, 289, 361]
+
+    @pytest.mark.parametrize("d, seed", [(4, 0), (6, 7), (8, 1)])
+    @pytest.mark.parametrize("start, count", [(0, 1), (5, 7), (12345, 3000), (4000, 20000)])
+    def test_halton_is_scipys_at_unaligned_starts(self, d, seed, start, count):
+        """(4000, 20000) crosses five periods of the base-2 table and nine of base 3."""
+        from scipy.stats import qmc
+        engine = qmc.Halton(d=d, seed=seed)
+        engine.fast_forward(start)
+        tables = CMP._halton_tables(CMP._halton_permutations(d, seed))
+        assert np.array_equal(CMP._halton(tables, start, count), engine.random(count))
+
+
+class TestForwardSubstitution:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("batch", [1, 200])
+    def test_matches_lapack_solve(self, dtype, n, batch):
+        rng = np.random.default_rng(10 * n + batch)
+
+        def draw(*shape):
+            x = rng.normal(size=shape)
+            return x + 1j * rng.normal(size=shape) if dtype is complex else x
+        L = np.tril(0.3 * draw(batch, n, n), -1) + np.eye(n) * rng.uniform(0.5, 2.0, (batch, 1, n))
+        B = draw(batch, n, n)
+        X = CMP._forward_substitute(L, B)
+        expected = np.linalg.solve(L, B)
+        assert X.dtype == expected.dtype
+        assert np.abs(X - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 class TestFindLambda:
@@ -262,6 +342,14 @@ class TestCounterexample:
         rep = CMP.verify_counterexample(a=-0.1, rho=0.05)
         assert rep.lam > 0
         assert rep.passed_all
+        search = rep.lambda_search
+        assert search["rho"] == 0.05 and search["samples"] == CMP.LAMBDA_SAMPLES
+        assert [lam for lam, _, ok in search["steps"] if ok][-1] == rep.lam
+        assert any(not ok for _, _, ok in search["steps"])
+
+    def test_given_lambda_has_no_search(self, report):
+        assert report.lambda_search is None
+        assert report.to_json_dict()["lambda_search"] is None
 
     def test_zero_a_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
