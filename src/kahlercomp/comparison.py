@@ -15,11 +15,13 @@ averaged version rules out.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+import numpy.random  # at import: numpy loads it lazily, on first use
 
 from . import curvature as curv
 from . import geodesic, model_space, series
@@ -202,17 +204,22 @@ def _ball_points(n, rho, count, seed):
     return pts[:, 0::2] + 1j * pts[:, 1::2]
 
 
+@functools.lru_cache(maxsize=4)
 def _certificate_points(n, rho, samples, seed):
     """The certificate's sample: the origin, ``_ball_points(n, rho, samples,
     seed)``, and radial grids of 8 radii up to rho along the directions of the
-    first 64 of those points."""
+    first 64 of those points.  Read-only and kept for the last few keys, since
+    the checks of one request, and the steps of ``find_lambda``, certify on
+    the same sample."""
     Z = _ball_points(n, rho, samples, seed)
     norms = np.linalg.norm(Z[:64], axis=1)
     keep = norms > 1e-12
     dirs = Z[:64][keep] / norms[keep, None]
     radii = np.linspace(rho / 8.0, rho, 8)
     radial = (dirs[:, None, :] * radii[None, :, None]).reshape(-1, n)
-    return np.vstack([np.zeros((1, n), dtype=complex), Z, radial])
+    points = np.vstack([np.zeros((1, n), dtype=complex), Z, radial])
+    points.flags.writeable = False
+    return points
 
 
 def _forward_substitute(L, B):
@@ -254,7 +261,7 @@ def certify_ricci_bound(pot: RealAnalyticPotential, K, rho, samples=10000,
         raise ValueError(f"certificate radius rho must be positive, got {rho}")
     if rho > pot.validity_radius:
         raise ValueError("certificate radius exceeds the validity ball")
-    Z = _certificate_points(pot.n, rho, samples, seed)
+    Z = _certificate_points(pot.n, float(rho), samples, seed)
     symmetry = "torus" if pot.torus_invariant else "none"
     at = np.abs(Z) if symmetry == "torus" else Z
 

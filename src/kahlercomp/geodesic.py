@@ -10,13 +10,12 @@ Rays from one base point are integrated together as a batch; a single ray is
 a batch of one.  The stepper is the DOP853 pair with its error norm and dense
 output (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4-II.6), with scipy's
 tableau and step-size constants.  The tableau module
-``scipy/integrate/_ivp/dop853_coefficients.py`` is loaded by its file path: it
-imports only numpy, while importing it as a package member would first load
-all of ``scipy.integrate`` and ``scipy.optimize``, which take longer to import
-than everything else this package needs together.  The rays share one step
-sequence, but each ray's error norm is taken over that ray's own components
-and a step is accepted only when every ray's norm is below one, so each ray
-meets the tolerance it would meet integrated alone.
+``scipy/integrate/_ivp/dop853_coefficients.py`` is loaded by its file path
+(``_scipy_files``): it imports only numpy, while importing it as a package
+member would first load all of ``scipy.integrate`` and ``scipy.optimize``.
+The rays share one step sequence, but each ray's error norm is taken over
+that ray's own components and a step is accepted only when every ray's norm
+is below one, so each ray meets the tolerance it would meet integrated alone.
 
 Ball volumes integrate |det J| by Gauss-Legendre, exact with ceil((7(2n-1)+1)/2)
 nodes on each step's degree-7 dense output; each ray keeps its running volume.
@@ -25,14 +24,12 @@ nodes on each step's degree-7 dense output; each ray keeps its running volume.
 from __future__ import annotations
 
 import csv
-import importlib.util
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import curvature as curv
+from ._scipy_files import load_scipy_file
 from .potential import RealAnalyticPotential
 from .sphere import _gauss01
 
@@ -49,15 +46,7 @@ __all__ = [
 ]
 
 
-def _load_tableau():
-    path = Path(scipy.__file__).parent / "integrate" / "_ivp" / "dop853_coefficients.py"
-    spec = importlib.util.spec_from_file_location("kahlercomp._dop853_coefficients", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-dop = _load_tableau()
+dop = load_scipy_file("integrate/_ivp/dop853_coefficients.py")
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0   # scipy.integrate._ivp.rk's step control
 _STAGES = dop.N_STAGES
 _ERROR_EXPONENT = -1.0 / 8.0   # the embedded error estimator has order 7
@@ -364,7 +353,7 @@ class GeodesicBatch:
         seg = np.clip(np.searchsorted(self._ts, r_i, side="left") - 1,
                       0, len(self._segments) - 1)
         out = np.empty((len(rows),) if volume else (len(rows), self._dim))
-        for k in np.unique(seg):
+        for k in np.flatnonzero(np.bincount(seg)):
             sel = seg == k
             seg_rows, t_old, h, y_old, F, before = self._segments[k]
             pos = np.searchsorted(seg_rows, rows[sel])

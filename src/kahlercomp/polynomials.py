@@ -7,7 +7,9 @@ or along the Taylor series of a curve; ``NumericPoly`` is the one numeric
 evaluator for both.  It factors each monomial into a holomorphic and an
 antiholomorphic part, evaluates the few distinct parts once per point, and
 contracts the monomials with a sparse (CSR) coefficient matrix: no dense
-linear algebra, so no threaded BLAS call.
+linear algebra, so no threaded BLAS call.  The CSR product is scipy's compiled
+``csr_matvecs``, read from ``scipy/sparse/_sparsetools`` by path, without the
+``scipy.sparse`` package.
 """
 
 from __future__ import annotations
@@ -15,9 +17,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
-from scipy import sparse
+
+from ._scipy_files import load_scipy_file
 
 __all__ = ["QC", "CPoly", "NumericPoly", "cauchy_product"]
+
+_sparsetools = load_scipy_file("sparse/_sparsetools")
 
 
 def _to_fraction(x) -> Fraction:
@@ -326,25 +331,29 @@ class NumericPoly:
 
     The basis is factored: the distinct holomorphic exponent tuples ``A``
     (na, n) and antiholomorphic ones ``B`` (nb, n) are tabulated once, and
-    monomial m is z^A[ia[m]] conj(z)^B[ib[m]].  The coefficients are a
-    ``scipy.sparse`` CSR matrix ``C`` (polys x monomials); the stacks of a
-    curvature workspace store only a few percent of its entries.  A single
+    monomial m is z^A[ia[m]] conj(z)^B[ib[m]].  The coefficients are a CSR
+    matrix (polys x monomials) in scipy's canonical form, held as its three
+    arrays ``indptr``, ``indices`` (int32; rows in order, columns sorted
+    within each row) and ``data``; the stacks of a curvature workspace store
+    only a few percent of its entries.  The product is scipy's
+    ``csr_matvecs`` on these arrays, the kernel that ``csr_array @ X`` calls,
+    so it accumulates in the same order and gives the same bits.  A single
     polynomial is a stack of one and a single point a batch of one.  Points
     are evaluated in blocks of ``BLOCK`` rows, so the temporaries of a large
     batch stay bounded.
 
-    The evaluation is dtype-generic with one code path.  ``C`` is stored as
-    float64 when every coefficient is real (as for every torus-invariant
-    stack: its coefficients c_aa are real and the derivative factors are
-    integers), as complex128 otherwise.  Real floating points with real
-    coefficients are evaluated in float64 throughout (power tables,
-    monomials, the CSR product); every other input is evaluated in
-    complex128, integer points included.  Real coefficients at complex points
-    give the same bits as complex ones, because the CSR product casts them to
-    complex before it multiplies.
+    The evaluation is dtype-generic with one code path.  ``data`` is float64
+    when every coefficient is real (as for every torus-invariant stack: its
+    coefficients c_aa are real and the derivative factors are integers),
+    complex128 otherwise.  Real floating points with real coefficients are
+    evaluated in float64 throughout (power tables, monomials, the CSR
+    product); every other input is evaluated in complex128, integer points
+    included.  Real coefficients at complex points give the same bits as
+    complex ones, because the CSR kernel casts them to complex before it
+    multiplies.
     """
 
-    __slots__ = ("n", "A", "B", "ia", "ib", "C", "max_pow")
+    __slots__ = ("n", "A", "B", "ia", "ib", "indptr", "indices", "data", "max_pow")
 
     BLOCK = 1024
 
@@ -367,11 +376,15 @@ class NumericPoly:
         vals = np.array(vals, dtype=complex)
         if not vals.imag.any():
             vals = vals.real
-        self.C = sparse.csr_array((vals, (rows, cols)), shape=(len(polys), len(index)))
+        rows, cols = np.array(rows, dtype=np.int32), np.array(cols, dtype=np.int32)
+        order = np.lexsort((cols, rows))
+        self.indptr = np.zeros(len(polys) + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=len(polys)), out=self.indptr[1:])
+        self.indices, self.data = cols[order], vals[order]
 
     def result_type(self, Z):
         """``float`` for real floating points and real coefficients, else ``complex``."""
-        real = np.asarray(Z).dtype.kind == "f" and self.C.dtype.kind == "f"
+        real = np.asarray(Z).dtype.kind == "f" and self.data.dtype.kind == "f"
         return float if real else complex
 
     def evaluate_many(self, Z) -> np.ndarray:
@@ -382,24 +395,32 @@ class NumericPoly:
         dtype = self.result_type(Z)
         Z = Z.astype(dtype, copy=False)
         L, N = Z.shape[:2]
-        out = np.empty((L, N, self.C.shape[0]), dtype=dtype)
+        polys, monos = len(self.indptr) - 1, len(self.ia)
+        out = np.empty((L, N, polys), dtype=dtype)
         for lo in range(0, N, self.BLOCK):
-            block = Z[:, lo:lo + self.BLOCK]
-            pw = np.empty(block.shape + (self.max_pow + 1,), dtype=dtype)
-            pw[..., 0] = 0.0
-            pw[0, ..., 0] = 1.0
-            for d in range(1, self.max_pow + 1):
-                pw[..., d] = cauchy_product(np.multiply, pw[..., d - 1], block)
-            pw_bar = pw.conj() if dtype is complex else pw
-            # the exponent tables, one variable at a time, then each monomial
-            # as one product of its holomorphic and antiholomorphic factors
-            za = pw[:, :, 0, self.A[:, 0]]
-            zb = pw_bar[:, :, 0, self.B[:, 0]]
-            for i in range(1, self.n):
-                cauchy_product(np.multiply, za, pw[:, :, i, self.A[:, i]], out=za)
-                cauchy_product(np.multiply, zb, pw_bar[:, :, i, self.B[:, i]], out=zb)
-            mono = za[..., self.ia]
-            cauchy_product(np.multiply, mono, zb[..., self.ib], out=mono)
-            rows = mono.shape[1]
-            out[:, lo:lo + rows] = (self.C @ mono.reshape(L * rows, -1).T).T.reshape(L, rows, -1)
+            mono = self._monomials(Z[:, lo:lo + self.BLOCK])
+            cols = L * mono.shape[1]
+            prod = np.zeros((polys, cols), dtype=dtype)
+            _sparsetools.csr_matvecs(polys, monos, cols, self.indptr, self.indices, self.data,
+                                     mono.reshape(cols, monos).T.ravel(), prod.ravel())
+            out[:, lo:lo + mono.shape[1]] = prod.T.reshape(L, -1, polys)
         return out
+
+    def _monomials(self, Z) -> np.ndarray:
+        """(L, N, monomials) Taylor series of the basis monomials along the
+        (L, N, n) series ``Z``, in its dtype (float64 or complex128)."""
+        pw = np.empty(Z.shape + (self.max_pow + 1,), dtype=Z.dtype)
+        pw[..., 0] = 0.0
+        pw[0, ..., 0] = 1.0
+        for d in range(1, self.max_pow + 1):
+            pw[..., d] = cauchy_product(np.multiply, pw[..., d - 1], Z)
+        pw_bar = pw.conj() if Z.dtype.kind == "c" else pw
+        # the exponent tables, one variable at a time, then each monomial
+        # as one product of its holomorphic and antiholomorphic factors
+        za = pw[:, :, 0, self.A[:, 0]]
+        zb = pw_bar[:, :, 0, self.B[:, 0]]
+        for i in range(1, self.n):
+            cauchy_product(np.multiply, za, pw[:, :, i, self.A[:, i]], out=za)
+            cauchy_product(np.multiply, zb, pw_bar[:, :, i, self.B[:, i]], out=zb)
+        mono = za[..., self.ia]
+        return cauchy_product(np.multiply, mono, zb[..., self.ib], out=mono)

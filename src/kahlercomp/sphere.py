@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import numpy.polynomial.legendre  # at import: numpy loads it lazily, on first use
 
 from . import curvature as curv
 from .potential import RealAnalyticPotential

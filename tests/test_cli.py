@@ -220,19 +220,24 @@ class TestUsageErrors:
 
 class TestImports:
     def test_core_loads_no_heavy_scipy_subpackage(self):
-        """Importing the CLI loads numpy and scipy.sparse only, and a thm3 check
-        (Ricci certificate, ray fan, volumes) imports nothing further."""
+        """Importing the CLI loads numpy, scipy's top-level package and two
+        scipy files read by path; no scipy subpackage, no ``numpy.f2py`` and
+        no ``numpy.ma``.  A thm3 check (Ricci certificate, ray fan, volumes)
+        imports nothing further."""
         code = (
             "import contextlib, io, sys\n"
             "from kahlercomp import cli\n"
             "heavy = ('scipy.stats', 'scipy.integrate', 'scipy.optimize',"
-            " 'scipy.linalg', 'scipy.special')\n"
-            "loaded = sorted(m for m in sys.modules if m.startswith(heavy))\n"
+            " 'scipy.linalg', 'scipy.special', 'scipy.sparse', 'numpy.f2py', 'numpy.ma')\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m in heavy"
+            " or m.startswith(tuple(h + '.' for h in heavy)))\n"
+            "at_import = loaded()\n"
             "before = set(sys.modules)\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    status = cli.main(['check', '--which', 'thm3', '--catalog', 'section6',"
             " '--params', 'a=0.1', '--K', '-1.2', '--quad-degree', '6', '--r-steps', '2'])\n"
-            "print(status, loaded, sorted(set(sys.modules) - before))\n")
+            "print(status, at_import, loaded(), sorted(set(sys.modules) - before))\n")
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
-        assert r.stdout.strip() == "0 [] []"
+        assert r.stdout.strip() == "0 [] [] []"

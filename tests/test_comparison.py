@@ -150,6 +150,32 @@ class TestCertificates:
         with pytest.raises(ValueError, match=name):
             CMP.certify_ricci_bound(section6_pot, -1.2, rho, samples=samples)
 
+    def test_second_certificate_reuses_the_sample(self, monkeypatch):
+        """A certificate with the key (n, rho, samples, seed) of an earlier one
+        draws no Halton point and gives the same bits."""
+        calls = []
+        halton = CMP._halton
+
+        def counted(*args):
+            calls.append(args)
+            return halton(*args)
+        monkeypatch.setattr(CMP, "_halton", counted)
+        CMP._certificate_points.cache_clear()
+        pot = P.section6(-0.1, 0)
+        first = CMP.certify_ricci_bound(pot, 1.2, 0.05, samples=200)
+        drawn = len(calls)
+        second = CMP.certify_ricci_bound(pot, 1.2, 0.05, samples=200)
+        assert drawn > 0 and len(calls) == drawn
+        assert not first.passed and first.witness is not None
+        assert second.min_eigenvalue == first.min_eigenvalue
+        assert second.witness == first.witness
+
+    def test_certificate_points_are_read_only(self):
+        Z = CMP._certificate_points(2, 0.05, 200, 0)
+        with pytest.raises(ValueError, match="read-only"):
+            Z[0, 0] = 1.0
+        assert np.array_equal(CMP._certificate_points(2, 0.05, 200, 0)[0], np.zeros(2))
+
     def test_section6_passes_at_default_parameters(self, section6_pot):
         cert = CMP.certify_ricci_bound(section6_pot, -1.2, 0.05, samples=2000)
         assert cert.passed

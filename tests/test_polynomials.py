@@ -3,6 +3,7 @@ numeric evaluator along points and Taylor series."""
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,9 +123,17 @@ class TestSympyOracle:
             assert {k: sp.nsimplify(v) for k, v in mine.items()} == expected, deg
 
 
+def _scipy_csr(npoly):
+    """Oracle: the coefficient matrix of a NumericPoly as a ``scipy.sparse``
+    CSR array, built from its three CSR arrays."""
+    from scipy import sparse
+    return sparse.csr_array((npoly.data, npoly.indices, npoly.indptr),
+                            shape=(len(npoly.indptr) - 1, len(npoly.ia)))
+
+
 def _point_values(npoly, Z):
     """Plain point evaluation of a NumericPoly stack at the rows of Z (N, n):
-    the exponent tables, the monomials, then the same sparse coefficient product."""
+    the exponent tables, the monomials, then scipy.sparse's coefficient product."""
     pw = np.empty(Z.shape + (npoly.max_pow + 1,), dtype=complex)
     pw[..., 0] = 1.0
     for d in range(1, npoly.max_pow + 1):
@@ -135,7 +144,7 @@ def _point_values(npoly, Z):
     for i in range(1, npoly.n):
         za *= pw[:, i, npoly.A[:, i]]
         zb *= pw_bar[:, i, npoly.B[:, i]]
-    return (npoly.C @ (za[:, npoly.ia] * zb[:, npoly.ib]).T).T
+    return (_scipy_csr(npoly) @ (za[:, npoly.ia] * zb[:, npoly.ib]).T).T
 
 
 def _dense_values(polys, Z):
@@ -212,7 +221,74 @@ class TestSparseEvaluator:
         npoly = NumericPoly(_field_polys(P.space_form(3, 1, degree=12)))
         assert (len(npoly.A), len(npoly.B)) == (56, 56)
         assert len(npoly.ia) == len(npoly.ib) == 671
-        assert npoly.C.shape == (117, 671) and npoly.C.nnz == 2808
+        assert len(npoly.indptr) - 1 == 117
+        assert len(npoly.indices) == len(npoly.data) == npoly.indptr[-1] == 2808
+
+
+class TestCSRProduct:
+    """``evaluate_many`` contracts the monomials with scipy's compiled CSR
+    kernel, read by path; ``scipy.sparse``'s own product is the oracle."""
+
+    STACKS = [P.section6(Fraction(1, 10), 0), P.space_form(3, 1, degree=12),
+              P.perturbed(2, 0)]
+
+    @pytest.mark.parametrize("L", [1, 3])
+    @pytest.mark.parametrize("imag", [False, True], ids=["real-points", "complex-points"])
+    @pytest.mark.parametrize("pot", STACKS, ids=lambda pot: pot.label)
+    def test_is_scipy_sparse_product_bit_for_bit(self, pot, imag, L):
+        npoly = NumericPoly(_field_polys(pot))
+        rng = np.random.default_rng(13)
+        # 2000 points span two blocks; a single point is scipy's vector product
+        for N in (2000, 1):
+            Z = rng.normal(size=(L, N, pot.n)) * 0.03
+            if imag:
+                Z = Z + 1j * rng.normal(size=Z.shape) * 0.03
+            got = npoly.evaluate_many(Z)
+            mono = npoly._monomials(Z.astype(npoly.result_type(Z)))
+            expected = (_scipy_csr(npoly) @ mono.reshape(L * N, -1).T).T.reshape(L, N, -1)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("pot", STACKS, ids=lambda pot: pot.label)
+    def test_canonical_form(self, pot):
+        """The three arrays are the matrix scipy builds from each polynomial's
+        (row, monomial, coefficient) entries: rows in order, columns sorted."""
+        from scipy import sparse
+        polys = _field_polys(pot)
+        npoly = NumericPoly(polys)
+        column = {(tuple(npoly.A[a]), tuple(npoly.B[b])): m
+                  for m, (a, b) in enumerate(zip(npoly.ia, npoly.ib))}
+        rows, cols, vals = zip(*[(r, column[key], complex(c))
+                                 for r, p in enumerate(polys) for key, c in p.coeffs.items()])
+        vals = np.array(vals)
+        expected = sparse.csr_array((vals.real if not vals.imag.any() else vals, (rows, cols)),
+                                    shape=(len(polys), len(column)))
+        assert npoly.indptr.dtype == npoly.indices.dtype == np.int32
+        assert np.array_equal(npoly.indptr, expected.indptr)
+        assert np.array_equal(npoly.indices, expected.indices)
+        assert npoly.data.dtype == expected.data.dtype
+        assert np.array_equal(npoly.data, expected.data)
+
+
+class TestScipyFiles:
+    def test_kernel_and_tableau_come_from_scipys_files(self):
+        import scipy
+
+        from kahlercomp import geodesic, polynomials
+        root = Path(scipy.__file__).parent
+        assert Path(polynomials._sparsetools.__file__).parent == root / "sparse"
+        assert Path(geodesic.dop.__file__) == root / "integrate" / "_ivp" / "dop853_coefficients.py"
+
+    @pytest.mark.parametrize("relpath", ["sparse/_sparsetools",
+                                         "integrate/_ivp/dop853_coefficients.py"])
+    def test_missing_file_is_an_import_error(self, monkeypatch, tmp_path, relpath):
+        import scipy
+
+        from kahlercomp._scipy_files import load_scipy_file
+        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+        with pytest.raises(ImportError) as info:
+            load_scipy_file(relpath)
+        message = str(info.value)
+        assert str(tmp_path / relpath) in message and scipy.__version__ in message
 
 
 class TestNumericSeries:
@@ -267,8 +343,8 @@ class TestDtypeRule:
         return Z + 1j * rng.normal(size=Z.shape) * 0.03 if imag else Z
 
     def test_coefficient_storage(self):
-        assert NumericPoly(_field_polys(self.REAL)).C.dtype == np.float64
-        assert NumericPoly(_field_polys(self.COMPLEX)).C.dtype == np.complex128
+        assert NumericPoly(_field_polys(self.REAL)).data.dtype == np.float64
+        assert NumericPoly(_field_polys(self.COMPLEX)).data.dtype == np.complex128
 
     @pytest.mark.parametrize("L", [1, 3])
     def test_real_coefficients_at_real_points(self, L):
@@ -306,6 +382,6 @@ class TestDtypeRule:
     def test_real_coefficients_at_complex_points_keep_the_bits(self, L):
         polys = _field_polys(self.REAL)
         real, cplx = NumericPoly(polys), NumericPoly(polys)
-        cplx.C = cplx.C.astype(complex)
+        cplx.data = cplx.data.astype(complex)
         Z = self._points(L, imag=True)
         assert real.evaluate_many(Z).tobytes() == cplx.evaluate_many(Z).tobytes()
