@@ -62,6 +62,11 @@ def _load_potential(args):
 
 
 def _grid(args):
+    if args.r_steps < 1:
+        raise ValueError(f"--r-steps must be at least 1, got {args.r_steps}")
+    if not 0 < args.r_min <= args.r_max:
+        raise ValueError(f"--r-min must satisfy 0 < --r-min <= --r-max, got "
+                         f"--r-min {args.r_min} and --r-max {args.r_max}")
     return np.linspace(args.r_min, args.r_max, args.r_steps)
 
 
@@ -176,6 +181,11 @@ def cmd_check(args) -> int:
         rule = build_rule(pot.n, args.quad_degree)
         grid = _grid(args)
         r_max = float(grid.max())
+        # certify at the check's own radius before the flow integrates, so a
+        # refused certificate costs no rays
+        rho = comparison.RIGIDITY_R_HI if args.which == "rigidity" else r_max
+        cert = comparison.require_certificate(pot, args.K, min(rho, pot.validity_radius),
+                                              seed=args.seed)
         if args.which == "rigidity":
             r_max = max(r_max, comparison.RIGIDITY_FLOW_RADIUS)
         flow = comparison.SphereFlow(pot, np.zeros(pot.n, dtype=complex), r_max,
@@ -184,7 +194,7 @@ def cmd_check(args) -> int:
                            "symmetry": "torus" if torus_reduced(pot, flow.p) else "none"}
         if args.which == "thm3":
             rep = comparison.check_volume_ratio(pot, args.K, r_grid=grid, rule=rule,
-                                                flow=flow, seed=args.seed)
+                                                certificate=cert, flow=flow)
             payload["thm3"] = rep.to_json_dict()
             verdicts.append(rep.verdict)
             if out:
@@ -194,8 +204,8 @@ def cmd_check(args) -> int:
                             for r in rep.rows])
         elif args.which == "thm4":
             rep = comparison.check_average_laplacian(pot, args.K, r_grid=grid,
-                                                     rule=rule, flow=flow,
-                                                     seed=args.seed)
+                                                     rule=rule, certificate=cert,
+                                                     flow=flow)
             payload["thm4"] = rep.to_json_dict()
             verdicts.append(rep.verdict)
             if out:
@@ -205,7 +215,7 @@ def cmd_check(args) -> int:
                             for r in rep.rows])
         elif args.which == "rigidity":
             rep = comparison.rigidity_probe(pot, args.K, rule=rule, flow=flow,
-                                            seed=args.seed)
+                                            certificate=cert)
             payload["rigidity"] = rep.to_json_dict()
             verdicts.append("holds")
             if out:

@@ -36,6 +36,7 @@ __all__ = [
     "DeviationReport",
     "SphereFlow",
     "certify_ricci_bound",
+    "require_certificate",
     "find_lambda",
     "check_volume_ratio",
     "check_average_laplacian",
@@ -367,7 +368,9 @@ class SphereFlow:
         return self.rays.quality(self.r_max if r is None else r)
 
 
-def _require_certificate(pot, K, rho, certificate, seed=0):
+def require_certificate(pot, K, rho, certificate=None, seed=0):
+    """The given certificate, or ``certify_ricci_bound(pot, K, rho, seed=seed)``;
+    a ``ValueError`` when it does not pass."""
     if certificate is None:
         certificate = certify_ricci_bound(pot, K, rho, seed=seed)
     if not certificate.passed:
@@ -393,7 +396,7 @@ def check_volume_ratio(pot: RealAnalyticPotential, K, p=None, r_grid=None,
     if r_grid.size < 2:
         raise ValueError("volume-ratio check needs at least two radii")
     b_max = float(r_grid.max())
-    certificate = _require_certificate(pot, K, min(b_max, pot.validity_radius), certificate, seed)
+    certificate = require_certificate(pot, K, min(b_max, pot.validity_radius), certificate, seed)
     if flow is None:
         flow = SphereFlow(pot, p, b_max, rule=rule, tol=tol_ode)
     model = model_space.ModelSpace(pot.n, float(K))
@@ -426,7 +429,7 @@ def check_average_laplacian(pot: RealAnalyticPotential, K, p=None, r_grid=None,
         r_grid = np.linspace(0.005, 0.04, 8)
     r_grid = np.asarray(r_grid, dtype=float)
     b_max = float(r_grid.max())
-    certificate = _require_certificate(pot, K, min(b_max, pot.validity_radius), certificate, seed)
+    certificate = require_certificate(pot, K, min(b_max, pot.validity_radius), certificate, seed)
     if flow is None:
         flow = SphereFlow(pot, p, b_max, rule=rule, tol=tol_ode)
     model = model_space.ModelSpace(pot.n, float(K))
@@ -663,7 +666,7 @@ def rigidity_probe(pot: RealAnalyticPotential, K, p=None, order=6, rule=None,
     detected through this order", never an isometry claim.
     """
     p = np.zeros(pot.n, dtype=complex) if p is None else np.asarray(p, dtype=complex)
-    certificate = _require_certificate(pot, K, min(RIGIDITY_R_HI, pot.validity_radius),
+    certificate = require_certificate(pot, K, min(RIGIDITY_R_HI, pot.validity_radius),
                                        certificate, seed)
     if flow is None:
         flow = SphereFlow(pot, p, RIGIDITY_FLOW_RADIUS, rule=rule, tol=tol_ode)

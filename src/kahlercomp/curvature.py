@@ -190,9 +190,12 @@ def frame_curvature_matrix(RH, frame) -> np.ndarray:
 class CurvatureWorkspace:
     """Exact metric derivatives of a potential plus their numeric evaluators.
 
-    ``g``, ``dg`` and ``d2g`` are exact; ``field_values`` evaluates them as one
-    stack along a Taylor series (a point is a length-1 series), and the
-    curvature and Ricci values are computed from those numbers
+    ``g``, ``dg`` and ``d2g`` are exact.  Mixed partials commute, so of the
+    n^3 entries of ``dg`` only n^2 (n+1)/2 are distinct, and of the n^4 of
+    ``d2g`` only (n (n+1)/2)^2; the others are the same ``CPoly`` objects, and
+    the numeric stack stores each distinct one once.  ``field_values``
+    evaluates them as one stack along a Taylor series (a point is a length-1
+    series), and the curvature and Ricci values are computed from those numbers
     (``connection_and_curvature``), the same path the geodesic right-hand
     side and the curvature jets run.  The exact determinant, log-determinant
     and Ricci series (``det_g``, ``log_det``, ``ric``, truncated at degree
@@ -208,10 +211,21 @@ class CurvatureWorkspace:
         f = pot.poly
         df = [f.dz(i) for i in range(n)]
         self.g = [[df[i].dzbar(j) for j in range(n)] for i in range(n)]
-        self.dg = [[[self.g[i][j].dz(k) for j in range(n)] for i in range(n)]
-                   for k in range(n)]  # dg[k][i][j] = d_k g_ij
-        self.d2g = [[[[self.dg[k][i][j].dzbar(l) for j in range(n)] for i in range(n)]
-                     for l in range(n)] for k in range(n)]  # d2g[k][l][i][j]
+        # dg[k][i][j] = d_k g_ij and d2g[k][l][i][j] = d_k dbar_l g_ij, derived
+        # for k <= i and l <= j only: mixed partials commute, so the entry with
+        # k and i (or l and j) swapped is the same object
+        self.dg = [[[None] * n for _ in range(n)] for _ in range(n)]
+        self.d2g = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        for k in range(n):
+            for i in range(k, n):
+                for j in range(n):
+                    self.dg[k][i][j] = self.dg[i][k][j] = self.g[i][j].dz(k)
+        for k in range(n):
+            for i in range(k, n):
+                for l in range(n):
+                    for j in range(l, n):
+                        self.d2g[k][l][i][j] = self.d2g[i][l][k][j] = self.d2g[k][j][i][l] = \
+                            self.d2g[i][j][k][l] = self.dg[k][i][j].dzbar(l)
 
         flat_g = [self.g[i][j] for i in range(n) for j in range(n)]
         flat_dg = [self.dg[k][i][j] for k in range(n) for i in range(n) for j in range(n)]

@@ -5,11 +5,12 @@ algebraic step (products, determinants, truncated log series, derivatives) is
 exact.  Floating point enters only when a polynomial is evaluated at a point,
 or along the Taylor series of a curve; ``NumericPoly`` is the one numeric
 evaluator for both.  It factors each monomial into a holomorphic and an
-antiholomorphic part, evaluates the few distinct parts once per point, and
-contracts the monomials with a sparse (CSR) coefficient matrix: no dense
-linear algebra, so no threaded BLAS call.  The CSR product is scipy's compiled
-``csr_matvecs``, read from ``scipy/sparse/_sparsetools`` by path, without the
-``scipy.sparse`` package.
+antiholomorphic part, evaluates the few distinct parts once per point (at
+real points, where conj(z) = z, each distinct x^(a+b) once), and contracts
+the monomials with a sparse (CSR) coefficient matrix holding each distinct
+polynomial once: no dense linear algebra, so no threaded BLAS call.  The CSR
+product is scipy's compiled ``csr_matvecs``, read from
+``scipy/sparse/_sparsetools`` by path, without the ``scipy.sparse`` package.
 """
 
 from __future__ import annotations
@@ -329,40 +330,53 @@ def cauchy_product(op, a, b, out=None):
 class NumericPoly:
     """Float-coefficient view of a stack of ``CPoly`` sharing one monomial basis.
 
-    The basis is factored: the distinct holomorphic exponent tuples ``A``
-    (na, n) and antiholomorphic ones ``B`` (nb, n) are tabulated once, and
-    monomial m is z^A[ia[m]] conj(z)^B[ib[m]].  The coefficients are a CSR
-    matrix (polys x monomials) in scipy's canonical form, held as its three
-    arrays ``indptr``, ``indices`` (int32; rows in order, columns sorted
-    within each row) and ``data``; the stacks of a curvature workspace store
-    only a few percent of its entries.  The product is scipy's
-    ``csr_matvecs`` on these arrays, the kernel that ``csr_array @ X`` calls,
-    so it accumulates in the same order and gives the same bits.  A single
-    polynomial is a stack of one and a single point a batch of one.  Points
-    are evaluated in blocks of ``BLOCK`` rows, so the temporaries of a large
-    batch stay bounded.
+    Each distinct polynomial is stored once: entries of the stack that are the
+    same ``CPoly`` object (the symmetric mixed partials of a curvature
+    workspace) share one coefficient row, and ``rows`` maps every entry to
+    its row, so the output is expanded with one gather.  The basis is
+    factored: the distinct holomorphic exponent tuples ``A`` (na, n) and
+    antiholomorphic ones ``B`` (nb, n) are tabulated once, and monomial m is
+    z^A[ia[m]] conj(z)^B[ib[m]].  The coefficients are a CSR matrix (rows x
+    monomials) in scipy's canonical form, held as its three arrays
+    ``indptr``, ``indices`` (int32; rows in order, columns sorted within each
+    row) and ``data``; the stacks of a curvature workspace store only a few
+    percent of its entries.  The product is scipy's ``csr_matvecs`` on these
+    arrays, the kernel that ``csr_array @ X`` calls, so it accumulates in the
+    same order and gives the same bits; the monomials are formed as its rows
+    (monomials x points), the layout it reads.  A single polynomial is a
+    stack of one and a single point a batch of one.  Points are evaluated in
+    blocks of ``BLOCK`` rows, so the temporaries of a large batch stay
+    bounded.
 
     The evaluation is dtype-generic with one code path.  ``data`` is float64
     when every coefficient is real (as for every torus-invariant stack: its
     coefficients c_aa are real and the derivative factors are integers),
     complex128 otherwise.  Real floating points with real coefficients are
-    evaluated in float64 throughout (power tables, monomials, the CSR
-    product); every other input is evaluated in complex128, integer points
-    included.  Real coefficients at complex points give the same bits as
-    complex ones, because the CSR kernel casts them to complex before it
-    multiplies.
+    evaluated in float64 throughout, on the folded stack (``_real_view``):
+    there conj(z) = z, so z^a conj(z)^b = x^(a+b), and the monomials that
+    merge have their exact coefficients summed and rounded once.  Every other
+    input is evaluated in complex128, integer points included.  Real
+    coefficients at complex points give the same bits as complex ones,
+    because the CSR kernel casts them to complex before it multiplies.
     """
 
-    __slots__ = ("n", "A", "B", "ia", "ib", "indptr", "indices", "data", "max_pow")
+    __slots__ = ("n", "A", "B", "ia", "ib", "indptr", "indices", "data", "max_pow", "rows",
+                 "antiholomorphic", "_polys", "_real")
 
-    BLOCK = 1024
+    BLOCK = 512
 
     def __init__(self, polys):
         polys = list(polys)
         n = polys[0].n
+        first = {}
+        for p in polys:
+            first.setdefault(id(p), (len(first), p))
+        self.rows = np.array([first[id(p)][0] for p in polys], dtype=np.intp)
+        self._polys = [p for _, p in first.values()]
+        self._real = None
         holo, anti, index = {}, {}, {}
         rows, cols, vals = [], [], []
-        for r, p in enumerate(polys):
+        for r, p in enumerate(self._polys):
             for (a, b), c in p.sorted_terms():
                 key = (holo.setdefault(a, len(holo)), anti.setdefault(b, len(anti)))
                 rows.append(r)
@@ -373,14 +387,33 @@ class NumericPoly:
         self.B = np.array(list(anti), dtype=np.int64).reshape(len(anti), n)
         self.ia, self.ib = np.array(list(index), dtype=np.int64).reshape(-1, 2).T
         self.max_pow = int(max(self.A.max(initial=0), self.B.max(initial=0)))
+        self.antiholomorphic = bool(self.B.any())
         vals = np.array(vals, dtype=complex)
         if not vals.imag.any():
             vals = vals.real
         rows, cols = np.array(rows, dtype=np.int32), np.array(cols, dtype=np.int32)
         order = np.lexsort((cols, rows))
-        self.indptr = np.zeros(len(polys) + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=len(polys)), out=self.indptr[1:])
+        self.indptr = np.zeros(len(self._polys) + 1, dtype=np.int32)
+        np.cumsum(np.bincount(rows, minlength=len(self._polys)), out=self.indptr[1:])
         self.indices, self.data = cols[order], vals[order]
+
+    def _real_view(self) -> "NumericPoly":
+        """The distinct rows at real points x, where z = conj(z) = x: each
+        monomial z^a conj(z)^b is x^(a+b), its exact coefficient summed with
+        those of the monomials it merges with and rounded once.  Built on first
+        use; a stack with no antiholomorphic exponent is its own view."""
+        if not self.antiholomorphic:
+            return self
+        if self._real is None:
+            zero = (0,) * self.n
+            folded = []
+            for p in self._polys:
+                q = CPoly(self.n)
+                for (a, b), c in p.coeffs.items():
+                    q._accumulate((tuple(x + y for x, y in zip(a, b)), zero), c)
+                folded.append(q)
+            self._real = NumericPoly(folded)
+        return self._real
 
     def result_type(self, Z):
         """``float`` for real floating points and real coefficients, else ``complex``."""
@@ -394,33 +427,44 @@ class NumericPoly:
         Z = np.asarray(Z)
         dtype = self.result_type(Z)
         Z = Z.astype(dtype, copy=False)
+        stack = self._real_view() if dtype is float else self
         L, N = Z.shape[:2]
-        polys, monos = len(self.indptr) - 1, len(self.ia)
-        out = np.empty((L, N, polys), dtype=dtype)
-        for lo in range(0, N, self.BLOCK):
-            mono = self._monomials(Z[:, lo:lo + self.BLOCK])
-            cols = L * mono.shape[1]
-            prod = np.zeros((polys, cols), dtype=dtype)
-            _sparsetools.csr_matvecs(polys, monos, cols, self.indptr, self.indices, self.data,
-                                     mono.reshape(cols, monos).T.ravel(), prod.ravel())
-            out[:, lo:lo + mono.shape[1]] = prod.T.reshape(L, -1, polys)
-        return out
+        distinct, monos = len(stack.indptr) - 1, len(stack.ia)
+        out = []
+        # one block at least, so that no points give an empty (L, 0, polys) result
+        for lo in range(0, max(N, 1), self.BLOCK):
+            mono = stack._monomials(Z[:, lo:lo + self.BLOCK])
+            cols = mono.shape[2]
+            prod = np.zeros((L, distinct, cols), dtype=dtype)
+            for k in range(L):
+                _sparsetools.csr_matvecs(distinct, monos, cols, stack.indptr, stack.indices,
+                                         stack.data, mono[k].ravel(), prod[k].ravel())
+            out.append(prod.transpose(0, 2, 1)[..., self.rows])
+        return out[0] if len(out) == 1 else np.concatenate(out, axis=1)
 
     def _monomials(self, Z) -> np.ndarray:
-        """(L, N, monomials) Taylor series of the basis monomials along the
+        """(L, monomials, N) Taylor series of the basis monomials along the
         (L, N, n) series ``Z``, in its dtype (float64 or complex128)."""
-        pw = np.empty(Z.shape + (self.max_pow + 1,), dtype=Z.dtype)
-        pw[..., 0] = 0.0
-        pw[0, ..., 0] = 1.0
+        L, N, n = Z.shape
+        pw = np.empty((L, n, self.max_pow + 1, N), dtype=Z.dtype)
+        pw[:, :, 0] = 0.0
+        pw[0, :, 0] = 1.0
+        Zt = Z.transpose(0, 2, 1)
         for d in range(1, self.max_pow + 1):
-            pw[..., d] = cauchy_product(np.multiply, pw[..., d - 1], Z)
-        pw_bar = pw.conj() if Z.dtype.kind == "c" else pw
-        # the exponent tables, one variable at a time, then each monomial
-        # as one product of its holomorphic and antiholomorphic factors
-        za = pw[:, :, 0, self.A[:, 0]]
-        zb = pw_bar[:, :, 0, self.B[:, 0]]
-        for i in range(1, self.n):
-            cauchy_product(np.multiply, za, pw[:, :, i, self.A[:, i]], out=za)
-            cauchy_product(np.multiply, zb, pw_bar[:, :, i, self.B[:, i]], out=zb)
-        mono = za[..., self.ia]
-        return cauchy_product(np.multiply, mono, zb[..., self.ib], out=mono)
+            pw[:, :, d] = cauchy_product(np.multiply, pw[:, :, d - 1], Zt)
+        # each monomial as one product of its holomorphic and (unless the stack
+        # has none, as a real view) antiholomorphic factor
+        mono = _exponent_table(pw, self.A)[:, self.ia]
+        if self.antiholomorphic:
+            cauchy_product(np.multiply, mono, _exponent_table(pw.conj(), self.B)[:, self.ib],
+                           out=mono)
+        return mono
+
+
+def _exponent_table(pw, E):
+    """(L, len(E), N) series of the monomials z^E[m], one variable at a time,
+    from the power table ``pw`` (L, n, powers, N)."""
+    table = pw[:, 0, E[:, 0]]
+    for i in range(1, E.shape[1]):
+        cauchy_product(np.multiply, table, pw[:, i, E[:, i]], out=table)
+    return table

@@ -109,6 +109,19 @@ class TestCheckCommand:
         assert r.returncode == 1
         assert "refused" in r.stderr
 
+    @pytest.mark.parametrize("which", ["thm3", "thm4", "rigidity"])
+    def test_refused_certificate_integrates_no_flow(self, monkeypatch, capsys, which):
+        from kahlercomp import comparison
+
+        def no_flow(*args, **kwargs):
+            raise AssertionError("SphereFlow built before the certificate was checked")
+
+        monkeypatch.setattr(comparison, "SphereFlow", no_flow)
+        status = cli.main(["check", "--which", which, "--catalog", "flat", "--params", "n=2",
+                           "--K", "0.5", "--quad-degree", "4", "--r-steps", "3"])
+        assert status == 1
+        assert "Ricci bound certificate refused" in capsys.readouterr().err
+
     def test_counterexample_run(self, tmp_path):
         blocks = []
         for name in ("cx1", "cx2"):
@@ -206,6 +219,25 @@ class TestUsageErrors:
     def test_malformed_params(self):
         r = run_cli("series", "--catalog", "flat", "--params", "n")
         assert r.returncode == 1
+
+    @pytest.mark.parametrize("which", ["thm3", "thm4"])
+    @pytest.mark.parametrize("grid, flag", [
+        (["--r-steps", "0"], "--r-steps"),
+        (["--r-steps", "-2"], "--r-steps"),
+        (["--r-min", "0"], "--r-min"),
+        (["--r-min", "-0.01"], "--r-min"),
+        (["--r-min", "0.05", "--r-max", "0.01"], "--r-max"),
+    ])
+    def test_bad_radius_grid(self, capsys, which, grid, flag):
+        status = cli.main(["check", "--which", which, "--catalog", "flat", "--params", "n=2",
+                           "--K", "0", "--quad-degree", "4", *grid])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+
+    def test_bad_model_grid(self, capsys):
+        assert cli.main(["model", "--n", "2", "--K", "0", "--r-steps", "0"]) == 1
+        assert "--r-steps" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, missing", [
         (["check", "--which", "thm3", "--catalog", "section6", "--K", "-1.2"], "'a'"),

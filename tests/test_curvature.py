@@ -437,3 +437,25 @@ class TestWorkspaceCache:
         monkeypatch.setattr(C, "CurvatureWorkspace", counting)
         CMP.verify_counterexample(a=0.1, lam=0.5)
         assert len(built) == len(set(built)) == 3
+
+
+class TestSymmetricPartials:
+    """The workspace derives d_k g_ij for k <= i and d_k dbar_l g_ij for
+    k <= i, l <= j only; every other entry is the same object, and equals the
+    derivative it stands for."""
+
+    @pytest.mark.parametrize("pot", [P.section6(Fraction(1, 10), 0), P.perturbed(2, 0),
+                                     P.space_form(3, 1, degree=12), P.perturbed(3, 0)],
+                             ids=lambda pot: pot.label)
+    def test_aliases_are_the_derivatives(self, pot):
+        ws = C.workspace(pot)
+        n = pot.n
+        idx = [(k, i, j) for k in range(n) for i in range(n) for j in range(n)]
+        for k, i, j in idx:
+            assert ws.dg[k][i][j] == ws.g[i][j].dz(k)
+            for l in range(n):
+                assert ws.d2g[k][l][i][j] == ws.dg[k][i][j].dzbar(l)
+        d1 = {id(ws.dg[k][i][j]) for k, i, j in idx}
+        d2 = {id(ws.d2g[k][l][i][j]) for k, i, j in idx for l in range(n)}
+        assert len(d1) == n * n * (n + 1) // 2
+        assert len(d2) == (n * (n + 1) // 2) ** 2

@@ -124,8 +124,9 @@ class TestSympyOracle:
 
 
 def _scipy_csr(npoly):
-    """Oracle: the coefficient matrix of a NumericPoly as a ``scipy.sparse``
-    CSR array, built from its three CSR arrays."""
+    """Oracle: the coefficient matrix of a NumericPoly (one row per distinct
+    polynomial) as a ``scipy.sparse`` CSR array, built from its three CSR
+    arrays."""
     from scipy import sparse
     return sparse.csr_array((npoly.data, npoly.indices, npoly.indptr),
                             shape=(len(npoly.indptr) - 1, len(npoly.ia)))
@@ -133,7 +134,8 @@ def _scipy_csr(npoly):
 
 def _point_values(npoly, Z):
     """Plain point evaluation of a NumericPoly stack at the rows of Z (N, n):
-    the exponent tables, the monomials, then scipy.sparse's coefficient product."""
+    the exponent tables, the monomials, scipy.sparse's coefficient product,
+    then each entry of the stack read from its row."""
     pw = np.empty(Z.shape + (npoly.max_pow + 1,), dtype=complex)
     pw[..., 0] = 1.0
     for d in range(1, npoly.max_pow + 1):
@@ -144,7 +146,7 @@ def _point_values(npoly, Z):
     for i in range(1, npoly.n):
         za *= pw[:, i, npoly.A[:, i]]
         zb *= pw_bar[:, i, npoly.B[:, i]]
-    return (_scipy_csr(npoly) @ (za[:, npoly.ia] * zb[:, npoly.ib]).T).T
+    return (_scipy_csr(npoly) @ (za[:, npoly.ia] * zb[:, npoly.ib]).T).T[:, npoly.rows]
 
 
 def _dense_values(polys, Z):
@@ -217,17 +219,28 @@ class TestSparseEvaluator:
         err = np.abs(got - dense).max(axis=(0, 1))
         assert np.all(err <= 1e-14 * np.abs(dense).max(axis=(0, 1)))
 
-    def test_space_form_3_field_stack_counts(self):
-        npoly = NumericPoly(_field_polys(P.space_form(3, 1, degree=12)))
-        assert (len(npoly.A), len(npoly.B)) == (56, 56)
-        assert len(npoly.ia) == len(npoly.ib) == 671
-        assert len(npoly.indptr) - 1 == 117
-        assert len(npoly.indices) == len(npoly.data) == npoly.indptr[-1] == 2808
+    @pytest.mark.parametrize("pot, tables, entries, rows, nnz, columns, real_columns", [
+        (P.space_form(3, 1, degree=12), (56, 56), 117, 63, 1563, 671, 286),
+        (P.section6(Fraction(1, 10), 0), (6, 6), 28, 19, 45, 20, 15),
+    ], ids=["space_form(3, 1, degree=12)", "section6(0.1, 0)"])
+    def test_field_stack_counts(self, pot, tables, entries, rows, nnz, columns, real_columns):
+        """Work counts of the field stack: one row per distinct polynomial, and
+        at real points one column per distinct x^(a+b)."""
+        npoly = NumericPoly(_field_polys(pot))
+        assert (len(npoly.A), len(npoly.B)) == tables
+        assert len(npoly.rows) == entries
+        assert len(npoly.ia) == len(npoly.ib) == columns
+        assert len(npoly.indptr) - 1 == rows
+        assert len(npoly.indices) == len(npoly.data) == npoly.indptr[-1] == nnz
+        real = npoly._real_view()
+        assert len(real.ia) == len(real.A) == real_columns and not real.B.any()
+        assert len(real.indptr) - 1 == rows
 
 
 class TestCSRProduct:
     """``evaluate_many`` contracts the monomials with scipy's compiled CSR
-    kernel, read by path; ``scipy.sparse``'s own product is the oracle."""
+    kernel, read by path; ``scipy.sparse``'s own product is the oracle, on the
+    folded arrays of ``_real_view`` at real points with real coefficients."""
 
     STACKS = [P.section6(Fraction(1, 10), 0), P.space_form(3, 1, degree=12),
               P.perturbed(2, 0)]
@@ -244,8 +257,11 @@ class TestCSRProduct:
             if imag:
                 Z = Z + 1j * rng.normal(size=Z.shape) * 0.03
             got = npoly.evaluate_many(Z)
-            mono = npoly._monomials(Z.astype(npoly.result_type(Z)))
-            expected = (_scipy_csr(npoly) @ mono.reshape(L * N, -1).T).T.reshape(L, N, -1)
+            dtype = npoly.result_type(Z)
+            stack = npoly._real_view() if dtype is float else npoly
+            mono = stack._monomials(Z.astype(dtype))
+            expected = np.stack([_scipy_csr(stack) @ m for m in mono])
+            expected = expected[:, npoly.rows].transpose(0, 2, 1)
             assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
     @pytest.mark.parametrize("pot", STACKS, ids=lambda pot: pot.label)
@@ -253,8 +269,9 @@ class TestCSRProduct:
         """The three arrays are the matrix scipy builds from each polynomial's
         (row, monomial, coefficient) entries: rows in order, columns sorted."""
         from scipy import sparse
-        polys = _field_polys(pot)
-        npoly = NumericPoly(polys)
+        npoly = NumericPoly(_field_polys(pot))
+        # the distinct polynomials, in the order of their rows
+        polys = [_field_polys(pot)[i] for i in np.unique(npoly.rows, return_index=True)[1]]
         column = {(tuple(npoly.A[a]), tuple(npoly.B[b])): m
                   for m, (a, b) in enumerate(zip(npoly.ia, npoly.ib))}
         rows, cols, vals = zip(*[(r, column[key], complex(c))
@@ -348,12 +365,41 @@ class TestDtypeRule:
 
     @pytest.mark.parametrize("L", [1, 3])
     def test_real_coefficients_at_real_points(self, L):
-        npoly = NumericPoly(_field_polys(self.REAL))
-        X = self._points(L, imag=False)
+        """Oracle: exact ``Fraction`` evaluation of each polynomial along the
+        series at dyadic real points, where conj(x) = x.  Each value is within
+        (d L + k + 1) eps of the sum of |c| |x^e| of its row: one rounding per
+        coefficient, per factor of a degree-d monomial along a length-L series
+        and per term of a k-term sum."""
+        polys = _field_polys(self.REAL)
+        npoly = NumericPoly(polys)
+        X = np.ldexp(np.round(np.ldexp(self._points(L, imag=False)[:, :64], 20)), -20)
         got = npoly.evaluate_many(X)
-        ref = npoly.evaluate_many(X.astype(complex))
-        assert got.dtype == np.float64 and ref.dtype == np.complex128
-        assert np.array_equal(got, ref.real) and not ref.imag.any()
+        assert got.dtype == np.float64
+
+        def series_mul(a, b):
+            return [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(L)]
+
+        def series_value(p, x, majorant):
+            """p along the series x, or with |c| and |x| the sum of |c| |x^e|."""
+            total = [Fraction(0)] * L
+            for (a, b), c in p.coeffs.items():
+                term = [abs(c.re) if majorant else c.re] + [Fraction(0)] * (L - 1)
+                for i, e in enumerate(map(sum, zip(a, b))):
+                    for _ in range(e):
+                        term = series_mul(term, x[i])
+                total = [s + t for s, t in zip(total, term)]
+            return total
+
+        for m in range(X.shape[1]):
+            xs = [[Fraction(float(v)) for v in X[:, m, i]] for i in range(2)]
+            xs_abs = [[abs(v) for v in x] for x in xs]
+            for r, p in enumerate(polys):
+                exact = series_value(p, xs, majorant=False)
+                bound = series_value(p, xs_abs, majorant=True)
+                ops = p.total_degree() * L + len(p.coeffs) + 1
+                for k in range(L):
+                    assert abs(Fraction(float(got[k, m, r])) - exact[k]) \
+                        <= ops * Fraction(np.finfo(float).eps) * bound[k], (m, r, k)
 
     @pytest.mark.parametrize("L", [1, 3])
     def test_complex_coefficients_at_real_points(self, L):
