@@ -5,12 +5,10 @@ from .potential import (RealAnalyticPotential, Monomial, flat, space_form, secti
 from .curvature import (HermitianMetric, CurvatureTensor, RealFrameCurvature,
                         CurvatureJets, metric_at, curvature_at, ricci_at, scalar_at,
                         real_frame_components, curvature_jets_along)
-from .geodesic import (GeodesicBatch, GeodesicRay, JacobiSystemState, RadialDensity, shoot,
-                       jacobi_integrate, radial_density)
+from .geodesic import GeodesicBatch, GeodesicRay, RadialDensity, shoot
 from .model_space import ModelSpace, density, laplacian, sphere_area, ball_volume, model_series
 from .series import (SeriesExpansion, JacobiCoefficients, jacobi_recursion,
-                     density_series, c4_sphere_average, fit_w_series,
-                     kahler_r11_identity_check)
+                     density_series, fit_w_series, kahler_r11_identity_check)
 from .sphere import SphereRule, build_rule, sphere_average, unit_sphere_volume
 from .comparison import (RicciBoundCertificate, ComparisonReport, certify_ricci_bound,
                          find_lambda, check_volume_ratio, check_average_laplacian,

@@ -290,27 +290,25 @@ def certify_ricci_bound(pot: RealAnalyticPotential, K, rho, samples=10000,
     return certificate(min_eig, min_eig >= -CERT_TOL, idx)
 
 
-def find_lambda(a, rho, samples=LAMBDA_SAMPLES, seed=0, with_trace=False):
+def find_lambda(a, rho, samples=LAMBDA_SAMPLES, seed=0):
     """Smallest stabilizer weight making Ric >= -12a hold on the rho-ball.
 
     Doubling search for a passing value, then bisection to 1 percent relative
-    width; returns the passing endpoint (0.0 when no stabilizer is needed),
-    with ``with_trace`` also the steps (lambda, min_eigenvalue, passed).
+    width; returns the passing endpoint (0.0 when no stabilizer is needed)
+    and the steps (lambda, min_eigenvalue, passed).
     """
     if a == 0:
-        lam = 0.0
-        trace = [(0.0, 0.0, True)]
-        return (lam, trace) if with_trace else lam
+        return 0.0, [(0.0, 0.0, True)]
     K = -12.0 * float(a)
-    trace = []
+    steps = []
 
     def passes(lam):
         cert = certify_ricci_bound(section6(a, lam), K, rho, samples=samples, seed=seed)
-        trace.append((float(lam), cert.min_eigenvalue, cert.passed))
+        steps.append((float(lam), cert.min_eigenvalue, cert.passed))
         return cert.passed
 
     if passes(0.0):
-        return (0.0, trace) if with_trace else 0.0
+        return 0.0, steps
     lo, hi = 0.0, 1e-3
     while not passes(hi):
         lo, hi = hi, hi * 2.0
@@ -322,7 +320,7 @@ def find_lambda(a, rho, samples=LAMBDA_SAMPLES, seed=0, with_trace=False):
             hi = mid
         else:
             lo = mid
-    return (hi, trace) if with_trace else hi
+    return hi, steps
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +528,7 @@ def verify_counterexample(a=0.1, lam=None, rho=0.05, r_grid=None, tol_ode=1e-12,
     a_frac = Fraction(a)
     search = None
     if lam is None:
-        lam, steps = find_lambda(a, rho, seed=seed, with_trace=True)
+        lam, steps = find_lambda(a, rho, seed=seed)
         search = {"rho": float(rho), "samples": LAMBDA_SAMPLES, "seed": seed,
                   "steps": [list(step) for step in steps]}
     report = CounterexampleReport(a=float(a), lam=float(lam), lambda_search=search)
@@ -574,7 +572,7 @@ def verify_counterexample(a=0.1, lam=None, rho=0.05, r_grid=None, tol_ode=1e-12,
     # stage iii: curvature at the origin in the frame of e0 = d/dx1
     origin = np.zeros(2, dtype=complex)
     tensor = curv.curvature_at(pot, origin)
-    rf = curv.real_frame_components(tensor, np.array([1.0, 0, 0, 0]), pot=pot)
+    rf = curv.real_frame_components(tensor, np.array([1.0, 0, 0, 0]), pot)
     target = np.diag([4 * a, 4 * a, 4 * a]).astype(float)
     dev = float(np.max(np.abs(rf.R_uv - target)))
     report.stages["origin_curvature"] = {"passed": dev < 1e-10, "max_deviation": dev,
@@ -582,7 +580,7 @@ def verify_counterexample(a=0.1, lam=None, rho=0.05, r_grid=None, tol_ode=1e-12,
 
     # stage iv: per-direction r^4 coefficient along e0 exceeds the model's
     jets = curv.curvature_jets_along(pot, origin, np.array([1.0, 0, 0, 0]), order=2)
-    _, _, c4_dir = series.direct_low_order_coefficients(jets.R[0], jets.R[1], jets.R[2])
+    c4_dir = series.density_series(series.jacobi_recursion(jets, 5), 4)[4]
     c4_model = model_space.model_series(model, 4)[4] / unit_sphere_volume(2)
     margin4 = c4_dir - c4_model
     report.stages["r4_coefficient"] = {

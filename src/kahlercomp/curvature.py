@@ -232,7 +232,6 @@ class CurvatureWorkspace:
         flat_d2g = [self.d2g[k][l][i][j]
                     for k in range(n) for l in range(n) for i in range(n) for j in range(n)]
         self._field_eval = NumericPoly(flat_g + flat_dg + flat_d2g)
-        self._metric_eval = NumericPoly(flat_g)
 
     # -- exact series, built on first read ------------------------------------
     @cached_property
@@ -277,11 +276,8 @@ class CurvatureWorkspace:
 
     def metric_values(self, z):
         """Metric matrix at one point (n,) or at a batch (..., n), with the
-        dtype rule of ``field_values``."""
-        n = self.n
-        z = np.asarray(z)
-        vals = self._metric_eval.evaluate_many(z.reshape(1, -1, n))[0]
-        return vals.reshape(z.shape[:-1] + (n, n))
+        dtype rule of ``field_values``: the g rows of its stack."""
+        return self.field_values(np.asarray(z)[None])[0][0]
 
     def ricci_values(self, z):
         """(G, Ric) at one point (n,) or at a batch (..., n).
@@ -495,17 +491,10 @@ def normalize_direction(G, e0) -> np.ndarray:
 
 
 def real_frame_components(tensor: CurvatureTensor, e0,
-                          pot: RealAnalyticPotential | None = None,
-                          G: np.ndarray | None = None) -> RealFrameCurvature:
-    """R_uv matrix of <R(e0,e_u)e0,e_v> in a J-adapted orthonormal frame at the point.
-
-    Accepts either the potential (metric recomputed at the tensor's point) or
-    an explicit metric matrix.
-    """
-    if G is None:
-        if pot is None:
-            raise ValueError("need the potential or an explicit metric matrix")
-        G = workspace(pot).metric_values(tensor.point)
+                          pot: RealAnalyticPotential) -> RealFrameCurvature:
+    """R_uv matrix of <R(e0,e_u)e0,e_v> in a J-adapted orthonormal frame at the
+    tensor's point, with the metric of ``pot`` there."""
+    G = workspace(pot).metric_values(tensor.point)
     xi0 = normalize_direction(G, e0)
     frame_c = complete_frame(G, xi0)
     R_uv = frame_curvature_matrix(tensor.components[None], frame_c[None])[0]

@@ -19,11 +19,13 @@ is below one, so each ray meets the tolerance it would meet integrated alone.
 
 Ball volumes integrate |det J| by Gauss-Legendre, exact with ceil((7(2n-1)+1)/2)
 nodes on each step's degree-7 dense output; each ray keeps its running volume.
+
+Every reading of the dense output (densities, frame curvature, drifts) is a
+batch method over the rays it is asked for; a ``GeodesicRay`` reads its own row.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,13 +38,10 @@ from .sphere import _gauss01
 __all__ = [
     "GeodesicBatch",
     "GeodesicRay",
-    "JacobiSystemState",
     "RadialDensity",
     "ConjugatePointError",
     "IntegrationStalledError",
     "shoot",
-    "jacobi_integrate",
-    "radial_density",
 ]
 
 
@@ -61,13 +60,6 @@ class ConjugatePointError(ValueError):
 
 class IntegrationStalledError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class JacobiSystemState:
-    r: float
-    J: np.ndarray
-    J_prime: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -142,16 +134,6 @@ def _conjugate_error(ray, r):
     cp = ray.conjugate_point()
     bracket = (0.0, r) if cp is None else (cp * (1 - 1e-10), cp * (1 + 1e-10))
     return ConjugatePointError(f"conjugate point reached before r = {r}", bracket=bracket)
-
-
-def _drifts(ws, z, full, J, Jp):
-    """Unit-speed, frame-orthonormality and Wronskian drifts of one state or a batch."""
-    G = ws.metric_values(z)
-    gram = 2.0 * (full @ G @ np.swapaxes(full.conj(), -1, -2)).real
-    speed = np.abs(gram[..., 0, 0] - 1.0)
-    frame = np.abs(gram - np.eye(gram.shape[-1])).max(axis=(-2, -1))
-    W = np.swapaxes(Jp, -1, -2) @ J - np.swapaxes(J, -1, -2) @ Jp
-    return speed, frame, np.abs(W).max(axis=(-2, -1))
 
 
 class GeodesicBatch:
@@ -338,10 +320,13 @@ class GeodesicBatch:
         self._ts = np.array(ts)
 
     # -- dense access ---------------------------------------------------------
+    def _rows(self, rows):
+        return np.arange(len(self)) if rows is None else np.atleast_1d(rows)
+
     def _states(self, r, rows=None, volume=False):
         """Packed states at r for the given ray indices (all rays by default),
         or with ``volume`` each ray's integral of |det J| over [0, r]."""
-        rows = np.arange(len(self)) if rows is None else np.atleast_1d(rows)
+        rows = self._rows(rows)
         limit = self.r_max[rows]
         outside = (r < -1e-15) | (r > limit * (1 + 1e-12))
         if np.any(outside):
@@ -370,36 +355,49 @@ class GeodesicBatch:
             raise ValueError("volume needs r > 0")
         return self._states(r, volume=True)
 
-    def densities(self, r):
-        """(values, log-derivatives) of every ray's radial density at r."""
+    def densities(self, r, rows=None):
+        """(values, log-derivatives) of the radial density at r of the given
+        rays (all rays by default)."""
         if r <= 0:
             raise ValueError("density needs r > 0")
+        rows = self._rows(rows)
         if r < _SERIES_RADIUS:
-            z, full, *_ = self._unpack(self._states(0.0))
-            R0 = curv.frame_curvature_matrix(self._ws.curvature_values(z)[None], full[None])[0]
+            R0 = self.frame_curvature(0.0, rows)
             return _series_density(r, self.m, np.trace(R0, axis1=-2, axis2=-1))
-        _, _, J, Jp = self._unpack(self._states(r))
+        _, _, J, Jp = self._unpack(self._states(r, rows))
         det_j = np.linalg.det(J)
         bad = np.flatnonzero(det_j <= 0)
         if bad.size:
-            raise _conjugate_error(self[int(bad[0])], r)
+            raise _conjugate_error(self[int(rows[bad[0]])], r)
         return det_j, _log_derivative(J, Jp)
 
-    def quality(self, r) -> dict:
-        """Worst Wronskian, frame and unit-speed drift over the rays at r."""
-        speed, frame, wron = _drifts(self._ws, *self._unpack(self._states(r)))
-        return {"wronskian": float(wron.max()), "frame": float(frame.max()),
-                "speed": float(speed.max())}
+    def frame_curvature(self, r, rows=None) -> np.ndarray:
+        """R_uv = <R(e0, e_u)e0, e_v> at r in the transported frame of each of
+        the given rays (all rays by default).
+
+        Ric(e0, e0) = -tr R_uv, the sum rule of the ``curvature`` module.
+        """
+        z, full, *_ = self._unpack(self._states(r, rows))
+        return curv.frame_curvature_matrix(self._ws.curvature_values(z)[None], full[None])[0]
+
+    def quality(self, r, rows=None) -> dict:
+        """Worst Wronskian, frame and unit-speed drift at r over the given rays
+        (all rays by default)."""
+        z, full, J, Jp = self._unpack(self._states(r, rows))
+        gram = 2.0 * (full @ self._ws.metric_values(z) @ np.swapaxes(full.conj(), -1, -2)).real
+        W = np.swapaxes(Jp, -1, -2) @ J - np.swapaxes(J, -1, -2) @ Jp
+        return {"wronskian": float(np.abs(W).max()),
+                "frame": float(np.abs(gram - np.eye(self.m + 1)).max()),
+                "speed": float(np.abs(gram[:, 0, 0] - 1.0).max())}
 
 
 class GeodesicRay:
     """One ray of a ``GeodesicBatch``: unit-speed geodesic with parallel frame,
-    Jacobi system and dense output."""
+    Jacobi system and dense output.  Its readings are the batch's on its row."""
 
     def __init__(self, batch: GeodesicBatch, index: int):
         self._batch = batch
         self._index = index
-        self._ws = batch._ws
         self.pot = batch.pot
         self.n = batch.n
         self.m = batch.m
@@ -428,23 +426,17 @@ class GeodesicRay:
         return J.copy(), Jp.copy()
 
     def frame_curvature(self, r):
-        """(R_uv, Ric(e0,e0)) at parameter r, in the transported frame.
-
-        Ric(e0, e0) = -tr R_uv, the sum rule of the ``curvature`` module.
-        """
-        z, full, *_ = self._state(r)
-        R_uv = curv.frame_curvature_matrix(self._ws.curvature_values(z)[None], full[None])[0]
+        """(R_uv, Ric(e0,e0)) at parameter r, in the transported frame."""
+        R_uv = self._batch.frame_curvature(r, self._index)[0]
         return R_uv, -float(np.trace(R_uv))
 
-    # -- quality gates ---------------------------------------------------------
-    def unit_speed_drift(self, r) -> float:
-        return float(_drifts(self._ws, *self._state(r))[0])
+    def quality(self, r) -> dict:
+        """Wronskian, frame and unit-speed drift of this ray at r."""
+        return self._batch.quality(r, self._index)
 
-    def frame_drift(self, r) -> float:
-        return float(_drifts(self._ws, *self._state(r))[1])
-
-    def wronskian_drift(self, r) -> float:
-        return float(_drifts(self._ws, *self._state(r))[2])
+    def density(self, r) -> RadialDensity:
+        value, logd = self._batch.densities(r, self._index)
+        return RadialDensity(r=r, value=float(value[0]), log_derivative=float(logd[0]))
 
     # -- conjugate points -------------------------------------------------------
     def conjugate_point(self):
@@ -462,32 +454,6 @@ class GeodesicRay:
         self._conjugate = None
         return None
 
-    # -- density ---------------------------------------------------------------
-    def density(self, r) -> RadialDensity:
-        if r <= 0:
-            raise ValueError("density needs r > 0")
-        if r < _SERIES_RADIUS:
-            R0, _ = self.frame_curvature(0.0)
-            value, logd = _series_density(r, self.m, float(np.trace(R0)))
-            return RadialDensity(r=r, value=value, log_derivative=logd)
-        J, Jp = self.jacobi(r)
-        det_j = np.linalg.det(J)
-        if det_j <= 0:
-            raise _conjugate_error(self, r)
-        return RadialDensity(r=r, value=float(det_j),
-                             log_derivative=float(_log_derivative(J, Jp)))
-
-    def trace_csv(self, path, r_values):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["r", "speed_drift", "det", "value", "log_derivative"])
-            for r in r_values:
-                J, _ = self.jacobi(r)
-                d = self.density(r)
-                w.writerow([repr(float(r)), repr(self.unit_speed_drift(r)),
-                            repr(float(np.linalg.det(J))), repr(d.value),
-                            repr(d.log_derivative)])
-
 
 def shoot(pot: RealAnalyticPotential, p, e0, r_max, tol=1e-10, frame=None) -> GeodesicRay:
     """Integrate the unit-speed geodesic from p in direction e0 up to r_max.
@@ -497,12 +463,3 @@ def shoot(pot: RealAnalyticPotential, p, e0, r_max, tol=1e-10, frame=None) -> Ge
     """
     frames = None if frame is None else [frame]
     return GeodesicBatch(pot, p, [e0], r_max, tol=tol, frames=frames)[0]
-
-
-def jacobi_integrate(ray: GeodesicRay, r) -> JacobiSystemState:
-    J, Jp = ray.jacobi(r)
-    return JacobiSystemState(r=float(r), J=J, J_prime=Jp)
-
-
-def radial_density(ray: GeodesicRay, r) -> RadialDensity:
-    return ray.density(r)

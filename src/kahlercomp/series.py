@@ -8,14 +8,15 @@ seeded by C_1 = identity, driven by the curvature jets R^(j) along the ray.
 From the coefficients we expand the Gram matrix <J_u, J_v>/r^2, take the
 determinant and square root as truncated formal power series, and obtain the
 per-direction density series whose sphere average is W(r) (constant term
-Vol(S^{2n-1})).  A least-squares fit of sampled W values provides the
-independent numerical route to the same coefficients.
+Vol(S^{2n-1})).  Every coefficient, the low-order ones included, comes from
+``density_series``; the ``series`` command averages it over a sphere rule.  A
+least-squares fit of sampled W values provides the independent numerical route
+to the same coefficients.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -32,8 +33,6 @@ __all__ = [
     "JacobiCoefficients",
     "jacobi_recursion",
     "density_series",
-    "direct_low_order_coefficients",
-    "c4_sphere_average",
     "fit_w_series",
     "kahler_r11_identity_check",
 ]
@@ -121,47 +120,6 @@ def density_series(coeffs: JacobiCoefficients, N: int) -> SeriesExpansion:
         term = cauchy_product(np.multiply, term, x)
         out += coeff * term
     return SeriesExpansion(coefficients=np.moveaxis(out, 0, -1), provenance="symbolic")
-
-
-def direct_low_order_coefficients(R0, R1, R2):
-    """(c2, c3, c4) of the per-direction density series straight from the jets.
-
-    c2 = tr R / 6,  c3 = tr R' / 12,
-    c4 = sum R_us^2 / 45 + tr R'' / 40 + sum_{u<v}(R_uu R_vv - R_uv^2)/18
-         - (tr R)^2 / 72.
-    """
-    tr = float(np.trace(R0))
-    c2 = tr / 6.0
-    c3 = float(np.trace(R1)) / 12.0
-    off = 0.0
-    diag_prod = 0.0
-    m = R0.shape[0]
-    for u in range(m):
-        for v in range(u + 1, m):
-            off += R0[u, v] ** 2
-            diag_prod += R0[u, u] * R0[v, v]
-    c4 = (float(np.sum(R0 * R0)) / 45.0 + float(np.trace(R2)) / 40.0
-          + diag_prod / 18.0 - off / 18.0 - tr * tr / 72.0)
-    return c2, c3, c4
-
-
-def c4_sphere_average(pot: RealAnalyticPotential, p, rule: SphereRule | None = None) -> float:
-    """Sphere integral of the per-direction r^4 density coefficient at p.
-
-    The closed-form simplification of this integral assumes Ric = K g at p;
-    if that fails the raw integral is still returned, with a warning.
-    """
-    p = np.asarray(p, dtype=complex).reshape(pot.n)
-    ws = curv.workspace(pot)
-    G, ric = ws.ricci_values(p)
-    K_est = float(np.real(np.trace(np.linalg.solve(G, ric)))) / pot.n
-    if np.max(np.abs(ric - K_est * G)) > 1e-8:
-        warnings.warn("Ricci is not proportional to the metric at p; "
-                      "returning the raw sphere integral")
-    dirs, weights = fan_out(pot, p, rule)
-    jets = curv.curvature_jets_along(pot, p, dirs, order=2)
-    vals = [direct_low_order_coefficients(*R)[2] for R in jets.R]
-    return math.fsum(w * v for w, v in zip(weights, vals))
 
 
 def fit_w_series(samples, N: int) -> SeriesExpansion:

@@ -36,7 +36,7 @@ def rule12():
 
 @pytest.fixture(scope="module")
 def lambda_star():
-    return CMP.find_lambda(0.1, 0.05)
+    return CMP.find_lambda(0.1, 0.05)[0]
 
 
 @pytest.fixture(scope="module")

@@ -233,22 +233,22 @@ class TestForwardSubstitution:
 
 class TestFindLambda:
     def test_zero_curvature_needs_nothing(self):
-        assert CMP.find_lambda(0.0, 0.05) == 0.0
+        assert CMP.find_lambda(0.0, 0.05)[0] == 0.0
 
     def test_positive_a_needs_nothing_at_default_radius(self):
         # the quartic remainder of Ric + 12 a g is PSD for a > 0
-        assert CMP.find_lambda(0.1, 0.05, samples=2000) == 0.0
+        assert CMP.find_lambda(0.1, 0.05, samples=2000)[0] == 0.0
 
     def test_negative_a_requires_stabilizer(self):
-        lam, trace = CMP.find_lambda(-0.1, 0.05, samples=2000, with_trace=True)
+        lam, steps = CMP.find_lambda(-0.1, 0.05, samples=2000)
         assert lam > 0
-        assert any(not ok for _, _, ok in trace)
+        assert any(not ok for _, _, ok in steps)
         cert = CMP.certify_ricci_bound(P.section6(-0.1, lam), 1.2, 0.05, samples=2000)
         assert cert.passed
 
     def test_monotone_in_radius(self):
-        lam_small = CMP.find_lambda(-0.1, 0.025, samples=1500)
-        lam_large = CMP.find_lambda(-0.1, 0.05, samples=1500)
+        lam_small, _ = CMP.find_lambda(-0.1, 0.025, samples=1500)
+        lam_large, _ = CMP.find_lambda(-0.1, 0.05, samples=1500)
         assert lam_small <= lam_large * (1 + 1e-9)
 
 
@@ -358,6 +358,12 @@ class TestCounterexample:
         st = report.stages["r4_coefficient"]
         assert st["margin"] > 0
         assert st["margin"] == pytest.approx(st["exact_margin"], rel=1e-4)
+
+    def test_r4_stage_margin_matches_exact_value(self, report):
+        """The r^4 margin from density_series against its closed form 2a^2/15."""
+        st = report.stages["r4_coefficient"]
+        assert st["exact_margin"] == pytest.approx(2 * 0.1 ** 2 / 15, rel=1e-15)
+        assert abs(st["margin"] - st["exact_margin"]) <= 1e-15
 
     def test_pointwise_stage(self, report):
         st = report.stages["pointwise_gap"]

@@ -24,8 +24,9 @@ class TestShoot:
     def test_unit_speed_and_frame_drift(self, section6_pot):
         ray = G.shoot(section6_pot, np.zeros(2), np.array([0.5, 0.2, 0.1, -0.4]), 0.09)
         for r in (0.02, 0.05, 0.09):
-            assert ray.unit_speed_drift(r) < 1e-9
-            assert ray.frame_drift(r) < 1e-9
+            q = ray.quality(r)
+            assert q["speed"] < 1e-9
+            assert q["frame"] < 1e-9
 
     def test_space_form_arc_length_inversion(self):
         n, K = 2, 3.0
@@ -63,14 +64,14 @@ class TestShoot:
 class TestJacobi:
     def test_flat_jacobi_linear(self, flat2):
         ray = G.shoot(flat2, np.zeros(2), np.array([1.0, 0, 0, 0]), 1.0)
-        state = G.jacobi_integrate(ray, 0.7)
-        assert np.allclose(state.J, 0.7 * np.eye(3), atol=1e-12)
-        assert np.allclose(state.J_prime, np.eye(3), atol=1e-12)
+        J, Jp = ray.jacobi(0.7)
+        assert np.allclose(J, 0.7 * np.eye(3), atol=1e-12)
+        assert np.allclose(Jp, np.eye(3), atol=1e-12)
 
     def test_wronskian_conserved(self, section6_pot):
         ray = G.shoot(section6_pot, np.zeros(2), np.array([0.2, -0.4, 0.3, 0.6]), 0.09)
         for r in (0.03, 0.09):
-            assert ray.wronskian_drift(r) < 1e-8
+            assert ray.quality(r)["wronskian"] < 1e-8
 
     def test_space_form_jacobi_norms(self):
         n, K = 2, 3.0
@@ -99,7 +100,7 @@ class TestJacobi:
 class TestDensity:
     def test_flat_density(self, flat2):
         ray = G.shoot(flat2, np.zeros(2), np.array([1.0, 0, 0, 0]), 1.0)
-        d = G.radial_density(ray, 0.5)
+        d = ray.density(0.5)
         assert d.value == pytest.approx(0.5 ** 3, abs=1e-13)
         assert d.log_derivative == pytest.approx(3 / 0.5, abs=1e-11)
 
@@ -181,18 +182,10 @@ class TestConjugatePoints:
     def _fake_ray(self, r_zero):
         """Detector unit test: a ray whose det J crosses zero at r_zero."""
         ray = object.__new__(G.GeodesicRay)
-        ray.n = 2
-        ray.m = 3
         ray.r_max = 1.0
         ray._conjugate = None
         ray._conjugate_scanned = False
-
-        def jacobi(r):
-            J = np.diag([r_zero - r, 1.0, 1.0])
-            return J, np.eye(3)
-
-        ray.jacobi = jacobi
-        ray.frame_curvature = lambda r: (np.zeros((3, 3)), 0.0)
+        ray.jacobi = lambda r: (np.diag([r_zero - r, 1.0, 1.0]), np.eye(3))
         return ray
 
     def test_bisection_locates_zero(self):
@@ -210,12 +203,26 @@ class TestConjugatePoints:
         for xtol in (0.0, 1e-300):
             assert a <= G._bisect(lambda x: 1.0 if x > a else -1.0, a, b, xtol) <= b
 
-    def test_density_raises_with_bracket(self):
-        ray = self._fake_ray(0.5)
-        with pytest.raises(G.ConjugatePointError, match="conjugate") as err:
-            G.radial_density(ray, 0.7)
-        lo, hi = err.value.bracket
-        assert lo <= 0.5 <= hi
+    def test_density_raises_with_bracket(self, flat2):
+        """A flat batch whose second ray has its stored J_11 stubbed to 0.5 - r:
+        the batch density finds det J <= 0 at r = 0.7 and brackets that ray's
+        crossing at 0.5, whether all rays or that ray alone are read."""
+        dirs = [np.array([0.0, 1.0, 0, 0]), np.array([1.0, 0, 0, 0])]
+        batch = G.GeodesicBatch(flat2, np.zeros(2), dirs, 1.0)
+        states = batch._states
+
+        def stubbed(r, rows=None, volume=False):
+            y = states(r, rows, volume)
+            batch._unpack(y)[2][batch._rows(rows) == 1, 0, 0] = 0.5 - r
+            return y
+
+        batch._states = stubbed
+        assert batch[0].density(0.7).value == pytest.approx(0.7 ** 3, rel=1e-12)
+        for read in (lambda: batch.densities(0.7), lambda: batch[1].density(0.7)):
+            with pytest.raises(G.ConjugatePointError, match="conjugate") as err:
+                read()
+            lo, hi = err.value.bracket
+            assert lo <= 0.5 <= hi and hi - lo < 1e-9
 
     def test_no_conjugate_point_on_catalog_ray(self, section6_pot):
         ray = G.shoot(section6_pot, np.zeros(2), np.array([1.0, 0, 0, 0]), 0.09)
@@ -296,6 +303,30 @@ class TestBatchedIntegrator:
             assert norms[i] == pytest.approx(
                 DOP853._estimate_error_norm(DOP853, K[:, i], 0.01, scale[i]), rel=1e-13)
 
+    def test_a_ray_reads_its_batch_row(self, section6_pot):
+        """Ray readings are the batch's on the ray's row, on both density branches."""
+        dirs = [np.array([1.0, 0, 0, 0]), np.array([0.3, -0.1, 0.5, 0.2]),
+                np.array([0.2, 0.6, -0.3, 0.4])]
+        batch = G.GeodesicBatch(section6_pot, np.zeros(2), dirs, 0.05, tol=1e-11)
+        for r in (0.5e-4, 0.03):
+            vals, logd = batch.densities(r)
+            R = batch.frame_curvature(r)
+            assert R.shape == (3, 3, 3)
+            sub_vals, sub_logd = batch.densities(r, [2, 0])
+            np.testing.assert_allclose(sub_vals, vals[[2, 0]], rtol=1e-14, atol=0)
+            np.testing.assert_allclose(sub_logd, logd[[2, 0]], rtol=1e-14, atol=0)
+            quality = batch.quality(r)
+            for k, ray in enumerate(batch):
+                d = ray.density(r)
+                assert d.value == pytest.approx(vals[k], rel=1e-14, abs=0)
+                assert d.log_derivative == pytest.approx(logd[k], rel=1e-14, abs=0)
+                R_uv, ric = ray.frame_curvature(r)
+                np.testing.assert_allclose(R_uv, R[k], rtol=0, atol=1e-14)
+                assert ric == pytest.approx(-np.trace(R[k]), abs=1e-14)
+            for key in ("wronskian", "frame", "speed"):
+                assert max(ray.quality(r)[key] for ray in batch) == pytest.approx(
+                    quality[key], abs=1e-15)
+
     def test_only_the_ray_leaving_the_ball_is_truncated(self, space_form_k1):
         """The outward ray is cut at |z| = 0.42; the others take further steps."""
         p = np.array([0.3, 0.0])
@@ -335,13 +366,3 @@ class TestBatchedIntegrator:
                                            rtol=0, atol=1e-11)
                 assert ray.density(r).value == pytest.approx(alone.density(r).value,
                                                              rel=1e-10)
-
-
-class TestTrace:
-    def test_csv_columns(self, tmp_path, flat2):
-        ray = G.shoot(flat2, np.zeros(2), np.array([1.0, 0, 0, 0]), 0.5)
-        path = tmp_path / "trace.csv"
-        ray.trace_csv(path, [0.1, 0.2, 0.3])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "r,speed_drift,det,value,log_derivative"
-        assert len(lines) == 4

@@ -1,10 +1,12 @@
 """Jacobi coefficient recursion, density series, fits and the R_11 identity."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from kahlercomp import cli
 from kahlercomp import curvature as C
 from kahlercomp import model_space as M
 from kahlercomp import potential as P
@@ -22,6 +24,23 @@ def synthetic_jets(R_list, m=3):
 def rand_symmetric(rng, m=3):
     A = rng.normal(size=(m, m))
     return (A + A.T) / 2
+
+
+def closed_form_c2_c4(R0, R1, R2):
+    """(c2, c3, c4) of the per-direction density series in closed form
+    (Gray & Vanhecke, Acta Math. 142, 1979):
+
+    c2 = tr R / 6,  c3 = tr R' / 12,
+    c4 = sum R_us^2 / 45 + tr R'' / 40 + sum_{u<v}(R_uu R_vv - R_uv^2)/18
+         - (tr R)^2 / 72.
+    """
+    tr = float(np.trace(R0))
+    upper = np.triu_indices(R0.shape[0], 1)
+    diag = np.diag(R0)
+    pairs = float(np.sum(np.outer(diag, diag)[upper] - R0[upper] ** 2))
+    c4 = (float(np.sum(R0 * R0)) / 45.0 + float(np.trace(R2)) / 40.0
+          + pairs / 18.0 - tr * tr / 72.0)
+    return tr / 6.0, float(np.trace(R1)) / 12.0, c4
 
 
 class TestRecursion:
@@ -85,7 +104,7 @@ class TestDensitySeries:
             R0, R1, R2 = (rand_symmetric(rng) for _ in range(3))
             co = S.jacobi_recursion(synthetic_jets([R0, R1, R2]), 5)
             ds = S.density_series(co, 4)
-            c2, c3, c4 = S.direct_low_order_coefficients(R0, R1, R2)
+            c2, c3, c4 = closed_form_c2_c4(R0, R1, R2)
             assert ds.coefficients[1] == 0.0
             assert ds.coefficients[2] == pytest.approx(c2, rel=1e-12, abs=1e-14)
             assert ds.coefficients[3] == pytest.approx(c3, rel=1e-12, abs=1e-14)
@@ -113,7 +132,7 @@ class TestDensitySeries:
             assert np.allclose(co.C[idx], one.C, rtol=1e-14, atol=0)
             assert np.allclose(ds[idx], S.density_series(one, 4).coefficients,
                                rtol=1e-14, atol=0)
-            c2, c3, c4 = S.direct_low_order_coefficients(*R[idx])
+            c2, c3, c4 = closed_form_c2_c4(*R[idx])
             assert np.allclose(ds[idx][2:], [c2, c3, c4], rtol=1e-12, atol=1e-14)
 
     def test_order_beyond_support_raises(self):
@@ -173,30 +192,32 @@ class TestFit:
             S.fit_w_series([(0.1, 1.0)] * 5, 4)
 
 
-class TestC4SphereAverage:
-    def test_flat_is_zero(self, flat2, rule6):
-        assert S.c4_sphere_average(flat2, np.zeros(2), rule=rule6) == 0.0
+class TestSphereAveragedC4:
+    """The r^4 coefficient of W(r) as the ``series`` command reports it."""
 
-    def test_space_form_matches_model_and_k_squared_scaling(self, rule6):
+    @staticmethod
+    def averaged_c4(capsys, catalog, params):
+        assert cli.main(["series", "--catalog", catalog, "--params", params,
+                         "--order", "4", "--quad-degree", "6"]) == 0
+        return json.loads(capsys.readouterr().out)["sphere_averaged"]["coefficients"][4]
+
+    def test_flat_is_zero(self, capsys):
+        assert self.averaged_c4(capsys, "flat", "n=2") == 0.0
+
+    def test_space_form_matches_model_and_k_squared_scaling(self, capsys):
         vals = {}
         for K in (1.0, -2.0):
-            pot = P.space_form(2, K)
-            c4 = S.c4_sphere_average(pot, np.zeros(2), rule=rule6)
+            c4 = self.averaged_c4(capsys, "space_form", f"n=2,K={K}")
             ms = M.model_series(ModelSpace(2, K), 4)
             assert c4 == pytest.approx(ms.coefficients[4], rel=1e-8)
             vals[K] = c4 / K ** 2
         # the equality case value is a fixed multiple of K^2
         assert vals[1.0] == pytest.approx(vals[-2.0], rel=1e-8)
 
-    def test_section6_below_model(self, section6_pot, rule6):
-        c4 = S.c4_sphere_average(section6_pot, np.zeros(2), rule=rule6)
+    def test_section6_below_model(self, capsys):
+        c4 = self.averaged_c4(capsys, "section6", "a=0.1")
         ms = M.model_series(ModelSpace(2, -1.2), 4)
         assert c4 < ms.coefficients[4]
-
-    def test_warns_when_ricci_not_einstein(self, rule6):
-        pot = P.perturbed(2, 2)
-        with pytest.warns(UserWarning, match="not proportional"):
-            S.c4_sphere_average(pot, np.zeros(2), rule=rule6)
 
 
 class TestPerDirectionConsistency:
