@@ -18,7 +18,7 @@ import numpy as np
 
 from . import comparison, model_space, potential, series
 from . import curvature as curv
-from .sphere import build_rule, fan_out, torus_reduced, unit_sphere_volume
+from .sphere import build_rule, fan_out, unit_sphere_volume
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -178,24 +178,10 @@ def cmd_check(args) -> int:
         pot = _load_potential(args)
         if args.K is None:
             raise ValueError("--K is required for thm3/thm4/rigidity checks")
-        rule = build_rule(pot.n, args.quad_degree)
-        grid = _grid(args)
-        r_max = float(grid.max())
-        # certify at the check's own radius before the flow integrates, so a
-        # refused certificate costs no rays
-        rho = comparison.RIGIDITY_R_HI if args.which == "rigidity" else r_max
-        cert = comparison.require_certificate(pot, args.K, min(rho, pot.validity_radius),
-                                              seed=args.seed)
-        if args.which == "rigidity":
-            r_max = max(r_max, comparison.RIGIDITY_FLOW_RADIUS)
-        flow = comparison.SphereFlow(pot, np.zeros(pot.n, dtype=complex), r_max,
-                                     rule=rule, tol=args.tol)
-        payload["rule"] = {"degree": rule.degree, "nodes": len(rule), "rays": len(flow.rays),
-                           "symmetry": "torus" if torus_reduced(pot, flow.p) else "none"}
+        opts = {"rule": build_rule(pot.n, args.quad_degree), "tol_ode": args.tol,
+                "seed": args.seed}
         if args.which == "thm3":
-            rep = comparison.check_volume_ratio(pot, args.K, r_grid=grid, rule=rule,
-                                                certificate=cert, flow=flow)
-            payload["thm3"] = rep.to_json_dict()
+            rep = comparison.check_volume_ratio(pot, args.K, _grid(args), **opts)
             verdicts.append(rep.verdict)
             if out:
                 _write_csv(out / "tables" / "volume_ratio.csv",
@@ -203,10 +189,7 @@ def cmd_check(args) -> int:
                            [(r["a"], r["b"], r["lhs"], r["rhs"], r["margin"])
                             for r in rep.rows])
         elif args.which == "thm4":
-            rep = comparison.check_average_laplacian(pot, args.K, r_grid=grid,
-                                                     rule=rule, certificate=cert,
-                                                     flow=flow)
-            payload["thm4"] = rep.to_json_dict()
+            rep = comparison.check_average_laplacian(pot, args.K, _grid(args), **opts)
             verdicts.append(rep.verdict)
             if out:
                 _write_csv(out / "tables" / "average_laplacian.csv",
@@ -214,9 +197,8 @@ def cmd_check(args) -> int:
                            [(r["r"], r["lhs"], r["rhs"], r["margin"])
                             for r in rep.rows])
         elif args.which == "rigidity":
-            rep = comparison.rigidity_probe(pot, args.K, rule=rule, flow=flow,
-                                            certificate=cert)
-            payload["rigidity"] = rep.to_json_dict()
+            # the probe fits on its own radii; the radius grid is not read
+            rep = comparison.rigidity_probe(pot, args.K, **opts)
             verdicts.append("holds")
             if out:
                 _write_csv(out / "tables" / "rigidity.csv",
@@ -226,6 +208,8 @@ def cmd_check(args) -> int:
                             for k in range(rep.order + 1)])
         else:
             raise ValueError(f"unknown check {args.which!r}")
+        payload[args.which] = rep.to_json_dict()
+        payload["rule"] = rep.rule
         payload["certificate"] = rep.certificate.to_json_dict()
 
     payload["verdicts"] = verdicts
@@ -250,9 +234,6 @@ def _build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-11,
-                       help="ODE integration tolerance")
         p.add_argument("--quad-degree", type=int, default=None,
                        help="sphere rule exactness degree")
 
@@ -263,7 +244,6 @@ def _build_parser() -> _Parser:
     m.add_argument("--r-max", type=float, default=1.0)
     m.add_argument("--r-steps", type=int, default=20)
     m.add_argument("--out", default=None)
-    m.add_argument("--seed", type=int, default=0)
     m.set_defaults(func=cmd_model)
 
     s = sub.add_parser("series", help="density series coefficients at the origin")
@@ -284,6 +264,8 @@ def _build_parser() -> _Parser:
     c.add_argument("--r-min", type=float, default=0.005)
     c.add_argument("--r-max", type=float, default=0.04)
     c.add_argument("--r-steps", type=int, default=8)
+    c.add_argument("--seed", type=int, default=0, help="seed of the sampled Ricci bound")
+    c.add_argument("--tol", type=float, default=1e-11, help="ODE integration tolerance")
     common(c)
     c.set_defaults(func=cmd_check)
     return parser

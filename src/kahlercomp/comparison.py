@@ -27,7 +27,7 @@ from . import curvature as curv
 from . import geodesic, model_space, series
 from .polynomials import CPoly
 from .potential import RealAnalyticPotential, section6
-from .sphere import SphereRule, fan_out, tangent_nodes, unit_sphere_volume
+from .sphere import SphereRule, build_rule, fan_out, torus_reduced, unit_sphere_volume
 
 __all__ = [
     "RicciBoundCertificate",
@@ -36,7 +36,6 @@ __all__ = [
     "DeviationReport",
     "SphereFlow",
     "certify_ricci_bound",
-    "require_certificate",
     "find_lambda",
     "check_volume_ratio",
     "check_average_laplacian",
@@ -50,11 +49,12 @@ CERT_TOL = 1e-9
 LAMBDA_SAMPLES = 4000  # certificate samples of each find_lambda step
 HALTON_TABLE = 4096    # largest low-digit table b^m of the Halton draw
 
-# radii of the rigidity probe's W-series fit; its flow reaches 1% past the
-# last radius so that radius lies inside the integrated range
+# radii of the rigidity probe's W-series fit of order RIGIDITY_ORDER; its flow
+# reaches 1% past the last radius so that radius lies inside the integrated range
 RIGIDITY_R_LO = 5e-3
 RIGIDITY_R_HI = 8e-2
 RIGIDITY_FLOW_RADIUS = RIGIDITY_R_HI * 1.01
+RIGIDITY_ORDER = 6
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,7 @@ class ComparisonReport:
     verdict: str
     tolerances: dict
     certificate: RicciBoundCertificate | None = None
+    rule: dict | None = None    # the flow's ``SphereFlow.to_json_dict()``
 
     def to_json_dict(self):
         return {
@@ -343,8 +344,14 @@ class SphereFlow:
         self.p = np.asarray(p, dtype=complex).reshape(pot.n)
         self.r_max = float(r_max)
         self.tol = float(tol)
-        dirs, self.weights = fan_out(pot, self.p, rule)
+        self.rule = build_rule(pot.n) if rule is None else rule
+        dirs, self.weights = fan_out(pot, self.p, self.rule)
         self.rays = geodesic.GeodesicBatch(pot, self.p, dirs, self.r_max, tol=tol)
+
+    def to_json_dict(self):
+        """The rule's degree and nodes, the rays integrated and ``fan_out``'s symmetry."""
+        return {"degree": self.rule.degree, "nodes": len(self.rule), "rays": len(self.rays),
+                "symmetry": "torus" if torus_reduced(self.pot, self.p) else "none"}
 
     def densities(self, r):
         return self.rays.densities(r)
@@ -366,37 +373,31 @@ class SphereFlow:
         return self.rays.quality(self.r_max if r is None else r)
 
 
-def require_certificate(pot, K, rho, certificate=None, seed=0):
-    """The given certificate, or ``certify_ricci_bound(pot, K, rho, seed=seed)``;
-    a ``ValueError`` when it does not pass."""
-    if certificate is None:
-        certificate = certify_ricci_bound(pot, K, rho, seed=seed)
+def _certified_flow(pot, K, rho, r_max, rule, tol_ode, seed):
+    """(certificate, flow): certify Ric >= K g on the ball of radius
+    min(rho, validity radius), then fan the rays from the origin to r_max.  A
+    refused certificate raises a ``ValueError`` before any ray is integrated."""
+    certificate = certify_ricci_bound(pot, K, min(rho, pot.validity_radius), seed=seed)
     if not certificate.passed:
         raise ValueError(
             f"Ricci bound certificate refused (min eigenvalue "
             f"{certificate.min_eigenvalue:.3g} at {certificate.witness})")
-    return certificate
+    return certificate, SphereFlow(pot, np.zeros(pot.n, dtype=complex), r_max, rule, tol_ode)
 
 
 # ---------------------------------------------------------------------------
 # the two comparison theorems at desk scale
 # ---------------------------------------------------------------------------
 
-def check_volume_ratio(pot: RealAnalyticPotential, K, p=None, r_grid=None,
-                       rule=None, tol=TOL_VOLUME, certificate=None,
-                       flow: SphereFlow | None = None, tol_ode=1e-11,
-                       seed=0) -> ComparisonReport:
-    """Vol(B(b))/Vol(B(a)) against the model ratio over all grid pairs a < b."""
-    p = np.zeros(pot.n, dtype=complex) if p is None else np.asarray(p, dtype=complex)
-    if r_grid is None:
-        r_grid = np.linspace(0.005, 0.04, 8)
-    r_grid = np.asarray(r_grid, dtype=float)
+def check_volume_ratio(pot: RealAnalyticPotential, K, r_grid=None, rule=None,
+                       tol_ode=1e-11, seed=0) -> ComparisonReport:
+    """Vol(B(b))/Vol(B(a)) at the origin against the model ratio over all grid
+    pairs a < b, on the ball where Ric >= K g is certified."""
+    r_grid = np.asarray(np.linspace(0.005, 0.04, 8) if r_grid is None else r_grid, dtype=float)
     if r_grid.size < 2:
         raise ValueError("volume-ratio check needs at least two radii")
     b_max = float(r_grid.max())
-    certificate = require_certificate(pot, K, min(b_max, pot.validity_radius), certificate, seed)
-    if flow is None:
-        flow = SphereFlow(pot, p, b_max, rule=rule, tol=tol_ode)
+    certificate, flow = _certified_flow(pot, K, b_max, b_max, rule, tol_ode, seed)
     model = model_space.ModelSpace(pot.n, float(K))
     vols = {float(r): flow.ball_volume(r) for r in r_grid}
     model_vols = {float(r): model_space.ball_volume(model, r) for r in r_grid}
@@ -412,24 +413,18 @@ def check_volume_ratio(pot: RealAnalyticPotential, K, p=None, r_grid=None,
                          "margin": margin})
     return ComparisonReport(metric_id=pot.label, K=float(K),
                             grid=[(row["a"], row["b"]) for row in rows], rows=rows,
-                            verdict=_verdict(margins, tol),
-                            tolerances={"margin": tol, "ode": tol_ode},
-                            certificate=certificate)
+                            verdict=_verdict(margins, TOL_VOLUME),
+                            tolerances={"margin": TOL_VOLUME, "ode": tol_ode},
+                            certificate=certificate, rule=flow.to_json_dict())
 
 
-def check_average_laplacian(pot: RealAnalyticPotential, K, p=None, r_grid=None,
-                            rule=None, tol=TOL_LAPLACIAN, certificate=None,
-                            flow: SphereFlow | None = None, tol_ode=1e-11,
-                            seed=0) -> ComparisonReport:
-    """Area-weighted mean of the radial Laplacian against the model value."""
-    p = np.zeros(pot.n, dtype=complex) if p is None else np.asarray(p, dtype=complex)
-    if r_grid is None:
-        r_grid = np.linspace(0.005, 0.04, 8)
-    r_grid = np.asarray(r_grid, dtype=float)
+def check_average_laplacian(pot: RealAnalyticPotential, K, r_grid=None, rule=None,
+                            tol_ode=1e-11, seed=0) -> ComparisonReport:
+    """Area-weighted mean of the radial Laplacian at the origin against the
+    model value, on the ball where Ric >= K g is certified."""
+    r_grid = np.asarray(np.linspace(0.005, 0.04, 8) if r_grid is None else r_grid, dtype=float)
     b_max = float(r_grid.max())
-    certificate = require_certificate(pot, K, min(b_max, pot.validity_radius), certificate, seed)
-    if flow is None:
-        flow = SphereFlow(pot, p, b_max, rule=rule, tol=tol_ode)
+    certificate, flow = _certified_flow(pot, K, b_max, b_max, rule, tol_ode, seed)
     model = model_space.ModelSpace(pot.n, float(K))
     rows = []
     margins = []
@@ -441,9 +436,9 @@ def check_average_laplacian(pot: RealAnalyticPotential, K, p=None, r_grid=None,
         rows.append({"r": float(r), "lhs": lhs, "rhs": rhs, "margin": margin})
     return ComparisonReport(metric_id=pot.label, K=float(K),
                             grid=list(map(float, r_grid)), rows=rows,
-                            verdict=_verdict(margins, tol),
-                            tolerances={"margin": tol, "ode": tol_ode},
-                            certificate=certificate)
+                            verdict=_verdict(margins, TOL_LAPLACIAN),
+                            tolerances={"margin": TOL_LAPLACIAN, "ode": tol_ode},
+                            certificate=certificate, rule=flow.to_json_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -511,15 +506,14 @@ def _expected_metric_series(a: Fraction):
     return g11, g12, det
 
 
-def verify_counterexample(a=0.1, lam=None, rho=0.05, r_grid=None, tol_ode=1e-12,
-                          seed=0) -> CounterexampleReport:
+def verify_counterexample(a=0.1, lam=None, rho=0.05, seed=0) -> CounterexampleReport:
     """Staged end-to-end verification of the section6 counterexample family.
 
     Stages: (i) exact metric/determinant series goldens; (ii) exact order-3
     vanishing of Ric + 12 a g and the degree-6 stabilizer profile; (iii)
     curvature values at the origin; (iv) per-direction r^4 density coefficient
     along the x1-axis exceeding the model's; (v) positive pointwise gap
-    Laplacian - model Laplacian on a reported interval of small r.  Failing
+    Laplacian - model Laplacian on a reported interval of r in [0.004, 0.04].  Failing
     stages are recorded and the remaining stages still run.  Without ``lam``,
     ``find_lambda`` picks it and ``lambda_search`` records its steps.
     """
@@ -592,13 +586,10 @@ def verify_counterexample(a=0.1, lam=None, rho=0.05, r_grid=None, tol_ode=1e-12,
     }
 
     # stage v: pointwise Laplacian gap on a reported interval
-    if r_grid is None:
-        r_grid = np.linspace(0.004, 0.04, 19)
-    r_grid = np.asarray(r_grid, dtype=float)
+    r_grid = np.linspace(0.004, 0.04, 19)
     e0 = np.array([1.0, 0, 0, 0])
-    ray = geodesic.shoot(pot, origin, e0, float(r_grid.max()) * 1.01, tol=tol_ode)
-    ray_coarse = geodesic.shoot(pot, origin, e0, float(r_grid.max()) * 1.01,
-                                tol=tol_ode * 1e3)
+    ray = geodesic.shoot(pot, origin, e0, 0.04 * 1.01, tol=1e-12)
+    ray_coarse = geodesic.shoot(pot, origin, e0, 0.04 * 1.01, tol=1e-9)
     margins = []
     budget = 0.0
     for r in r_grid:
@@ -643,6 +634,7 @@ class DeviationReport:
     first_deviating_order: int | None
     sign: int | None
     certificate: RicciBoundCertificate | None = None
+    rule: dict | None = None    # the flow's ``SphereFlow.to_json_dict()``
 
     def to_json_dict(self):
         return {
@@ -654,20 +646,17 @@ class DeviationReport:
         }
 
 
-def rigidity_probe(pot: RealAnalyticPotential, K, p=None, order=6, rule=None,
-                   flow: SphereFlow | None = None, certificate=None,
-                   tol_ode=1e-11, seed=0) -> DeviationReport:
-    """First deviating order of the fitted W series from the model series.
+def rigidity_probe(pot: RealAnalyticPotential, K, rule=None, tol_ode=1e-11,
+                   seed=0) -> DeviationReport:
+    """First deviating order of the fitted W series at the origin from the model series.
 
     Reports the lowest order whose fitted-minus-model coefficient clears a
     noise threshold, with its sign; finding none means only "no deviation
     detected through this order", never an isometry claim.
     """
-    p = np.zeros(pot.n, dtype=complex) if p is None else np.asarray(p, dtype=complex)
-    certificate = require_certificate(pot, K, min(RIGIDITY_R_HI, pot.validity_radius),
-                                       certificate, seed)
-    if flow is None:
-        flow = SphereFlow(pot, p, RIGIDITY_FLOW_RADIUS, rule=rule, tol=tol_ode)
+    order = RIGIDITY_ORDER
+    certificate, flow = _certified_flow(pot, K, RIGIDITY_R_HI, RIGIDITY_FLOW_RADIUS, rule,
+                                        tol_ode, seed)
     grid = np.geomspace(RIGIDITY_R_LO, RIGIDITY_R_HI, 24)
     samples = [(float(r), flow.w_value(float(r))) for r in grid]
     fitted = series.fit_w_series(samples, order)
@@ -688,4 +677,4 @@ def rigidity_probe(pot: RealAnalyticPotential, K, p=None, order=6, rule=None,
                            fitted=fitted.coefficients, model=model.coefficients,
                            deviations=dev, thresholds=thresholds,
                            first_deviating_order=first, sign=sign,
-                           certificate=certificate)
+                           certificate=certificate, rule=flow.to_json_dict())

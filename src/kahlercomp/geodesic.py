@@ -26,6 +26,7 @@ batch method over the rays it is asked for; a ``GeodesicRay`` reads its own row.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,7 +185,8 @@ class GeodesicBatch:
         return len(self.r_max)
 
     def __getitem__(self, index) -> "GeodesicRay":
-        return GeodesicRay(self, range(len(self))[index])
+        """The ray at an integer index; a slice or array is a ``TypeError``."""
+        return GeodesicRay(self, range(len(self))[operator.index(index)])
 
     # -- ODE ----------------------------------------------------------------
     def _unpack(self, Y):

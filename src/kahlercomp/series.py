@@ -164,11 +164,10 @@ def _r11_integral(pot, p, rule):
     p = np.asarray(p, dtype=complex).reshape(pot.n)
     RH = curv.workspace(pot).curvature_values(p)
     dirs, weights = fan_out(pot, p, rule)
-    vals = []
-    for e0 in dirs:
-        xi = curv.complex_rep(e0)
-        vals.append(curv.rm_value(RH, xi, 1j * xi, xi, 1j * xi))
-    return math.fsum(w * v for w, v in zip(weights, vals))
+    xi = dirs[:, 0::2] + 1j * dirs[:, 1::2]
+    # R_11 is the frame curvature of the frame [e0, Je0], at a point (a length-1 series)
+    vals = curv.frame_curvature_matrix(RH[None], np.stack([xi, 1j * xi], axis=1)[None])
+    return math.fsum(weights * vals[0, :, 0, 0])
 
 
 def kahler_r11_identity_check(pot: RealAnalyticPotential, p,

@@ -22,7 +22,7 @@ from kahlercomp import potential as P
 from kahlercomp import series as S
 from kahlercomp.model_space import ModelSpace
 from kahlercomp.polynomials import CPoly
-from kahlercomp.sphere import build_rule, sphere_average, unit_sphere_volume
+from kahlercomp.sphere import build_rule, sphere_average, tangent_nodes, unit_sphere_volume
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "counterexample_golden.json"
 
@@ -154,7 +154,7 @@ def test_criterion_4_counterexample(lambda_star, counterexample_report):
           f"lambda* = {lambda_star}, in {elapsed:.1f}s")
 
 
-def test_criterion_5_theorems_at_desk_scale(flows, rule12):
+def test_criterion_5_theorems_at_desk_scale(rule12):
     start = time.monotonic()
     grid = np.linspace(0.005, 0.04, 8)
     cases = [
@@ -164,10 +164,8 @@ def test_criterion_5_theorems_at_desk_scale(flows, rule12):
     ]
     lines = []
     for name, pot, K, equality in cases:
-        flow = flows[name]
-        rep3 = CMP.check_volume_ratio(pot, K, r_grid=grid, flow=flow, rule=rule12)
-        rep4 = CMP.check_average_laplacian(pot, K, r_grid=grid, flow=flow,
-                                           rule=rule12)
+        rep3 = CMP.check_volume_ratio(pot, K, r_grid=grid, rule=rule12)
+        rep4 = CMP.check_average_laplacian(pot, K, r_grid=grid, rule=rule12)
         assert rep3.verdict == "holds", name
         assert rep4.verdict == "holds", name
         min3 = min(r["margin"] for r in rep3.rows)
@@ -233,7 +231,7 @@ def test_criterion_7_series_consistency_triangle(flows, rule12):
     for pot_k in (P.flat(2), P.space_form(2, 1.0), P.section6(0.1, 0.0),
                   P.perturbed(2, 4)):
         Gm = C.workspace(pot_k).metric_values(np.zeros(2))
-        dirs = CMP.tangent_nodes(rule, C.real_metric_matrix(Gm))
+        dirs = tangent_nodes(rule, C.real_metric_matrix(Gm))
         c3_vals = []
         for e0 in dirs:
             j = C.curvature_jets_along(pot_k, np.zeros(2), e0, order=1)

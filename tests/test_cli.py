@@ -122,6 +122,28 @@ class TestCheckCommand:
         assert status == 1
         assert "Ricci bound certificate refused" in capsys.readouterr().err
 
+    def test_report_records_ode_tolerance(self, tmp_path, capsys):
+        """``--tol`` is the tolerance the flow integrates at and the one reported."""
+        out = tmp_path / "tol"
+        status = cli.main(["check", "--which", "thm4", "--catalog", "flat", "--params", "n=2",
+                           "--K", "0", "--quad-degree", "4", "--r-steps", "3",
+                           "--tol", "1e-9", "--out", str(out)])
+        assert status == 0, capsys.readouterr().err
+        assert json.loads((out / "report.json").read_text())["thm4"]["tolerances"] == {
+            "margin": 1e-7, "ode": 1e-9}
+
+    def test_rigidity_ignores_radius_grid(self, tmp_path, capsys):
+        """The probe fits on its own radii, so ``--r-max`` moves nothing it reports."""
+        blocks = []
+        for name, grid in (("default", []), ("wide", ["--r-max", "0.09"])):
+            out = tmp_path / name
+            status = cli.main(["check", "--which", "rigidity", "--catalog", "section6",
+                               "--params", "a=0.1", "--K", "-1.2", "--quad-degree", "4",
+                               *grid, "--out", str(out)])
+            assert status == 0, capsys.readouterr().err
+            blocks.append(json.loads((out / "report.json").read_text())["rigidity"])
+        assert blocks[0] == blocks[1]
+
     def test_counterexample_run(self, tmp_path):
         blocks = []
         for name in ("cx1", "cx2"):
@@ -234,6 +256,16 @@ class TestUsageErrors:
         assert status == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag in err
+
+    @pytest.mark.parametrize("argv", [
+        ["model", "--n", "2", "--K", "0", "--seed", "1"],
+        ["series", "--catalog", "flat", "--params", "n=2", "--seed", "1"],
+        ["series", "--catalog", "flat", "--params", "n=2", "--tol", "1e-9"],
+    ])
+    def test_unread_flags_refused(self, argv, capsys):
+        """``model`` and ``series`` draw no sample and integrate no ray."""
+        assert cli.main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_bad_model_grid(self, capsys):
         assert cli.main(["model", "--n", "2", "--K", "0", "--r-steps", "0"]) == 1

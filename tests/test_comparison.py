@@ -271,9 +271,10 @@ class TestTheorem3:
         assert rep.verdict == "holds"
         assert max(abs(r["margin"]) for r in rep.rows) < 1e-6
 
-    def test_section6_holds(self, section6_pot, section6_flow):
-        rep = CMP.check_volume_ratio(section6_pot, -1.2, flow=section6_flow)
+    def test_section6_holds(self, section6_pot, rule6):
+        rep = CMP.check_volume_ratio(section6_pot, -1.2, rule=rule6)
         assert rep.verdict == "holds"
+        assert rep.rule == {"degree": 6, "nodes": 128, "rays": 2, "symmetry": "torus"}
 
     def test_ratio_monotone_in_radius(self, section6_pot, section6_flow):
         model = ModelSpace(2, -1.2)
@@ -300,9 +301,8 @@ class TestTheorem3:
         assert max(abs(r["margin"]) for r in rep.rows) <= 1e-12
 
     def test_missing_certificate_refused(self, flat2, rule6):
-        bad = CMP.certify_ricci_bound(flat2, 0.5, 0.04, samples=200)
-        with pytest.raises(ValueError, match="refused"):
-            CMP.check_volume_ratio(flat2, 0.5, rule=rule6, certificate=bad)
+        with pytest.raises(ValueError, match=r"refused \(min eigenvalue -0\.5 "):
+            CMP.check_volume_ratio(flat2, 0.5, rule=rule6)
 
 
 class TestTheorem4:
@@ -317,9 +317,8 @@ class TestTheorem4:
         assert rep.verdict == "holds"
         assert max(abs(r["margin"]) for r in rep.rows) < 1e-7
 
-    def test_section6_average_holds_while_pointwise_fails(self, section6_pot,
-                                                          section6_flow):
-        rep = CMP.check_average_laplacian(section6_pot, -1.2, flow=section6_flow)
+    def test_section6_average_holds_while_pointwise_fails(self, section6_pot, rule6):
+        rep = CMP.check_average_laplacian(section6_pot, -1.2, rule=rule6)
         assert rep.verdict == "holds"
         # the x1-axis ray alone violates the comparison on the same grid
         from kahlercomp import geodesic as G
@@ -425,12 +424,12 @@ class TestFlowQuality:
 
         from kahlercomp import curvature as C
         from kahlercomp import geodesic as G
-        from kahlercomp.sphere import build_rule
+        from kahlercomp.sphere import build_rule, tangent_nodes
         rule = build_rule(2, 4)
         flow = CMP.SphereFlow(section6_pot, np.zeros(2), 0.04, rule=rule, tol=1e-11)
         G0 = C.workspace(section6_pot).metric_values(np.zeros(2))
         singles = [G.GeodesicBatch(section6_pot, np.zeros(2), [e0], 0.04, tol=1e-11)
-                   for e0 in CMP.tangent_nodes(rule, C.real_metric_matrix(G0))]
+                   for e0 in tangent_nodes(rule, C.real_metric_matrix(G0))]
         for r in (0.01, 0.04):
             vals, logd = (np.repeat(x, len(rule) // len(flow.rays)) for x in flow.densities(r))
             single = [batch[0].density(r) for batch in singles]
@@ -458,10 +457,8 @@ class TestFlowQuality:
     def test_three_complex_dimensions(self):
         from kahlercomp.sphere import build_rule
         pot = P.flat(3)
-        rule = build_rule(3, 4)
-        flow = CMP.SphereFlow(pot, np.zeros(3), 0.0205, rule=rule)
         rep = CMP.check_average_laplacian(pot, 0.0, r_grid=[0.01, 0.02],
-                                          rule=rule, flow=flow)
+                                          rule=build_rule(3, 4))
         assert rep.verdict == "holds"
         assert max(abs(r["margin"]) for r in rep.rows) < 1e-9
 

@@ -327,6 +327,20 @@ class TestBatchedIntegrator:
                 assert max(ray.quality(r)[key] for ray in batch) == pytest.approx(
                     quality[key], abs=1e-15)
 
+    def test_rays_are_read_by_integer_index(self, flat2):
+        """An integer indexes one ray, negative ones from the end; a slice is a
+        TypeError, and iteration stops at the end of the batch."""
+        dirs = [np.array([1.0, 0, 0, 0]), np.array([0, 0, 1.0, 0])]
+        batch = G.GeodesicBatch(flat2, np.zeros(2), dirs, 0.1)
+        assert np.array_equal(batch[-1].e0, batch.e0[1])
+        assert np.array_equal(batch[np.int64(0)].e0, batch.e0[0])
+        assert len(list(batch)) == 2
+        with pytest.raises(IndexError):
+            batch[2]
+        for index in (slice(0, 2), np.array([0, 1])):
+            with pytest.raises(TypeError):
+                batch[index]
+
     def test_only_the_ray_leaving_the_ball_is_truncated(self, space_form_k1):
         """The outward ray is cut at |z| = 0.42; the others take further steps."""
         p = np.array([0.3, 0.0])

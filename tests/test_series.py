@@ -268,6 +268,19 @@ class TestKahlerIdentity:
         lhs, rhs, res = S.kahler_r11_identity_check(pot, np.zeros(2), rule=rule8)
         assert abs(res) < 1e-10 * max(1.0, abs(lhs))
 
+    @pytest.mark.parametrize("pot, rule", [(P.perturbed(2, 4), (2, 8)),
+                                           (P.space_form(3, 1, degree=12), (3, 4))])
+    def test_integral_matches_rm_value_loop(self, pot, rule):
+        """The batched R_11 integral against <R(e0, Je0)e0, Je0> node by node."""
+        from kahlercomp.sphere import fan_out
+        rule = build_rule(*rule)
+        p = np.zeros(pot.n)
+        RH = C.workspace(pot).curvature_values(p)
+        dirs, weights = fan_out(pot, p, rule)
+        vals = [C.rm_value(RH, xi, 1j * xi, xi, 1j * xi) for xi in map(C.complex_rep, dirs)]
+        loop = math.fsum(w * v for w, v in zip(weights, vals))
+        assert S._r11_integral(pot, p, rule) == pytest.approx(loop, rel=1e-14, abs=0)
+
 
 class TestOddCoefficients:
     def test_sphere_averaged_c3_vanishes(self, section6_pot, rule6):
