@@ -76,8 +76,25 @@ def _ensure_out(args):
     return out
 
 
+# check options a run of ``--which`` does not read: absent from its echoed
+# configuration; the counterexample refuses any of them set off its default
+_UNREAD = {"counterexample": ("catalog", "potential", "K", "quad_degree", "tol",
+                              "r_min", "r_max", "r_steps"),
+           "rigidity": ("r_min", "r_max", "r_steps")}
+
+
+def _refuse_unread(args):
+    defaults = _build_parser().parse_args(["check", "--which", args.which])
+    for dest in _UNREAD[args.which]:
+        if getattr(args, dest) != getattr(defaults, dest):
+            flag = "--" + dest.replace("_", "-")
+            raise ValueError(f"check --which {args.which} does not read {flag}")
+
+
 def _echo_config(args, out: Path):
-    cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    """Write the options the run reads to ``config.echo.json``."""
+    unread = _UNREAD.get(getattr(args, "which", None), ())
+    cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func" and k not in unread}
     (out / "config.echo.json").write_text(json.dumps(cfg, sort_keys=True, indent=2,
                                                      default=str) + "\n")
 
@@ -162,6 +179,7 @@ def cmd_check(args) -> int:
     payload = {"command": "check", "which": args.which}
 
     if args.which == "counterexample":
+        _refuse_unread(args)
         params = _parse_params(args.params)
         a = params.get("a", 0.1)
         lam = params.get("lambda", None)

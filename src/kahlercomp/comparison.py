@@ -333,7 +333,7 @@ class SphereFlow:
 
     The directions and their weights come from ``sphere.fan_out``: one ray per
     moment node for a torus-invariant potential at the origin, one per node
-    of the rule's product otherwise.  The rays are integrated as one
+    of the rule otherwise.  The rays are integrated as one
     ``GeodesicBatch``; each reduction reads its dense output once per radius
     for all rays and sums in fixed ray order.
     """

@@ -161,10 +161,45 @@ class TestCheckCommand:
         passing = [lam for lam, _, ok in search["steps"] if ok]
         assert passing[-1] == report["counterexample"]["lambda"]
 
+    @pytest.mark.parametrize("which, argv, unread", [
+        ("counterexample", ["--params", "a=0.1", "--tol", "1e-11"],
+         {"catalog", "potential", "K", "quad_degree", "tol", "r_min", "r_max", "r_steps"}),
+        ("rigidity", ["--catalog", "section6", "--params", "a=0.1", "--K", "-1.2",
+                      "--quad-degree", "4"], {"r_min", "r_max", "r_steps"}),
+        ("thm4", ["--catalog", "flat", "--params", "n=2", "--K", "0", "--quad-degree", "4",
+                  "--r-steps", "2"], set()),
+    ])
+    def test_config_echo_records_read_options(self, tmp_path, capsys, which, argv, unread):
+        """``config.echo.json`` holds the options the run reads and no other; a
+        flag set to its default value is accepted."""
+        out = tmp_path / which
+        assert cli.main(["check", "--which", which, *argv, "--out", str(out)]) == 0, \
+            capsys.readouterr().err
+        echoed = set(json.loads((out / "config.echo.json").read_text()))
+        every = {"command", "which", "out", "seed", "params", "catalog", "potential", "K",
+                 "quad_degree", "tol", "r_min", "r_max", "r_steps"}
+        assert echoed == every - unread
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--K", "5"), ("--quad-degree", "2"), ("--tol", "1e-3"), ("--catalog", "section6"),
+        ("--potential", "pot.json"), ("--r-min", "0.01"), ("--r-max", "0.05"),
+        ("--r-steps", "3"),
+    ])
+    def test_counterexample_refuses_unread_flags(self, tmp_path, capsys, flag, value):
+        """The counterexample builds its own potential, rule, grid and tolerance,
+        so it refuses a flag that would not change its run."""
+        out = tmp_path / "cx"
+        status = cli.main(["check", "--which", "counterexample", "--params", "a=0.1",
+                           flag, value, "--out", str(out)])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"does not read {flag}" in err
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("catalog, params, K, rule", [
-        ("section6", "a=0.1", "-1.2", {"degree": 6, "nodes": 128, "rays": 2,
+        ("section6", "a=0.1", "-1.2", {"degree": 6, "nodes": 64, "rays": 2,
                                        "symmetry": "torus"}),
-        ("perturbed", "n=2,seed=0", "-1", {"degree": 6, "nodes": 128, "rays": 128,
+        ("perturbed", "n=2,seed=0", "-1", {"degree": 6, "nodes": 64, "rays": 64,
                                            "symmetry": "none"}),
     ])
     def test_report_records_rule(self, tmp_path, capsys, catalog, params, K, rule):

@@ -1,5 +1,7 @@
 """Certificates, the two comparison checks, counterexample stages, rigidity probe."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -274,7 +276,7 @@ class TestTheorem3:
     def test_section6_holds(self, section6_pot, rule6):
         rep = CMP.check_volume_ratio(section6_pot, -1.2, rule=rule6)
         assert rep.verdict == "holds"
-        assert rep.rule == {"degree": 6, "nodes": 128, "rays": 2, "symmetry": "torus"}
+        assert rep.rule == {"degree": 6, "nodes": 64, "rays": 2, "symmetry": "torus"}
 
     def test_ratio_monotone_in_radius(self, section6_pot, section6_flow):
         model = ModelSpace(2, -1.2)
@@ -465,7 +467,7 @@ class TestFlowQuality:
 
 class TestTorusReduction:
     """A torus-invariant potential at the origin flows one ray per moment node;
-    the sums agree with the full product of single-angle rays."""
+    the sums agree with those over every node of the rule."""
 
     @pytest.mark.parametrize("pot, rule, r_max", [
         (P.section6(0.1, 0), (2, 6), 0.0405),
@@ -501,3 +503,55 @@ class TestTorusReduction:
         flow = CMP.SphereFlow(pot, p, 0.01, rule=rule6, tol=1e-11)
         assert len(flow.rays) == len(rule6)
         assert np.array_equal(flow.weights, rule6.weights)
+
+
+class ProductRule:
+    """The equispaced-angle rule that the lattice of ``sphere.build_rule``
+    replaced: the moment rule of ``rule`` times T equispaced angles per z_i,
+    T the least even number above the degree."""
+
+    def __init__(self, rule):
+        n, self.degree = rule.n, rule.degree
+        T = self.degree + 2 - self.degree % 2
+        thetas = 2.0 * np.pi * np.arange(T) / T
+        circle = np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
+        angles = np.indices((T,) * n).reshape(n, -1).T
+        pts = np.sqrt(rule.moments)[:, None, :, None] * circle[angles][None]
+        self.n = n
+        self.nodes = pts.reshape(-1, 2 * n)
+        self.weights = np.repeat(rule.moment_weights, T ** n) * (2.0 * np.pi / T) ** n
+
+    def __len__(self):
+        return len(self.weights)
+
+
+class TestProductRuleOracle:
+    """The lattice rule gives the sums of the equispaced product it replaced on
+    a potential without torus symmetry, with half the rays."""
+
+    @pytest.mark.parametrize("check", [CMP.check_volume_ratio, CMP.check_average_laplacian],
+                             ids=["thm3", "thm4"])
+    def test_margins(self, check, rule6):
+        pot = P.perturbed(2, 0)
+        product = ProductRule(rule6)
+        lattice, oracle = check(pot, -1.0, rule=rule6), check(pot, -1.0, rule=product)
+        assert (lattice.rule["rays"], oracle.rule["rays"]) == (64, 128)
+        assert lattice.verdict == oracle.verdict == "holds"
+        got = np.array([r["margin"] for r in lattice.rows])
+        want = np.array([r["margin"] for r in oracle.rows])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_series_sphere_average(self, tmp_path, monkeypatch, rule8):
+        from kahlercomp import cli
+
+        def averaged(name):
+            out = tmp_path / name
+            assert cli.main(["series", "--catalog", "perturbed", "--params", "n=2,seed=0",
+                             "--order", "4", "--quad-degree", "8", "--out", str(out)]) == 0
+            return np.array(json.loads((out / "report.json").read_text())
+                            ["sphere_averaged"]["coefficients"])
+
+        got = averaged("lattice")
+        monkeypatch.setattr(cli, "build_rule", lambda n, degree: ProductRule(rule8))
+        want = averaged("product")
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * abs(want[0]))

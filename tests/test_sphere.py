@@ -1,14 +1,17 @@
 """Sphere quadrature: exactness, symmetry, convergence plateau."""
 
+import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from kahlercomp import curvature as C
 from kahlercomp import potential as P
-from kahlercomp.sphere import (build_rule, fan_out, sphere_average, tangent_nodes, torus_reduced,
-                               unit_sphere_volume)
+from kahlercomp.sphere import (build_rule, fan_out, rank1_lattice, sphere_average, tangent_nodes,
+                               torus_reduced, unit_sphere_volume)
 
 
 class TestRuleBasics:
@@ -176,14 +179,48 @@ class TestFactoredRule:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_moment_nodes_carry_the_torus_weights(self, n):
         rule = build_rule(n, 4)
-        M = len(rule.moment_weights)
-        assert len(rule) == M * rule.n_theta ** n
+        M, (N, _) = len(rule.moment_weights), rule.lattice
+        assert len(rule) == M * N
         assert np.allclose(rule.moments.sum(axis=1), 1.0, rtol=0, atol=1e-15)
-        # moment-major order: node m * T^n has every angle 0
-        assert np.array_equal(rule.moment_nodes(), rule.nodes[::rule.n_theta ** n])
+        # moment-major order: node m * N is lattice point 0, every angle 0
+        assert np.array_equal(rule.moment_nodes(), rule.nodes[::N])
         grouped = rule.weights.reshape(M, -1).sum(axis=1)
         np.testing.assert_allclose(grouped, rule.moment_weights * (2 * math.pi) ** n,
                                    rtol=1e-14)
+
+
+class TestLattice:
+    @pytest.mark.parametrize("n, max_degree", [(2, 20), (3, 8), (4, 6), (5, 3)])
+    def test_lattice_cancels_every_frequency(self, n, max_degree):
+        """N even and g odd (the rule is symmetric), no frequency with
+        0 < |k|_1 <= degree on the dual lattice, and never more angle points
+        than the T^n of equispaced angles, T the least even number above the
+        degree."""
+        box = np.array(list(itertools.product(range(-max_degree, max_degree + 1), repeat=n)))
+        norms = np.abs(box).sum(axis=1)
+        for degree in range(max_degree + 1):
+            N, g = rank1_lattice(n, degree)
+            assert N % 2 == 0 and len(g) == n and all(x % 2 == 1 for x in g), (degree, N, g)
+            ks = box[(norms > 0) & (norms <= degree)]
+            assert np.all(ks @ np.array(g) % N != 0), (degree, N, g)
+            T = degree + 2 - degree % 2
+            assert N <= T ** n, (degree, N)
+
+    def test_no_search_at_import_or_on_the_torus_reduced_path(self):
+        """Importing the CLI and fanning a torus-invariant potential out at the
+        origin read only the moment nodes: the lattice memo stays empty."""
+        code = (
+            "import numpy as np\n"
+            "import kahlercomp.cli\n"
+            "from kahlercomp import potential as P, sphere\n"
+            "sizes = [sphere.rank1_lattice.cache_info().currsize]\n"
+            "for pot in (P.section6(0.1, 0), P.space_form(3, 1, degree=12)):\n"
+            "    dirs, _ = sphere.fan_out(pot, np.zeros(pot.n), sphere.build_rule(pot.n))\n"
+            "    sizes.append(sphere.rank1_lattice.cache_info().currsize)\n"
+            "print(sizes)\n")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "[0, 0, 0]"
 
 
 class TestFanOut:
@@ -204,3 +241,13 @@ class TestFanOut:
         G = C.workspace(pot).metric_values(p)
         assert np.array_equal(dirs, tangent_nodes(rule, C.real_metric_matrix(G)))
         assert np.array_equal(weights, rule.weights)
+
+    @pytest.mark.parametrize("pot, degree, count", [
+        (P.perturbed(2, 0), 6, 64),
+        (P.perturbed(3, 0), None, 1710),
+        (P.section6(0.1, 0), 6, 2),
+        (P.space_form(3, 1, degree=12), None, 9),
+    ], ids=["perturbed2", "perturbed3", "section6", "space_form3"])
+    def test_direction_counts(self, pot, degree, count):
+        dirs, weights = fan_out(pot, np.zeros(pot.n), build_rule(pot.n, degree))
+        assert len(dirs) == len(weights) == count
