@@ -136,9 +136,11 @@ def cmd_model(args) -> int:
 
 
 def cmd_series(args) -> int:
+    order = args.order
+    if order < 0:
+        raise ValueError(f"--order must be at least 0, got {order}")
     pot = _load_potential(args)
     p = np.zeros(pot.n, dtype=complex)
-    order = args.order
     jet_order = max(2, order - 2)
     dirs, weights = fan_out(pot, p, build_rule(pot.n, args.quad_degree))
 
@@ -174,7 +176,6 @@ def cmd_series(args) -> int:
 
 
 def cmd_check(args) -> int:
-    out = _ensure_out(args) if args.out else None
     verdicts = []
     payload = {"command": "check", "which": args.which}
 
@@ -186,12 +187,9 @@ def cmd_check(args) -> int:
         report = comparison.verify_counterexample(a=a, lam=lam, seed=args.seed)
         payload["counterexample"] = report.to_json_dict()
         verdicts.append("holds" if report.passed_all else "violated")
-        if out:
-            stage = report.stages["pointwise_gap"]
-            _write_csv(out / "tables" / "pointwise_gap.csv",
-                       ["r", "margin"],
-                       list(zip(map(float, stage["r_grid"]),
-                                map(float, stage["margins"]))))
+        stage = report.stages["pointwise_gap"]
+        table = ("pointwise_gap.csv", ["r", "margin"],
+                 list(zip(map(float, stage["r_grid"]), map(float, stage["margins"]))))
     else:
         pot = _load_potential(args)
         if args.K is None:
@@ -201,29 +199,21 @@ def cmd_check(args) -> int:
         if args.which == "thm3":
             rep = comparison.check_volume_ratio(pot, args.K, _grid(args), **opts)
             verdicts.append(rep.verdict)
-            if out:
-                _write_csv(out / "tables" / "volume_ratio.csv",
-                           ["a", "b", "lhs", "rhs", "margin"],
-                           [(r["a"], r["b"], r["lhs"], r["rhs"], r["margin"])
-                            for r in rep.rows])
+            table = ("volume_ratio.csv", ["a", "b", "lhs", "rhs", "margin"],
+                     [(r["a"], r["b"], r["lhs"], r["rhs"], r["margin"]) for r in rep.rows])
         elif args.which == "thm4":
             rep = comparison.check_average_laplacian(pot, args.K, _grid(args), **opts)
             verdicts.append(rep.verdict)
-            if out:
-                _write_csv(out / "tables" / "average_laplacian.csv",
-                           ["r", "lhs", "rhs", "margin"],
-                           [(r["r"], r["lhs"], r["rhs"], r["margin"])
-                            for r in rep.rows])
+            table = ("average_laplacian.csv", ["r", "lhs", "rhs", "margin"],
+                     [(r["r"], r["lhs"], r["rhs"], r["margin"]) for r in rep.rows])
         elif args.which == "rigidity":
             # the probe fits on its own radii; the radius grid is not read
             rep = comparison.rigidity_probe(pot, args.K, **opts)
             verdicts.append("holds")
-            if out:
-                _write_csv(out / "tables" / "rigidity.csv",
-                           ["order", "fitted", "model", "deviation", "threshold"],
-                           [(k, float(rep.fitted[k]), float(rep.model[k]),
-                             float(rep.deviations[k]), float(rep.thresholds[k]))
-                            for k in range(rep.order + 1)])
+            table = ("rigidity.csv", ["order", "fitted", "model", "deviation", "threshold"],
+                     [(k, float(rep.fitted[k]), float(rep.model[k]),
+                       float(rep.deviations[k]), float(rep.thresholds[k]))
+                      for k in range(rep.order + 1)])
         else:
             raise ValueError(f"unknown check {args.which!r}")
         payload[args.which] = rep.to_json_dict()
@@ -231,7 +221,11 @@ def cmd_check(args) -> int:
         payload["certificate"] = rep.certificate.to_json_dict()
 
     payload["verdicts"] = verdicts
-    if out:
+    if args.out:
+        # created only now, so a refused run leaves no output directory behind
+        out = _ensure_out(args)
+        name, header, rows = table
+        _write_csv(out / "tables" / name, header, rows)
         _echo_config(args, out)
         (out / "report.json").write_text(json.dumps(payload, sort_keys=True,
                                                     indent=2) + "\n")

@@ -22,6 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .polynomials import cauchy_product
 from .series import SeriesExpansion
 from .sphere import unit_sphere_volume
 
@@ -112,18 +113,6 @@ def _sn_over_r_series(lam: Fraction, order: int):
     return coeffs
 
 
-def _series_mul(a, b, order):
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > order:
-                break
-            out[i + j] += ai * bj
-    return out
-
-
 def model_series(model: ModelSpace, order: int = 8) -> SeriesExpansion:
     """Taylor coefficients of W_model(r) = Vol(S^{2n-1}) density(r)/r^{2n-1}.
 
@@ -133,11 +122,10 @@ def model_series(model: ModelSpace, order: int = 8) -> SeriesExpansion:
     if order > 16:
         raise ValueError("model series supported to order 16")
     c = Fraction(model.c)
-    s_main = _sn_over_r_series(c, order)
-    s_quarter = _sn_over_r_series(c / 4, order)
-    acc = s_main
+    acc = np.array(_sn_over_r_series(c, order), dtype=object)
+    s_quarter = np.array(_sn_over_r_series(c / 4, order), dtype=object)
     for _ in range(2 * model.n - 2):
-        acc = _series_mul(acc, s_quarter, order)
+        acc = cauchy_product(np.multiply, acc, s_quarter)
     vol = unit_sphere_volume(model.n)
     coeffs = np.array([vol * float(x) for x in acc])
     return SeriesExpansion(coefficients=coeffs, provenance="symbolic")

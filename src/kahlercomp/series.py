@@ -5,13 +5,13 @@ The Jacobi fields J_u(r) = sum_i r^i C^v_{u,i} e_v satisfy the recursion
     C^v_{u,i} = sum_{k+j=i-2, w} C^w_{u,k} R^(j)_{vw} / (j! i (i-1)),
 
 seeded by C_1 = identity, driven by the curvature jets R^(j) along the ray.
-From the coefficients we expand the Gram matrix <J_u, J_v>/r^2, take the
-determinant and square root as truncated formal power series, and obtain the
-per-direction density series whose sphere average is W(r) (constant term
-Vol(S^{2n-1})).  Every coefficient, the low-order ones included, comes from
-``density_series``; the ``series`` command averages it over a sphere rule.  A
-least-squares fit of sampled W values provides the independent numerical route
-to the same coefficients.
+From the coefficients we expand the Gram matrix G = <J_u, J_v>/r^2 as a
+truncated power series and take sqrt(det G) through its logarithmic derivative
+tr(G^-1 G')/2, which gives the per-direction density series whose sphere
+average is W(r) (constant term Vol(S^{2n-1})).  Every coefficient, the
+low-order ones included, comes from ``density_series``; the ``series`` command
+averages it over a sphere rule.  A least-squares fit of sampled W values
+provides the independent numerical route to the same coefficients.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 
 import numpy as np
 
@@ -84,41 +83,35 @@ def jacobi_recursion(jets: curv.CurvatureJets, N: int) -> JacobiCoefficients:
     return JacobiCoefficients(e0=jets.e0, order=N, C=C)
 
 
+def _trace_of_product(a, b):
+    """tr(a b) over the last two axes, without forming the matrix product."""
+    return np.einsum("...uv,...vu->...", a, b)
+
+
 def density_series(coeffs: JacobiCoefficients, N: int) -> SeriesExpansion:
     """Per-direction series of sqrt(det <J_u, J_v>)/r^{2n-1} up to order N.
 
-    The batch axes of ``coeffs`` lead; the coefficients are (..., N+1).  The
-    determinant (Leibniz) and the square root are truncated series products
-    (``cauchy_product``) over all directions at once.
+    The batch axes of ``coeffs`` lead; the coefficients are (..., N+1) and
+    need Jacobi coefficients to order N + 1.  The Gram series G = <J_u, J_v>/r^2
+    is the product of the blocks C_1..C_{N+1} with their transposes.  Its root
+    D = sqrt(det G) solves D' = q D with q = tr(G^-1 G')/2, so
+    k D_k = sum_{j<k} q_j D_{k-1-j} (Taylor-mode arithmetic, Griewank and
+    Walther, ch. 13).  Every product is a ``cauchy_product`` over all
+    directions at once.
     """
-    if N > 2 * coeffs.order - 2:
-        raise ValueError("requested order exceeds what the coefficients support")
-    C = coeffs.C
-    m = C.shape[-1]
-    L = N + 1
-    # Gram/r^2 entries: sum over w of C[u,i,w] C[v,j,w] at power t = i+j-2
-    i = np.arange(C.shape[-2])
-    at_power = (i[:, None, None] + i[None, :, None] - 2 == np.arange(L)).astype(float)
-    gram = np.einsum("...uiw,...vjw,ijt->t...uv", C, C, at_power)
-    det = np.zeros(gram.shape[:-2])
-    for perm in permutations(range(m)):
-        inv = sum(1 for a in range(m) for b in range(a + 1, m) if perm[a] > perm[b])
-        term = (-1.0 if inv % 2 else 1.0) * gram[..., 0, perm[0]]
-        for u in range(1, m):
-            term = cauchy_product(np.multiply, term, gram[..., u, perm[u]])
-        det += term
-    if np.any(np.abs(det[0] - 1.0) > 1e-12):
-        raise ValueError("sqrt composition expects constant term 1")
-    x = det.copy()
-    x[0] = 0.0
-    out = np.zeros_like(det)
+    if N >= coeffs.order:
+        raise ValueError(f"order {N} exceeds what Jacobi coefficients of order "
+                         f"{coeffs.order} support (at most {coeffs.order - 1})")
+    B = np.moveaxis(coeffs.C[..., 1:N + 2, :], -2, 0)
+    gram = cauchy_product(np.matmul, B, np.swapaxes(B, -1, -2))
+    if np.any(np.abs(np.linalg.det(gram[0]) - 1.0) > 1e-12):
+        raise ValueError("density series expects a Gram constant term of determinant 1")
+    dgram = np.arange(1, N + 1).reshape((N,) + (1,) * (gram.ndim - 1)) * gram[1:]
+    q = 0.5 * cauchy_product(_trace_of_product, curv._series_inverse(gram), dgram)
+    out = np.zeros((N + 1,) + gram.shape[1:-2])
     out[0] = 1.0
-    term = out.copy()
-    coeff = 1.0
-    for k in range(1, L):
-        coeff *= (0.5 - (k - 1)) / k  # binomial(1/2, k) recursion
-        term = cauchy_product(np.multiply, term, x)
-        out += coeff * term
+    for k in range(1, N + 1):
+        out[k] = np.sum(q[:k] * out[k - 1::-1], axis=0) / k
     return SeriesExpansion(coefficients=np.moveaxis(out, 0, -1), provenance="symbolic")
 
 

@@ -61,6 +61,11 @@ class TestSeriesCommand:
         avg = doc["sphere_averaged"]["coefficients"]
         assert avg[0] == pytest.approx(doc["sphere_averaged"]["c0_expected"])
 
+    def test_order_zero(self, capsys):
+        assert cli.main(["series", "--catalog", "section6", "--params", "a=0.1",
+                         "--order", "0", "--quad-degree", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["per_direction"]["coefficients"] == [1.0]
+
     def test_potential_file_input(self, tmp_path):
         pot_file = tmp_path / "pot.json"
         pot_file.write_text(P.dumps(P.flat(2)))
@@ -194,7 +199,18 @@ class TestCheckCommand:
         assert status == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"does not read {flag}" in err
-        assert not (out / "report.json").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--which", "thm3", "--catalog", "flat", "--params", "n=2"], "--K is required"),
+        (["--which", "thm3", "--catalog", "section6", "--params", "a=0.1", "--K", "0",
+          "--quad-degree", "4"], "certificate refused"),
+    ])
+    def test_refused_run_creates_no_output(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "d"
+        assert cli.main(["check", *argv, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("catalog, params, K, rule", [
         ("section6", "a=0.1", "-1.2", {"degree": 6, "nodes": 64, "rays": 2,
@@ -301,6 +317,12 @@ class TestUsageErrors:
         """``model`` and ``series`` draw no sample and integrate no ray."""
         assert cli.main(argv) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("order", ["-1", "-3"])
+    def test_negative_series_order(self, capsys, order):
+        assert cli.main(["series", "--catalog", "flat", "--params", "n=2",
+                         "--order", order]) == 1
+        assert f"--order must be at least 0, got {order}" in capsys.readouterr().err
 
     def test_bad_model_grid(self, capsys):
         assert cli.main(["model", "--n", "2", "--K", "0", "--r-steps", "0"]) == 1

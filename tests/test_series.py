@@ -2,6 +2,7 @@
 
 import json
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from kahlercomp import model_space as M
 from kahlercomp import potential as P
 from kahlercomp import series as S
 from kahlercomp.model_space import ModelSpace
+from kahlercomp.polynomials import cauchy_product
 from kahlercomp.sphere import build_rule, tangent_nodes, unit_sphere_volume
 
 
@@ -41,6 +43,46 @@ def closed_form_c2_c4(R0, R1, R2):
     c4 = (float(np.sum(R0 * R0)) / 45.0 + float(np.trace(R2)) / 40.0
           + pairs / 18.0 - tr * tr / 72.0)
     return tr / 6.0, float(np.trace(R1)) / 12.0, c4
+
+
+def leibniz_density_series(co, N):
+    """Reference route to ``density_series``: the Gram series summed block by
+    block, its determinant by the Leibniz formula over all permutations and
+    the square root by the binomial series of sqrt(1 + x)."""
+    C = co.C
+    m = C.shape[-1]
+    gram = np.zeros((N + 1,) + C.shape[:-3] + (m, m))
+    for i in range(1, C.shape[-2]):
+        for j in range(1, N + 3 - i):
+            gram[i + j - 2] += C[..., i, :] @ np.swapaxes(C[..., j, :], -1, -2)
+    det = np.zeros(gram.shape[:-2])
+    for perm in permutations(range(m)):
+        inv = sum(1 for a in range(m) for b in range(a + 1, m) if perm[a] > perm[b])
+        term = (-1.0) ** inv * gram[..., 0, perm[0]]
+        for u in range(1, m):
+            term = cauchy_product(np.multiply, term, gram[..., u, perm[u]])
+        det += term
+    x = det.copy()
+    x[0] = 0.0
+    out = np.zeros_like(det)
+    out[0] = 1.0
+    term = out.copy()
+    coeff = 1.0
+    for k in range(1, N + 1):
+        coeff *= (0.5 - (k - 1)) / k  # binomial(1/2, k)
+        term = cauchy_product(np.multiply, term, x)
+        out += coeff * term
+    return np.moveaxis(out, 0, -1)
+
+
+def ray_series(pot, n_dirs, order):
+    """Per-direction density series to ``order`` along n_dirs unit directions at 0."""
+    p = np.zeros(pot.n)
+    G = C.workspace(pot).metric_values(p)
+    dirs = tangent_nodes(build_rule(pot.n, 4), C.real_metric_matrix(G))
+    dirs = dirs[np.linspace(0, len(dirs) - 1, n_dirs).astype(int)]
+    jets = C.curvature_jets_along(pot, p, dirs, order=order - 1)
+    return S.jacobi_recursion(jets, order + 1)
 
 
 class TestRecursion:
@@ -93,7 +135,7 @@ class TestRecursion:
 
 class TestDensitySeries:
     def test_flat_is_delta_series(self):
-        co = S.jacobi_recursion(synthetic_jets([np.zeros((3, 3))] * 3), 4)
+        co = S.jacobi_recursion(synthetic_jets([np.zeros((3, 3))] * 3), 5)
         ds = S.density_series(co, 4)
         assert ds.coefficients[0] == 1.0
         assert np.max(np.abs(ds.coefficients[1:])) == 0.0
@@ -139,6 +181,49 @@ class TestDensitySeries:
         co = S.jacobi_recursion(synthetic_jets([np.zeros((3, 3))] * 3), 3)
         with pytest.raises(ValueError, match="exceeds"):
             S.density_series(co, 7)
+
+    def test_order_needs_coefficients_one_higher(self):
+        """Order N reads the Gram series to r^N, so C_{N+1}: with Jacobi
+        coefficients of order N + 1 the series is final, with order N it is
+        refused rather than returned short of its top terms."""
+        jets = C.curvature_jets_along(P.perturbed(2, 0), np.zeros(2),
+                                      np.array([0.5, 0.2, -0.4, 0.3]), order=6)
+        ds = S.density_series(S.jacobi_recursion(jets, 6), 5).coefficients
+        longer = S.density_series(S.jacobi_recursion(jets, 9), 5).coefficients
+        assert np.allclose(ds, longer, rtol=1e-14, atol=1e-20)
+        with pytest.raises(ValueError, match="exceeds"):
+            S.density_series(S.jacobi_recursion(jets, 5), 5)
+
+    def test_gram_constant_term_must_have_unit_determinant(self):
+        co = S.jacobi_recursion(synthetic_jets([np.zeros((3, 3))] * 3), 5)
+        scaled = S.JacobiCoefficients(e0=co.e0, order=co.order, C=2.0 * co.C)
+        with pytest.raises(ValueError, match="determinant 1"):
+            S.density_series(scaled, 4)
+
+    @pytest.mark.parametrize("pot", [P.section6(0.1, 0), P.perturbed(2, 0), P.perturbed(3, 0)],
+                             ids=["section6", "perturbed-n2", "perturbed-n3"])
+    def test_matches_leibniz_oracle_to_order_12(self, pot):
+        co = ray_series(pot, 16, 12)
+        ds = S.density_series(co, 12).coefficients
+        ref = leibniz_density_series(co, 12)
+        assert ds.shape == ref.shape == (16, 13)
+        assert np.all(np.abs(ds - ref) <= 1e-12 * np.maximum(np.abs(ref), 1e-8))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("K", [1, -1, -3])
+    def test_space_forms_no_farther_from_model_than_oracle(self, n, K):
+        """Relative distance from the exact model coefficients (those above
+        1e-8), over four directions through order 12."""
+        co = ray_series(P.space_form(n, K), 4, 12)
+        exact = M.model_series(ModelSpace(n, K), 12).coefficients / unit_sphere_volume(n)
+        keep = np.abs(exact) > 1e-8
+
+        def distance(coeffs):
+            return np.max(np.abs(coeffs - exact)[:, keep] / np.abs(exact[keep]))
+
+        ours = distance(S.density_series(co, 12).coefficients)
+        assert ours <= distance(leibniz_density_series(co, 12))
+        assert ours < 1e-11
 
 
 class TestFit:
@@ -283,6 +368,16 @@ class TestKahlerIdentity:
 
 
 class TestOddCoefficients:
+    @pytest.mark.parametrize("catalog, params", [("section6", "a=0.1"),
+                                                 ("perturbed", "n=2,seed=0")])
+    def test_series_command_odd_averages_are_exactly_zero(self, capsys, catalog, params):
+        """The rule is centrally symmetric and the odd per-direction terms are
+        odd in the direction to the last bit, so their averages cancel exactly."""
+        assert cli.main(["series", "--catalog", catalog, "--params", params,
+                         "--order", "7", "--quad-degree", "6"]) == 0
+        avg = json.loads(capsys.readouterr().out)["sphere_averaged"]["coefficients"]
+        assert avg[1::2] == [0.0] * 4
+
     def test_sphere_averaged_c3_vanishes(self, section6_pot, rule6):
         """r^3 coefficient integrates to zero over directions by symmetry."""
         for pot in (P.flat(2), P.space_form(2, 1.0), section6_pot, P.perturbed(2, 4)):
