@@ -19,10 +19,13 @@ Conventions, fixed once here and anchored by the test suite:
   ``sum_u R_uu = -Ric(e0, e0)``.
 * The complex Ricci tensor is ``-d dbar log det g`` and the scalar curvature
   is its trace against the inverse metric, so Ric = K g gives scalar n K.
-  Numerically it is the contraction ``Ric_ij = sum_kl R[i,j,k,l] (G^-1)[l,k]``
-  of the curvature array at the point, which needs only g and its first and
-  second derivatives; the exact log-determinant series is built for the
-  golden checks alone.
+  Numerically it is
+  ``Ric_ij = tr(G^-1 d_iG G^-1 dbar_jG) - tr(G^-1 d_i dbar_jG)``, with
+  dbar_jG = (d_jG)^H, which needs only g and its first and second
+  derivatives: G^-1 comes from one Cholesky factor of G and no curvature
+  array is formed.  It equals the contraction
+  ``sum_kl R[i,j,k,l] (G^-1)[l,k]`` of the curvature array; the exact
+  log-determinant series is built for the golden checks alone.
 * Numeric values are Taylor series in a real curve parameter, order on the
   first axis; a point is a length-1 series, so points and the curvature jets
   along a geodesic (``curvature_jets_along``) run the same code.
@@ -195,9 +198,11 @@ class CurvatureWorkspace:
     ``d2g`` only (n (n+1)/2)^2; the others are the same ``CPoly`` objects, and
     the numeric stack stores each distinct one once.  ``field_values``
     evaluates them as one stack along a Taylor series (a point is a length-1
-    series), and the curvature and Ricci values are computed from those numbers
-    (``connection_and_curvature``), the same path the geodesic right-hand
-    side and the curvature jets run.  The exact determinant, log-determinant
+    series).  The curvature values are computed from those numbers by
+    ``connection_and_curvature``, the same path the geodesic right-hand side
+    and the curvature jets run; the Ricci values take the field values
+    straight to Ric (``_ricci_from_fields``), with no inverse of G and no
+    curvature array.  The exact determinant, log-determinant
     and Ricci series (``det_g``, ``log_det``, ``ric``, truncated at degree
     ``max_degree + 4``) are built only when read: they serve the exact golden
     checks, never a numeric value.
@@ -282,10 +287,12 @@ class CurvatureWorkspace:
     def ricci_values(self, z):
         """(G, Ric) at one point (n,) or at a batch (..., n).
 
-        Ric_ij = sum_kl R[i,j,k,l] (G^-1)[l,k], the contraction of the
-        curvature array, equal to -d_i dbar_j log det g with no series
-        truncation.  Points are taken ``NumericPoly.BLOCK`` rows at a time,
-        with the dtype rule of ``field_values``.
+        Ric_ij = tr(G^-1 d_iG G^-1 dbar_jG) - tr(G^-1 d_i dbar_jG), equal to
+        -d_i dbar_j log det g with no series truncation, computed from the
+        field values alone (``_ricci_from_fields``): no inverse of G and no
+        curvature array.  Points are taken ``NumericPoly.BLOCK`` rows at a
+        time, with the dtype rule of ``field_values``.  Raises
+        ``np.linalg.LinAlgError`` when G is not positive definite at a point.
         """
         n = self.n
         z = np.asarray(z)
@@ -294,12 +301,11 @@ class CurvatureWorkspace:
         ric = np.empty_like(G)
         for lo in range(0, Z.shape[1], NumericPoly.BLOCK):
             rows = slice(lo, lo + NumericPoly.BLOCK)
-            Gs, D1, D2 = self.field_values(Z[:, rows])
-            G[rows] = Gs[0]
-            _, R, cginv = connection_and_curvature(Gs, D1, D2)
-            # conj(G^-1)[k, l] = (G^-1)[l, k] for Hermitian G
-            ric[rows] = (R[0].reshape(-1, n * n, n * n)
-                         @ cginv[0].reshape(-1, n * n, 1)).reshape(-1, n, n)
+            fields = self.field_values(Z[:, rows])
+            G[rows] = fields[0][0]
+            # point-major: entries first, the points of the block last
+            ric[rows] = np.moveaxis(
+                _ricci_from_fields(*(np.moveaxis(a[0], 0, -1).copy() for a in fields)), -1, 0)
         return G.reshape(z.shape[:-1] + (n, n)), ric.reshape(z.shape[:-1] + (n, n))
 
     def curvature_values(self, z):
@@ -323,6 +329,48 @@ def _det_expansion(g, trunc):
     return out
 
 
+def _inverse_cholesky(G):
+    """W = L^-1 for the Cholesky factor G = L L^H, so that G^-1 = W^H W.
+
+    ``G`` (n, n, P) holds P Hermitian matrices point-major; the factor and its
+    inverse are formed entry by entry over the points.  Raises
+    ``np.linalg.LinAlgError`` when a G is not positive definite.
+    """
+    n = G.shape[0]
+    L = np.empty_like(G)  # only its entries below the diagonal are read
+    W = np.zeros_like(G)
+    for j in range(n):
+        d = G[j, j].real - sum((L[j, k] * L[j, k].conj()).real for k in range(j))
+        if not np.all(d > 0):
+            raise np.linalg.LinAlgError("metric is not positive definite")
+        W[j, j] = 1.0 / np.sqrt(d)  # 1 / L[j, j]
+        L[j + 1:, j] = (G[j + 1:, j] - sum(L[j + 1:, k] * L[j, k].conj() for k in range(j))) \
+            * W[j, j]
+    for i in range(1, n):
+        # row i of L W = I, left of the diagonal
+        W[i, :i] = -sum(L[i, k] * W[k, :i] for k in range(i)) * W[i, i]
+    return W
+
+
+def _ricci_from_fields(G, D1, D2):
+    """Ric_ij = tr(G^-1 d_iG G^-1 dbar_jG) - tr(G^-1 d_i dbar_jG), point-major.
+
+    ``G`` (n, n, P), ``D1`` (n, n, n, P) and ``D2`` (n, n, n, n, P) are the
+    field values with the points on the last axis; dbar_jG = (d_jG)^H.  With
+    G^-1 = W^H W and E_i = W d_iG W^H, the first trace is the Hermitian
+    product of E_i and E_j, and the second the sum of (G^-1)^T times
+    d_i dbar_jG, entry by entry.
+    """
+    n = G.shape[0]
+    W = _inverse_cholesky(G)
+    cW = W.conj()
+    F = sum(W[None, :, c, None] * D1[:, c, None] for c in range(n))
+    E = sum(F[:, :, c, None] * cW[None, None, :, c] for c in range(n)).reshape(n, n * n, -1)
+    ginv_t = sum(W[c, :, None] * cW[c, None, :] for c in range(n)).reshape(n * n, -1)
+    return (np.einsum("imp,jmp->ijp", E, E.conj())
+            - np.einsum("ijmp,mp->ijp", D2.reshape(n, n, n * n, -1), ginv_t))
+
+
 def _series_inverse(G):
     """Taylor series of G^-1 from the series G (L, ..., n, n)."""
     inv = np.empty_like(G)
@@ -333,14 +381,14 @@ def _series_inverse(G):
 
 
 def connection_and_curvature(G, D1, D2):
-    """Christoffel table, curvature array and conj(G^-1) from the field values.
+    """Christoffel table and curvature array from the field values.
 
     The arguments are Taylor series with the order on their first axis, as
     ``CurvatureWorkspace.field_values`` returns them (a point is a length-1
     series); the axes between are batch axes.  Returns ``gam`` with
     gam[..., i*n + k, m] = Gamma^m_ik = sum_q conj(Ginv)[m,q] d_i g_kq, the
     curvature array R[..., i,j,k,l] = -d_i dbar_j g_kl
-    + sum_m gam[ik, m] conj(d_j g_lm), and conj(G^-1), all as series.
+    + sum_m gam[ik, m] conj(d_j g_lm), both as series.
     """
     n = G.shape[-1]
     lead = G.shape[:-2]
@@ -351,7 +399,7 @@ def connection_and_curvature(G, D1, D2):
     second = second.reshape(lead + (n, n, n, n))
     # second is indexed [i, k, j, l]; D2 is stored as d2g[k][l][i][j] =
     # d_k dbar_l g_ij, so the needed slot order d_i dbar_j g_kl is D2[i, j, k, l]
-    return gam, np.swapaxes(second, -3, -2) - D2, cginv
+    return gam, np.swapaxes(second, -3, -2) - D2
 
 
 # Workspaces are cached per potential, least recently used first out.

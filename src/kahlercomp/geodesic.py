@@ -204,7 +204,7 @@ class GeodesicBatch:
         self.nfev += 1
         n = self.n
         z, full, J, Jp = self._unpack(Y)
-        gam, RH, _ = curv.connection_and_curvature(*self._ws.field_values(z[None]))
+        gam, RH = curv.connection_and_curvature(*self._ws.field_values(z[None]))
         v = full[:, 0]
         # vf[a, i*n + k] = v_i e_a,k, so -(vf @ gam) is -Gamma(v, e_a) for every frame vector
         vf = (v[:, None, :, None] * full[:, :, None, :]).reshape(len(Y), 2 * n, n * n)

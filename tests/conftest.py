@@ -1,10 +1,17 @@
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kahlercomp import potential as P
 from kahlercomp.sphere import build_rule
+
+# pytest puts src/ on sys.path (pyproject.toml); the CLI and import tests start
+# child interpreters, which find this checkout's package through PYTHONPATH
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

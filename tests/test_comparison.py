@@ -1,6 +1,7 @@
 """Certificates, the two comparison checks, counterexample stages, rigidity probe."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,14 @@ from kahlercomp.model_space import ModelSpace
 @pytest.fixture(scope="module")
 def section6_flow(section6_pot, rule6):
     return CMP.SphereFlow(section6_pot, np.zeros(2), 0.0405, rule=rule6, tol=1e-11)
+
+
+def _indefinite_potential():
+    """g_11 = 1 - 12 |z1|^2 turns negative past |z1| = 0.29, inside rho = 0.6."""
+    return P.RealAnalyticPotential(
+        2, [((1, 0), (1, 0), 1), ((0, 1), (0, 1), 1),
+            ((2, 0), (2, 0), -3), ((0, 2), (0, 2), -3)],
+        validity_radius=1.0)
 
 
 def _assert_drawn_witness(witness, points):
@@ -124,11 +133,7 @@ class TestCertificates:
         _assert_drawn_witness(cert.witness, CMP._ball_points(2, 0.05, 200, 0))
 
     def test_indefinite_metric_refused_with_witness(self):
-        # g_11 = 1 - 12 |z1|^2 turns negative past |z1| = 0.29 inside rho = 0.6
-        pot = P.RealAnalyticPotential(
-            2, [((1, 0), (1, 0), 1), ((0, 1), (0, 1), 1),
-                ((2, 0), (2, 0), -3), ((0, 2), (0, 2), -3)],
-            validity_radius=1.0)
+        pot = _indefinite_potential()
         cert = CMP.certify_ricci_bound(pot, 0.0, 0.6, samples=200)
         assert not cert.passed
         assert cert.min_eigenvalue == float("-inf")
@@ -137,6 +142,27 @@ class TestCertificates:
         # a radial point along the direction of a drawn ball point
         assert cert.symmetry == "torus"
         _assert_drawn_witness(cert.witness, CMP._certificate_points(2, 0.6, 200, 0))
+
+    def test_ricci_values_raise_on_the_indefinite_sample(self):
+        """Ric is refused, not computed, on a sample where g is indefinite
+        somewhere: a typed error, no NaN and no warning."""
+        ws = C.workspace(_indefinite_potential())
+        Z = CMP._certificate_points(2, 0.6, 200, 0)
+        for at in (np.abs(Z), Z):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(np.linalg.LinAlgError):
+                    ws.ricci_values(at)
+
+    @pytest.mark.parametrize("pot, K", [(P.section6(0.1, 0), -1.2), (P.perturbed(2, 0), -1.0)],
+                             ids=lambda x: getattr(x, "label", ""))
+    def test_certificate_needs_no_inverse_and_no_curvature_array(self, pot, K, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the certificate formed G^-1 or the curvature array")
+
+        monkeypatch.setattr(C, "connection_and_curvature", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        assert CMP.certify_ricci_bound(pot, K, 0.04).passed
 
     def test_radius_beyond_validity_rejected(self, section6_pot):
         with pytest.raises(ValueError, match="validity"):

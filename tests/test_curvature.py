@@ -340,6 +340,46 @@ class TestRicciScalar:
             assert s1 == pytest.approx(s2, rel=1e-9, abs=1e-9)
 
 
+def contracted_ricci(pot, Z):
+    """Oracle: Ric_ij = sum_kl R[i,j,k,l] (G^-1)[l,k], from the curvature array
+    of the connection route and LAPACK's inverse of G."""
+    ws = C.workspace(pot)
+    R = ws.curvature_values(Z)
+    return np.einsum("...ijkl,...lk->...ij", R, np.linalg.inv(ws.metric_values(Z)))
+
+
+_RICCI_POTENTIALS = [P.section6(Fraction(1, 10), 0), P.perturbed(2, 0), P.perturbed(3, 0),
+                     P.space_form(3, 1, degree=12), P.space_form(3, -1, degree=12)]
+
+
+class TestRicciValues:
+    @pytest.mark.parametrize("pot", _RICCI_POTENTIALS, ids=lambda p: p.label)
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_matches_contracted_curvature(self, pot, real):
+        Z = comparison._ball_points(pot.n, 0.04, 256, 5)
+        if real:
+            Z = Z.real
+        G, ric = C.workspace(pot).ricci_values(Z)
+        expected = contracted_ricci(pot, Z)
+        assert ric.shape == expected.shape == (256, pot.n, pot.n)
+        assert np.abs(ric - expected).max() <= 1e-13 * np.abs(expected).max()
+        assert np.array_equal(G, C.workspace(pot).metric_values(Z))
+
+    def test_shapes_and_dtypes(self, section6_pot):
+        ws = C.workspace(section6_pot)
+        x = np.array([0.03, 0.01])
+        for z, shape, dtype in ((x, (), np.float64), (x + 0.02j, (), np.complex128),
+                                (np.tile(x, (4, 3, 1)), (4, 3), np.float64),
+                                (np.zeros((0, 2)), (0,), np.float64),
+                                (np.zeros((0, 2), dtype=complex), (0,), np.complex128)):
+            G, ric = ws.ricci_values(z)
+            assert G.shape == ric.shape == shape + (2, 2)
+            assert G.dtype == ric.dtype == dtype
+        assert C.workspace(P.perturbed(2, 0)).ricci_values(x)[1].dtype == np.complex128
+        batch = ws.ricci_values(np.tile(x, (4, 3, 1)))[1]
+        assert np.allclose(batch, ws.ricci_values(x)[1], rtol=1e-15, atol=0)
+
+
 class TestJets:
     def test_flat_all_zero(self, flat2):
         jets = C.curvature_jets_along(flat2, np.zeros(2),
