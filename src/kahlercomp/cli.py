@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -50,6 +51,9 @@ def _parse_params(text):
                 out[key] = float(value)
             except ValueError:
                 out[key] = value
+            else:
+                if not math.isfinite(out[key]):
+                    raise ValueError(f"parameter {key!r} must be finite, got {value!r}")
     return out
 
 
@@ -182,6 +186,10 @@ def cmd_check(args) -> int:
     if args.which == "counterexample":
         _refuse_unread(args)
         params = _parse_params(args.params)
+        unknown = sorted(set(params) - {"a", "lambda"})
+        if unknown:
+            raise ValueError(f"check --which counterexample reads only the parameters "
+                             f"'a' and 'lambda', got {', '.join(map(repr, unknown))}")
         a = params.get("a", 0.1)
         lam = params.get("lambda", None)
         report = comparison.verify_counterexample(a=a, lam=lam, seed=args.seed)
@@ -194,6 +202,8 @@ def cmd_check(args) -> int:
         pot = _load_potential(args)
         if args.K is None:
             raise ValueError("--K is required for thm3/thm4/rigidity checks")
+        if not math.isfinite(args.K):
+            raise ValueError(f"--K must be finite, got {args.K}")
         opts = {"rule": build_rule(pot.n, args.quad_degree), "tol_ode": args.tol,
                 "seed": args.seed}
         if args.which == "thm3":

@@ -291,6 +291,12 @@ def certify_ricci_bound(pot: RealAnalyticPotential, K, rho, samples=10000,
     return certificate(min_eig, min_eig >= -CERT_TOL, idx)
 
 
+def _lambda_certificate(a, lam, rho, samples, seed):
+    """Ric >= -12a g for section6(a, lam) on the rho-ball."""
+    return certify_ricci_bound(section6(a, lam), -12.0 * float(a), rho, samples=samples,
+                               seed=seed)
+
+
 def find_lambda(a, rho, samples=LAMBDA_SAMPLES, seed=0):
     """Smallest stabilizer weight making Ric >= -12a hold on the rho-ball.
 
@@ -300,11 +306,10 @@ def find_lambda(a, rho, samples=LAMBDA_SAMPLES, seed=0):
     """
     if a == 0:
         return 0.0, [(0.0, 0.0, True)]
-    K = -12.0 * float(a)
     steps = []
 
     def passes(lam):
-        cert = certify_ricci_bound(section6(a, lam), K, rho, samples=samples, seed=seed)
+        cert = _lambda_certificate(a, lam, rho, samples, seed)
         steps.append((float(lam), cert.min_eigenvalue, cert.passed))
         return cert.passed
 
@@ -450,7 +455,7 @@ class CounterexampleReport:
     a: float
     lam: float
     stages: dict = field(default_factory=dict)
-    lambda_search: dict | None = None   # find_lambda's steps; None for a given lambda
+    lambda_search: dict | None = None   # the certificate steps that chose or checked lambda
 
     @property
     def passed_all(self) -> bool:
@@ -515,19 +520,35 @@ def verify_counterexample(a=0.1, lam=None, rho=0.05, seed=0) -> CounterexampleRe
     along the x1-axis exceeding the model's; (v) positive pointwise gap
     Laplacian - model Laplacian on a reported interval of r in [0.004, 0.04].  Failing
     stages are recorded and the remaining stages still run.  Without ``lam``,
-    ``find_lambda`` picks it and ``lambda_search`` records its steps.
+    ``find_lambda`` picks it; a given ``lam`` is certified once, with the same
+    radius, samples and seed, and a refused certificate raises a
+    ``ValueError``.  ``lambda_search`` records the steps either way.
     """
     if a == 0:
         raise ValueError("the counterexample needs a nonzero curvature parameter a")
     a_frac = Fraction(a)
-    search = None
     if lam is None:
         lam, steps = find_lambda(a, rho, seed=seed)
-        search = {"rho": float(rho), "samples": LAMBDA_SAMPLES, "seed": seed,
-                  "steps": [list(step) for step in steps]}
+    else:
+        cert = _lambda_certificate(a, lam, rho, LAMBDA_SAMPLES, seed)
+        if not cert.passed:
+            raise ValueError(
+                f"Ricci bound certificate refused for lambda {float(lam)} (min eigenvalue "
+                f"{cert.min_eigenvalue:.3g} at {cert.witness})")
+        steps = [(float(lam), cert.min_eigenvalue, cert.passed)]
+    search = {"rho": float(rho), "samples": LAMBDA_SAMPLES, "seed": seed,
+              "steps": [list(step) for step in steps]}
     report = CounterexampleReport(a=float(a), lam=float(lam), lambda_search=search)
     pot = section6(a, lam)
     ws = curv.workspace(pot)
+    ws1 = curv.workspace(section6(a, 1))
+    ws0 = curv.workspace(section6(a, 0))
+    # the exact series of each distinct potential, to degree 6: stage i reads
+    # det g through degree 4, stage ii Ric through 3 and log det g at 6
+    exact = {}
+    for w in (ws, ws1, ws0):
+        if w.pot not in exact:
+            exact[w.pot] = curv.ricci_series(w.g, 6)
     K = -12.0 * float(a)
     model = model_space.ModelSpace(2, K)
 
@@ -535,7 +556,7 @@ def verify_counterexample(a=0.1, lam=None, rho=0.05, seed=0) -> CounterexampleRe
     g11_exp, g12_exp, det_exp = _expected_metric_series(a_frac)
     got_g11 = ws.g[0][0].truncate(4)
     got_g12 = ws.g[0][1].truncate(4)
-    got_det = ws.det_g.truncate(4)
+    got_det = exact[pot][0].truncate(4)
     stage_i = {
         "g11": got_g11 == g11_exp,
         "g12": got_g12 == g12_exp,
@@ -545,13 +566,12 @@ def verify_counterexample(a=0.1, lam=None, rho=0.05, seed=0) -> CounterexampleRe
 
     # stage ii: Ric + 12 a g vanishes exactly through total degree 3, and the
     # lambda-linear part of (-log det g + 12 a f) at degree 6 is 24 (|z1|^2+|z2|^2)^3
-    ric_plus = [[ws.ric[i][j] + ws.g[i][j].scale(12 * a_frac) for j in range(2)]
+    ric = exact[pot][2]
+    ric_plus = [[ric[i][j] + ws.g[i][j].scale(12 * a_frac) for j in range(2)]
                 for i in range(2)]
     vanish = all(ric_plus[i][j].truncate(3).is_zero() for i in range(2) for j in range(2))
-    ws1 = curv.workspace(section6(a, 1))
-    ws0 = curv.workspace(section6(a, 0))
-    u1 = -ws1.log_det + ws1.pot.poly.scale(12 * a_frac)
-    u0 = -ws0.log_det + ws0.pot.poly.scale(12 * a_frac)
+    u1 = -exact[ws1.pot][1] + ws1.pot.poly.scale(12 * a_frac)
+    u0 = -exact[ws0.pot][1] + ws0.pot.poly.scale(12 * a_frac)
     delta6 = (u1 - u0).part(6)
     expected6 = _poly_from_terms([
         ((3, 0), (3, 0), 24), ((2, 1), (2, 1), 72),

@@ -24,8 +24,9 @@ Conventions, fixed once here and anchored by the test suite:
   dbar_jG = (d_jG)^H, which needs only g and its first and second
   derivatives: G^-1 comes from one Cholesky factor of G and no curvature
   array is formed.  It equals the contraction
-  ``sum_kl R[i,j,k,l] (G^-1)[l,k]`` of the curvature array; the exact
-  log-determinant series is built for the golden checks alone.
+  ``sum_kl R[i,j,k,l] (G^-1)[l,k]`` of the curvature array.  The exact
+  determinant, log-determinant and Ricci series (``ricci_series``) are built
+  at a requested degree for the exact checks alone, never for a numeric value.
 * Numeric values are Taylor series in a real curve parameter, order on the
   first axis; a point is a length-1 series, so points and the curvature jets
   along a geodesic (``curvature_jets_along``) run the same code.
@@ -37,7 +38,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from itertools import permutations
 
 import numpy as np
 
@@ -65,6 +66,7 @@ __all__ = [
     "rm_value",
     "frame_curvature_matrix",
     "connection_and_curvature",
+    "ricci_series",
     "workspace",
 ]
 
@@ -202,17 +204,15 @@ class CurvatureWorkspace:
     ``connection_and_curvature``, the same path the geodesic right-hand side
     and the curvature jets run; the Ricci values take the field values
     straight to Ric (``_ricci_from_fields``), with no inverse of G and no
-    curvature array.  The exact determinant, log-determinant
-    and Ricci series (``det_g``, ``log_det``, ``ric``, truncated at degree
-    ``max_degree + 4``) are built only when read: they serve the exact golden
-    checks, never a numeric value.
+    curvature array.  The workspace holds no exact determinant or Ricci
+    series: ``ricci_series(ws.g, degree)`` builds them to the degree a check
+    reads.
     """
 
     def __init__(self, pot: RealAnalyticPotential):
         self.pot = pot
         n = pot.n
         self.n = n
-        self.trunc = pot.max_degree + 4
         f = pot.poly
         df = [f.dz(i) for i in range(n)]
         self.g = [[df[i].dzbar(j) for j in range(n)] for i in range(n)]
@@ -237,27 +237,6 @@ class CurvatureWorkspace:
         flat_d2g = [self.d2g[k][l][i][j]
                     for k in range(n) for l in range(n) for i in range(n) for j in range(n)]
         self._field_eval = NumericPoly(flat_g + flat_dg + flat_d2g)
-
-    # -- exact series, built on first read ------------------------------------
-    @cached_property
-    def det_g(self) -> CPoly:
-        return _det_expansion(self.g, self.trunc)
-
-    @cached_property
-    def log_det(self) -> CPoly:
-        # normalize by det g(0) so the log composition applies; the dropped
-        # additive constant does not survive the d dbar of ``ric``
-        n = self.n
-        c0 = self.det_g.coeffs[((0,) * n, (0,) * n)]
-        if c0.im != 0 or c0.re <= 0:
-            raise ValueError("determinant constant term must be a positive real")
-        x = self.det_g.scale(QC(Fraction(1) / c0.re)) - CPoly.constant(n, 1)
-        return x.log1p(self.trunc)
-
-    @cached_property
-    def ric(self) -> list:
-        n = self.n
-        return [[-(self.log_det.dz(i).dzbar(j)) for j in range(n)] for i in range(n)]
 
     # -- numeric views ------------------------------------------------------
     def field_values(self, z):
@@ -313,20 +292,31 @@ class CurvatureWorkspace:
         return connection_and_curvature(*self.field_values(np.asarray(z)[None]))[1][0]
 
 
-def _det_expansion(g, trunc):
-    """Exact determinant of the metric polynomial matrix, degree-truncated."""
+def ricci_series(g, degree):
+    """(det g, log(det g / det g(0)), Ric) of the exact metric ``g``.
+
+    ``g`` is the n x n matrix of ``CPoly`` entries a workspace holds; every
+    product and the log composition drop the terms of total degree above
+    ``degree``, and keep the others exactly.  Ric_ij = -d_i dbar_j of the
+    log series (the normalising constant does not survive), so it is exact
+    through degree ``degree - 2``.
+    """
     n = len(g)
-    from itertools import permutations
-    out = CPoly.zero(g[0][0].n)
+    det = CPoly.zero(n)
     for perm in permutations(range(n)):
         # permutation parity by counting inversions
         inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-        sign = -1 if inv % 2 else 1
-        term = CPoly.constant(g[0][0].n, sign)
+        term = CPoly.constant(n, -1 if inv % 2 else 1)
         for i in range(n):
-            term = term.mul(g[i][perm[i]], trunc=trunc)
-        out = out + term
-    return out
+            term = term.mul(g[i][perm[i]], trunc=degree)
+        det = det + term
+    # normalise by det g(0) so the log composition applies
+    c0 = det.coeffs.get(((0,) * n, (0,) * n), QC())
+    if c0.im != 0 or c0.re <= 0:
+        raise ValueError("determinant constant term must be a positive real")
+    log_det = (det.scale(QC(Fraction(1) / c0.re)) - CPoly.constant(n, 1)).log1p(degree)
+    ric = [[-(log_det.dz(i).dzbar(j)) for j in range(n)] for i in range(n)]
+    return det, log_det, ric
 
 
 def _inverse_cholesky(G):
@@ -372,11 +362,18 @@ def _ricci_from_fields(G, D1, D2):
 
 
 def _series_inverse(G):
-    """Taylor series of G^-1 from the series G (L, ..., n, n)."""
+    """Taylor series of G^-1 from the series G (L, ..., n, n).
+
+    Order k is -G_0^-1 sum_{j=1..k} G_j inv_{k-j}, summed in increasing j:
+    the one term of the Cauchy product that the order reads.
+    """
     inv = np.empty_like(G)
     inv[0] = np.linalg.inv(G[0])
     for k in range(1, len(G)):
-        inv[k] = -inv[0] @ cauchy_product(np.matmul, G[1:k + 1], inv[:k])[k - 1]
+        acc = G[1] @ inv[k - 1]
+        for j in range(2, k + 1):
+            acc += G[j] @ inv[k - j]
+        inv[k] = -inv[0] @ acc
     return inv
 
 

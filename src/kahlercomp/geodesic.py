@@ -51,6 +51,7 @@ SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0   # scipy.integrate._ivp.rk's st
 _STAGES = dop.N_STAGES
 _ERROR_EXPONENT = -1.0 / 8.0   # the embedded error estimator has order 7
 _SERIES_RADIUS = 1e-4          # below it the density comes from its r-series
+_TOL_MIN = 100 * np.finfo(float).eps  # least ODE tolerance a step can still meet
 
 
 class ConjugatePointError(ValueError):
@@ -146,13 +147,16 @@ class GeodesicBatch:
     leaves the potential's validity ball is cut at the crossing, located on
     the dense output, flagged in ``truncated`` and dropped from the active
     set; the others go on.  A step below 10 ulp of r raises
-    ``IntegrationStalledError``.
+    ``IntegrationStalledError``.  The tolerance ``tol`` must lie in
+    [100 eps, 1); any other value, nan included, is a ``ValueError``.
     """
 
     def __init__(self, pot: RealAnalyticPotential, p, directions, r_max, tol=1e-10,
                  frames=None):
         if not r_max > 0:
             raise ValueError(f"r_max must be positive, got {r_max}")
+        if not _TOL_MIN <= tol < 1:
+            raise ValueError(f"ODE tolerance must lie in [{_TOL_MIN:.3g}, 1), got {tol}")
         self.pot = pot
         n = self.n = pot.n
         m = self.m = 2 * n - 1

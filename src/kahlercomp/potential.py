@@ -35,7 +35,10 @@ __all__ = [
     "dumps",
 ]
 
-CATALOG_NAMES = ("flat", "space_form", "section6", "perturbed")
+# the catalog entries and the parameters each reads
+_CATALOG_PARAMS = {"flat": ("n",), "space_form": ("n", "K", "degree"),
+                   "section6": ("a", "lambda", "lam"), "perturbed": ("n", "seed", "magnitude")}
+CATALOG_NAMES = tuple(_CATALOG_PARAMS)
 
 
 class ValidationError(ValueError):
@@ -277,6 +280,14 @@ def perturbed(n: int, seed: int, magnitude: float = 0.02) -> RealAnalyticPotenti
 
 
 def from_catalog(name: str, **params) -> RealAnalyticPotential:
+    read = _CATALOG_PARAMS.get(name)
+    if read is None:
+        raise ValidationError(f"unknown catalog entry {name!r}; known: {CATALOG_NAMES}")
+    unknown = sorted(set(params) - set(read))
+    if unknown:
+        raise ValidationError(f"catalog entry {name!r} reads only the parameters {read}, "
+                              f"got {', '.join(map(repr, unknown))}")
+
     def need(key):
         if key not in params:
             raise ValidationError(f"catalog entry {name!r} needs the parameter {key!r}")
@@ -289,10 +300,7 @@ def from_catalog(name: str, **params) -> RealAnalyticPotential:
         return space_form(int(need("n")), need("K"), **kwargs)
     if name == "section6":
         return section6(need("a"), params.get("lambda", params.get("lam", 0)))
-    if name == "perturbed":
-        return perturbed(int(need("n")), int(need("seed")),
-                         float(params.get("magnitude", 0.02)))
-    raise ValidationError(f"unknown catalog entry {name!r}; known: {CATALOG_NAMES}")
+    return perturbed(int(need("n")), int(need("seed")), float(params.get("magnitude", 0.02)))
 
 
 # ---------------------------------------------------------------------------

@@ -338,6 +338,41 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert missing in err and repr(argv[argv.index("--catalog") + 1]) in err
 
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "1e-25"])
+    def test_ode_tolerance_outside_its_range(self, capsys, tol):
+        assert cli.main(["check", "--which", "thm4", "--catalog", "flat", "--params", "n=2",
+                         "--K", "0", "--quad-degree", "4", "--r-steps", "2",
+                         "--tol", tol]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "ODE tolerance" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["check", "--which", "thm4", "--catalog", "section6", "--params", "a=inf",
+          "--K", "-1.2"], "'a' must be finite"),
+        (["series", "--catalog", "section6", "--params", "a=nan"], "'a' must be finite"),
+        (["check", "--which", "counterexample", "--params", "a=inf"], "'a' must be finite"),
+        (["check", "--which", "counterexample", "--params", "a=0.1,lambda=-inf"],
+         "'lambda' must be finite"),
+        (["check", "--which", "thm4", "--catalog", "section6", "--params", "a=0.1",
+          "--K", "nan"], "--K must be finite"),
+        (["check", "--which", "thm3", "--catalog", "flat", "--params", "n=2",
+          "--K=-inf"], "--K must be finite"),
+        (["check", "--which", "thm4", "--catalog", "section6", "--params", "a=0.1,b=1",
+          "--K", "-1.2"], "'b'"),
+        (["series", "--catalog", "flat", "--params", "n=2,K=1"], "'K'"),
+        (["check", "--which", "counterexample", "--params", "b=0.1"], "'b'"),
+        (["check", "--which", "counterexample", "--params", "a=0.1,lam=1"], "'lam'"),
+        (["check", "--which", "counterexample", "--params", "a=0.1,lambda=-1"],
+         "certificate refused for lambda"),
+    ])
+    def test_refused_parameters(self, tmp_path, capsys, argv, message):
+        """Each refusal exits 1 with one ``error:`` line and writes nothing."""
+        out = tmp_path / "d"
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not out.exists()
+
 
 class TestImports:
     def test_core_loads_no_heavy_scipy_subpackage(self):

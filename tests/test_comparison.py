@@ -406,9 +406,17 @@ class TestCounterexample:
         assert [lam for lam, _, ok in search["steps"] if ok][-1] == rep.lam
         assert any(not ok for _, _, ok in search["steps"])
 
-    def test_given_lambda_has_no_search(self, report):
-        assert report.lambda_search is None
-        assert report.to_json_dict()["lambda_search"] is None
+    def test_given_lambda_is_one_certified_step(self, report):
+        search = report.to_json_dict()["lambda_search"]
+        assert (search["rho"], search["samples"], search["seed"]) == \
+            (0.05, CMP.LAMBDA_SAMPLES, 0)
+        [(lam, min_eig, ok)] = search["steps"]
+        assert lam == report.lam == 0.0 and ok and min_eig >= -CMP.CERT_TOL
+
+    @pytest.mark.parametrize("lam", [-1, -1e6])
+    def test_given_lambda_refused_when_its_certificate_fails(self, lam):
+        with pytest.raises(ValueError, match="certificate refused for lambda"):
+            CMP.verify_counterexample(a=0.1, lam=lam)
 
     def test_zero_a_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):

@@ -10,7 +10,7 @@ from kahlercomp import comparison
 from kahlercomp import curvature as C
 from kahlercomp import geodesic
 from kahlercomp import potential as P
-from kahlercomp.polynomials import CPoly
+from kahlercomp.polynomials import CPoly, cauchy_product
 
 
 def indefinite_at_06():
@@ -59,7 +59,8 @@ class TestMetric:
                         + CPoly.monomial(2, (2, 0), (2, 0), 84 * a * a)
                         + CPoly.monomial(2, (0, 2), (0, 2), 84 * a * a)
                         + CPoly.monomial(2, (1, 1), (1, 1), 240 * a * a))
-        assert ws.det_g.truncate(4) == det_expected
+        det = C.ricci_series(ws.g, section6_pot.max_degree + 4)[0]
+        assert det.truncate(4) == det_expected
 
     def test_outside_kahler_domain_reports_eigenvalue(self):
         pot = indefinite_at_06()
@@ -118,8 +119,9 @@ class TestCurvatureTensor:
             Z = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
             Z *= 0.04 * rng.uniform(0.25, 1.0, size=(5, 1)) / np.linalg.norm(Z, axis=1)[:, None]
             _, ric = ws.ricci_values(Z)
-            exact = np.array([[[ws.ric[i][j].evaluate(z) for j in range(2)] for i in range(2)]
-                              for z in Z])
+            exact_ric = C.ricci_series(ws.g, pot.max_degree + 4)[2]
+            exact = np.array([[[exact_ric[i][j].evaluate(z) for j in range(2)]
+                               for i in range(2)] for z in Z])
             assert np.max(np.abs(ric - exact)) <= 1e-10
 
     def test_ricci_matches_log_det_finite_difference(self):
@@ -311,9 +313,10 @@ class TestRicciScalar:
     def test_section6_order3_vanishing_exact(self, section6_pot):
         a = Fraction(1, 10)
         ws = C.workspace(section6_pot)
+        ric = C.ricci_series(ws.g, section6_pot.max_degree + 4)[2]
         for i in range(2):
             for j in range(2):
-                combo = ws.ric[i][j] + ws.g[i][j].scale(12 * a)
+                combo = ric[i][j] + ws.g[i][j].scale(12 * a)
                 assert combo.truncate(3).is_zero()
 
     def test_space_form_einstein(self):
@@ -457,10 +460,32 @@ class TestWorkspaceCache:
         from collections import OrderedDict
 
         from kahlercomp import comparison as CMP
+
+        def refuse(g, degree):
+            raise AssertionError("the certificate built an exact Ricci series")
+
         monkeypatch.setattr(C, "_WORKSPACES", OrderedDict())
+        monkeypatch.setattr(C, "ricci_series", refuse)
         pot = P.space_form(3, 1, degree=12)
         assert CMP.certify_ricci_bound(pot, 1.0, 0.04).passed
-        assert {"det_g", "log_det", "ric"}.isdisjoint(vars(C.workspace(pot)))
+        assert {"det_g", "log_det", "ric", "trunc"}.isdisjoint(vars(C.workspace(pot)))
+
+    def test_counterexample_builds_series_at_degree_6_once_per_potential(self, monkeypatch):
+        from kahlercomp import comparison as CMP
+        calls = []
+        ricci_series = C.ricci_series
+
+        def recording(g, degree):
+            calls.append((tuple(map(tuple, g)), degree))
+            return ricci_series(g, degree)
+
+        monkeypatch.setattr(C, "ricci_series", recording)
+        for lam, distinct in ((None, len({CMP.find_lambda(0.1, 0.05)[0], 0.0, 1.0})),
+                              (0.5, 3), (1, 2)):
+            calls.clear()
+            assert CMP.verify_counterexample(a=0.1, lam=lam).passed_all
+            assert [degree for _, degree in calls] == [6] * distinct
+            assert len({g for g, _ in calls}) == distinct
 
     def test_counterexample_builds_each_workspace_once(self, monkeypatch):
         from collections import OrderedDict
@@ -477,6 +502,46 @@ class TestWorkspaceCache:
         monkeypatch.setattr(C, "CurvatureWorkspace", counting)
         CMP.verify_counterexample(a=0.1, lam=0.5)
         assert len(built) == len(set(built)) == 3
+
+
+class TestRicciSeries:
+    @pytest.mark.parametrize("a", [Fraction(1, 10), Fraction(-1, 10)])
+    @pytest.mark.parametrize("lam", [0, Fraction(1, 2), 1])
+    def test_degree_6_is_the_truncation_of_the_full_series(self, a, lam):
+        """Truncated products and log1p keep every term they keep exactly, so
+        the degree-6 series are the degree max_degree + 4 ones truncated."""
+        pot = P.section6(a, lam)
+        g = C.workspace(pot).g
+        det6, log6, ric6 = C.ricci_series(g, 6)
+        det, log, ric = C.ricci_series(g, pot.max_degree + 4)
+        assert det6 == det.truncate(6)
+        assert log6 == log.truncate(6)
+        assert all(ric6[i][j] == ric[i][j].truncate(4) for i in range(2) for j in range(2))
+        assert max(p.total_degree() for row in ric6 for p in row) <= 4
+
+
+class TestSeriesInverse:
+    @staticmethod
+    def cauchy_form(G):
+        """Oracle: order k read from the whole Cauchy product of G_1.. and inv."""
+        inv = np.empty_like(G)
+        inv[0] = np.linalg.inv(G[0])
+        for k in range(1, len(G)):
+            inv[k] = -inv[0] @ cauchy_product(np.matmul, G[1:k + 1], inv[:k])[k - 1]
+        return inv
+
+    @pytest.mark.parametrize("batch", [(1710,), (150,), (2,), ()])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_the_cauchy_product_bit_for_bit(self, batch, n, dtype):
+        rng = np.random.default_rng(n)
+        A = rng.normal(size=(10,) + batch + (n, n))
+        if dtype is complex:
+            A = A + 1j * rng.normal(size=A.shape)
+        G = A.copy()
+        G[0] = np.swapaxes(A[0].conj(), -1, -2) @ A[0] + n * np.eye(n)
+        for L in (1, 2, 10):
+            assert np.array_equal(C._series_inverse(G[:L]), self.cauchy_form(G[:L]))
 
 
 class TestSymmetricPartials:

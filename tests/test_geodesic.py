@@ -177,6 +177,13 @@ class TestDensity:
             assert batch.volumes(r)[0] == pytest.approx(
                 M.ball_volume(model, r) / unit_sphere_volume(2), rel=1e-13)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), 1.0, 1e-25])
+    def test_tolerance_outside_its_range_refused(self, flat2, tol):
+        """A tolerance outside [100 eps, 1) is refused before any step: 1e-25
+        would never be met, and 0 would divide by zero in the error norm."""
+        with pytest.raises(ValueError, match="ODE tolerance"):
+            G.GeodesicBatch(flat2, np.zeros(2), [np.array([1.0, 0, 0, 0])], 0.1, tol=tol)
+
 
 class TestConjugatePoints:
     def _fake_ray(self, r_zero):
