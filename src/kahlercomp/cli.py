@@ -112,6 +112,10 @@ def _write_csv(path, header, rows):
 
 
 def cmd_model(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
+    if not math.isfinite(args.K):
+        raise ValueError(f"--K must be finite, got {args.K}")
     model = model_space.ModelSpace(args.n, args.K)
     rows = []
     for r in _grid(args):

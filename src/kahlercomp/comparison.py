@@ -224,17 +224,16 @@ def _certificate_points(n, rho, samples, seed):
     return points
 
 
-def _forward_substitute(L, B):
-    """X with L X = B for a stack of lower-triangular L (..., n, n) and
-    right-hand sides B (..., n, k): one vectorised step per row of L."""
-    X = np.empty(B.shape, dtype=np.result_type(L, B))
-    for i in range(L.shape[-1]):
-        # formed in place: no temporary the size of a row of the batch
-        row = X[..., i, :]
-        np.einsum("...j,...jk->...k", L[..., i, :i], X[..., :i, :], out=row)
-        np.subtract(B[..., i, :], row, out=row)
-        row /= L[..., i, i, None]
-    return X
+def _least_eigenvalues(M):
+    """Least eigenvalue of each Hermitian matrix of the point-major stack M
+    (n, n, P), read from its lower triangle as ``np.linalg.eigvalsh`` reads it.
+    At n = 2 it is the closed form (a + d)/2 - hypot((a - d)/2, |b|), with a
+    and d the diagonal and b = M[1, 0]; hypot forms |((a - d)/2, b)| with no
+    overflow or underflow in the squares."""
+    if M.shape[0] == 2:
+        a, d = M[0, 0].real, M[1, 1].real
+        return 0.5 * (a + d) - np.hypot(0.5 * (a - d), np.abs(M[1, 0]))
+    return np.linalg.eigvalsh(np.moveaxis(M, -1, 0))[:, 0]
 
 
 def certify_ricci_bound(pot: RealAnalyticPotential, K, rho, samples=10000,
@@ -246,8 +245,11 @@ def certify_ricci_bound(pot: RealAnalyticPotential, K, rho, samples=10000,
     Owen-scrambled Halton sample (the same points as scipy's
     ``qmc.Halton(d=2n, seed=seed)``) plus radial grids along 64 directions
     (and the origin); the certificate passes when the minimum stays above -1e-9.
-    The whitening is two batched forward substitutions with the Cholesky
-    factor L, one vectorised step per row of L, for any n.
+    The whitening takes W = L^-1 from the Ricci pass itself
+    (``CurvatureWorkspace.ricci_blocks``): M = W Ric W^H - K I is formed block
+    by block, point-major, and G is factored once.  The least eigenvalue is
+    the closed form of ``_least_eigenvalues`` at n = 2 and LAPACK's
+    ``eigvalsh`` at any other n.
 
     For a torus-invariant potential (``symmetry: "torus"``) each point z is
     evaluated at its moment representative |z|, in real arithmetic.  The
@@ -274,20 +276,21 @@ def certify_ricci_bound(pot: RealAnalyticPotential, K, rho, samples=10000,
             witness=None if passed else tuple(Z[idx].tolist()), symmetry=symmetry)
 
     ws = curv.workspace(pot)
+    least = np.empty(len(at))
     try:
-        G, ric = ws.ricci_values(at)
-        L = np.linalg.cholesky(G)
+        for rows, _, W, ric in ws.ricci_blocks(at):
+            # whiten: M = W Ric W^H - K I = L^-1 (Ric - K G) L^-H
+            X = sum(W[:, c, None] * ric[None, c] for c in range(pot.n))
+            M = sum(X[:, c, None] * W[None, :, c].conj() for c in range(pot.n))
+            M[range(pot.n), range(pot.n)] -= float(K)
+            least[rows] = _least_eigenvalues(M)
     except np.linalg.LinAlgError:
         # the metric is not positive definite somewhere; its least eigenvalue
         # marks the witness
         bad = int(np.argmin(np.linalg.eigvalsh(ws.metric_values(at))[:, 0]))
         return certificate(float("-inf"), False, bad)
-    # whiten: M = L^-1 (Ric - K G) L^-H, unitarily similar to G^-1/2 (...) G^-1/2
-    X = _forward_substitute(L, ric - float(K) * G)
-    M = _forward_substitute(L, np.conj(np.swapaxes(X, 1, 2)))
-    eigs = np.linalg.eigvalsh(M)
-    idx = int(np.argmin(eigs[:, 0]))
-    min_eig = float(eigs[idx, 0])
+    idx = int(np.argmin(least))
+    min_eig = float(least[idx])
     return certificate(min_eig, min_eig >= -CERT_TOL, idx)
 
 
@@ -539,16 +542,15 @@ def verify_counterexample(a=0.1, lam=None, rho=0.05, seed=0) -> CounterexampleRe
     search = {"rho": float(rho), "samples": LAMBDA_SAMPLES, "seed": seed,
               "steps": [list(step) for step in steps]}
     report = CounterexampleReport(a=float(a), lam=float(lam), lambda_search=search)
-    pot = section6(a, lam)
+    pot, pot1, pot0 = section6(a, lam), section6(a, 1), section6(a, 0)
     ws = curv.workspace(pot)
-    ws1 = curv.workspace(section6(a, 1))
-    ws0 = curv.workspace(section6(a, 0))
     # the exact series of each distinct potential, to degree 6: stage i reads
-    # det g through degree 4, stage ii Ric through 3 and log det g at 6
-    exact = {}
-    for w in (ws, ws1, ws0):
-        if w.pot not in exact:
-            exact[w.pot] = curv.ricci_series(w.g, 6)
+    # det g through degree 4, stage ii Ric through 3 and log det g at 6; the
+    # stabilizer's endpoints need their metric alone, not a workspace
+    exact = {pot: curv.ricci_series(ws.g, 6)}
+    for p in (pot1, pot0):
+        if p not in exact:
+            exact[p] = curv.ricci_series(curv.exact_metric(p), 6)
     K = -12.0 * float(a)
     model = model_space.ModelSpace(2, K)
 
@@ -570,8 +572,8 @@ def verify_counterexample(a=0.1, lam=None, rho=0.05, seed=0) -> CounterexampleRe
     ric_plus = [[ric[i][j] + ws.g[i][j].scale(12 * a_frac) for j in range(2)]
                 for i in range(2)]
     vanish = all(ric_plus[i][j].truncate(3).is_zero() for i in range(2) for j in range(2))
-    u1 = -exact[ws1.pot][1] + ws1.pot.poly.scale(12 * a_frac)
-    u0 = -exact[ws0.pot][1] + ws0.pot.poly.scale(12 * a_frac)
+    u1 = -exact[pot1][1] + pot1.poly.scale(12 * a_frac)
+    u0 = -exact[pot0][1] + pot0.poly.scale(12 * a_frac)
     delta6 = (u1 - u0).part(6)
     expected6 = _poly_from_terms([
         ((3, 0), (3, 0), 24), ((2, 1), (2, 1), 72),

@@ -22,8 +22,10 @@ Conventions, fixed once here and anchored by the test suite:
   Numerically it is
   ``Ric_ij = tr(G^-1 d_iG G^-1 dbar_jG) - tr(G^-1 d_i dbar_jG)``, with
   dbar_jG = (d_jG)^H, which needs only g and its first and second
-  derivatives: G^-1 comes from one Cholesky factor of G and no curvature
-  array is formed.  It equals the contraction
+  derivatives: G^-1 = W^H W comes from W = L^-1 for the Cholesky factor
+  G = L L^H, and no curvature array is formed.  ``ricci_blocks`` yields W
+  with Ric, so the Ricci certificate whitens with the same factor.  Ric
+  equals the contraction
   ``sum_kl R[i,j,k,l] (G^-1)[l,k]`` of the curvature array.  The exact
   determinant, log-determinant and Ricci series (``ricci_series``) are built
   at a requested degree for the exact checks alone, never for a numeric value.
@@ -66,6 +68,7 @@ __all__ = [
     "rm_value",
     "frame_curvature_matrix",
     "connection_and_curvature",
+    "exact_metric",
     "ricci_series",
     "workspace",
 ]
@@ -203,19 +206,17 @@ class CurvatureWorkspace:
     series).  The curvature values are computed from those numbers by
     ``connection_and_curvature``, the same path the geodesic right-hand side
     and the curvature jets run; the Ricci values take the field values
-    straight to Ric (``_ricci_from_fields``), with no inverse of G and no
-    curvature array.  The workspace holds no exact determinant or Ricci
-    series: ``ricci_series(ws.g, degree)`` builds them to the degree a check
-    reads.
+    straight to Ric (``ricci_blocks``), with one Cholesky factor of G, no
+    inverse of G and no curvature array.  The workspace holds no exact
+    determinant or Ricci series: ``ricci_series(ws.g, degree)`` builds them
+    to the degree a check reads.
     """
 
     def __init__(self, pot: RealAnalyticPotential):
         self.pot = pot
         n = pot.n
         self.n = n
-        f = pot.poly
-        df = [f.dz(i) for i in range(n)]
-        self.g = [[df[i].dzbar(j) for j in range(n)] for i in range(n)]
+        self.g = exact_metric(pot)
         # dg[k][i][j] = d_k g_ij and d2g[k][l][i][j] = d_k dbar_l g_ij, derived
         # for k <= i and l <= j only: mixed partials commute, so the entry with
         # k and i (or l and j) swapped is the same object
@@ -268,34 +269,53 @@ class CurvatureWorkspace:
 
         Ric_ij = tr(G^-1 d_iG G^-1 dbar_jG) - tr(G^-1 d_i dbar_jG), equal to
         -d_i dbar_j log det g with no series truncation, computed from the
-        field values alone (``_ricci_from_fields``): no inverse of G and no
-        curvature array.  Points are taken ``NumericPoly.BLOCK`` rows at a
-        time, with the dtype rule of ``field_values``.  Raises
-        ``np.linalg.LinAlgError`` when G is not positive definite at a point.
+        field values alone (``ricci_blocks``): no inverse of G and no
+        curvature array.  The values have the dtype rule of ``field_values``.
+        Raises ``np.linalg.LinAlgError`` when G is not positive definite at a
+        point.
         """
         n = self.n
         z = np.asarray(z)
-        Z = z.reshape(1, -1, n)
-        G = np.empty((Z.shape[1], n, n), dtype=self._field_eval.result_type(Z))
+        Z = z.reshape(-1, n)
+        G = np.empty((len(Z), n, n), dtype=self._field_eval.result_type(Z))
         ric = np.empty_like(G)
-        for lo in range(0, Z.shape[1], NumericPoly.BLOCK):
-            rows = slice(lo, lo + NumericPoly.BLOCK)
-            fields = self.field_values(Z[:, rows])
-            G[rows] = fields[0][0]
-            # point-major: entries first, the points of the block last
-            ric[rows] = np.moveaxis(
-                _ricci_from_fields(*(np.moveaxis(a[0], 0, -1).copy() for a in fields)), -1, 0)
+        for rows, g, _, r in self.ricci_blocks(Z):
+            G[rows] = np.moveaxis(g, -1, 0)
+            ric[rows] = np.moveaxis(r, -1, 0)
         return G.reshape(z.shape[:-1] + (n, n)), ric.reshape(z.shape[:-1] + (n, n))
+
+    def ricci_blocks(self, Z):
+        """(rows, G, W, Ric) for the points ``Z`` (P, n), ``NumericPoly.BLOCK``
+        points at a time: ``rows`` is the slice of Z, and the arrays are
+        point-major, the block's points on their last axis.  W = L^-1 for the
+        Cholesky factor G = L L^H (``_inverse_cholesky``), and Ric comes from W
+        and the field values (``_ricci_from_fields``).  Raises
+        ``np.linalg.LinAlgError`` at the first block where G is not positive
+        definite at a point.
+        """
+        for lo in range(0, len(Z), NumericPoly.BLOCK):
+            rows = slice(lo, lo + NumericPoly.BLOCK)
+            G, D1, D2 = (np.moveaxis(a[0], 0, -1).copy()
+                         for a in self.field_values(Z[None, rows]))
+            W = _inverse_cholesky(G)
+            yield rows, G, W, _ricci_from_fields(W, D1, D2)
 
     def curvature_values(self, z):
         """Complex curvature array R[i,j,k,l] at one point (n,) or a batch (..., n)."""
         return connection_and_curvature(*self.field_values(np.asarray(z)[None]))[1][0]
 
 
+def exact_metric(pot: RealAnalyticPotential):
+    """The exact metric g_ij = d_i dbar_j f of the potential, as an n x n list
+    of ``CPoly`` entries."""
+    df = [pot.poly.dz(i) for i in range(pot.n)]
+    return [[d.dzbar(j) for j in range(pot.n)] for d in df]
+
+
 def ricci_series(g, degree):
     """(det g, log(det g / det g(0)), Ric) of the exact metric ``g``.
 
-    ``g`` is the n x n matrix of ``CPoly`` entries a workspace holds; every
+    ``g`` is the n x n matrix of ``CPoly`` entries of ``exact_metric``; every
     product and the log composition drop the terms of total degree above
     ``degree``, and keep the others exactly.  Ric_ij = -d_i dbar_j of the
     log series (the normalising constant does not survive), so it is exact
@@ -342,17 +362,16 @@ def _inverse_cholesky(G):
     return W
 
 
-def _ricci_from_fields(G, D1, D2):
+def _ricci_from_fields(W, D1, D2):
     """Ric_ij = tr(G^-1 d_iG G^-1 dbar_jG) - tr(G^-1 d_i dbar_jG), point-major.
 
-    ``G`` (n, n, P), ``D1`` (n, n, n, P) and ``D2`` (n, n, n, n, P) are the
-    field values with the points on the last axis; dbar_jG = (d_jG)^H.  With
-    G^-1 = W^H W and E_i = W d_iG W^H, the first trace is the Hermitian
-    product of E_i and E_j, and the second the sum of (G^-1)^T times
-    d_i dbar_jG, entry by entry.
+    ``W`` (n, n, P) is L^-1 for the Cholesky factor G = L L^H, so that
+    G^-1 = W^H W; ``D1`` (n, n, n, P) and ``D2`` (n, n, n, n, P) are the field
+    values with the points on the last axis, and dbar_jG = (d_jG)^H.  With
+    E_i = W d_iG W^H, the first trace is the Hermitian product of E_i and E_j,
+    and the second the sum of (G^-1)^T times d_i dbar_jG, entry by entry.
     """
-    n = G.shape[0]
-    W = _inverse_cholesky(G)
+    n = W.shape[0]
     cW = W.conj()
     F = sum(W[None, :, c, None] * D1[:, c, None] for c in range(n))
     E = sum(F[:, :, c, None] * cW[None, None, :, c] for c in range(n)).reshape(n, n * n, -1)
@@ -400,8 +419,8 @@ def connection_and_curvature(G, D1, D2):
 
 
 # Workspaces are cached per potential, least recently used first out.
-# ``verify_counterexample`` holds at most three at once besides the ones
-# ``find_lambda`` builds before it, so it never loses one mid-call.
+# ``verify_counterexample`` holds one besides the ones ``find_lambda`` builds
+# before it, so it never loses one mid-call.
 WORKSPACE_CACHE_SIZE = 8
 _WORKSPACES: OrderedDict = OrderedDict()
 

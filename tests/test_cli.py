@@ -328,6 +328,19 @@ class TestUsageErrors:
         assert cli.main(["model", "--n", "2", "--K", "0", "--r-steps", "0"]) == 1
         assert "--r-steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n, K, message", [
+        ("2", "nan", "--K must be finite"), ("2", "inf", "--K must be finite"),
+        ("2", "-inf", "--K must be finite"), ("0", "1", "--n must be at least 1"),
+        ("-1", "0", "--n must be at least 1")])
+    def test_bad_model_space(self, tmp_path, capsys, n, K, message):
+        """Each refusal exits 1 with one ``error:`` line and writes nothing."""
+        out = tmp_path / "d"
+        assert cli.main(["model", f"--n={n}", f"--K={K}", "--r-steps", "2",
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, missing", [
         (["check", "--which", "thm3", "--catalog", "section6", "--K", "-1.2"], "'a'"),
         (["check", "--which", "thm4", "--catalog", "flat", "--K", "0"], "'n'"),

@@ -34,12 +34,17 @@ def _assert_drawn_witness(witness, points):
     assert not np.array_equal(w, np.abs(w))
 
 
-def _whitened_eigenvalues(pot, K, Z):
-    """Eigenvalues of L^-1 (Ric - K g) L^-H, g = L L^H, at each point of Z."""
+def _whitened_deficit(pot, K, Z):
+    """L^-1 (Ric - K g) L^-H, g = L L^H, at each point of Z, by LAPACK."""
     G, ric = C.workspace(pot).ricci_values(Z)
     L = np.linalg.cholesky(G)
     X = np.linalg.solve(L, ric - K * G)
-    return np.linalg.eigvalsh(np.linalg.solve(L, np.conj(np.swapaxes(X, 1, 2))))
+    return np.linalg.solve(L, np.conj(np.swapaxes(X, 1, 2)))
+
+
+def _whitened_eigenvalues(pot, K, Z):
+    """Eigenvalues of the whitened deficit at each point of Z, by LAPACK."""
+    return np.linalg.eigvalsh(_whitened_deficit(pot, K, Z))
 
 
 _INVARIANT = [(P.section6(0.1, 0), -1.2), (P.space_form(3, 1, degree=12), 1.0),
@@ -96,19 +101,26 @@ class TestTorusReducedCertificate:
     @pytest.mark.parametrize("pot, K", [*_INVARIANT[:3], (_generic_potential(1), -1.0)],
                              ids=lambda x: getattr(x, "label", ""))
     def test_substitution_whitening_matches_lapack_solve(self, pot, K):
-        """The certificate's batched forward substitution against LAPACK's
-        solve on the points the certificate evaluates."""
+        """The certificate's whitening with the Ricci pass's W = L^-1 against
+        LAPACK's factor and solve on the points the certificate evaluates."""
         cert = CMP.certify_ricci_bound(pot, K, 0.04)
         Z = CMP._certificate_points(pot.n, 0.04, 10000, 0)
         at = np.abs(Z) if pot.torus_invariant else Z
         assert abs(cert.min_eigenvalue - _whitened_eigenvalues(pot, K, at)[:, 0].min()) <= 1e-14
 
     def test_generic_potential_is_the_complex_computation(self):
+        """A potential with no torus symmetry is certified at the drawn complex
+        points: within rounding of LAPACK's whitening there, and away from the
+        value at the moment representatives |z|."""
         pot = P.perturbed(2, 0)
         cert = CMP.certify_ricci_bound(pot, -1.0, 0.04)
         Z = CMP._certificate_points(2, 0.04, 10000, 0)
         assert cert.symmetry == "none" and cert.passed
-        assert cert.min_eigenvalue == _whitened_eigenvalues(pot, -1.0, Z)[:, 0].min()
+        M = _whitened_deficit(pot, -1.0, Z)
+        expected = np.linalg.eigvalsh(M)[:, 0].min()
+        assert abs(cert.min_eigenvalue - expected) <= 8 * np.finfo(float).eps * np.abs(M).max()
+        reduced = _whitened_eigenvalues(pot, -1.0, np.abs(Z))[:, 0].min()
+        assert abs(cert.min_eigenvalue - reduced) > 1e-6
 
 
 class TestCertificates:
@@ -154,14 +166,22 @@ class TestCertificates:
                 with pytest.raises(np.linalg.LinAlgError):
                     ws.ricci_values(at)
 
-    @pytest.mark.parametrize("pot, K", [(P.section6(0.1, 0), -1.2), (P.perturbed(2, 0), -1.0)],
+    @pytest.mark.parametrize("pot, K", [(P.section6(0.1, 0), -1.2), (P.perturbed(2, 0), -1.0),
+                                        (P.space_form(3, 1, degree=12), 1.0)],
                              ids=lambda x: getattr(x, "label", ""))
     def test_certificate_needs_no_inverse_and_no_curvature_array(self, pot, K, monkeypatch):
+        """One point-major factor of G serves the Ricci values and the
+        whitening: no LAPACK Cholesky factor, no G^-1 and no curvature array,
+        and at n = 2 no ``eigvalsh``."""
         def refuse(*args, **kwargs):
-            raise AssertionError("the certificate formed G^-1 or the curvature array")
+            raise AssertionError("the certificate formed G^-1, the curvature array, a "
+                                 "second factor of G or an eigendecomposition at n = 2")
 
         monkeypatch.setattr(C, "connection_and_curvature", refuse)
         monkeypatch.setattr(np.linalg, "inv", refuse)
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        if pot.n == 2:
+            monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         assert CMP.certify_ricci_bound(pot, K, 0.04).passed
 
     def test_radius_beyond_validity_rejected(self, section6_pot):
@@ -241,22 +261,48 @@ class TestCertificates:
         assert np.array_equal(CMP._halton(tables, start, count), engine.random(count))
 
 
-class TestForwardSubstitution:
-    @pytest.mark.parametrize("dtype", [float, complex])
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    @pytest.mark.parametrize("batch", [1, 200])
-    def test_matches_lapack_solve(self, dtype, n, batch):
-        rng = np.random.default_rng(10 * n + batch)
+class TestLeastEigenvalues:
+    """The n = 2 closed form against LAPACK's ``eigvalsh`` on point-major
+    stacks of Hermitian 2 x 2 matrices, from tiny to large entries."""
 
+    @staticmethod
+    def stacks(dtype, rng):
         def draw(*shape):
             x = rng.normal(size=shape)
             return x + 1j * rng.normal(size=shape) if dtype is complex else x
-        L = np.tril(0.3 * draw(batch, n, n), -1) + np.eye(n) * rng.uniform(0.5, 2.0, (batch, 1, n))
-        B = draw(batch, n, n)
-        X = CMP._forward_substitute(L, B)
-        expected = np.linalg.solve(L, B)
-        assert X.dtype == expected.dtype
-        assert np.abs(X - expected).max() <= 1e-13 * np.abs(expected).max()
+        random = draw(200, 2, 2)
+        random = random + np.conj(np.swapaxes(random, 1, 2))
+        v = draw(200, 2)
+        rank1 = v[:, :, None] * np.conj(v[:, None, :])
+        diagonal = np.zeros((200, 2, 2), dtype=dtype)
+        diagonal[:, [0, 1], [0, 1]] = rng.normal(size=(200, 2))
+        near = np.zeros((200, 2, 2), dtype=dtype)
+        near[:, 0, 0] = rng.normal(size=200)
+        near[:, 1, 1] = near[:, 0, 0] * (1 + rng.normal(size=200) * 1e-14)
+        near[:, 1, 0] = draw(200) * 1e-15
+        near[:, 0, 1] = np.conj(near[:, 1, 0])
+        tiny = diagonal.copy()
+        tiny[:, 1, 0] = draw(200) * 1e-20
+        tiny[:, 0, 1] = np.conj(tiny[:, 1, 0])
+        return {"random": random, "rank1": rank1, "diagonal": diagonal,
+                "zero": np.zeros((4, 2, 2), dtype=dtype), "near_degenerate": near,
+                "tiny_off_diagonal": tiny}
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e150])
+    def test_closed_form_matches_eigvalsh(self, dtype, scale):
+        rng = np.random.default_rng(int(np.log10(scale)) + 400 + (dtype is complex))
+        for name, stack in self.stacks(dtype, rng).items():
+            M = stack * scale
+            got = CMP._least_eigenvalues(np.moveaxis(M, 0, -1))
+            expected = np.linalg.eigvalsh(M)[:, 0]
+            assert got.dtype == np.float64 and np.all(np.isfinite(got)), name
+            assert np.abs(got - expected).max() <= 8 * np.finfo(float).eps * np.abs(M).max(), name
+
+    def test_reads_the_lower_triangle(self):
+        M = np.array([[2.0, 5.0], [1.0, 3.0]])
+        expected = np.linalg.eigvalsh(M)[0]
+        assert CMP._least_eigenvalues(M[:, :, None])[0] == pytest.approx(expected, rel=1e-15)
 
 
 class TestFindLambda:

@@ -488,20 +488,33 @@ class TestWorkspaceCache:
             assert len({g for g, _ in calls}) == distinct
 
     def test_counterexample_builds_each_workspace_once(self, monkeypatch):
+        """The workspace of section6(a, lam) serves the certificate and the
+        numeric stages; the stabilizer's endpoints lam = 1 and 0 give their
+        exact metric to ``ricci_series`` and build no workspace."""
         from collections import OrderedDict
 
         from kahlercomp import comparison as CMP
-        built = []
+        built, series_of = [], []
         workspace_class = C.CurvatureWorkspace
+        ricci_series = C.ricci_series
 
         def counting(pot):
             built.append(pot)
             return workspace_class(pot)
 
+        def recording(g, degree):
+            series_of.append(tuple(map(tuple, g)))
+            return ricci_series(g, degree)
+
         monkeypatch.setattr(C, "_WORKSPACES", OrderedDict())
         monkeypatch.setattr(C, "CurvatureWorkspace", counting)
+        monkeypatch.setattr(C, "ricci_series", recording)
         CMP.verify_counterexample(a=0.1, lam=0.5)
-        assert len(built) == len(set(built)) == 3
+        assert built == [P.section6(0.1, 0.5)]
+        assert len(series_of) == len(set(series_of)) == 3
+        expected = {tuple(map(tuple, C.exact_metric(P.section6(0.1, lam))))
+                    for lam in (0.5, 1, 0)}
+        assert set(series_of) == expected
 
 
 class TestRicciSeries:
