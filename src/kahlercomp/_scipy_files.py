@@ -5,7 +5,9 @@ subpackage's ``__init__``: ``scipy.integrate`` pulls in ``scipy.optimize``,
 and ``scipy.sparse`` pulls in ``numpy.f2py`` and ``numpy.ma``, which together
 take longer to import than everything else this package needs.  The two files
 used here (the DOP853 tableau and the compiled CSR kernels) import only
-numpy, so they are loaded alone, by their paths under ``scipy.__file__``.
+numpy, so they are loaded alone, by their paths under scipy's package
+directory.  The directory comes from scipy's import spec, which locates the
+package without running ``scipy/__init__``.
 """
 
 from __future__ import annotations
@@ -14,14 +16,23 @@ import importlib.machinery
 import importlib.util
 from pathlib import Path
 
-import scipy
+
+def _package_dir() -> Path:
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("scipy is not installed")
+    return Path(spec.submodule_search_locations[0])
+
+
+SCIPY_DIR = _package_dir()
 
 
 def load_scipy_file(relpath: str):
-    """The module in the file ``relpath`` under scipy's package directory,
-    loaded as ``kahlercomp.<stem>``.  A ``relpath`` without a suffix names an
-    extension module, found under this interpreter's extension suffixes."""
-    base = Path(scipy.__file__).parent / relpath
+    """The module in the file ``relpath`` under ``SCIPY_DIR``, scipy's
+    package directory, loaded as ``kahlercomp.<stem>``.  A ``relpath`` without
+    a suffix names an extension module, found under this interpreter's
+    extension suffixes."""
+    base = SCIPY_DIR / relpath
     suffixes = [""] if base.suffix else importlib.machinery.EXTENSION_SUFFIXES
     for suffix in suffixes:
         path = base.with_name(base.name + suffix)
@@ -31,4 +42,4 @@ def load_scipy_file(relpath: str):
             spec.loader.exec_module(module)
             return module
     searched = base if base.suffix else f"{base}{{{','.join(suffixes)}}}"
-    raise ImportError(f"scipy {scipy.__version__} has no file {searched}")
+    raise ImportError(f"scipy has no file {searched}")

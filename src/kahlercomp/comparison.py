@@ -155,10 +155,11 @@ def _halton_tables(perms):
     return tables
 
 
-def _halton(tables, start, count):
+def _halton(tables, start, count, offsets=None):
     """Points start..start+count-1 of the scrambled Halton set (Owen,
     arXiv:1706.02808) from ``_halton_tables``, summed digit by digit in
-    scipy's order.
+    scipy's order; with ``offsets`` (increasing), only the points at those
+    offsets from ``start``.
 
     Index i = h b^m + l has the low digits of l and the high digits of h, so
     its sum over the m low digits is the table entry of l, and each higher
@@ -166,10 +167,13 @@ def _halton(tables, start, count):
     the points.  Every point receives the same terms in the same order as a
     digit-by-digit loop on i, so the bits are scipy's.
     """
-    out = np.empty((count, len(tables)))
+    index = np.arange(start, start + count) if offsets is None else start + offsets
+    out = np.empty((len(index), len(tables)))
+    if not len(index):
+        return out
     for k, (table, rows, f) in enumerate(tables):
         b = rows.shape[1]
-        h, low = np.divmod(np.arange(start, start + count), len(table))
+        h, low = np.divmod(index, len(table))
         x = table[low]
         at = h - h[0]
         hs = np.arange(h[0], h[-1] + 1)
@@ -184,20 +188,44 @@ def _halton(tables, start, count):
     return out
 
 
+def _ball_candidates(tables, start, count):
+    """Offsets of the points start..start+count-1 of ``_halton`` whose cube
+    point 2x - 1 can lie in the unit ball, judged by their low digits alone.
+
+    In base b the digits above the m low ones add less than b^-m = b f to x
+    (digit j adds at most (b - 1) b^-(m+1+j)), so 2x - 1 lies within
+    w = b f of the centre 2t - 1 + b f, t the low-digit table entry.  A point
+    whose centre is farther than 1 + |w| from 0 is outside the ball; the
+    slack of 1e-12 covers the rounding of the sums.
+    """
+    dist = np.zeros(count)
+    width = 0.0
+    for table, rows, f in tables:
+        w = rows.shape[1] * f
+        centre = 2.0 * table + (w - 1.0)
+        # the entries of the low digits of start, start + 1, ..., cyclically
+        dist += np.resize(np.roll(centre * centre, -start), count)
+        width += w * w
+    return np.flatnonzero(dist <= (1.0 + math.sqrt(width) + 1e-12) ** 2)
+
+
 def _ball_points(n, rho, count, seed):
     """Deterministic low-discrepancy points in the real 2n-ball of radius rho:
     the first ``count`` scrambled Halton points of the cube [-1, 1)^2n that fall
-    in the unit ball, scaled by rho.  The sequence is drawn in blocks of
-    max(count, 256) points; a block that would bring more points than are
-    missing shrinks to the expected need, the missing count over the ball's
-    share pi^n / (n! 4^n) of the cube, plus slack."""
+    in the unit ball, scaled by rho.  The sequence is drawn in ranges of the
+    expected need, the missing count over the ball's share pi^n / (n! 4^n) of
+    the cube, plus slack.  ``_ball_candidates`` screens a range in blocks of
+    max(count, 256) points, and only its candidates are summed over all their
+    digits."""
     tables = _halton_tables(_halton_permutations(2 * n, seed))
     block = max(count, 256)
     share = math.pi ** n / (math.factorial(n) * 4 ** n)
     kept, total, start = [], 0, 0
     while total < count:
-        size = min(block, math.ceil(1.1 * (count - total) / share) + 64)
-        pts = 2.0 * _halton(tables, start, size) - 1.0
+        size = math.ceil(1.1 * (count - total) / share) + 64
+        offsets = np.concatenate([lo + _ball_candidates(tables, start + lo, min(block, size - lo))
+                                  for lo in range(0, size, block)])
+        pts = 2.0 * _halton(tables, start, size, offsets) - 1.0
         start += size
         pts = pts[np.einsum("ij,ij->i", pts, pts) <= 1.0]
         kept.append(pts)

@@ -285,18 +285,20 @@ class CurvatureWorkspace:
         return G.reshape(z.shape[:-1] + (n, n)), ric.reshape(z.shape[:-1] + (n, n))
 
     def ricci_blocks(self, Z):
-        """(rows, G, W, Ric) for the points ``Z`` (P, n), ``NumericPoly.BLOCK``
-        points at a time: ``rows`` is the slice of Z, and the arrays are
-        point-major, the block's points on their last axis.  W = L^-1 for the
-        Cholesky factor G = L L^H (``_inverse_cholesky``), and Ric comes from W
-        and the field values (``_ricci_from_fields``).  Raises
-        ``np.linalg.LinAlgError`` at the first block where G is not positive
-        definite at a point.
+        """(rows, G, W, Ric) for the points ``Z`` (P, n), one
+        ``NumericPoly.blocks`` block at a time: ``rows`` is the slice of Z,
+        and the arrays are point-major, the block's points on their last axis,
+        read from the block's distinct rows.  W = L^-1 for the Cholesky factor
+        G = L L^H (``_inverse_cholesky``), and Ric comes from W and the field
+        values (``_ricci_from_fields``).  Raises ``np.linalg.LinAlgError`` at
+        the first block where G is not positive definite at a point.
         """
-        for lo in range(0, len(Z), NumericPoly.BLOCK):
-            rows = slice(lo, lo + NumericPoly.BLOCK)
-            G, D1, D2 = (np.moveaxis(a[0], 0, -1).copy()
-                         for a in self.field_values(Z[None, rows]))
+        n = self.n
+        for rows, prod in self._field_eval.blocks(Z[None]):
+            vals = prod[0][self._field_eval.rows]
+            G = vals[:n * n].reshape(n, n, -1)
+            D1 = vals[n * n:n * n + n ** 3].reshape(n, n, n, -1)
+            D2 = vals[n * n + n ** 3:].reshape(n, n, n, n, -1)
             W = _inverse_cholesky(G)
             yield rows, G, W, _ricci_from_fields(W, D1, D2)
 

@@ -15,6 +15,7 @@ product is scipy's compiled ``csr_matvecs``, read from
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -54,13 +55,19 @@ class QC:
             return cls(v.real, v.imag)
         return cls(v)
 
+    # Coefficients of real potentials are mostly real: with both imaginary
+    # parts 0, +, * and scale skip the Fraction arithmetic on them.
     def __add__(self, other: "QC") -> "QC":
+        if not (self.im or other.im):
+            return QC(self.re + other.re, self.im)
         return QC(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "QC") -> "QC":
         return QC(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other: "QC") -> "QC":
+        if not (self.im or other.im):
+            return QC(self.re * other.re, self.im)
         return QC(self.re * other.re - self.im * other.im,
                   self.re * other.im + self.im * other.re)
 
@@ -70,7 +77,10 @@ class QC:
     def conjugate(self) -> "QC":
         return QC(self.re, -self.im)
 
-    def scale(self, f: Fraction) -> "QC":
+    def scale(self, f) -> "QC":
+        """Both parts times the rational (Fraction or int) ``f``."""
+        if not self.im:
+            return QC(self.re * f, self.im)
         return QC(self.re * f, self.im * f)
 
     def is_zero(self) -> bool:
@@ -85,7 +95,9 @@ class QC:
         return hash((self.re, self.im))
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int true division is correctly rounded: the bits of float(Fraction)
+        return complex(self.re.numerator / self.re.denominator,
+                       self.im.numerator / self.im.denominator)
 
     def __repr__(self):
         return f"QC({self.re}, {self.im})"
@@ -188,7 +200,7 @@ class CPoly:
                 continue
             na = list(a)
             na[i] -= 1
-            out._accumulate((tuple(na), b), c.scale(Fraction(a[i])))
+            out._accumulate((tuple(na), b), c.scale(a[i]))
         return out
 
     def dzbar(self, i: int) -> "CPoly":
@@ -198,7 +210,7 @@ class CPoly:
                 continue
             nb = list(b)
             nb[i] -= 1
-            out._accumulate((a, tuple(nb)), c.scale(Fraction(b[i])))
+            out._accumulate((a, tuple(nb)), c.scale(b[i]))
         return out
 
     # -- structure ---------------------------------------------------------
@@ -345,8 +357,10 @@ class NumericPoly:
     same order and gives the same bits; the monomials are formed as its rows
     (monomials x points), the layout it reads.  A single polynomial is a
     stack of one and a single point a batch of one.  Points are evaluated in
-    blocks of ``BLOCK`` rows, so the temporaries of a large batch stay
-    bounded.
+    blocks of ``BLOCK`` rows (``blocks``), so the temporaries of a large batch
+    stay bounded; the blocks of one call form their power table, exponent
+    tables, monomials and CSR output in the same buffers, allocated once per
+    call, not once per block.
 
     The evaluation is dtype-generic with one code path.  ``data`` is float64
     when every coefficient is real (as for every torus-invariant stack: its
@@ -424,47 +438,82 @@ class NumericPoly:
         """(L, N, polys) values along N curves z(t), t real, given as (L, N, n)
         Taylor series; N points are a length-1 series.  Float64 when ``Z`` is
         real floating and the coefficients are real, complex128 otherwise."""
+        out = [prod.transpose(0, 2, 1)[..., self.rows] for _, prod in self.blocks(Z)]
+        return out[0] if len(out) == 1 else np.concatenate(out, axis=1)
+
+    def blocks(self, Z):
+        """(points, prod) for the (L, N, n) series ``Z``, ``BLOCK`` points at a
+        time: ``points`` is the slice of the block's points, and ``prod`` (L,
+        distinct rows, block points) their values, in the dtype of
+        ``evaluate_many``; entry e of the stack is row ``rows[e]``.  The
+        monomials, their scratch and ``prod`` are buffers of the call, shared
+        by its blocks, so ``prod`` holds a block's values until the next block.
+        There is one block at least, so that no points give an empty one."""
         Z = np.asarray(Z)
         dtype = self.result_type(Z)
         Z = Z.astype(dtype, copy=False)
         stack = self._real_view() if dtype is float else self
         L, N = Z.shape[:2]
         distinct, monos = len(stack.indptr) - 1, len(stack.ia)
-        out = []
-        # one block at least, so that no points give an empty (L, 0, polys) result
+        bufs = {}
         for lo in range(0, max(N, 1), self.BLOCK):
-            mono = stack._monomials(Z[:, lo:lo + self.BLOCK])
+            mono = stack._monomials(Z[:, lo:lo + self.BLOCK], bufs)
             cols = mono.shape[2]
-            prod = np.zeros((L, distinct, cols), dtype=dtype)
+            prod = _buffer(bufs, "prod", (L, distinct, cols), dtype)
+            prod.fill(0)
             for k in range(L):
                 _sparsetools.csr_matvecs(distinct, monos, cols, stack.indptr, stack.indices,
                                          stack.data, mono[k].ravel(), prod[k].ravel())
-            out.append(prod.transpose(0, 2, 1)[..., self.rows])
-        return out[0] if len(out) == 1 else np.concatenate(out, axis=1)
+            yield slice(lo, lo + cols), prod
 
-    def _monomials(self, Z) -> np.ndarray:
+    def _monomials(self, Z, bufs) -> np.ndarray:
         """(L, monomials, N) Taylor series of the basis monomials along the
-        (L, N, n) series ``Z``, in its dtype (float64 or complex128)."""
+        (L, N, n) series ``Z``, in its dtype (float64 or complex128), formed in
+        the buffers of the dict ``bufs`` (``_buffer``)."""
         L, N, n = Z.shape
-        pw = np.empty((L, n, self.max_pow + 1, N), dtype=Z.dtype)
+        pw = _buffer(bufs, "pw", (L, n, self.max_pow + 1, N), Z.dtype)
         pw[:, :, 0] = 0.0
         pw[0, :, 0] = 1.0
         Zt = Z.transpose(0, 2, 1)
         for d in range(1, self.max_pow + 1):
             pw[:, :, d] = cauchy_product(np.multiply, pw[:, :, d - 1], Zt)
-        # each monomial as one product of its holomorphic and (unless the stack
-        # has none, as a real view) antiholomorphic factor
-        mono = _exponent_table(pw, self.A)[:, self.ia]
-        if self.antiholomorphic:
-            cauchy_product(np.multiply, mono, _exponent_table(pw.conj(), self.B)[:, self.ib],
-                           out=mono)
-        return mono
+        mono = _buffer(bufs, "mono", (L, len(self.ia), N), Z.dtype)
+        if not self.antiholomorphic:
+            # each monomial is its holomorphic factor, in the order of A
+            # (ia is the identity), as for a real view
+            return _exponent_table(pw, self.A, mono, bufs)
+        # each monomial as one product of its holomorphic and antiholomorphic
+        # factor; the table of A is gathered to mono before B's table reuses it
+        holo = _exponent_table(pw, self.A, _buffer(bufs, "table", (L, len(self.A), N), Z.dtype),
+                               bufs)
+        holo.take(self.ia, axis=1, out=mono, mode="clip")
+        anti = _exponent_table(np.conjugate(pw, out=pw), self.B,
+                               _buffer(bufs, "table", (L, len(self.B), N), Z.dtype), bufs)
+        factor = anti.take(self.ib, axis=1, out=_buffer(bufs, "factor", mono.shape, Z.dtype),
+                           mode="clip")
+        return cauchy_product(np.multiply, mono, factor, out=mono)
 
 
-def _exponent_table(pw, E):
-    """(L, len(E), N) series of the monomials z^E[m], one variable at a time,
-    from the power table ``pw`` (L, n, powers, N)."""
-    table = pw[:, 0, E[:, 0]]
+def _buffer(bufs, name, shape, dtype):
+    """A C-contiguous ``shape`` view of the array ``bufs[name]``, which is
+    allocated on the first request and regrown only when a request needs more:
+    a call's first block is its largest, so its later blocks reuse the memory.
+    Gathers into these views use ``take(..., mode="clip")``, which writes to
+    ``out`` directly (``mode="raise"`` writes to a copy)."""
+    buf = bufs.get(name)
+    size = math.prod(shape)
+    if buf is not None and buf.size >= size:
+        return buf.reshape(-1)[:size].reshape(shape)
+    bufs[name] = buf = np.empty(shape, dtype)
+    return buf
+
+
+def _exponent_table(pw, E, out, bufs):
+    """The (L, len(E), N) series of the monomials z^E[m], written to ``out``
+    one variable at a time from the power table ``pw`` (L, n, powers, N)."""
+    pw[:, 0].take(E[:, 0], axis=1, out=out, mode="clip")
+    rows = _buffer(bufs, "rows", out.shape, out.dtype)
     for i in range(1, E.shape[1]):
-        cauchy_product(np.multiply, table, pw[:, i, E[:, i]], out=table)
-    return table
+        cauchy_product(np.multiply, out, pw[:, i].take(E[:, i], axis=1, out=rows, mode="clip"),
+                       out=out)
+    return out

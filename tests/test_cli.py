@@ -389,19 +389,22 @@ class TestUsageErrors:
 
 class TestImports:
     def test_core_loads_no_heavy_scipy_subpackage(self):
-        """Importing the CLI loads numpy, scipy's top-level package and two
-        scipy files read by path; no scipy subpackage, no ``numpy.f2py`` and
-        no ``numpy.ma``.  A thm3 check (Ricci certificate, ray fan, volumes)
-        imports nothing further."""
+        """Importing the CLI loads numpy and two scipy files read by path; no
+        scipy package (not even the top-level one), no ``numpy.f2py`` and no
+        ``numpy.ma``.  A thm3 check (Ricci certificate, ray fan, volumes)
+        imports nothing further than building the argument parser does
+        (argparse's gettext loads the standard ``locale`` on first use)."""
         code = (
             "import contextlib, io, sys\n"
             "from kahlercomp import cli\n"
+            "assert 'scipy' not in sys.modules\n"
             "heavy = ('scipy.stats', 'scipy.integrate', 'scipy.optimize',"
             " 'scipy.linalg', 'scipy.special', 'scipy.sparse', 'numpy.f2py', 'numpy.ma')\n"
             "def loaded():\n"
             "    return sorted(m for m in sys.modules if m in heavy"
             " or m.startswith(tuple(h + '.' for h in heavy)))\n"
             "at_import = loaded()\n"
+            "cli._build_parser()\n"
             "before = set(sys.modules)\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    status = cli.main(['check', '--which', 'thm3', '--catalog', 'section6',"

@@ -1,6 +1,7 @@
 """Certificates, the two comparison checks, counterexample stages, rigidity probe."""
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -244,6 +245,21 @@ class TestCertificates:
         pts = np.array(pts[:count]) * 0.04
         expected = pts[:, 0::2] + 1j * pts[:, 1::2]
         assert np.array_equal(CMP._ball_points(n, 0.04, count, seed), expected)
+
+    @pytest.mark.parametrize("d, seed", [(2, 0), (6, 1)])
+    def test_ball_candidates_keep_every_ball_point(self, d, seed):
+        """The screen keeps every index whose cube point lies in the unit
+        ball, and none whose point lies beyond 1 + 2|w|, w the half-widths
+        b^-m of the low-digit boxes."""
+        tables = CMP._halton_tables(CMP._halton_permutations(d, seed))
+        start, count = 12345, 40000
+        pts = 2.0 * CMP._halton(tables, start, count) - 1.0
+        norm = np.sqrt(np.einsum("ij,ij->i", pts, pts))
+        width = math.sqrt(sum((rows.shape[1] * f) ** 2 for _, rows, f in tables))
+        kept = np.zeros(count, dtype=bool)
+        kept[CMP._ball_candidates(tables, start, count)] = True
+        assert kept[norm <= 1.0].all()
+        assert (norm[kept] <= 1.0 + 2.0 * width + 1e-12).all()
 
     def test_low_digit_tables(self):
         tables = CMP._halton_tables(CMP._halton_permutations(8, 0))

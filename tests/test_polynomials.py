@@ -2,6 +2,7 @@
 numeric evaluator along points and Taylor series."""
 
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import sympy as sp
 
 from kahlercomp import curvature as C
 from kahlercomp import potential as P
-from kahlercomp.polynomials import CPoly, NumericPoly, QC
+from kahlercomp.polynomials import CPoly, NumericPoly, QC, cauchy_product
 
 
 class TestRingOperations:
@@ -52,6 +53,64 @@ class TestRingOperations:
     def test_linear_substitute_identity(self):
         p = CPoly.monomial(2, (1, 1), (2, 0), QC(1, 1))
         assert p.linear_substitute(np.eye(2)) == p
+
+
+def _rationals(rng, count, digits):
+    """Random signed rationals with numerators and denominators of up to
+    ``digits`` digits; a quarter of them 0."""
+    out = []
+    for _ in range(count):
+        if rng.random() < 0.25:
+            out.append(Fraction(0))
+        else:
+            num = rng.randrange(1, 10 ** rng.randint(1, digits))
+            out.append(Fraction(rng.choice((-1, 1)) * num, rng.randrange(1, 10 ** digits)))
+    return out
+
+
+class TestQCFastPaths:
+    """+, * and scale skip the Fraction arithmetic on two zero imaginary
+    parts, and ``complex`` divides the integers: the results are those of the
+    plain formulas."""
+
+    @staticmethod
+    def _pairs():
+        rng = random.Random(3)
+        for digits in (3, 200):
+            parts = _rationals(rng, 4 * 60, digits)
+            for k in range(0, len(parts), 4):
+                re1, im1, re2, im2 = parts[k:k + 4]
+                # both, one or neither imaginary part zero
+                if k % 12 == 0:
+                    im1 = im2 = Fraction(0)
+                elif k % 12 == 4:
+                    im1 = Fraction(0)
+                yield QC(re1, im1), QC(re2, im2)
+
+    @staticmethod
+    def _same(q, re, im):
+        return (type(q.re) is type(q.im) is Fraction) and (q.re, q.im) == (re, im)
+
+    def test_add_and_mul_are_the_fraction_formulas(self):
+        for a, b in self._pairs():
+            assert self._same(a + b, a.re + b.re, a.im + b.im)
+            assert self._same(a * b, a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+
+    def test_scale_is_the_fraction_formula(self):
+        for a, _ in self._pairs():
+            for f in (3, -2, 0, Fraction(5, 7)):
+                assert self._same(a.scale(f), a.re * Fraction(f), a.im * Fraction(f))
+
+    def test_complex_is_float_of_each_part(self):
+        rng = random.Random(4)
+        parts = _rationals(rng, 400, 200) + _rationals(rng, 400, 17)
+        # subnormal, near the smallest subnormal, and the largest finite float
+        parts += [Fraction(1, 10 ** 310), Fraction(-3, 7 * 10 ** 320), Fraction(1, 2 ** 1075),
+                  Fraction(3, 2 ** 1076), Fraction(2 ** 1074 + 1, 2 ** 2148),
+                  Fraction(10 ** 200 + 1, 10 ** 508), Fraction(2 ** 1024 - 2 ** 971, 1)]
+        for re, im in zip(parts, parts[1:] + parts[:1]):
+            got = complex(QC(re, im))
+            assert (got.real.hex(), got.imag.hex()) == (float(re).hex(), float(im).hex())
 
 
 def _to_sympy(poly, syms):
@@ -259,7 +318,7 @@ class TestCSRProduct:
             got = npoly.evaluate_many(Z)
             dtype = npoly.result_type(Z)
             stack = npoly._real_view() if dtype is float else npoly
-            mono = stack._monomials(Z.astype(dtype))
+            mono = stack._monomials(Z.astype(dtype), {})
             expected = np.stack([_scipy_csr(stack) @ m for m in mono])
             expected = expected[:, npoly.rows].transpose(0, 2, 1)
             assert got.dtype == expected.dtype and np.array_equal(got, expected)
@@ -286,26 +345,114 @@ class TestCSRProduct:
         assert np.array_equal(npoly.data, expected.data)
 
 
+def _fresh_monomials(stack, Z):
+    """Oracle: the monomials of one block with a fresh array for every
+    exponent table and gather, through fancy indexing."""
+    L, N, n = Z.shape
+    pw = np.empty((L, n, stack.max_pow + 1, N), dtype=Z.dtype)
+    pw[:, :, 0] = 0.0
+    pw[0, :, 0] = 1.0
+    for d in range(1, stack.max_pow + 1):
+        pw[:, :, d] = cauchy_product(np.multiply, pw[:, :, d - 1], Z.transpose(0, 2, 1))
+
+    def table(pw, E):
+        out = pw[:, 0, E[:, 0]]
+        for i in range(1, n):
+            cauchy_product(np.multiply, out, pw[:, i, E[:, i]], out=out)
+        return out
+
+    mono = table(pw, stack.A)[:, stack.ia]
+    if stack.antiholomorphic:
+        cauchy_product(np.multiply, mono, table(pw.conj(), stack.B)[:, stack.ib], out=mono)
+    return mono
+
+
+def _fresh_evaluate_many(npoly, Z):
+    """Oracle: ``evaluate_many`` with fresh arrays in every block."""
+    dtype = npoly.result_type(Z)
+    Z = Z.astype(dtype)
+    stack = npoly._real_view() if dtype is float else npoly
+    csr = _scipy_csr(stack)
+    out = []
+    for lo in range(0, max(Z.shape[1], 1), NumericPoly.BLOCK):
+        mono = _fresh_monomials(stack, Z[:, lo:lo + NumericPoly.BLOCK])
+        expected = np.stack([csr @ m for m in mono])
+        out.append(expected[:, npoly.rows].transpose(0, 2, 1))
+    return np.concatenate(out, axis=1)
+
+
+class TestBlockBuffers:
+    """``NumericPoly.blocks`` forms every block in buffers of its call; the
+    values are those of fresh arrays per block, bit for bit."""
+
+    STACKS = [P.section6(Fraction(1, 10), 0), P.perturbed(2, 0), P.perturbed(3, 0),
+              P.space_form(3, 1, degree=12), P.space_form(3, -1, degree=12)]
+
+    @pytest.mark.parametrize("pot", STACKS, ids=lambda pot: pot.label)
+    def test_same_bits_as_fresh_arrays(self, pot):
+        npoly = NumericPoly(_field_polys(pot))
+        rng = np.random.default_rng(17)
+        for N in (0, 1, 511, 512, 513, 10513):
+            for L in (1, 5):
+                Z = rng.normal(size=(L, N, pot.n)) * 0.03
+                for points in (Z, Z + 1j * rng.normal(size=Z.shape) * 0.03):
+                    got = npoly.evaluate_many(points)
+                    expected = _fresh_evaluate_many(npoly, points)
+                    assert got.dtype == expected.dtype and got.shape == (L, N, len(npoly.rows))
+                    assert np.array_equal(got, expected), (N, L, points.dtype)
+
+    def test_real_view_monomials_are_its_exponent_table(self):
+        """A stack with no antiholomorphic exponent lists its monomials in the
+        order of A, so its table needs no gather."""
+        real = NumericPoly(_field_polys(P.space_form(3, 1, degree=12)))._real_view()
+        assert not real.antiholomorphic
+        assert np.array_equal(real.ia, np.arange(len(real.A)))
+
+    @pytest.mark.parametrize("imag", [False, True], ids=["real-points", "complex-points"])
+    @pytest.mark.parametrize("L", [1, 3])
+    def test_blocks_of_a_call_share_their_memory(self, monkeypatch, imag, L):
+        """Three blocks, the last one short: one monomial buffer and one CSR
+        output for all of them."""
+        npoly = NumericPoly(_field_polys(P.perturbed(2, 0)))
+        rng = np.random.default_rng(19)
+        Z = rng.normal(size=(L, 2 * NumericPoly.BLOCK + 100, 2)) * 0.03
+        if imag:
+            Z = Z + 1j * rng.normal(size=Z.shape) * 0.03
+        monomials = NumericPoly._monomials
+        pointers = []
+
+        def recorded(stack, *args):
+            mono = monomials(stack, *args)
+            pointers.append(mono.__array_interface__["data"][0])
+            return mono
+        monkeypatch.setattr(NumericPoly, "_monomials", recorded)
+        outputs = [(rows, prod.__array_interface__["data"][0], prod.shape)
+                   for rows, prod in npoly.blocks(Z)]
+        assert len(pointers) == 3 and len(set(pointers)) == 1
+        assert len({pointer for _, pointer, _ in outputs}) == 1
+        assert [(rows.start, rows.stop) for rows, _, _ in outputs] == \
+            [(0, 512), (512, 1024), (1024, 1124)]
+        assert [shape[2] for _, _, shape in outputs] == [512, 512, 100]
+
+
 class TestScipyFiles:
     def test_kernel_and_tableau_come_from_scipys_files(self):
         import scipy
 
-        from kahlercomp import geodesic, polynomials
+        from kahlercomp import _scipy_files, geodesic, polynomials
         root = Path(scipy.__file__).parent
+        assert _scipy_files.SCIPY_DIR == root
         assert Path(polynomials._sparsetools.__file__).parent == root / "sparse"
         assert Path(geodesic.dop.__file__) == root / "integrate" / "_ivp" / "dop853_coefficients.py"
 
     @pytest.mark.parametrize("relpath", ["sparse/_sparsetools",
                                          "integrate/_ivp/dop853_coefficients.py"])
     def test_missing_file_is_an_import_error(self, monkeypatch, tmp_path, relpath):
-        import scipy
-
-        from kahlercomp._scipy_files import load_scipy_file
-        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+        from kahlercomp import _scipy_files
+        monkeypatch.setattr(_scipy_files, "SCIPY_DIR", tmp_path)
         with pytest.raises(ImportError) as info:
-            load_scipy_file(relpath)
-        message = str(info.value)
-        assert str(tmp_path / relpath) in message and scipy.__version__ in message
+            _scipy_files.load_scipy_file(relpath)
+        assert str(tmp_path / relpath) in str(info.value)
 
 
 class TestNumericSeries:
