@@ -288,14 +288,16 @@ class CurvatureWorkspace:
         """(rows, G, W, Ric) for the points ``Z`` (P, n), one
         ``NumericPoly.blocks`` block at a time: ``rows`` is the slice of Z,
         and the arrays are point-major, the block's points on their last axis,
-        read from the block's distinct rows.  W = L^-1 for the Cholesky factor
-        G = L L^H (``_inverse_cholesky``), and Ric comes from W and the field
-        values (``_ricci_from_fields``).  Raises ``np.linalg.LinAlgError`` at
+        read from the rows of the stack's ``NumericPoly.view`` (at real points
+        the folded stack, one row per distinct folded polynomial).  W = L^-1
+        for the Cholesky factor G = L L^H (``_inverse_cholesky``), and Ric
+        comes from W and the field values (``_ricci_from_fields``).  Raises ``np.linalg.LinAlgError`` at
         the first block where G is not positive definite at a point.
         """
         n = self.n
+        entries = self._field_eval.view(Z).rows
         for rows, prod in self._field_eval.blocks(Z[None]):
-            vals = prod[0][self._field_eval.rows]
+            vals = prod[0][entries]
             G = vals[:n * n].reshape(n, n, -1)
             D1 = vals[n * n:n * n + n ** 3].reshape(n, n, n, -1)
             D2 = vals[n * n + n ** 3:].reshape(n, n, n, n, -1)

@@ -324,7 +324,9 @@ def cauchy_product(op, a, b, out=None):
     The order is the first axis; for length-1 series this is ``op(a, b)``.
     With ``out`` (which may be ``a``) an elementwise ufunc ``op`` writes the
     len(out) orders in place, from the highest down, so each reads only
-    coefficients of ``a`` not yet overwritten; at length 1 nothing is allocated.
+    coefficients of ``a`` not yet overwritten; every further term of an order
+    is formed in one scratch order, ``op(..., out=tmp)``, and added from
+    there.  Nothing is allocated at length 1.
     """
     if out is None:
         L = len(b)
@@ -332,10 +334,11 @@ def cauchy_product(op, a, b, out=None):
         for j in range(1, min(len(a), L)):
             out[j:] += op(a[j:j + 1], b[:L - j])
         return out
+    tmp = np.empty_like(out[0]) if len(out) > 1 else None
     for k in range(len(out) - 1, -1, -1):
         op(a[k], b[0], out=out[k])
         for j in range(k):
-            out[k] += op(a[j], b[k - j])
+            out[k] += op(a[j], b[k - j], tmp)
     return out
 
 
@@ -367,15 +370,16 @@ class NumericPoly:
     coefficients c_aa are real and the derivative factors are integers),
     complex128 otherwise.  Real floating points with real coefficients are
     evaluated in float64 throughout, on the folded stack (``_real_view``):
-    there conj(z) = z, so z^a conj(z)^b = x^(a+b), and the monomials that
-    merge have their exact coefficients summed and rounded once.  Every other
+    there conj(z) = z, so z^a conj(z)^b = x^(a+b), the monomials that merge
+    have their exact coefficients summed and rounded once, and the rows that
+    fold to the same coefficients are stored once (``view``).  Every other
     input is evaluated in complex128, integer points included.  Real
     coefficients at complex points give the same bits as complex ones,
     because the CSR kernel casts them to complex before it multiplies.
     """
 
     __slots__ = ("n", "A", "B", "ia", "ib", "indptr", "indices", "data", "max_pow", "rows",
-                 "antiholomorphic", "_polys", "_real")
+                 "antiholomorphic", "plans", "_polys", "_real")
 
     BLOCK = 512
 
@@ -400,34 +404,90 @@ class NumericPoly:
         self.A = np.array(list(holo), dtype=np.int64).reshape(len(holo), n)
         self.B = np.array(list(anti), dtype=np.int64).reshape(len(anti), n)
         self.ia, self.ib = np.array(list(index), dtype=np.int64).reshape(-1, 2).T
+        self._set_basis()
+        self.indptr, self.indices, self.data = _csr(rows, cols, vals, len(self._polys))
+
+    def _set_basis(self):
         self.max_pow = int(max(self.A.max(initial=0), self.B.max(initial=0)))
         self.antiholomorphic = bool(self.B.any())
-        vals = np.array(vals, dtype=complex)
-        if not vals.imag.any():
-            vals = vals.real
-        rows, cols = np.array(rows, dtype=np.int32), np.array(cols, dtype=np.int32)
-        order = np.lexsort((cols, rows))
-        self.indptr = np.zeros(len(self._polys) + 1, dtype=np.int32)
-        np.cumsum(np.bincount(rows, minlength=len(self._polys)), out=self.indptr[1:])
-        self.indices, self.data = cols[order], vals[order]
+        self.plans = (_prefix_plan(self.A), _prefix_plan(self.B))
 
     def _real_view(self) -> "NumericPoly":
-        """The distinct rows at real points x, where z = conj(z) = x: each
-        monomial z^a conj(z)^b is x^(a+b), its exact coefficient summed with
-        those of the monomials it merges with and rounded once.  Built on first
-        use; a stack with no antiholomorphic exponent is its own view."""
+        """The stack at real points x, where z = conj(z) = x, built on first
+        use; a stack with no antiholomorphic exponent is its own view.
+
+        Each monomial z^a conj(z)^b becomes x^(a+b).  The fold works on this
+        stack's own arrays: entry e of row r has the exponent A[ia] + B[ib] of
+        its column, each row's entries are ordered by (degree, exponent), and
+        only the groups of entries that merge have their exact ``CPoly``
+        coefficients summed, and rounded once (a sum of 0 drops the entry); a
+        single entry keeps its stored value.  The view's columns are the
+        distinct exponents, numbered by first appearance, so its ``A`` lists
+        them in that order and its ``ia`` is the identity.  These are the
+        arrays that ``NumericPoly`` builds from the folded ``CPoly`` of each
+        row, bit for bit.  Rows that fold to the same coefficients (g_ij and
+        g_ji, and mixed partials, at real points) are stored once: the view's
+        ``rows`` maps every entry of this stack to its row."""
         if not self.antiholomorphic:
             return self
         if self._real is None:
-            zero = (0,) * self.n
-            folded = []
-            for p in self._polys:
-                q = CPoly(self.n)
-                for (a, b), c in p.coeffs.items():
-                    q._accumulate((tuple(x + y for x, y in zip(a, b)), zero), c)
-                folded.append(q)
-            self._real = NumericPoly(folded)
+            self._real = self._fold()
         return self._real
+
+    def _fold(self) -> "NumericPoly":
+        """The view of ``_real_view``, from this stack's arrays."""
+        count = len(self.indptr) - 1
+        row = np.repeat(np.arange(count), np.diff(self.indptr))
+        E = self.A[self.ia[self.indices]] + self.B[self.ib[self.indices]]
+        key = np.ravel_multi_index(E.T, tuple(E.max(axis=0, initial=0) + 1))
+        order = np.lexsort((key, E.sum(axis=1), row))
+        row, key = row[order], key[order]
+        start = np.ones(len(order), dtype=bool)
+        start[1:] = (row[1:] != row[:-1]) | (key[1:] != key[:-1])
+        size = np.bincount(np.cumsum(start) - 1)
+        head = np.cumsum(size) - size
+        vals, keep = self.data[order[head]].tolist(), np.ones(len(head), dtype=bool)
+        A, B = self.A.tolist(), self.B.tolist()
+        for g in (size > 1).nonzero()[0].tolist():
+            # a merging group: sum its exact coefficients, round once
+            poly = self._polys[row[head[g]]]
+            total = _QC_ZERO
+            for m in self.indices[order[head[g]:head[g] + size[g]]].tolist():
+                total = total + poly.coeffs[tuple(A[self.ia[m]]), tuple(B[self.ib[m]])]
+            vals[g] = complex(total)
+            keep[g] = not total.is_zero()
+        head = head[keep]
+        # columns: the distinct exponents, numbered by first appearance
+        cols, first = _first_appearance(key[head])
+        indptr, indices, data = _csr(row[head], cols, [v for v, k in zip(vals, keep) if k],
+                                     count)
+        # one row per distinct folded row
+        seen, fold, kept = {}, [], []
+        for lo, hi in zip(indptr[:-1], indptr[1:]):
+            content = (indices[lo:hi].tobytes(), data[lo:hi].tobytes())
+            kept.append(content not in seen)
+            fold.append(seen.setdefault(content, len(seen)))
+        fold, kept = np.array(fold, dtype=np.intp), np.array(kept, dtype=bool)
+        lengths = np.diff(indptr)
+        view = NumericPoly.__new__(NumericPoly)
+        view.n, view._polys, view._real = self.n, None, None
+        view.rows = fold[self.rows]
+        view.A = E[order[head[first]]]
+        view.B = np.zeros((1, self.n), dtype=np.int64)
+        view.ia = np.arange(len(view.A), dtype=np.int64)
+        view.ib = np.zeros(len(view.A), dtype=np.int64)
+        view._set_basis()
+        view.indptr = np.zeros(len(seen) + 1, dtype=np.int32)
+        np.cumsum(lengths[kept], out=view.indptr[1:])
+        entries = np.repeat(kept, lengths)
+        view.indices, view.data = indices[entries], data[entries]
+        return view
+
+    def view(self, Z) -> "NumericPoly":
+        """The stack that evaluates the points ``Z``: ``_real_view()`` at real
+        floating points with real coefficients, else this stack.  Its
+        ``rows`` maps every entry of this stack to a row of its output."""
+        return self._real_view() if self.result_type(Z) is float else self
 
     def result_type(self, Z):
         """``float`` for real floating points and real coefficients, else ``complex``."""
@@ -438,21 +498,23 @@ class NumericPoly:
         """(L, N, polys) values along N curves z(t), t real, given as (L, N, n)
         Taylor series; N points are a length-1 series.  Float64 when ``Z`` is
         real floating and the coefficients are real, complex128 otherwise."""
-        out = [prod.transpose(0, 2, 1)[..., self.rows] for _, prod in self.blocks(Z)]
+        rows = self.view(Z).rows
+        out = [prod.transpose(0, 2, 1)[..., rows] for _, prod in self.blocks(Z)]
         return out[0] if len(out) == 1 else np.concatenate(out, axis=1)
 
     def blocks(self, Z):
         """(points, prod) for the (L, N, n) series ``Z``, ``BLOCK`` points at a
         time: ``points`` is the slice of the block's points, and ``prod`` (L,
-        distinct rows, block points) their values, in the dtype of
-        ``evaluate_many``; entry e of the stack is row ``rows[e]``.  The
+        rows, block points) the values of the rows of ``view(Z)``, in the
+        dtype of ``evaluate_many``; entry e of the stack is row
+        ``view(Z).rows[e]``.  The
         monomials, their scratch and ``prod`` are buffers of the call, shared
         by its blocks, so ``prod`` holds a block's values until the next block.
         There is one block at least, so that no points give an empty one."""
         Z = np.asarray(Z)
         dtype = self.result_type(Z)
-        Z = Z.astype(dtype, copy=False)
         stack = self._real_view() if dtype is float else self
+        Z = Z.astype(dtype, copy=False)
         L, N = Z.shape[:2]
         distinct, monos = len(stack.indptr) - 1, len(stack.ia)
         bufs = {}
@@ -478,20 +540,50 @@ class NumericPoly:
         for d in range(1, self.max_pow + 1):
             pw[:, :, d] = cauchy_product(np.multiply, pw[:, :, d - 1], Zt)
         mono = _buffer(bufs, "mono", (L, len(self.ia), N), Z.dtype)
+        holo_plan, anti_plan = self.plans
         if not self.antiholomorphic:
             # each monomial is its holomorphic factor, in the order of A
             # (ia is the identity), as for a real view
-            return _exponent_table(pw, self.A, mono, bufs)
+            return _exponent_table(pw, holo_plan, mono, bufs)
         # each monomial as one product of its holomorphic and antiholomorphic
         # factor; the table of A is gathered to mono before B's table reuses it
-        holo = _exponent_table(pw, self.A, _buffer(bufs, "table", (L, len(self.A), N), Z.dtype),
-                               bufs)
+        holo = _exponent_table(pw, holo_plan,
+                               _buffer(bufs, "table", (L, len(self.A), N), Z.dtype), bufs)
         holo.take(self.ia, axis=1, out=mono, mode="clip")
-        anti = _exponent_table(np.conjugate(pw, out=pw), self.B,
+        anti = _exponent_table(np.conjugate(pw, out=pw), anti_plan,
                                _buffer(bufs, "table", (L, len(self.B), N), Z.dtype), bufs)
         factor = anti.take(self.ib, axis=1, out=_buffer(bufs, "factor", mono.shape, Z.dtype),
                            mode="clip")
         return cauchy_product(np.multiply, mono, factor, out=mono)
+
+
+def _first_appearance(key):
+    """(number, first) for the int array ``key``: number[i] numbers key[i]
+    by the order in which the distinct keys first appear, and the mask
+    ``first`` marks the positions where they do."""
+    by_key = np.lexsort((key,))   # stable: equal keys in the order of their positions
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = key[by_key[1:]] != key[by_key[:-1]]
+    first = np.zeros(len(key), dtype=bool)
+    first[by_key[new]] = True
+    number = np.empty(len(key), dtype=np.int64)
+    number[by_key] = (np.cumsum(first) - 1)[by_key[new]][np.cumsum(new) - 1]
+    return number, first
+
+
+def _csr(rows, cols, vals, count):
+    """(indptr, indices, data) of the ``count``-row CSR matrix with the given
+    (row, column, value) entries, in scipy's canonical form: rows in order,
+    columns sorted within each row, int32 indices, and float64 data when no
+    value has an imaginary part, complex128 otherwise."""
+    vals = np.asarray(vals, dtype=complex)
+    if not vals.imag.any():
+        vals = vals.real
+    rows, cols = np.asarray(rows, dtype=np.int32), np.asarray(cols, dtype=np.int32)
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(count + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=count), out=indptr[1:])
+    return indptr, cols[order], vals[order]
 
 
 def _buffer(bufs, name, shape, dtype):
@@ -508,12 +600,55 @@ def _buffer(bufs, name, shape, dtype):
     return buf
 
 
-def _exponent_table(pw, E, out, bufs):
-    """The (L, len(E), N) series of the monomials z^E[m], written to ``out``
-    one variable at a time from the power table ``pw`` (L, n, powers, N)."""
-    pw[:, 0].take(E[:, 0], axis=1, out=out, mode="clip")
-    rows = _buffer(bufs, "rows", out.shape, out.dtype)
-    for i in range(1, E.shape[1]):
-        cauchy_product(np.multiply, out, pw[:, i].take(E[:, i], axis=1, out=rows, mode="clip"),
-                       out=out)
+def _prefix_plan(E):
+    """How ``_exponent_table`` forms the monomials z^E[m], one variable at a
+    time: for each variable i >= 1, (parent, power) over the distinct
+    prefixes E[m, :i+1] (in order of first appearance; at the last variable,
+    the rows of E in order), with ``parent`` the row of each prefix's own
+    prefix in the level before (at i = 1, the power of z_0) and ``power`` its
+    exponent of z_i.  A stack in one variable has no levels, only E's
+    exponents of z_0."""
+    if E.shape[1] == 1:
+        return [], E[:, 0]
+    index = E[:, 0].tolist()
+    levels = []
+    for i in range(1, E.shape[1] - 1):
+        seen = {}
+        index = [seen.setdefault(prefix, len(seen)) for prefix in zip(index, E[:, i].tolist())]
+        parent, power = zip(*seen) if seen else ((), ())
+        levels.append((np.array(parent, dtype=np.intp), np.array(power, dtype=np.intp)))
+    levels.append((np.array(index, dtype=np.intp), E[:, -1].astype(np.intp)))
+    return levels, None
+
+
+def _exponent_table(pw, plan, out, bufs):
+    """The (L, monomials, N) series of the monomials z^E[m], written to
+    ``out`` from the power table ``pw`` (L, n, powers, N) along E's
+    ``_prefix_plan``: each level multiplies the rows of its parents by a
+    power of the next variable, so every prefix shared by several monomials
+    is formed once.  Each monomial is still the product over i of z_i^E[m, i]
+    taken in the order of i, so its bits are those of a product formed
+    monomial by monomial.  The levels alternate between ``out`` and one spare
+    buffer, ending in ``out``; each gathers its powers where the level before
+    it was, once that level is read."""
+    levels, single = plan
+    if single is not None:
+        return pw[:, 0].take(single, axis=1, out=out, mode="clip")
+    L, N = out.shape[0], out.shape[2]
+    spare = _buffer(bufs, "rows", out.shape, out.dtype)
+    prev = pw[:, 0]
+    for i, (parent, power) in enumerate(levels):
+        here, there = (out, spare) if (len(levels) - i) % 2 else (spare, out)
+        shape = (L, len(parent), N)
+        cur = prev.take(parent, axis=1, out=_leading(here, shape), mode="clip")
+        rows = pw[:, i + 1].take(power, axis=1, out=_leading(there, shape), mode="clip")
+        cauchy_product(np.multiply, cur, rows, out=cur)
+        prev = cur
     return out
+
+
+def _leading(buf, shape):
+    """A C-contiguous ``shape`` view of the first elements of ``buf``."""
+    if buf.shape == shape:
+        return buf
+    return buf.reshape(-1)[:math.prod(shape)].reshape(shape)

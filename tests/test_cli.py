@@ -205,6 +205,8 @@ class TestCheckCommand:
         (["--which", "thm3", "--catalog", "flat", "--params", "n=2"], "--K is required"),
         (["--which", "thm3", "--catalog", "section6", "--params", "a=0.1", "--K", "0",
           "--quad-degree", "4"], "certificate refused"),
+        (["--which", "thm3", "--catalog", "flat", "--params", "n=2", "--K", "0",
+          "--r-min", "0.04", "--r-max", "0.04", "--r-steps", "3"], "distinct radii"),
     ])
     def test_refused_run_creates_no_output(self, tmp_path, capsys, argv, message):
         out = tmp_path / "d"

@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -278,45 +279,124 @@ class TestCertificates:
 
 
 class TestLeastEigenvalues:
-    """The n = 2 closed form against LAPACK's ``eigvalsh`` on point-major
-    stacks of Hermitian 2 x 2 matrices, from tiny to large entries."""
+    """The closed forms at n = 2 and n = 3 against LAPACK's ``eigvalsh`` on
+    point-major stacks of Hermitian matrices, from tiny to large entries."""
 
     @staticmethod
-    def stacks(dtype, rng):
+    def stacks(n, dtype, rng):
         def draw(*shape):
             x = rng.normal(size=shape)
             return x + 1j * rng.normal(size=shape) if dtype is complex else x
-        random = draw(200, 2, 2)
-        random = random + np.conj(np.swapaxes(random, 1, 2))
-        v = draw(200, 2)
+
+        def hermitian(x):
+            return x + np.conj(np.swapaxes(x, 1, 2))
+        random = hermitian(draw(200, n, n))
+        v = draw(200, n)
         rank1 = v[:, :, None] * np.conj(v[:, None, :])
-        diagonal = np.zeros((200, 2, 2), dtype=dtype)
-        diagonal[:, [0, 1], [0, 1]] = rng.normal(size=(200, 2))
-        near = np.zeros((200, 2, 2), dtype=dtype)
+        diagonal = np.zeros((200, n, n), dtype=dtype)
+        diagonal[:, range(n), range(n)] = rng.normal(size=(200, n))
+        near = np.zeros((200, n, n), dtype=dtype)
         near[:, 0, 0] = rng.normal(size=200)
-        near[:, 1, 1] = near[:, 0, 0] * (1 + rng.normal(size=200) * 1e-14)
+        near[:, range(1, n), range(1, n)] = \
+            near[:, :1, 0] * (1 + rng.normal(size=(200, n - 1)) * 1e-14)
         near[:, 1, 0] = draw(200) * 1e-15
         near[:, 0, 1] = np.conj(near[:, 1, 0])
         tiny = diagonal.copy()
         tiny[:, 1, 0] = draw(200) * 1e-20
         tiny[:, 0, 1] = np.conj(tiny[:, 1, 0])
-        return {"random": random, "rank1": rank1, "diagonal": diagonal,
-                "zero": np.zeros((4, 2, 2), dtype=dtype), "near_degenerate": near,
-                "tiny_off_diagonal": tiny}
+        out = {"random": random, "rank1": rank1, "diagonal": diagonal,
+               "zero": np.zeros((4, n, n), dtype=dtype), "near_degenerate": near,
+               "tiny_off_diagonal": tiny}
+        if n == 3:
+            # spectra with a double (least or top) or a triple near-coincidence,
+            # in a random unitary frame, and matrices near a multiple of I
+            a = rng.normal(size=(200, 1))
+            pair = a * (1 + rng.normal(size=(200, 1)) * 1e-14)
+            gap = np.abs(rng.normal(size=(200, 1)))
+            Q = np.linalg.qr(draw(600, 3, 3))[0].reshape(3, 200, 3, 3)
+            for name, spectrum, frame in [
+                    ("double_least", np.hstack([a, pair, a + gap]), Q[0]),
+                    ("double_top", np.hstack([a, pair, a - gap]), Q[1]),
+                    ("triple", a * (1 + rng.normal(size=(200, 3)) * 1e-14), Q[2])]:
+                out[name] = (frame * spectrum[:, None, :]) @ np.conj(np.swapaxes(frame, 1, 2))
+            out["near_identity"] = (hermitian(draw(200, 3, 3)) * 1e-2
+                                    + np.eye(3) * rng.normal(size=(200, 1, 1)))
+        return out
 
+    @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e150])
-    def test_closed_form_matches_eigvalsh(self, dtype, scale):
-        rng = np.random.default_rng(int(np.log10(scale)) + 400 + (dtype is complex))
-        for name, stack in self.stacks(dtype, rng).items():
+    def test_closed_form_matches_eigvalsh(self, n, dtype, scale):
+        rng = np.random.default_rng(int(np.log10(scale)) + 400 + (dtype is complex)
+                                    + 1000 * (n - 2))
+        for name, stack in self.stacks(n, dtype, rng).items():
             M = stack * scale
             got = CMP._least_eigenvalues(np.moveaxis(M, 0, -1))
             expected = np.linalg.eigvalsh(M)[:, 0]
             assert got.dtype == np.float64 and np.all(np.isfinite(got)), name
             assert np.abs(got - expected).max() <= 8 * np.finfo(float).eps * np.abs(M).max(), name
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_n3_matches_50_digit_eigenvalues(self, dtype):
+        """Matrix by matrix, the 3 x 3 root is within 8 eps max|M| of the
+        least eigenvalue computed to 50 digits, where the guard keeps it."""
+        import mpmath
+        rng = np.random.default_rng(31 + (dtype is complex))
+        stacks = self.stacks(3, dtype, rng)
+        M = np.concatenate([stacks[name][:40] for name in
+                            ("random", "near_degenerate", "double_top", "triple",
+                             "near_identity")])
+        got = CMP._least_eigenvalues(np.moveaxis(M, 0, -1))
+        with mpmath.workdps(50):
+            for k, matrix in enumerate(M):
+                A = mpmath.matrix([[complex(matrix[i, j]) if i > j else
+                                    (matrix[i, i].real if i == j else complex(np.conj(matrix[j, i])))
+                                    for j in range(3)] for i in range(3)])
+                exact = float(min(mpmath.eighe(A, eigvals_only=True)))
+                assert abs(got[k] - exact) <= 8 * np.finfo(float).eps * np.abs(matrix).max(), k
+
+    @pytest.mark.parametrize("pot, K", [(P.space_form(3, 1, degree=12), 1.0),
+                                        (P.space_form(3, -1, degree=12), -1.0),
+                                        (P.perturbed(3, 0), -1.0)],
+                             ids=lambda x: getattr(x, "label", ""))
+    def test_n3_certificate_stacks(self, pot, K, monkeypatch):
+        """Every whitened deficit of an n = 3 certificate, the equality case
+        M ~ 0 of the space forms included, holds 8 eps max|M| against
+        ``eigvalsh`` matrix by matrix.  ``eigvalsh`` sees only the points the
+        guard refuses, none near a multiple of the identity, and the
+        certificate's minimum is that of the recorded stack."""
+        stacks, handed = [], []
+        trigonometric, eigvalsh = CMP._trigonometric_least, np.linalg.eigvalsh
+
+        def recorded(M):
+            stacks.append(M.copy())
+            return trigonometric(M)
+
+        def counted(M):
+            handed.append(len(M))
+            return eigvalsh(M)
+        monkeypatch.setattr(CMP, "_trigonometric_least", recorded)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        cert = CMP.certify_ricci_bound(pot, K, 0.04)
+        monkeypatch.undo()
+        M = np.concatenate(stacks, axis=-1)
+        got = CMP._least_eigenvalues(M)
+        expected = np.linalg.eigvalsh(np.moveaxis(M, -1, 0))[:, 0]
+        bound = 8 * np.finfo(float).eps * np.abs(M).max(axis=(0, 1))
+        assert M.shape[-1] == cert.samples and np.all(np.abs(got - expected) <= bound)
+        assert cert.min_eigenvalue == got.min()
+        refused = trigonometric(M)[1].sum()
+        assert sum(handed) == refused
+        if pot.torus_invariant:
+            assert 0 < refused <= 0.1 * M.shape[-1]
+        else:
+            assert refused == 0
+
     def test_reads_the_lower_triangle(self):
         M = np.array([[2.0, 5.0], [1.0, 3.0]])
+        expected = np.linalg.eigvalsh(M)[0]
+        assert CMP._least_eigenvalues(M[:, :, None])[0] == pytest.approx(expected, rel=1e-15)
+        M = np.array([[2.0, 5.0, -7.0], [1.0, 3.0, 4.0], [0.5, -1.0, 1.0]])
         expected = np.linalg.eigvalsh(M)[0]
         assert CMP._least_eigenvalues(M[:, :, None])[0] == pytest.approx(expected, rel=1e-15)
 
@@ -453,6 +533,26 @@ class TestCounterexample:
         st = report.stages["r4_coefficient"]
         assert st["exact_margin"] == pytest.approx(2 * 0.1 ** 2 / 15, rel=1e-15)
         assert abs(st["margin"] - st["exact_margin"]) <= 1e-15
+
+    @pytest.mark.parametrize("a", [0.05, 0.1, 0.2])
+    def test_r4_stage_checks_its_closed_form(self, a):
+        """Stage iv passes on margin > 0 and |margin - 2a^2/15| within its
+        stated budget, which the report carries."""
+        st = CMP.verify_counterexample(a=a).stages["r4_coefficient"]
+        assert st["exact_margin"] == float(Fraction(2, 15) * Fraction(a) ** 2)
+        assert 0 < abs(st["margin"] - st["exact_margin"]) <= st["budget"]
+        assert st["budget"] <= 1e-3 * st["exact_margin"]
+        assert st["passed"] is True
+
+    def test_r4_stage_refuses_a_shifted_closed_form(self, monkeypatch):
+        exact = CMP._r4_exact_margin
+        st = CMP.verify_counterexample(a=0.1).stages["r4_coefficient"]
+        shift = Fraction(2 * st["budget"])
+        monkeypatch.setattr(CMP, "_r4_exact_margin", lambda a: exact(a) + shift)
+        rep = CMP.verify_counterexample(a=0.1)
+        shifted = rep.stages["r4_coefficient"]
+        assert shifted["margin"] == st["margin"] > 0
+        assert shifted["passed"] is False and not rep.passed_all
 
     def test_pointwise_stage(self, report):
         st = report.stages["pointwise_gap"]

@@ -278,13 +278,16 @@ class TestSparseEvaluator:
         err = np.abs(got - dense).max(axis=(0, 1))
         assert np.all(err <= 1e-14 * np.abs(dense).max(axis=(0, 1)))
 
-    @pytest.mark.parametrize("pot, tables, entries, rows, nnz, columns, real_columns", [
-        (P.space_form(3, 1, degree=12), (56, 56), 117, 63, 1563, 671, 286),
-        (P.section6(Fraction(1, 10), 0), (6, 6), 28, 19, 45, 20, 15),
-    ], ids=["space_form(3, 1, degree=12)", "section6(0.1, 0)"])
-    def test_field_stack_counts(self, pot, tables, entries, rows, nnz, columns, real_columns):
+    @pytest.mark.parametrize(
+        "pot, tables, entries, rows, nnz, columns, real_columns, real_rows, real_nnz", [
+            (P.space_form(3, 1, degree=12), (56, 56), 117, 63, 1563, 671, 286, 43, 1178),
+            (P.section6(Fraction(1, 10), 0), (6, 6), 28, 19, 45, 20, 15, 14, 39),
+        ], ids=["space_form(3, 1, degree=12)", "section6(0.1, 0)"])
+    def test_field_stack_counts(self, pot, tables, entries, rows, nnz, columns, real_columns,
+                                real_rows, real_nnz):
         """Work counts of the field stack: one row per distinct polynomial, and
-        at real points one column per distinct x^(a+b)."""
+        at real points one column per distinct x^(a+b) and one row per distinct
+        folded polynomial."""
         npoly = NumericPoly(_field_polys(pot))
         assert (len(npoly.A), len(npoly.B)) == tables
         assert len(npoly.rows) == entries
@@ -293,7 +296,9 @@ class TestSparseEvaluator:
         assert len(npoly.indices) == len(npoly.data) == npoly.indptr[-1] == nnz
         real = npoly._real_view()
         assert len(real.ia) == len(real.A) == real_columns and not real.B.any()
-        assert len(real.indptr) - 1 == rows
+        assert len(real.indptr) - 1 == real_rows
+        assert len(real.indices) == len(real.data) == real.indptr[-1] == real_nnz
+        assert len(real.rows) == entries
 
 
 class TestCSRProduct:
@@ -316,11 +321,10 @@ class TestCSRProduct:
             if imag:
                 Z = Z + 1j * rng.normal(size=Z.shape) * 0.03
             got = npoly.evaluate_many(Z)
-            dtype = npoly.result_type(Z)
-            stack = npoly._real_view() if dtype is float else npoly
-            mono = stack._monomials(Z.astype(dtype), {})
+            stack = npoly.view(Z)
+            mono = stack._monomials(Z.astype(npoly.result_type(Z)), {})
             expected = np.stack([_scipy_csr(stack) @ m for m in mono])
-            expected = expected[:, npoly.rows].transpose(0, 2, 1)
+            expected = expected[:, stack.rows].transpose(0, 2, 1)
             assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
     @pytest.mark.parametrize("pot", STACKS, ids=lambda pot: pot.label)
@@ -345,9 +349,19 @@ class TestCSRProduct:
         assert np.array_equal(npoly.data, expected.data)
 
 
+def _fresh_product(a, b, out):
+    """Oracle: ``cauchy_product(np.multiply, a, b, out=out)`` with a fresh
+    array for every term."""
+    for k in range(len(out) - 1, -1, -1):
+        np.multiply(a[k], b[0], out=out[k])
+        for j in range(k):
+            out[k] += a[j] * b[k - j]
+    return out
+
+
 def _fresh_monomials(stack, Z):
     """Oracle: the monomials of one block with a fresh array for every
-    exponent table and gather, through fancy indexing."""
+    exponent table, gather and product term, through fancy indexing."""
     L, N, n = Z.shape
     pw = np.empty((L, n, stack.max_pow + 1, N), dtype=Z.dtype)
     pw[:, :, 0] = 0.0
@@ -358,20 +372,35 @@ def _fresh_monomials(stack, Z):
     def table(pw, E):
         out = pw[:, 0, E[:, 0]]
         for i in range(1, n):
-            cauchy_product(np.multiply, out, pw[:, i, E[:, i]], out=out)
+            _fresh_product(out, pw[:, i, E[:, i]], out)
         return out
 
     mono = table(pw, stack.A)[:, stack.ia]
     if stack.antiholomorphic:
-        cauchy_product(np.multiply, mono, table(pw.conj(), stack.B)[:, stack.ib], out=mono)
+        _fresh_product(mono, table(pw.conj(), stack.B)[:, stack.ib], mono)
     return mono
 
 
+def _cpoly_fold(npoly):
+    """Oracle of ``_real_view``: each distinct polynomial folded term by term
+    as a ``CPoly`` (z^a conj(z)^b -> x^(a+b), exact coefficients merged), and
+    the folded stack built by ``NumericPoly``, one row per polynomial."""
+    zero = (0,) * npoly.n
+    folded = []
+    for p in npoly._polys:
+        q = CPoly(npoly.n)
+        for (a, b), c in p.coeffs.items():
+            q._accumulate((tuple(x + y for x, y in zip(a, b)), zero), c)
+        folded.append(q)
+    return NumericPoly(folded)
+
+
 def _fresh_evaluate_many(npoly, Z):
-    """Oracle: ``evaluate_many`` with fresh arrays in every block."""
+    """Oracle: ``evaluate_many`` with fresh arrays in every block, at real
+    points on the ``CPoly`` fold of the stack (``_cpoly_fold``)."""
     dtype = npoly.result_type(Z)
     Z = Z.astype(dtype)
-    stack = npoly._real_view() if dtype is float else npoly
+    stack = _cpoly_fold(npoly) if dtype is float else npoly
     csr = _scipy_csr(stack)
     out = []
     for lo in range(0, max(Z.shape[1], 1), NumericPoly.BLOCK):
@@ -400,6 +429,39 @@ class TestBlockBuffers:
                     expected = _fresh_evaluate_many(npoly, points)
                     assert got.dtype == expected.dtype and got.shape == (L, N, len(npoly.rows))
                     assert np.array_equal(got, expected), (N, L, points.dtype)
+
+    def test_product_terms_share_one_scratch(self):
+        """``cauchy_product(..., out=)`` forms each order's first term in that
+        order and every further term in one scratch order, with the bits of a
+        fresh array per term."""
+        rng = np.random.default_rng(23)
+        a = rng.normal(size=(6, 40, 300)) + 1j * rng.normal(size=(6, 40, 300))
+        b = rng.normal(size=a.shape) + 1j * rng.normal(size=a.shape)
+        targets = []
+
+        def op(x, y, out=None):
+            targets.append(None if out is None else out.__array_interface__["data"][0])
+            return np.multiply(x, y, out=out)
+        got = cauchy_product(op, a.copy(), b, out=np.empty_like(a))
+        assert np.array_equal(got, _fresh_product(a, b, np.empty_like(a)))
+        assert None not in targets and len(set(targets)) == len(a) + 1
+
+    def test_product_holds_one_scratch_order(self):
+        """An in-place product holds one order of scratch at most, and none at
+        length 1."""
+        import tracemalloc
+        rng = np.random.default_rng(29)
+        a = rng.normal(size=(5, 200, 512)) + 1j * rng.normal(size=(5, 200, 512))
+        b = a[::-1].copy()
+        for L in (5, 1):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                cauchy_product(np.multiply, a[:L], b[:L], out=a[:L])
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak < (1.01 if L > 1 else 0.01) * a[0].nbytes
 
     def test_real_view_monomials_are_its_exponent_table(self):
         """A stack with no antiholomorphic exponent lists its monomials in the
@@ -433,6 +495,48 @@ class TestBlockBuffers:
         assert [(rows.start, rows.stop) for rows, _, _ in outputs] == \
             [(0, 512), (512, 1024), (1024, 1124)]
         assert [shape[2] for _, _, shape in outputs] == [512, 512, 100]
+
+
+class TestRealView:
+    """``_real_view`` folds the stack's own arrays; the ``CPoly`` fold
+    (``_cpoly_fold``) is its oracle, array for array."""
+
+    STACKS = [P.space_form(3, 1, degree=12), P.space_form(3, -1, degree=12),
+              P.section6(Fraction(1, 10), 0), P.section6(Fraction(-1, 10), Fraction(1, 2)),
+              P.space_form(2, 1), P.perturbed(2, 0), P.perturbed(3, 0)]
+
+    @pytest.mark.parametrize("pot", STACKS, ids=lambda pot: pot.label)
+    def test_is_the_cpoly_fold(self, pot):
+        npoly = NumericPoly(_field_polys(pot))
+        real, oracle = npoly._real_view(), _cpoly_fold(npoly)
+        assert np.array_equal(real.A, oracle.A) and np.array_equal(real.ia, oracle.ia)
+        assert real.max_pow == oracle.max_pow and not real.antiholomorphic
+        assert real.indptr.dtype == real.indices.dtype == np.int32
+        assert real.data.dtype == oracle.data.dtype
+        # every entry of the stack reads the oracle's row of its polynomial
+        for view_row, row in zip(real.rows, npoly.rows):
+            got = slice(real.indptr[view_row], real.indptr[view_row + 1])
+            expected = slice(oracle.indptr[row], oracle.indptr[row + 1])
+            assert np.array_equal(real.indices[got], oracle.indices[expected])
+            assert np.array_equal(real.data[got], oracle.data[expected])
+        # and no two rows of the view are the same
+        stored = {(real.indices[lo:hi].tobytes(), real.data[lo:hi].tobytes())
+                  for lo, hi in zip(real.indptr[:-1], real.indptr[1:])}
+        assert len(stored) == len(real.indptr) - 1
+
+    def test_merged_terms_that_cancel_are_dropped(self):
+        """z1 conj(z2) - z2 conj(z1) vanishes at real points: its row is empty,
+        and the same as the zero polynomial's."""
+        n = 2
+        p = CPoly(n, {((1, 0), (0, 1)): 1, ((0, 1), (1, 0)): -1, ((2, 0), (0, 0)): 3})
+        q = CPoly(n, {((1, 0), (0, 1)): 1, ((0, 1), (1, 0)): -1})
+        npoly = NumericPoly([p, q, CPoly.zero(n), p])
+        real = npoly._real_view()
+        assert np.array_equal(real.rows, [0, 1, 1, 0])
+        assert np.array_equal(real.indptr, [0, 1, 1]) and real.data.tolist() == [3.0]
+        assert np.array_equal(real.A, [[2, 0]])
+        x = np.array([[[0.3, -0.2]]])
+        assert np.array_equal(npoly.evaluate_many(x), [[[3 * 0.3 ** 2, 0.0, 0.0, 3 * 0.3 ** 2]]])
 
 
 class TestScipyFiles:
