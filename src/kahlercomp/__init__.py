@@ -8,8 +8,8 @@ from .curvature import (HermitianMetric, CurvatureTensor, RealFrameCurvature,
 from .geodesic import GeodesicBatch, GeodesicRay, RadialDensity, shoot
 from .model_space import ModelSpace, density, laplacian, sphere_area, ball_volume, model_series
 from .series import (SeriesExpansion, JacobiCoefficients, jacobi_recursion,
-                     density_series, fit_w_series, kahler_r11_identity_check)
-from .sphere import SphereRule, build_rule, sphere_average, unit_sphere_volume
+                     density_series, fit_w_series)
+from .sphere import SphereRule, build_rule, unit_sphere_volume
 from .comparison import (RicciBoundCertificate, ComparisonReport, certify_ricci_bound,
                          find_lambda, check_volume_ratio, check_average_laplacian,
                          verify_counterexample, rigidity_probe, SphereFlow)

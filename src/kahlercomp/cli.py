@@ -9,6 +9,7 @@ reproduce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -18,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import comparison, model_space, potential, series
-from . import curvature as curv
 from .sphere import build_rule, fan_out, unit_sphere_volume
 
 EXIT_OK = 0
@@ -104,7 +104,8 @@ def _echo_config(args, out: Path):
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+    """Write a table to ``path``, or to standard output when it is None."""
+    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
@@ -127,19 +128,15 @@ def cmd_model(args) -> int:
                          model_space.laplacian(model, r)))
         except ValueError:
             rows.append((r, "domain_error", "", "", "", ""))
-    header = ["r", "status", "density", "area", "volume", "laplacian"]
+    table = None
     if args.out:
         out = _ensure_out(args)
         _echo_config(args, out)
-        _write_csv(out / "tables" / "model.csv", header, rows)
+        table = out / "tables" / "model.csv"
         (out / "report.json").write_text(json.dumps(
             {"command": "model", "n": args.n, "K": args.K, "rows": len(rows)},
             sort_keys=True, indent=2) + "\n")
-    else:
-        w = csv.writer(sys.stdout)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(x) if isinstance(x, float) else x for x in row])
+    _write_csv(table, ["r", "status", "density", "area", "volume", "laplacian"], rows)
     return EXIT_OK
 
 
@@ -149,13 +146,11 @@ def cmd_series(args) -> int:
         raise ValueError(f"--order must be at least 0, got {order}")
     pot = _load_potential(args)
     p = np.zeros(pot.n, dtype=complex)
-    jet_order = max(2, order - 2)
     dirs, weights = fan_out(pot, p, build_rule(pot.n, args.quad_degree))
 
     axis = np.zeros(2 * pot.n)
     axis[0] = 1.0
-    jets = curv.curvature_jets_along(pot, p, np.vstack([axis, dirs]), order=jet_order)
-    dens = series.density_series(series.jacobi_recursion(jets, order + 1), order)
+    dens = series.direction_series(pot, p, np.vstack([axis, dirs]), order)
     per_dir = dens.coefficients[0]
     averaged = weights @ dens.coefficients[1:]
 

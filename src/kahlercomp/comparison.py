@@ -361,7 +361,7 @@ def certify_ricci_bound(pot: RealAnalyticPotential, K, rho, samples=10000,
     """
     if samples < 1:
         raise ValueError(f"certificate samples must be at least 1, got {samples}")
-    if rho <= 0:
+    if not rho > 0:  # nan too
         raise ValueError(f"certificate radius rho must be positive, got {rho}")
     if rho > pot.validity_radius:
         raise ValueError("certificate radius exceeds the validity ball")
@@ -501,12 +501,24 @@ def _certified_flow(pot, K, rho, r_max, rule, tol_ode, seed):
 # the two comparison theorems at desk scale
 # ---------------------------------------------------------------------------
 
+def _radius_grid(r_grid):
+    """The radii of a check as a float array (8 from 0.005 to 0.04 if None).
+    A grid that is empty, or holds a radius that is not finite and positive,
+    is refused before anything is certified or integrated."""
+    r_grid = np.asarray(np.linspace(0.005, 0.04, 8) if r_grid is None else r_grid, dtype=float)
+    radii = r_grid.tolist()
+    if r_grid.ndim != 1 or not radii or not all(math.isfinite(r) and r > 0 for r in radii):
+        raise ValueError(f"radius grid must be a non-empty list of finite radii > 0, "
+                         f"got {radii}")
+    return r_grid
+
+
 def check_volume_ratio(pot: RealAnalyticPotential, K, r_grid=None, rule=None,
                        tol_ode=1e-11, seed=0) -> ComparisonReport:
     """Vol(B(b))/Vol(B(a)) at the origin against the model ratio over all grid
     pairs a < b, on the ball where Ric >= K g is certified.  A grid with a
     repeated radius is refused: its pair (a, a) has margin 0 by construction."""
-    r_grid = np.asarray(np.linspace(0.005, 0.04, 8) if r_grid is None else r_grid, dtype=float)
+    r_grid = _radius_grid(r_grid)
     if r_grid.size < 2:
         raise ValueError("volume-ratio check needs at least two radii")
     if len(set(r_grid.tolist())) < r_grid.size:
@@ -537,7 +549,7 @@ def check_average_laplacian(pot: RealAnalyticPotential, K, r_grid=None, rule=Non
                             tol_ode=1e-11, seed=0) -> ComparisonReport:
     """Area-weighted mean of the radial Laplacian at the origin against the
     model value, on the ball where Ric >= K g is certified."""
-    r_grid = np.asarray(np.linspace(0.005, 0.04, 8) if r_grid is None else r_grid, dtype=float)
+    r_grid = _radius_grid(r_grid)
     b_max = float(r_grid.max())
     certificate, flow = _certified_flow(pot, K, b_max, b_max, rule, tol_ode, seed)
     model = model_space.ModelSpace(pot.n, float(K))
@@ -701,8 +713,9 @@ def verify_counterexample(a=0.1, lam=None, rho=0.05, seed=0) -> CounterexampleRe
 
     # stage iii: curvature at the origin in the frame of e0 = d/dx1
     origin = np.zeros(2, dtype=complex)
+    e0 = np.array([1.0, 0, 0, 0])
     tensor = curv.curvature_at(pot, origin)
-    rf = curv.real_frame_components(tensor, np.array([1.0, 0, 0, 0]), pot)
+    rf = curv.real_frame_components(tensor, e0, pot)
     target = np.diag([4 * a, 4 * a, 4 * a]).astype(float)
     dev = float(np.max(np.abs(rf.R_uv - target)))
     report.stages["origin_curvature"] = {"passed": dev < 1e-10, "max_deviation": dev,
@@ -713,8 +726,7 @@ def verify_counterexample(a=0.1, lam=None, rho=0.05, seed=0) -> CounterexampleRe
     # coefficients: each is a few dozen rounded operations on numbers of size
     # at most theirs, and 64 eps of their sum covers them (the margin differs
     # from 2a^2/15 by 8.5 eps of the larger one at a = 0.05, 0.1 and 0.2)
-    jets = curv.curvature_jets_along(pot, origin, np.array([1.0, 0, 0, 0]), order=2)
-    c4_dir = series.density_series(series.jacobi_recursion(jets, 5), 4)[4]
+    c4_dir = series.direction_series(pot, origin, e0, 4)[4]
     c4_model = model_space.model_series(model, 4)[4] / unit_sphere_volume(2)
     margin4 = c4_dir - c4_model
     exact4 = float(_r4_exact_margin(a_frac))
@@ -730,7 +742,6 @@ def verify_counterexample(a=0.1, lam=None, rho=0.05, seed=0) -> CounterexampleRe
 
     # stage v: pointwise Laplacian gap on a reported interval
     r_grid = np.linspace(0.004, 0.04, 19)
-    e0 = np.array([1.0, 0, 0, 0])
     ray = geodesic.shoot(pot, origin, e0, 0.04 * 1.01, tol=1e-12)
     ray_coarse = geodesic.shoot(pot, origin, e0, 0.04 * 1.01, tol=1e-9)
     margins = []

@@ -61,11 +61,8 @@ __all__ = [
     "curvature_jets_along",
     "complex_rep",
     "real_rep",
-    "real_inner",
     "real_metric_matrix",
-    "ricci_pairing",
     "complete_frame",
-    "rm_value",
     "frame_curvature_matrix",
     "connection_and_curvature",
     "exact_metric",
@@ -99,11 +96,6 @@ def real_rep(xi) -> np.ndarray:
     return out
 
 
-def real_inner(G, xi, eta) -> float:
-    """<X, Y> = 2 Re( sum g_ij xi^i conj(eta^j) )."""
-    return float(2.0 * np.real(np.asarray(xi) @ np.asarray(G) @ np.conj(eta)))
-
-
 def real_metric_matrix(G) -> np.ndarray:
     """Real 2n x 2n Gram matrix of the coordinate vector fields."""
     n = G.shape[0]
@@ -114,11 +106,6 @@ def real_metric_matrix(G) -> np.ndarray:
     H[1::2, 0::2] = -2 * im
     H[1::2, 1::2] = 2 * re
     return H
-
-
-def ricci_pairing(ric, xi, eta) -> float:
-    """Real Ricci tensor on two real vectors, from the complex Ricci matrix."""
-    return float(2.0 * np.real(np.asarray(xi) @ np.asarray(ric) @ np.conj(eta)))
 
 
 def _herm(a, b, G):
@@ -162,14 +149,6 @@ def complete_frame(G, xi0) -> np.ndarray:
     frame[:, 0::2] = ws
     frame[:, 1::2] = 1j * ws
     return frame.reshape(lead + (2 * n, n))
-
-
-def rm_value(RH, xi, eta, zeta, omega) -> float:
-    """<R(X, Y)Z, W> for real vectors given by their complex representations."""
-    c1 = np.einsum("i,j->ij", xi, np.conj(eta)) - np.einsum("i,j->ij", eta, np.conj(xi))
-    t1 = np.einsum("ij,k,l,ijkl->", c1, zeta, np.conj(omega), RH)
-    t2 = np.einsum("ij,k,l,ijlk->", c1, np.conj(zeta), omega, RH)
-    return float((t1 - t2).real)
 
 
 def frame_curvature_matrix(RH, frame) -> np.ndarray:
@@ -238,6 +217,9 @@ class CurvatureWorkspace:
         flat_d2g = [self.d2g[k][l][i][j]
                     for k in range(n) for l in range(n) for i in range(n) for j in range(n)]
         self._field_eval = NumericPoly(flat_g + flat_dg + flat_d2g)
+        # the rows of g, dg and d2g in that stack, and the index shape of each
+        a, b = n * n, n * n + n ** 3
+        self._fields = ((slice(0, a), (n, n)), (slice(a, b), (n,) * 3), (slice(b, None), (n,) * 4))
 
     # -- numeric views ------------------------------------------------------
     def field_values(self, z):
@@ -254,10 +236,7 @@ class CurvatureWorkspace:
         z = np.asarray(z)
         lead = z.shape[:-1]
         vals = self._field_eval.evaluate_many(z.reshape(lead[0], -1, n))
-        G = vals[..., :n * n].reshape(lead + (n, n))
-        D1 = vals[..., n * n:n * n + n ** 3].reshape(lead + (n, n, n))
-        D2 = vals[..., n * n + n ** 3:].reshape(lead + (n, n, n, n))
-        return G, D1, D2
+        return tuple(vals[..., field].reshape(lead + shape) for field, shape in self._fields)
 
     def metric_values(self, z):
         """Metric matrix at one point (n,) or at a batch (..., n), with the
@@ -294,13 +273,10 @@ class CurvatureWorkspace:
         comes from W and the field values (``_ricci_from_fields``).  Raises ``np.linalg.LinAlgError`` at
         the first block where G is not positive definite at a point.
         """
-        n = self.n
         entries = self._field_eval.view(Z).rows
         for rows, prod in self._field_eval.blocks(Z[None]):
             vals = prod[0][entries]
-            G = vals[:n * n].reshape(n, n, -1)
-            D1 = vals[n * n:n * n + n ** 3].reshape(n, n, n, -1)
-            D2 = vals[n * n + n ** 3:].reshape(n, n, n, n, -1)
+            G, D1, D2 = (vals[field].reshape(shape + (-1,)) for field, shape in self._fields)
             W = _inverse_cholesky(G)
             yield rows, G, W, _ricci_from_fields(W, D1, D2)
 
@@ -449,7 +425,6 @@ def workspace(pot: RealAnalyticPotential) -> CurvatureWorkspace:
 class HermitianMetric:
     point: np.ndarray
     g: np.ndarray
-    g_inv: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -502,36 +477,31 @@ class CurvatureJets:
 # operations
 # ---------------------------------------------------------------------------
 
-def _check_point(pot, z):
+def metric_at(pot: RealAnalyticPotential, z) -> HermitianMetric:
+    """The metric at z, which must lie in the validity ball and where the
+    metric must be positive definite (``KahlerDomainError`` otherwise)."""
     z = np.asarray(z, dtype=complex).reshape(pot.n)
     if np.linalg.norm(z) > pot.validity_radius * (1 + 1e-12):
         raise KahlerDomainError(
             f"point at |z| = {np.linalg.norm(z):.4g} outside validity radius "
             f"{pot.validity_radius:.4g}")
-    return z
-
-
-def metric_at(pot: RealAnalyticPotential, z) -> HermitianMetric:
-    z = _check_point(pot, z)
     G = workspace(pot).metric_values(z)
     eigs = np.linalg.eigvalsh(G)
     if eigs[0] <= 0:
         raise KahlerDomainError(
             f"outside Kahler domain: metric eigenvalue {eigs[0]:.4g} at |z| = "
             f"{np.linalg.norm(z):.4g}", eigenvalue=float(eigs[0]))
-    return HermitianMetric(point=z, g=G, g_inv=np.linalg.inv(G))
+    return HermitianMetric(point=z, g=G)
 
 
 def curvature_at(pot: RealAnalyticPotential, z) -> CurvatureTensor:
-    z = _check_point(pot, z)
-    metric_at(pot, z)  # positivity gate
+    z = metric_at(pot, z).point  # inside the ball, positive definite
     return CurvatureTensor(point=z, components=workspace(pot).curvature_values(z))
 
 
 def ricci_at(pot: RealAnalyticPotential, z) -> np.ndarray:
     """Complex Ricci matrix -d dbar log det g at z."""
-    z = _check_point(pot, z)
-    metric_at(pot, z)  # positivity gate
+    z = metric_at(pot, z).point  # inside the ball, positive definite
     return workspace(pot).ricci_values(z)[1]
 
 
@@ -542,7 +512,7 @@ def scalar_at(pot: RealAnalyticPotential, z) -> float:
     """
     metric = metric_at(pot, z)  # positivity gate
     ric = workspace(pot).ricci_values(metric.point)[1]
-    return float(np.sum(metric.g_inv.conj() * ric).real)
+    return float(np.sum(np.linalg.inv(metric.g).conj() * ric).real)
 
 
 def normalize_direction(G, e0) -> np.ndarray:

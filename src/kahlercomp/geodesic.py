@@ -423,10 +423,6 @@ class GeodesicRay:
     def position(self, r):
         return self._state(r)[0].copy()
 
-    def frame(self, r):
-        """Complex reps of [e0(r), e_1(r), ..., e_{2n-1}(r)]."""
-        return self._state(r)[1].copy()
-
     def jacobi(self, r):
         _, _, J, Jp = self._state(r)
         return J.copy(), Jp.copy()

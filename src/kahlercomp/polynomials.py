@@ -104,7 +104,6 @@ class QC:
 
 
 _QC_ZERO = QC()
-_QC_ONE = QC(1)
 
 
 class CPoly:
@@ -245,59 +244,19 @@ class CPoly:
     def sorted_terms(self):
         return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0][0]) + sum(kv[0][1]), kv[0]))
 
-    def series_apply(self, series, trunc: int) -> "CPoly":
-        """sum_k series[k] * self**k truncated at total degree ``trunc``.
-
-        Requires a vanishing constant term, so only finitely many powers
-        contribute below the truncation degree.
-        """
+    def log1p(self, trunc: int) -> "CPoly":
+        """log(1 + self) = sum_k (-1)^(k+1) self^k / k, truncated at total
+        degree ``trunc``.  The constant term of ``self`` must vanish, so only
+        the powers k <= trunc / (least degree of self) contribute."""
         if self.min_degree() == 0 and not self.is_zero():
-            raise ValueError("series composition needs a zero constant term")
-        out = CPoly.constant(self.n, series[0]) if len(series) > 0 else CPoly.zero(self.n)
+            raise ValueError("log1p needs a zero constant term")
+        out = CPoly.zero(self.n)
         power = CPoly.constant(self.n, 1)
-        step = max(self.min_degree(), 1)
-        for k in range(1, len(series)):
-            if (k) * step > trunc:
-                break
+        for k in range(1, trunc // max(self.min_degree(), 1) + 1):
             power = power.mul(self, trunc=trunc)
             if power.is_zero():
                 break
-            coeff = QC.from_number(series[k])
-            if not coeff.is_zero():
-                out = out + power.scale(coeff)
-        return out
-
-    def log1p(self, trunc: int) -> "CPoly":
-        """log(1 + self) truncated; the constant term of ``self`` must vanish."""
-        step = max(self.min_degree(), 1)
-        nterms = trunc // step + 1
-        series = [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, nterms + 1)]
-        return self.series_apply(series, trunc)
-
-    def linear_substitute(self, U) -> "CPoly":
-        """Substitute z -> U z (and conj(z) -> conj(U) conj(z)) for a complex matrix U."""
-        n = self.n
-        U = np.asarray(U, dtype=complex)
-        zs = [CPoly(n, {(tuple(1 if j == i else 0 for j in range(n)), (0,) * n): _QC_ONE})
-              for i in range(n)]
-        new_z = []
-        new_zb = []
-        for i in range(n):
-            acc = CPoly.zero(n)
-            for j in range(n):
-                acc = acc + zs[j].scale(U[i, j])
-            new_z.append(acc)
-            new_zb.append(acc.conj())
-        out = CPoly.zero(n)
-        for (a, b), c in self.coeffs.items():
-            term = CPoly.constant(n, c)
-            for i, e in enumerate(a):
-                for _ in range(e):
-                    term = term * new_z[i]
-            for i, e in enumerate(b):
-                for _ in range(e):
-                    term = term * new_zb[i]
-            out = out + term
+            out = out + power.scale(Fraction((-1) ** (k + 1), k))
         return out
 
     # -- evaluation --------------------------------------------------------

@@ -45,6 +45,18 @@ class ValidationError(ValueError):
     """Raised when a term list fails Hermitian symmetry or positivity checks."""
 
 
+def _integer(value, name) -> int:
+    """``value`` as an int: an integral number such as 3 or 3.0, never a
+    truncated 2.7."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return whole
+
+
 @dataclass(frozen=True)
 class Monomial:
     """Single term c * z^alpha * conj(z)^beta."""
@@ -67,17 +79,17 @@ class RealAnalyticPotential:
 
     def __init__(self, n: int, terms, max_degree: int | None = None,
                  validity_radius: float = 0.1, label: str | None = None):
-        if n < 1:
+        self.n = _integer(n, "complex dimension n")
+        if self.n < 1:
             raise ValidationError("complex dimension must be >= 1")
-        self.n = int(n)
         poly = CPoly(self.n)
         for t in terms:
             if isinstance(t, Monomial):
                 alpha, beta, coeff = t.alpha, t.beta, t.coeff
             else:
                 alpha, beta, coeff = t
-            alpha = tuple(int(a) for a in alpha)
-            beta = tuple(int(b) for b in beta)
+            alpha = tuple(_integer(a, "exponent") for a in alpha)
+            beta = tuple(_integer(b, "exponent") for b in beta)
             if len(alpha) != self.n or len(beta) != self.n:
                 raise ValidationError("multi-index length must equal the complex dimension")
             if any(a < 0 for a in alpha) or any(b < 0 for b in beta):
@@ -85,10 +97,12 @@ class RealAnalyticPotential:
             poly = poly + CPoly.monomial(self.n, alpha, beta, QC.from_number(coeff))
         self.poly = poly
         deg = poly.total_degree()
-        self.max_degree = int(max_degree) if max_degree is not None else deg
+        self.max_degree = _integer(max_degree, "max_degree") if max_degree is not None else deg
         if deg > self.max_degree:
             raise ValidationError(f"terms of degree {deg} exceed declared max degree {self.max_degree}")
         self.validity_radius = float(validity_radius)
+        if not self.validity_radius > 0:  # nan too; inf is the whole space
+            raise ValidationError(f"validity radius must be positive, got {validity_radius!r}")
         self.label = label or f"potential(n={self.n}, {len(poly.coeffs)} terms)"
         self._validate()
         # hashed once: workspace lookups would otherwise rehash every Fraction
@@ -120,10 +134,6 @@ class RealAnalyticPotential:
     @property
     def terms(self):
         return [Monomial(a, b, c) for (a, b), c in self.poly.sorted_terms()]
-
-    def is_even(self) -> bool:
-        """True when every term has even total degree (z -> -z symmetry)."""
-        return all((sum(a) + sum(b)) % 2 == 0 for (a, b) in self.poly.coeffs)
 
     @property
     def torus_invariant(self) -> bool:
@@ -294,13 +304,14 @@ def from_catalog(name: str, **params) -> RealAnalyticPotential:
         return params[key]
 
     if name == "flat":
-        return flat(int(need("n")))
+        return flat(_integer(need("n"), "n"))
     if name == "space_form":
-        kwargs = {"degree": int(params["degree"])} if "degree" in params else {}
-        return space_form(int(need("n")), need("K"), **kwargs)
+        kwargs = {"degree": _integer(params["degree"], "degree")} if "degree" in params else {}
+        return space_form(_integer(need("n"), "n"), need("K"), **kwargs)
     if name == "section6":
         return section6(need("a"), params.get("lambda", params.get("lam", 0)))
-    return perturbed(int(need("n")), int(need("seed")), float(params.get("magnitude", 0.02)))
+    return perturbed(_integer(need("n"), "n"), _integer(need("seed"), "seed"),
+                     float(params.get("magnitude", 0.02)))
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +323,6 @@ def _frac_to_json(f: Fraction):
     if Fraction(as_float) == f:
         return as_float
     return f"{f.numerator}/{f.denominator}"
-
-
-def _frac_from_json(v) -> Fraction:
-    if isinstance(v, str):
-        return Fraction(v)
-    return Fraction(v)
 
 
 def dumps(pot: RealAnalyticPotential) -> str:
@@ -332,13 +337,18 @@ def dumps(pot: RealAnalyticPotential) -> str:
 
 def loads(text: str) -> RealAnalyticPotential:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValidationError(f"a potential document must be a JSON object, "
+                              f"got {type(doc).__name__}")
     if "catalog" in doc:
-        spec = dict(doc["catalog"])
-        name = spec.pop("name")
-        return from_catalog(name, **spec)
+        spec = doc["catalog"]
+        if not (isinstance(spec, dict) and isinstance(spec.get("name"), str)):
+            raise ValidationError(f"a catalog entry must be a JSON object with a string "
+                                  f"'name', got {spec!r}")
+        return from_catalog(**spec)
     try:
         terms = [(tuple(t["alpha"]), tuple(t["beta"]),
-                  QC(_frac_from_json(t["re"]), _frac_from_json(t.get("im", 0))))
+                  QC(Fraction(t["re"]), Fraction(t.get("im", 0))))
                  for t in doc["terms"]]
         return RealAnalyticPotential(
             doc["n"], terms, max_degree=doc.get("max_degree"),

@@ -25,7 +25,6 @@ import numpy as np
 from . import curvature as curv
 from .polynomials import cauchy_product
 from .potential import RealAnalyticPotential
-from .sphere import SphereRule, fan_out, unit_sphere_volume
 
 __all__ = [
     "SeriesExpansion",
@@ -33,7 +32,7 @@ __all__ = [
     "jacobi_recursion",
     "density_series",
     "fit_w_series",
-    "kahler_r11_identity_check",
+    "direction_series",
 ]
 
 
@@ -42,7 +41,6 @@ class SeriesExpansion:
     coefficients: np.ndarray
     provenance: str                      # "symbolic" | "fitted"
     covariance: np.ndarray | None = None
-    condition: float | None = None
     cv_shift: float | None = None        # relative c2 change under grid change
 
     def __getitem__(self, k):
@@ -115,6 +113,14 @@ def density_series(coeffs: JacobiCoefficients, N: int) -> SeriesExpansion:
     return SeriesExpansion(coefficients=np.moveaxis(out, 0, -1), provenance="symbolic")
 
 
+def direction_series(pot: RealAnalyticPotential, p, e0, order: int) -> SeriesExpansion:
+    """``density_series`` to ``order`` at p along e0, one direction (2n,) or a
+    batch (..., 2n): from curvature jets of order max(2, order - 2) and Jacobi
+    coefficients to order + 1, the least that the order reads."""
+    jets = curv.curvature_jets_along(pot, p, e0, order=max(2, order - 2))
+    return density_series(jacobi_recursion(jets, order + 1), order)
+
+
 def fit_w_series(samples, N: int) -> SeriesExpansion:
     """Least-squares polynomial fit of W(r) samples, powers r^0..r^N.
 
@@ -142,36 +148,11 @@ def fit_w_series(samples, N: int) -> SeriesExpansion:
         resid = yy - V @ coef
         sigma2 = float(resid @ resid) / dof
         cov = sigma2 * np.linalg.inv((Vs.T @ Vs)) / np.outer(scale, scale)
-        return coef, cov, cond
+        return coef, cov
 
-    coef, cov, cond = solve(r, y)
-    coef_half, _, _ = solve(r[::2], y[::2])
+    coef, cov = solve(r, y)
+    coef_half, _ = solve(r[::2], y[::2])
     denom = abs(coef[2]) if abs(coef[2]) > 1e-12 else 1.0
     cv_shift = abs(coef_half[2] - coef[2]) / denom
     return SeriesExpansion(coefficients=coef, provenance="fitted",
-                           covariance=cov, condition=cond, cv_shift=cv_shift)
-
-
-def _r11_integral(pot, p, rule):
-    """Sphere integral of R_11(e0) = <R(e0, Je0)e0, Je0> at p."""
-    p = np.asarray(p, dtype=complex).reshape(pot.n)
-    RH = curv.workspace(pot).curvature_values(p)
-    dirs, weights = fan_out(pot, p, rule)
-    xi = dirs[:, 0::2] + 1j * dirs[:, 1::2]
-    # R_11 is the frame curvature of the frame [e0, Je0], at a point (a length-1 series)
-    vals = curv.frame_curvature_matrix(RH[None], np.stack([xi, 1j * xi], axis=1)[None])
-    return math.fsum(weights * vals[0, :, 0, 0])
-
-
-def kahler_r11_identity_check(pot: RealAnalyticPotential, p,
-                              rule: SphereRule | None = None):
-    """Check that the sphere integral of R_11 is the fixed multiple of scalar curvature.
-
-    On a Kahler manifold the integral of <R(e0, Je0)e0, Je0> over the unit
-    sphere is C s with C = -2 Vol(S^{2n-1}) / (n(n+1)); returns
-    (lhs, rhs, residual).
-    """
-    n = pot.n
-    lhs = _r11_integral(pot, p, rule)
-    rhs = -2.0 * unit_sphere_volume(n) / (n * (n + 1)) * curv.scalar_at(pot, p)
-    return lhs, rhs, lhs - rhs
+                           covariance=cov, cv_shift=cv_shift)

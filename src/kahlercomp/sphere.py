@@ -44,8 +44,8 @@ import numpy.polynomial.legendre  # at import: numpy loads it lazily, on first u
 from . import curvature as curv
 from .potential import RealAnalyticPotential
 
-__all__ = ["SphereRule", "build_rule", "rank1_lattice", "sphere_average",
-           "unit_sphere_volume", "tangent_nodes", "torus_reduced", "fan_out"]
+__all__ = ["SphereRule", "build_rule", "rank1_lattice", "unit_sphere_volume",
+           "torus_reduced", "fan_out"]
 
 
 def unit_sphere_volume(n: int) -> float:
@@ -145,9 +145,6 @@ class SphereRule:
         pts[..., 0] = np.sqrt(self.moments)
         return pts.reshape(len(pts), -1)
 
-    def complex_nodes(self) -> np.ndarray:
-        return self.nodes[:, 0::2] + 1j * self.nodes[:, 1::2]
-
 
 def _gauss01(k):
     x, w = np.polynomial.legendre.leggauss(k)
@@ -186,30 +183,6 @@ def build_rule(n: int, degree: int | None = None) -> SphereRule:
     return SphereRule(n=n, degree=degree, moments=moments, moment_weights=moment_weights)
 
 
-def sphere_average(rule: SphereRule, f) -> float:
-    """Weighted integral of f over the rule's nodes, in fixed node order.
-
-    Uses compensated summation; the total mass is Vol(S^{2n-1}), so divide by
-    the rule's weight sum for a mean value.
-    """
-    return math.fsum(w * f(node) for node, w in zip(rule.nodes, rule.weights))
-
-
-def _metric_unit(nodes, H):
-    # F u with F the inverse-transpose Cholesky factor of H
-    L = np.linalg.cholesky(H)
-    return nodes @ np.linalg.inv(L)
-
-
-def tangent_nodes(rule: SphereRule, H: np.ndarray) -> np.ndarray:
-    """Map Euclidean nodes to metric-unit tangent vectors for a real Gram matrix H.
-
-    The rows are F u with F the inverse-transpose Cholesky factor of H, an
-    isometry from the round sphere onto the metric unit sphere.
-    """
-    return _metric_unit(rule.nodes, H)
-
-
 def torus_reduced(pot: RealAnalyticPotential, p) -> bool:
     """True when ``fan_out`` needs only the moment nodes: a torus-invariant
     potential at the origin exactly."""
@@ -228,7 +201,9 @@ def fan_out(pot: RealAnalyticPotential, p, rule: SphereRule | None = None):
     each angle torus is then the value at angle 0 times (2 pi)^n, and one
     direction per moment node gives the lattice rule's sum exactly, without
     searching the lattice.  In every other case the directions are every node
-    of the rule.  ``p`` is gated by ``curvature.metric_at``.
+    of the rule.  A node u maps to F u with F the inverse-transpose Cholesky
+    factor of the real Gram matrix H at p, an isometry from the round sphere
+    onto the metric unit sphere.  ``p`` is gated by ``curvature.metric_at``.
     """
     rule = build_rule(pot.n) if rule is None else rule
     metric = curv.metric_at(pot, p)
@@ -237,4 +212,5 @@ def fan_out(pot: RealAnalyticPotential, p, rule: SphereRule | None = None):
         weights = rule.moment_weights * (2.0 * math.pi) ** rule.n
     else:
         nodes, weights = rule.nodes, rule.weights
-    return _metric_unit(nodes, curv.real_metric_matrix(metric.g)), weights
+    L = np.linalg.cholesky(curv.real_metric_matrix(metric.g))
+    return nodes @ np.linalg.inv(L), weights

@@ -1,0 +1,126 @@
+"""Test oracles: plain restatements of quantities that the package computes by
+other routes, and helpers that only the tests read.
+
+Each is written the direct way (a loop over nodes, an einsum over the index
+slots, term-by-term substitution), so a test that compares it with the
+package's batched path checks that path against an independent one.
+"""
+
+import math
+
+import numpy as np
+
+from kahlercomp import curvature as C
+from kahlercomp.polynomials import CPoly
+from kahlercomp.sphere import fan_out, unit_sphere_volume
+
+
+# ---------------------------------------------------------------------------
+# real tangent vectors in their complex representation
+# ---------------------------------------------------------------------------
+
+def real_pairing(H, xi, eta) -> float:
+    """2 Re(sum_ij H_ij xi^i conj(eta^j)) for a Hermitian matrix H: the real
+    symmetric form that H induces on two real vectors given by their complex
+    representations.  H = g gives the metric <X, Y>, and H = Ric the real
+    Ricci tensor Ric(X, Y)."""
+    return float(2.0 * np.real(np.asarray(xi) @ np.asarray(H) @ np.conj(eta)))
+
+
+def rm_value(RH, xi, eta, zeta, omega) -> float:
+    """<R(X, Y)Z, W> for real vectors given by their complex representations."""
+    c1 = np.einsum("i,j->ij", xi, np.conj(eta)) - np.einsum("i,j->ij", eta, np.conj(xi))
+    t1 = np.einsum("ij,k,l,ijkl->", c1, zeta, np.conj(omega), RH)
+    t2 = np.einsum("ij,k,l,ijlk->", c1, np.conj(zeta), omega, RH)
+    return float((t1 - t2).real)
+
+
+# ---------------------------------------------------------------------------
+# sphere rules
+# ---------------------------------------------------------------------------
+
+def complex_nodes(rule) -> np.ndarray:
+    """The rule's nodes as complex n-vectors z_i = x_i + i y_i."""
+    return rule.nodes[:, 0::2] + 1j * rule.nodes[:, 1::2]
+
+
+def sphere_average(rule, f) -> float:
+    """Weighted integral of f over the rule's nodes, in fixed node order.
+
+    Uses compensated summation; the total mass is Vol(S^{2n-1}), so divide by
+    the rule's weight sum for a mean value.
+    """
+    return math.fsum(w * f(node) for node, w in zip(rule.nodes, rule.weights))
+
+
+def tangent_nodes(rule, H) -> np.ndarray:
+    """Map Euclidean nodes to metric-unit tangent vectors for a real Gram matrix H.
+
+    The rows are F u with F the inverse-transpose Cholesky factor of H, an
+    isometry from the round sphere onto the metric unit sphere.
+    """
+    return rule.nodes @ np.linalg.inv(np.linalg.cholesky(H))
+
+
+# ---------------------------------------------------------------------------
+# the Kahler R_11 identity
+# ---------------------------------------------------------------------------
+
+def r11_integral(pot, p, rule):
+    """Sphere integral of R_11(e0) = <R(e0, Je0)e0, Je0> at p."""
+    p = np.asarray(p, dtype=complex).reshape(pot.n)
+    RH = C.workspace(pot).curvature_values(p)
+    dirs, weights = fan_out(pot, p, rule)
+    xi = dirs[:, 0::2] + 1j * dirs[:, 1::2]
+    # R_11 is the frame curvature of the frame [e0, Je0], at a point (a length-1 series)
+    vals = C.frame_curvature_matrix(RH[None], np.stack([xi, 1j * xi], axis=1)[None])
+    return math.fsum(weights * vals[0, :, 0, 0])
+
+
+def kahler_r11_identity_check(pot, p, rule=None):
+    """Check that the sphere integral of R_11 is the fixed multiple of scalar curvature.
+
+    On a Kahler manifold the integral of <R(e0, Je0)e0, Je0> over the unit
+    sphere is C s with C = -2 Vol(S^{2n-1}) / (n(n+1)); returns
+    (lhs, rhs, residual).
+    """
+    n = pot.n
+    lhs = r11_integral(pot, p, rule)
+    rhs = -2.0 * unit_sphere_volume(n) / (n * (n + 1)) * C.scalar_at(pot, p)
+    return lhs, rhs, lhs - rhs
+
+
+# ---------------------------------------------------------------------------
+# exact polynomials and potentials
+# ---------------------------------------------------------------------------
+
+def linear_substitute(poly, U) -> CPoly:
+    """``poly`` with z -> U z (and conj(z) -> conj(U) conj(z)) for a complex matrix U."""
+    n = poly.n
+    U = np.asarray(U, dtype=complex)
+    zs = [CPoly.monomial(n, tuple(1 if j == i else 0 for j in range(n)), (0,) * n, 1)
+          for i in range(n)]
+    new_z = []
+    new_zb = []
+    for i in range(n):
+        acc = CPoly.zero(n)
+        for j in range(n):
+            acc = acc + zs[j].scale(U[i, j])
+        new_z.append(acc)
+        new_zb.append(acc.conj())
+    out = CPoly.zero(n)
+    for (a, b), c in poly.coeffs.items():
+        term = CPoly.constant(n, c)
+        for i, e in enumerate(a):
+            for _ in range(e):
+                term = term * new_z[i]
+        for i, e in enumerate(b):
+            for _ in range(e):
+                term = term * new_zb[i]
+        out = out + term
+    return out
+
+
+def is_even(pot) -> bool:
+    """True when every term has even total degree (z -> -z symmetry)."""
+    return all((sum(a) + sum(b)) % 2 == 0 for (a, b) in pot.poly.coeffs)

@@ -389,6 +389,51 @@ class TestUsageErrors:
         assert not out.exists()
 
 
+class TestRefusedInputs:
+    FLAT = [{"alpha": [1, 0], "beta": [1, 0], "re": 1}, {"alpha": [0, 1], "beta": [0, 1], "re": 1}]
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"catalog": {"n": 2}}, "'name'"),
+        ({"catalog": "flat"}, "'name'"),
+        (5, "JSON object"),
+        ({"n": 2.7, "terms": FLAT}, "n must be an integer"),
+        ({"n": 2, "max_degree": 4.9, "terms": FLAT}, "max_degree must be an integer"),
+        ({"n": 2, "validity_radius": math.nan, "terms": FLAT}, "validity radius"),
+        ({"n": 2, "validity_radius": -1, "terms": FLAT}, "validity radius"),
+        ({"n": 2, "validity_radius": 0, "terms": FLAT}, "validity radius"),
+    ])
+    def test_refused_documents(self, tmp_path, capsys, doc, message):
+        """Each malformed potential document exits 1 with one ``error:`` line."""
+        path = tmp_path / "pot.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "d"
+        assert cli.main(["check", "--which", "thm4", "--potential", str(path), "--K", "0",
+                         "--quad-degree", "4", "--r-steps", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["check", "--which", "thm4", "--catalog", "perturbed", "--params", "n=2.7,seed=0",
+          "--K", "-1"], "n must be an integer"),
+        (["check", "--which", "thm4", "--catalog", "perturbed", "--params", "n=2,seed=0.9",
+          "--K", "-1"], "seed must be an integer"),
+        (["series", "--catalog", "space_form", "--params", "n=2,K=1,degree=12.5"],
+         "degree must be an integer"),
+        (["series", "--catalog", "flat", "--params", "n=2.5"], "n must be an integer"),
+    ])
+    def test_non_integral_parameters(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "d"
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not out.exists()
+
+    def test_integral_float_parameter_runs(self, capsys):
+        assert cli.main(["series", "--catalog", "flat", "--params", "n=2.0",
+                         "--order", "2"]) == 0
+
+
 class TestImports:
     def test_core_loads_no_heavy_scipy_subpackage(self):
         """Importing the CLI loads numpy and two scipy files read by path; no

@@ -191,7 +191,8 @@ class TestCertificates:
             CMP.certify_ricci_bound(section6_pot, -1.2, 0.5)
 
     @pytest.mark.parametrize("rho, samples, name", [
-        (0.04, 0, "samples"), (0.04, -5, "samples"), (-0.04, 100, "rho"), (0.0, 100, "rho")])
+        (0.04, 0, "samples"), (0.04, -5, "samples"), (-0.04, 100, "rho"), (0.0, 100, "rho"),
+        (math.nan, 100, "rho")])
     def test_empty_or_inverted_inputs_rejected(self, section6_pot, monkeypatch, rho,
                                                samples, name):
         def no_draw(*args):
@@ -475,6 +476,20 @@ class TestTheorem3:
             CMP.check_volume_ratio(flat2, 0.5, rule=rule6)
 
 
+class TestRadiusGrid:
+    @pytest.mark.parametrize("check", [CMP.check_volume_ratio, CMP.check_average_laplacian])
+    @pytest.mark.parametrize("grid", [[], [math.nan, 0.04], [0.0, 0.04], [-0.01, 0.04],
+                                      [0.01, math.inf]])
+    def test_refused_before_the_certificate(self, flat2, rule6, monkeypatch, check, grid):
+        """An empty grid, or one radius that is not finite and positive, is a
+        ``ValueError`` naming the grid, raised before anything is certified."""
+        def no_certificate(*args, **kwargs):
+            raise AssertionError("certified a refused grid")
+        monkeypatch.setattr(CMP, "certify_ricci_bound", no_certificate)
+        with pytest.raises(ValueError, match="radius grid"):
+            check(flat2, 0.0, grid, rule=rule6)
+
+
 class TestTheorem4:
     def test_flat_equality(self, flat2, rule6):
         rep = CMP.check_average_laplacian(flat2, 0.0, rule=rule6, tol_ode=1e-11)
@@ -622,7 +637,8 @@ class TestFlowQuality:
 
         from kahlercomp import curvature as C
         from kahlercomp import geodesic as G
-        from kahlercomp.sphere import build_rule, tangent_nodes
+        from kahlercomp.sphere import build_rule
+        from oracles import tangent_nodes
         rule = build_rule(2, 4)
         flow = CMP.SphereFlow(section6_pot, np.zeros(2), 0.04, rule=rule, tol=1e-11)
         G0 = C.workspace(section6_pot).metric_values(np.zeros(2))
@@ -675,7 +691,8 @@ class TestTorusReduction:
         import math
 
         from kahlercomp import geodesic as G
-        from kahlercomp.sphere import build_rule, tangent_nodes
+        from kahlercomp.sphere import build_rule
+        from oracles import tangent_nodes
         rule = build_rule(*rule)
         flow = CMP.SphereFlow(pot, np.zeros(pot.n), r_max, rule=rule, tol=1e-11)
         assert len(flow.rays) == len(rule.moment_weights) < len(rule)

@@ -11,6 +11,7 @@ from kahlercomp import curvature as C
 from kahlercomp import geodesic
 from kahlercomp import potential as P
 from kahlercomp.polynomials import CPoly, cauchy_product
+from oracles import linear_substitute, real_pairing, rm_value
 
 
 def indefinite_at_06():
@@ -33,7 +34,6 @@ class TestMetric:
         for z in (np.zeros(2), np.array([0.3 + 0.2j, -0.5j])):
             m = C.metric_at(flat2, z)
             assert np.allclose(m.g, np.eye(2), atol=0)
-            assert np.allclose(m.g @ m.g_inv, np.eye(2), atol=1e-12)
 
     def test_section6_g11_g12_exact(self, section6_pot):
         a = Fraction(1, 10)
@@ -156,8 +156,8 @@ class TestCurvatureTensor:
         R = C.curvature_at(pot, np.array([0.02 + 0.01j, -0.015 + 0.005j])).components
         for _ in range(25):
             x, y, z, w = (C.complex_rep(rng.normal(size=4)) for _ in range(4))
-            cyc = (C.rm_value(R, x, y, z, w) + C.rm_value(R, y, z, x, w)
-                   + C.rm_value(R, z, x, y, w))
+            cyc = (rm_value(R, x, y, z, w) + rm_value(R, y, z, x, w)
+                   + rm_value(R, z, x, y, w))
             assert abs(cyc) < 1e-10
 
     def test_json_debug_dump(self, section6_pot):
@@ -174,8 +174,8 @@ class TestCurvatureTensor:
         R = C.curvature_at(pot, np.array([0.02, 0.01 - 0.02j])).components
         for _ in range(10):
             vs = [C.complex_rep(rng.normal(size=4)) for _ in range(4)]
-            plain = C.rm_value(R, *vs)
-            rotated = C.rm_value(R, *(1j * v for v in vs))
+            plain = rm_value(R, *vs)
+            rotated = rm_value(R, *(1j * v for v in vs))
             assert plain == pytest.approx(rotated, rel=1e-12, abs=1e-12)
 
     def test_real_coordinate_finite_difference_oracle(self, section6_pot):
@@ -219,7 +219,7 @@ class TestCurvatureTensor:
             for b in range(4):
                 for c in range(4):
                     for e in range(4):
-                        mine = C.rm_value(RH, C.complex_rep(basis[a]),
+                        mine = rm_value(RH, C.complex_rep(basis[a]),
                                           C.complex_rep(basis[b]),
                                           C.complex_rep(basis[c]),
                                           C.complex_rep(basis[e]))
@@ -245,7 +245,7 @@ class TestRealFrame:
         frame_c = [C.complex_rep(v) for v in rf.frame]
         for i, a in enumerate(frame_c):
             for j, b in enumerate(frame_c):
-                assert C.real_inner(G, a, b) == pytest.approx(float(i == j), abs=1e-12)
+                assert real_pairing(G, a, b) == pytest.approx(float(i == j), abs=1e-12)
         for k in range(2):
             assert np.allclose(1j * frame_c[2 * k], frame_c[2 * k + 1])
 
@@ -277,7 +277,7 @@ class TestRealFrame:
             rf = C.real_frame_components(t, e0, pot=pot)
             # oracle: same frame, but contracting the analytic tensor form
             frame_c = [C.complex_rep(v) for v in rf.frame]
-            oracle = np.array([[C.rm_value(expected, frame_c[0], u, frame_c[0], v)
+            oracle = np.array([[rm_value(expected, frame_c[0], u, frame_c[0], v)
                                 for v in frame_c[1:]] for u in frame_c[1:]])
             assert np.allclose(rf.R_uv, oracle, atol=1e-12)
             assert np.allclose(np.diag(rf.R_uv), [-c, -c / 4, -c / 4], atol=1e-12)
@@ -292,7 +292,7 @@ class TestRealFrame:
             ric = C.ricci_at(pot, z)
             xi0 = C.complex_rep(rf.e0)
             assert np.trace(rf.R_uv) == pytest.approx(
-                -C.ricci_pairing(ric, xi0, xi0), rel=1e-9, abs=1e-11)
+                -real_pairing(ric, xi0, xi0), rel=1e-9, abs=1e-11)
 
     def test_degenerate_direction_rejected(self, flat2):
         t = C.curvature_at(flat2, np.zeros(2))
@@ -334,7 +334,7 @@ class TestRicciScalar:
         for seed in range(3):
             U = unitary_group.rvs(2, random_state=seed)
             rotated = P.RealAnalyticPotential(
-                2, [(a, b, c) for (a, b), c in pot.poly.linear_substitute(U).coeffs.items()],
+                2, [(a, b, c) for (a, b), c in linear_substitute(pot.poly, U).coeffs.items()],
                 validity_radius=pot.validity_radius)
             z = (rng.normal(size=2) + 1j * rng.normal(size=2)) * 0.03
             # f_rot(z) = f(Uz): scalar curvature at Uz equals rotated scalar at z

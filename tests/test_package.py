@@ -1,0 +1,55 @@
+"""The public surface: every exported name resolves, and the helpers that only
+the tests read live in tests/oracles.py, not in the package."""
+
+import ast
+import dataclasses
+import importlib
+from pathlib import Path
+
+import pytest
+
+import kahlercomp
+from kahlercomp import curvature, geodesic, polynomials, potential, series, sphere
+
+MODULES = ["comparison", "curvature", "geodesic", "model_space", "polynomials", "potential",
+           "series", "sphere"]
+
+# test oracles (tests/oracles.py) and deleted helpers
+REMOVED = ["rm_value", "real_inner", "ricci_pairing", "real_pairing", "sphere_average",
+           "tangent_nodes", "complex_nodes", "kahler_r11_identity_check", "_r11_integral",
+           "r11_integral", "linear_substitute", "is_even", "series_apply", "_check_point",
+           "_metric_unit"]
+REMOVED_MEMBERS = [(curvature.HermitianMetric, "g_inv"), (series.SeriesExpansion, "condition"),
+                   (geodesic.GeodesicRay, "frame"), (polynomials.CPoly, "series_apply"),
+                   (polynomials.CPoly, "linear_substitute"),
+                   (potential.RealAnalyticPotential, "is_even"),
+                   (sphere.SphereRule, "complex_nodes")]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_exports_resolve(name):
+    module = importlib.import_module(f"kahlercomp.{name}")
+    assert module.__all__
+    assert [k for k in module.__all__ if not hasattr(module, k)] == []
+
+
+def test_package_root_names_resolve():
+    tree = ast.parse(Path(kahlercomp.__file__).read_text())
+    names = [alias.asname or alias.name for node in tree.body
+             if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert len(names) > 40
+    assert [k for k in names if not hasattr(kahlercomp, k)] == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_removed_names_are_not_defined(name):
+    module = importlib.import_module(f"kahlercomp.{name}")
+    assert [k for k in REMOVED if hasattr(module, k) or hasattr(kahlercomp, k)] == []
+
+
+@pytest.mark.parametrize("cls, member", REMOVED_MEMBERS,
+                         ids=[f"{c.__name__}.{m}" for c, m in REMOVED_MEMBERS])
+def test_removed_members_are_not_defined(cls, member):
+    assert not hasattr(cls, member)
+    if dataclasses.is_dataclass(cls):
+        assert member not in {f.name for f in dataclasses.fields(cls)}

@@ -9,6 +9,7 @@ import pytest
 
 from kahlercomp import potential as P
 from kahlercomp.polynomials import QC, CPoly
+from oracles import is_even
 
 
 def rand_hermitian_terms(rng, n, count, magnitude=0.1):
@@ -163,6 +164,44 @@ class TestValidation:
         with pytest.raises(P.ValidationError):
             P.RealAnalyticPotential(2, [((-1, 0), (1, 0), 1)])
 
+    @pytest.mark.parametrize("n, max_degree, name", [(2.7, None, "dimension n"),
+                                                     (2, 4.9, "max_degree"),
+                                                     ("2", None, "dimension n")])
+    def test_non_integral_sizes_rejected(self, n, max_degree, name):
+        """Not truncated: n = 2.7 is not n = 2, nor max_degree 4.9 degree 4."""
+        with pytest.raises(P.ValidationError, match=f"{name} must be an integer"):
+            P.RealAnalyticPotential(n, [((1, 0), (1, 0), 1), ((0, 1), (0, 1), 1)],
+                                    max_degree=max_degree)
+
+    def test_non_integral_exponent_rejected(self):
+        """Not truncated: |z1|^3 is not |z1|^2, which would merge into the flat term."""
+        with pytest.raises(P.ValidationError, match="exponent must be an integer"):
+            P.RealAnalyticPotential(2, [((1, 0), (1, 0), 1), ((0, 1), (0, 1), 1),
+                                        ((1.5, 0), (1.5, 0), 0.01)])
+
+    def test_integral_floats_accepted(self):
+        pot = P.RealAnalyticPotential(2.0, [((1, 0), (1, 0), 1), ((0, 1), (0, 1), 1)],
+                                      max_degree=4.0)
+        assert (pot.n, pot.max_degree) == (2, 4) and type(pot.n) is int
+        assert P.from_catalog("perturbed", n=2.0, seed=0.0) == P.perturbed(2, 0)
+
+    @pytest.mark.parametrize("name, params, key", [
+        ("perturbed", {"n": 2.7, "seed": 0}, "n"), ("perturbed", {"n": 2, "seed": 0.9}, "seed"),
+        ("flat", {"n": 2.5}, "n"), ("space_form", {"n": 2, "K": 1, "degree": 12.5}, "degree"),
+        ("flat", {"n": math.inf}, "n"), ("flat", {"n": math.nan}, "n")])
+    def test_catalog_integers_not_truncated(self, name, params, key):
+        with pytest.raises(P.ValidationError, match=f"{key} must be an integer"):
+            P.from_catalog(name, **params)
+
+    @pytest.mark.parametrize("radius", [math.nan, -1.0, 0.0, -math.inf])
+    def test_validity_radius_must_be_positive(self, radius):
+        with pytest.raises(P.ValidationError, match="validity radius must be positive"):
+            P.RealAnalyticPotential(2, [((1, 0), (1, 0), 1), ((0, 1), (0, 1), 1)],
+                                    validity_radius=radius)
+
+    def test_infinite_validity_radius_accepted(self):
+        assert P.flat(2).validity_radius == math.inf
+
     def test_duplicate_terms_merge(self):
         pot = P.RealAnalyticPotential(2, [
             ((1, 0), (1, 0), 0.5), ((1, 0), (1, 0), 0.5), ((0, 1), (0, 1), 1),
@@ -173,7 +212,7 @@ class TestValidation:
         p1 = P.perturbed(2, 42)
         p2 = P.perturbed(2, 42)
         assert p1 == p2
-        assert p1.is_even()
+        assert is_even(p1)
         assert P.perturbed(3, 1).n == 3
 
     def test_space_form_zero_curvature_degenerates_to_flat_terms(self):
@@ -222,6 +261,13 @@ class TestJsonFormat:
         text = P.dumps(P.section6(0.1, 0))
         assert "/" in text  # 8/3 a^2 terms are not representable as floats
         assert P.loads(text) == P.section6(0.1, 0)
+
+    @pytest.mark.parametrize("text", [
+        '{"catalog": {"n": 2}}', '{"catalog": "flat"}', '{"catalog": [["name", "flat"]]}',
+        '{"catalog": {"name": ["flat"]}}', '5', '[1, 2]', '"flat"'])
+    def test_malformed_documents_rejected(self, text):
+        with pytest.raises(P.ValidationError, match="JSON object"):
+            P.loads(text)
 
     def test_non_hermitian_document_rejected(self):
         doc = {"n": 1, "terms": [{"alpha": [2], "beta": [0], "re": 1.0, "im": 0.0},
