@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import comparison, model_space, potential, series
+from .geodesic import ODE_TOL
 from .sphere import build_rule, fan_out, unit_sphere_volume
 
 EXIT_OK = 0
@@ -286,7 +287,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--r-max", type=float, default=0.04)
     c.add_argument("--r-steps", type=int, default=8)
     c.add_argument("--seed", type=int, default=0, help="seed of the sampled Ricci bound")
-    c.add_argument("--tol", type=float, default=1e-11, help="ODE integration tolerance")
+    c.add_argument("--tol", type=float, default=ODE_TOL, help="ODE integration tolerance")
     common(c)
     c.set_defaults(func=cmd_check)
     return parser
@@ -300,7 +301,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (potential.ValidationError, ValueError) as exc:
+    except (potential.ValidationError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -451,7 +451,7 @@ class SphereFlow:
     """
 
     def __init__(self, pot: RealAnalyticPotential, p, r_max, rule: SphereRule | None = None,
-                 tol=1e-11):
+                 tol=geodesic.ODE_TOL):
         self.pot = pot
         self.p = np.asarray(p, dtype=complex).reshape(pot.n)
         self.r_max = float(r_max)
@@ -514,7 +514,7 @@ def _radius_grid(r_grid):
 
 
 def check_volume_ratio(pot: RealAnalyticPotential, K, r_grid=None, rule=None,
-                       tol_ode=1e-11, seed=0) -> ComparisonReport:
+                       tol_ode=geodesic.ODE_TOL, seed=0) -> ComparisonReport:
     """Vol(B(b))/Vol(B(a)) at the origin against the model ratio over all grid
     pairs a < b, on the ball where Ric >= K g is certified.  A grid with a
     repeated radius is refused: its pair (a, a) has margin 0 by construction."""
@@ -546,7 +546,7 @@ def check_volume_ratio(pot: RealAnalyticPotential, K, r_grid=None, rule=None,
 
 
 def check_average_laplacian(pot: RealAnalyticPotential, K, r_grid=None, rule=None,
-                            tol_ode=1e-11, seed=0) -> ComparisonReport:
+                            tol_ode=geodesic.ODE_TOL, seed=0) -> ComparisonReport:
     """Area-weighted mean of the radial Laplacian at the origin against the
     model value, on the ball where Ric >= K g is certified."""
     r_grid = _radius_grid(r_grid)
@@ -800,7 +800,7 @@ class DeviationReport:
         }
 
 
-def rigidity_probe(pot: RealAnalyticPotential, K, rule=None, tol_ode=1e-11,
+def rigidity_probe(pot: RealAnalyticPotential, K, rule=None, tol_ode=geodesic.ODE_TOL,
                    seed=0) -> DeviationReport:
     """First deviating order of the fitted W series at the origin from the model series.
 

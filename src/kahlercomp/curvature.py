@@ -65,6 +65,7 @@ __all__ = [
     "complete_frame",
     "frame_curvature_matrix",
     "connection_and_curvature",
+    "transport",
     "exact_metric",
     "ricci_series",
     "workspace",
@@ -205,8 +206,6 @@ class CurvatureWorkspace:
             for i in range(k, n):
                 for j in range(n):
                     self.dg[k][i][j] = self.dg[i][k][j] = self.g[i][j].dz(k)
-        for k in range(n):
-            for i in range(k, n):
                 for l in range(n):
                     for j in range(l, n):
                         self.d2g[k][l][i][j] = self.d2g[i][l][k][j] = self.d2g[k][j][i][l] = \
@@ -398,6 +397,15 @@ def connection_and_curvature(G, D1, D2):
     return gam, np.swapaxes(second, -3, -2) - D2
 
 
+def transport(frame, gam):
+    """Gamma(e_0, e_a)^m = sum_ik e_0,i e_a,k Gamma^m_ik for the rows e_a of ``frame``
+    (L, ..., 2n, n) and the ``gam`` of ``connection_and_curvature``, as Taylor series
+    (a point is a length-1 series); parallel transport is e_a' = -Gamma(e_0, e_a)."""
+    n = frame.shape[-1]
+    ef = cauchy_product(np.multiply, frame[..., :1, :, None], frame[..., :, None, :])
+    return cauchy_product(np.matmul, ef.reshape(ef.shape[:-2] + (n * n,)), gam)
+
+
 # Workspaces are cached per potential, least recently used first out.
 # ``verify_counterexample`` holds one besides the ones ``find_lambda`` builds
 # before it, so it never loses one mid-call.
@@ -563,12 +571,8 @@ def curvature_jets_along(pot: RealAnalyticPotential, p, e0, order: int = 4) -> C
     full[0] = complete_frame(metric.g, xi0)
     for k in range(order):
         gam = connection_and_curvature(*ws.field_values(z[:k + 1]))[0]
-        v = full[:k + 1, :, 0]
-        # vf[a, i*n + l] = v_i e_a,l, so -(vf @ gam) is -Gamma(v, e_a), as in the ray RHS
-        vf = cauchy_product(np.multiply, v[:, :, None, :, None], full[:k + 1, :, :, None, :])
-        dfull = cauchy_product(np.matmul, vf.reshape(k + 1, len(xi0), 2 * n, n * n), gam)
-        full[k + 1] = -dfull[k] / (k + 1)
-        z[k + 1] = v[k] / (k + 1)
+        full[k + 1] = -transport(full[:k + 1], gam)[k] / (k + 1)
+        z[k + 1] = full[k, :, 0] / (k + 1)
     RH = connection_and_curvature(*ws.field_values(z))[1]
     factorials = np.array([math.factorial(j) for j in range(L)], dtype=float)
     R = frame_curvature_matrix(RH, full) * factorials[:, None, None, None]

@@ -9,10 +9,12 @@ J'' = R_mat J with R_mat[u][v] = <R(e0, e_u)e0, e_v> evaluated along the ray.
 Rays from one base point are integrated together as a batch; a single ray is
 a batch of one.  The stepper is the DOP853 pair with its error norm and dense
 output (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4-II.6), with scipy's
-tableau and step-size constants.  The tableau module
-``scipy/integrate/_ivp/dop853_coefficients.py`` is loaded by its file path
-(``_scipy_files``): it imports only numpy, while importing it as a package
-member would first load all of ``scipy.integrate`` and ``scipy.optimize``.
+tableau and step-size constants.  Every Runge-Kutta sum over the stage axis
+is one ``np.einsum`` (numpy's own loop, never a BLAS call, whose threads would
+spin); ``curvature.transport`` moves the frame, as in the curvature jets.  The
+tableau, scipy's ``integrate/_ivp/dop853_coefficients.py``, is loaded by its
+file path (``_scipy_files``): it imports only numpy, while importing it as a
+package member would first load ``scipy.integrate`` and ``scipy.optimize``.
 The rays share one step sequence, but each ray's error norm is taken over
 that ray's own components and a step is accepted only when every ray's norm
 is below one, so each ray meets the tolerance it would meet integrated alone.
@@ -42,6 +44,7 @@ __all__ = [
     "RadialDensity",
     "ConjugatePointError",
     "IntegrationStalledError",
+    "ODE_TOL",
     "shoot",
 ]
 
@@ -50,8 +53,10 @@ dop = load_scipy_file("integrate/_ivp/dop853_coefficients.py")
 SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0   # scipy.integrate._ivp.rk's step control
 _STAGES = dop.N_STAGES
 _ERROR_EXPONENT = -1.0 / 8.0   # the embedded error estimator has order 7
+_ERROR_WEIGHTS = np.stack([dop.E5, dop.E3])  # its 5th- and 3rd-order error estimates
 _SERIES_RADIUS = 1e-4          # below it the density comes from its r-series
 _TOL_MIN = 100 * np.finfo(float).eps  # least ODE tolerance a step can still meet
+ODE_TOL = 1e-11                # default ODE tolerance of the rays, the checks and the CLI
 
 
 class ConjugatePointError(ValueError):
@@ -77,11 +82,8 @@ class RadialDensity:
 
 def _error_norms(K, h, scale):
     """scipy's DOP853 error norm, taken separately over each row of the batch."""
-    Kf = K.reshape(K.shape[0], -1).T
-    err5 = np.dot(Kf, dop.E5).reshape(scale.shape) / scale
-    err3 = np.dot(Kf, dop.E3).reshape(scale.shape) / scale
-    e5 = np.einsum("ij,ij->i", err5, err5)
-    e3 = np.einsum("ij,ij->i", err3, err3)
+    err = np.einsum("es,s...->e...", _ERROR_WEIGHTS, K) / scale
+    e5, e3 = np.einsum("eij,eij->ei", err, err)
     denom = e5 + 0.01 * e3
     norms = np.zeros(len(denom))
     nz = denom > 0
@@ -151,7 +153,7 @@ class GeodesicBatch:
     [100 eps, 1); any other value, nan included, is a ``ValueError``.
     """
 
-    def __init__(self, pot: RealAnalyticPotential, p, directions, r_max, tol=1e-10,
+    def __init__(self, pot: RealAnalyticPotential, p, directions, r_max, tol=ODE_TOL,
                  frames=None):
         if not r_max > 0:
             raise ValueError(f"r_max must be positive, got {r_max}")
@@ -206,16 +208,12 @@ class GeodesicBatch:
     def _rhs(self, Y):
         """Right-hand side for a batch of states (N, d); autonomous in r."""
         self.nfev += 1
-        n = self.n
         z, full, J, Jp = self._unpack(Y)
         gam, RH = curv.connection_and_curvature(*self._ws.field_values(z[None]))
-        v = full[:, 0]
-        # vf[a, i*n + k] = v_i e_a,k, so -(vf @ gam) is -Gamma(v, e_a) for every frame vector
-        vf = (v[:, None, :, None] * full[:, :, None, :]).reshape(len(Y), 2 * n, n * n)
         out = np.empty_like(Y)
         dz, dfull, dJ, dJp = self._unpack(out)
-        dz[:] = v
-        dfull[:] = -(vf @ gam[0])
+        dz[:] = full[:, 0]
+        dfull[:] = -curv.transport(full[None], gam)[0]
         dJ[:] = Jp
         dJp[:] = curv.frame_curvature_matrix(RH, full[None])[0] @ J
         return out
@@ -239,10 +237,10 @@ class GeodesicBatch:
 
     def _stages(self, y, h, K, first, last):
         """Runge-Kutta stages first..last-1 of a step of size h from y, into K."""
+        ys = np.empty_like(y)
         for s in range(first, last):
-            ys = y.copy()  # summed in place: a threaded BLAS gemv here leaves a thread spinning
-            for j in np.flatnonzero(dop.A[s, :s]):
-                ys += (h * dop.A[s, j]) * K[j]
+            np.einsum("s,s...->...", h * dop.A[s, :s], K[:s], out=ys)
+            ys += y
             K[s] = self._rhs(ys)
 
     def _volume(self, y_old, F, h, x):
@@ -273,7 +271,6 @@ class GeodesicBatch:
             min_step = 10 * abs(np.nextafter(t, np.inf) - t)
             h_abs = max(h_abs, min_step)
             K = np.empty((dop.N_STAGES_EXTENDED,) + y.shape)
-            Kf = K.reshape(len(K), -1)
             K[0] = f
             rejected = False
             while True:
@@ -284,9 +281,8 @@ class GeodesicBatch:
                 h = t_new - t
                 h_abs = h
                 self._stages(y, h, K, 1, _STAGES)
-                y_new = y + h * np.dot(Kf[:_STAGES].T, dop.B).reshape(y.shape)
-                f_new = self._rhs(y_new)
-                K[_STAGES] = f_new
+                y_new = y + np.einsum("s,s...->...", h * dop.B, K[:_STAGES])
+                K[_STAGES] = f_new = self._rhs(y_new)
                 scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
                 worst = _error_norms(K[:_STAGES + 1], h, scale).max()
                 if worst < 1:
@@ -299,12 +295,10 @@ class GeodesicBatch:
 
             self._stages(y, h, K, _STAGES + 1, dop.N_STAGES_EXTENDED)
             F = np.empty((dop.INTERPOLATOR_POWER,) + y.shape)
-            delta = y_new - y
-            F[0] = delta
+            F[0] = delta = y_new - y
             F[1] = h * f - delta
             F[2] = 2 * delta - h * (f_new + f)
-            for i, row in enumerate(dop.D, start=3):  # not a gemm, for the same reason
-                F[i] = sum((h * row[j]) * K[j] for j in np.flatnonzero(row))
+            np.einsum("is,s...->i...", h * dop.D, K, out=F[3:])
             self._segments.append((rows, t, h, y, F, volume))
             volume = volume + self._volume(y, F, h, np.ones(len(y)))
             ts.append(t_new)
@@ -457,7 +451,7 @@ class GeodesicRay:
         return None
 
 
-def shoot(pot: RealAnalyticPotential, p, e0, r_max, tol=1e-10, frame=None) -> GeodesicRay:
+def shoot(pot: RealAnalyticPotential, p, e0, r_max, tol=ODE_TOL, frame=None) -> GeodesicRay:
     """Integrate the unit-speed geodesic from p in direction e0 up to r_max.
 
     A batch of one.  The ray is truncated (with ``ray.truncated`` set) if it

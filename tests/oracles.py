@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from kahlercomp import curvature as C
-from kahlercomp.polynomials import CPoly
+from kahlercomp.polynomials import CPoly, cauchy_product
 from kahlercomp.sphere import fan_out, unit_sphere_volume
 
 
@@ -25,6 +25,20 @@ def real_pairing(H, xi, eta) -> float:
     representations.  H = g gives the metric <X, Y>, and H = Ric the real
     Ricci tensor Ric(X, Y)."""
     return float(2.0 * np.real(np.asarray(xi) @ np.asarray(H) @ np.conj(eta)))
+
+
+def transport_vf(frame, gam):
+    """Gamma(e_0, e_a) by the hand-written formula: the series v = e_0 and
+    vf[a, i*n + l] = v_i e_a,l, then the Cauchy product vf @ gam, which
+    ``curvature.transport`` must reproduce bit for bit.
+
+    ``frame`` (L, B, 2n, n) and ``gam`` (L, B, n*n, n) as ``curvature.transport``
+    takes them.
+    """
+    L, B, two_n, n = frame.shape
+    v = frame[:, :, 0]
+    vf = cauchy_product(np.multiply, v[:, :, None, :, None], frame[:, :, :, None, :])
+    return cauchy_product(np.matmul, vf.reshape(L, B, two_n, n * n), gam)
 
 
 def rm_value(RH, xi, eta, zeta, omega) -> float:

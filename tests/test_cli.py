@@ -434,6 +434,27 @@ class TestRefusedInputs:
                          "--order", "2"]) == 0
 
 
+class TestUnreadablePaths:
+    """A path the run cannot read or create exits 1 with one ``error:`` line."""
+
+    def test_missing_potential_file(self, capsys):
+        assert cli.main(["series", "--potential", "/nonexistent.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "nonexistent" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["model", "--n", "2", "--K", "1", "--r-steps", "2"],
+        ["check", "--which", "thm4", "--catalog", "flat", "--params", "n=2", "--K", "0"],
+    ])
+    def test_out_under_a_regular_file(self, tmp_path, capsys, argv):
+        (tmp_path / "FILE").write_text("")
+        assert cli.main([*argv, "--out", str(tmp_path / "FILE" / "sub")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["FILE"]
+        assert (tmp_path / "FILE").read_text() == ""
+
+
 class TestImports:
     def test_core_loads_no_heavy_scipy_subpackage(self):
         """Importing the CLI loads numpy and two scipy files read by path; no

@@ -11,7 +11,7 @@ from kahlercomp import curvature as C
 from kahlercomp import geodesic
 from kahlercomp import potential as P
 from kahlercomp.polynomials import CPoly, cauchy_product
-from oracles import linear_substitute, real_pairing, rm_value
+from oracles import linear_substitute, real_pairing, rm_value, transport_vf
 
 
 def indefinite_at_06():
@@ -445,6 +445,62 @@ class TestJets:
         with pytest.raises(C.KahlerDomainError):
             C.curvature_jets_along(indefinite_at_06(), np.array([0.6, 0.0]),
                                    np.array([1.0, 0, 0, 0]), order=2)
+
+
+def random_frames(rng, B, n):
+    """B random complex frames (B, 2n, n): not orthonormal, which ``transport``
+    does not need."""
+    return rng.normal(size=(B, 2 * n, n)) + 1j * rng.normal(size=(B, 2 * n, n))
+
+
+class TestTransport:
+    """``transport`` against explicit index sums over the Christoffel table
+    gam[i*n + k, m] = Gamma^m_ik."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_points_match_index_sums(self, n):
+        rng = np.random.default_rng(40 + n)
+        ws = C.workspace(P.perturbed(n, 0))
+        z = 0.3 * ws.pot.validity_radius * (rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n)))
+        z /= np.sqrt(2 * n)
+        gam = C.connection_and_curvature(*ws.field_values(z[None]))[0]
+        frame = random_frames(rng, 5, n)
+        got = C.transport(frame[None], gam)[0]
+        for b in range(5):
+            G = gam[0, b].reshape(n, n, n)
+            want = np.zeros((2 * n, n), dtype=complex)
+            for a in range(2 * n):
+                for m in range(n):
+                    want[a, m] = sum(frame[b, 0, i] * frame[b, a, k] * G[i, k, m]
+                                     for i in range(n) for k in range(n))
+            np.testing.assert_allclose(got[b], want, rtol=1e-14, atol=0)
+
+    def test_series_match_explicit_convolution(self):
+        n, L, B = 3, 3, 4
+        rng = np.random.default_rng(7)
+        frame = np.stack([random_frames(rng, B, n) for _ in range(L)])
+        gam = rng.normal(size=(L, B, n * n, n)) + 1j * rng.normal(size=(L, B, n * n, n))
+        got = C.transport(frame, gam)
+        G = gam.reshape(L, B, n, n, n)
+        for t in range(L):
+            want = np.zeros((B, 2 * n, n), dtype=complex)
+            for p in range(t + 1):
+                for q in range(t + 1 - p):
+                    want += np.einsum("bi,bak,bikm->bam", frame[p, :, 0], frame[q],
+                                      G[t - p - q])
+            np.testing.assert_allclose(got[t], want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
+
+    @pytest.mark.parametrize("pot, n", [(P.section6(0.1), 2), (P.perturbed(3, 0), 3)])
+    def test_jets_and_ray_rhs_equal_the_hand_written_formula(self, monkeypatch, pot, n):
+        """The jets at order 6 and the ray right-hand side are bit for bit what
+        the hand-written vf formula gives."""
+        dirs = np.random.default_rng(11).normal(size=(6, 2 * n))
+        batch = geodesic.GeodesicBatch(pot, np.zeros(n), dirs, 1e-3)
+        Y = batch._states(0.0) + 1e-3 * np.random.default_rng(12).normal(size=(6, batch._dim))
+        jets, rhs = C.curvature_jets_along(pot, np.zeros(n), dirs, order=6), batch._rhs(Y)
+        monkeypatch.setattr(C, "transport", transport_vf)
+        assert np.array_equal(C.curvature_jets_along(pot, np.zeros(n), dirs, order=6).R, jets.R)
+        assert np.array_equal(batch._rhs(Y), rhs)
 
 
 class TestWorkspaceCache:

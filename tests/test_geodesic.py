@@ -1,10 +1,12 @@
 """Geodesic integration, Jacobi system, radial density and quality gates."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from kahlercomp import cli, comparison
 from kahlercomp import curvature as C
 from kahlercomp import geodesic as G
 from kahlercomp import model_space as M
@@ -387,3 +389,33 @@ class TestBatchedIntegrator:
                                            rtol=0, atol=1e-11)
                 assert ray.density(r).value == pytest.approx(alone.density(r).value,
                                                              rel=1e-10)
+
+    def test_stage_sums_call_no_blas(self, monkeypatch):
+        """A 64-ray generic batch integrates with numpy's BLAS entry points made to
+        raise, and gives the densities of an unpatched run."""
+        pot = P.perturbed(2, 0)
+        dirs = np.random.default_rng(5).normal(size=(64, 4))
+
+        def run():
+            return G.GeodesicBatch(pot, np.zeros(2), dirs, 0.04).densities(0.03)
+
+        want = run()
+        for name in ("dot", "tensordot", "inner", "vdot"):
+            def refuse(*args, name=name, **kwargs):
+                raise AssertionError(f"numpy.{name} called")
+            monkeypatch.setattr(np, name, refuse)
+        got = run()
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+def test_one_ode_tolerance_default():
+    """The rays, the checks and the CLI default to the one tolerance ``ODE_TOL``."""
+    assert G.ODE_TOL == 1e-11
+    for fn, param in ((G.GeodesicBatch, "tol"), (G.shoot, "tol"), (comparison.SphereFlow, "tol"),
+                      (comparison.check_volume_ratio, "tol_ode"),
+                      (comparison.check_average_laplacian, "tol_ode"),
+                      (comparison.rigidity_probe, "tol_ode")):
+        assert inspect.signature(fn).parameters[param].default is G.ODE_TOL, fn.__name__
+    for which in ("thm3", "thm4", "rigidity"):
+        assert cli._build_parser().parse_args(["check", "--which", which]).tol is G.ODE_TOL
