@@ -501,15 +501,22 @@ def _certified_flow(pot, K, rho, r_max, rule, tol_ode, seed):
 # the two comparison theorems at desk scale
 # ---------------------------------------------------------------------------
 
-def _radius_grid(r_grid):
+def _radius_grid(r_grid, n):
     """The radii of a check as a float array (8 from 0.005 to 0.04 if None).
     A grid that is empty, or holds a radius that is not finite and positive,
-    is refused before anything is certified or integrated."""
+    is refused before anything is certified or integrated.  So is a radius
+    below r_floor = 64 eps (2n - 1) / TOL_LAPLACIAN: the Laplacians are about
+    (2n - 1)/r, and below the floor one ulp of them exceeds TOL_LAPLACIAN / 64,
+    so an absolute tolerance can no longer tell a margin from rounding."""
     r_grid = np.asarray(np.linspace(0.005, 0.04, 8) if r_grid is None else r_grid, dtype=float)
     radii = r_grid.tolist()
     if r_grid.ndim != 1 or not radii or not all(math.isfinite(r) and r > 0 for r in radii):
         raise ValueError(f"radius grid must be a non-empty list of finite radii > 0, "
                          f"got {radii}")
+    floor = 64 * np.finfo(float).eps * (2 * n - 1) / TOL_LAPLACIAN
+    if min(radii) < floor:
+        raise ValueError(f"radius {min(radii):.3g} is below the floor {floor:.3g} that the "
+                         f"checks resolve at n = {n}")
     return r_grid
 
 
@@ -518,7 +525,7 @@ def check_volume_ratio(pot: RealAnalyticPotential, K, r_grid=None, rule=None,
     """Vol(B(b))/Vol(B(a)) at the origin against the model ratio over all grid
     pairs a < b, on the ball where Ric >= K g is certified.  A grid with a
     repeated radius is refused: its pair (a, a) has margin 0 by construction."""
-    r_grid = _radius_grid(r_grid)
+    r_grid = _radius_grid(r_grid, pot.n)
     if r_grid.size < 2:
         raise ValueError("volume-ratio check needs at least two radii")
     if len(set(r_grid.tolist())) < r_grid.size:
@@ -549,7 +556,7 @@ def check_average_laplacian(pot: RealAnalyticPotential, K, r_grid=None, rule=Non
                             tol_ode=geodesic.ODE_TOL, seed=0) -> ComparisonReport:
     """Area-weighted mean of the radial Laplacian at the origin against the
     model value, on the ball where Ric >= K g is certified."""
-    r_grid = _radius_grid(r_grid)
+    r_grid = _radius_grid(r_grid, pot.n)
     b_max = float(r_grid.max())
     certificate, flow = _certified_flow(pot, K, b_max, b_max, rule, tol_ode, seed)
     model = model_space.ModelSpace(pot.n, float(K))
@@ -711,15 +718,14 @@ def verify_counterexample(a=0.1, lam=None, rho=0.05, seed=0) -> CounterexampleRe
         "stabilizer_profile": delta6 == expected6,
     }
 
-    # stage iii: curvature at the origin in the frame of e0 = d/dx1
+    # stage iii: curvature at the origin in the frame of e0 = d/dx1, the order-0 jet
     origin = np.zeros(2, dtype=complex)
     e0 = np.array([1.0, 0, 0, 0])
-    tensor = curv.curvature_at(pot, origin)
-    rf = curv.real_frame_components(tensor, e0, pot)
+    R_uv = curv.curvature_jets_along(pot, origin, e0, order=0).R[0]
     target = np.diag([4 * a, 4 * a, 4 * a]).astype(float)
-    dev = float(np.max(np.abs(rf.R_uv - target)))
+    dev = float(np.max(np.abs(R_uv - target)))
     report.stages["origin_curvature"] = {"passed": dev < 1e-10, "max_deviation": dev,
-                                         "R_uv": rf.R_uv}
+                                         "R_uv": R_uv}
 
     # stage iv: per-direction r^4 coefficient along e0 exceeds the model's, and
     # matches its closed form 2a^2/15 within the rounding budget of the two

@@ -50,17 +50,14 @@ from .potential import RealAnalyticPotential
 __all__ = [
     "HermitianMetric",
     "CurvatureTensor",
-    "RealFrameCurvature",
     "CurvatureJets",
     "KahlerDomainError",
     "metric_at",
     "curvature_at",
     "ricci_at",
     "scalar_at",
-    "real_frame_components",
     "curvature_jets_along",
     "complex_rep",
-    "real_rep",
     "real_metric_matrix",
     "complete_frame",
     "frame_curvature_matrix",
@@ -87,14 +84,6 @@ class KahlerDomainError(ValueError):
 def complex_rep(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     return x[0::2] + 1j * x[1::2]
-
-
-def real_rep(xi) -> np.ndarray:
-    xi = np.asarray(xi, dtype=complex)
-    out = np.empty(2 * xi.size, dtype=float)
-    out[0::2] = xi.real
-    out[1::2] = xi.imag
-    return out
 
 
 def real_metric_matrix(G) -> np.ndarray:
@@ -439,30 +428,6 @@ class HermitianMetric:
 class CurvatureTensor:
     point: np.ndarray
     components: np.ndarray  # R[i,j,k,l], deviation convention (see module doc)
-    sign_convention: str = "deviation"
-
-    def to_json_dict(self):
-        """Index-labelled dump of the components, for golden-file diffs."""
-        n = self.components.shape[0]
-        entries = {}
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        v = self.components[i, j, k, l]
-                        if v != 0:
-                            entries[f"R[{i + 1},{j + 1}b,{k + 1},{l + 1}b]"] = \
-                                [v.real, v.imag]
-        return {"point": [[z.real, z.imag] for z in np.atleast_1d(self.point)],
-                "sign_convention": self.sign_convention,
-                "components": entries}
-
-
-@dataclass(frozen=True)
-class RealFrameCurvature:
-    e0: np.ndarray          # real 2n-vector, unit
-    frame: np.ndarray       # (2n, 2n) rows = real orthonormal vectors, Je_{2i} = e_{2i+1}
-    R_uv: np.ndarray        # (2n-1, 2n-1) symmetric
 
 
 @dataclass(frozen=True)
@@ -534,18 +499,6 @@ def normalize_direction(G, e0) -> np.ndarray:
         raise ValueError("degenerate direction e0; refusing to normalize")
     xi = e0[..., 0::2] + 1j * e0[..., 1::2]
     return xi / np.sqrt(2.0 * _herm(xi, xi, G).real)[..., None]
-
-
-def real_frame_components(tensor: CurvatureTensor, e0,
-                          pot: RealAnalyticPotential) -> RealFrameCurvature:
-    """R_uv matrix of <R(e0,e_u)e0,e_v> in a J-adapted orthonormal frame at the
-    tensor's point, with the metric of ``pot`` there."""
-    G = workspace(pot).metric_values(tensor.point)
-    xi0 = normalize_direction(G, e0)
-    frame_c = complete_frame(G, xi0)
-    R_uv = frame_curvature_matrix(tensor.components[None], frame_c[None])[0]
-    frame_r = np.array([real_rep(row) for row in frame_c])
-    return RealFrameCurvature(e0=real_rep(xi0), frame=frame_r, R_uv=R_uv)
 
 
 def curvature_jets_along(pot: RealAnalyticPotential, p, e0, order: int = 4) -> CurvatureJets:

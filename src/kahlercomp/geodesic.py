@@ -54,7 +54,6 @@ SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0   # scipy.integrate._ivp.rk's st
 _STAGES = dop.N_STAGES
 _ERROR_EXPONENT = -1.0 / 8.0   # the embedded error estimator has order 7
 _ERROR_WEIGHTS = np.stack([dop.E5, dop.E3])  # its 5th- and 3rd-order error estimates
-_SERIES_RADIUS = 1e-4          # below it the density comes from its r-series
 _TOL_MIN = 100 * np.finfo(float).eps  # least ODE tolerance a step can still meet
 ODE_TOL = 1e-11                # default ODE tolerance of the rays, the checks and the CLI
 
@@ -71,9 +70,12 @@ class IntegrationStalledError(RuntimeError):
 
 @dataclass(frozen=True)
 class RadialDensity:
+    """Radial Jacobi density at r.  J holds the Jacobi fields in an orthonormal
+    parallel frame, so sqrt(det <J_u, J_v>) = |det J| = det J before a conjugate point."""
+
     r: float
-    value: float            # sqrt(det <J_u, J_v>)
-    log_derivative: float   # d/dr log value, from (1/2) tr(G^-1 G')
+    value: float            # det J
+    log_derivative: float   # d/dr log value = tr(J^-1 J')
 
 
 # ---------------------------------------------------------------------------
@@ -120,17 +122,6 @@ def _bisect(f, a, b, xtol=0.0):
             a, fa = mid, fm
         else:
             b = mid
-
-
-def _series_density(r, m, trace_r0):
-    # series evaluation near 0 avoids the 0/0 in G^-1 G'
-    return r ** m * (1.0 + r * r * trace_r0 / 6.0), m / r + r * trace_r0 / 3.0
-
-
-def _log_derivative(J, Jp):
-    JT = np.swapaxes(J, -1, -2)
-    gram_p = np.swapaxes(Jp, -1, -2) @ J + JT @ Jp
-    return 0.5 * np.trace(np.linalg.solve(JT @ J, gram_p), axis1=-2, axis2=-1)
 
 
 def _conjugate_error(ray, r):
@@ -356,20 +347,17 @@ class GeodesicBatch:
         return self._states(r, volume=True)
 
     def densities(self, r, rows=None):
-        """(values, log-derivatives) of the radial density at r of the given
-        rays (all rays by default)."""
+        """(det J, tr(J^-1 J')) at r of the given rays (all rays by default), as
+        in ``RadialDensity``.  The sign of det J comes from its LU factors, so a
+        det J that underflows at a tiny r is not taken for a conjugate point."""
         if r <= 0:
             raise ValueError("density needs r > 0")
         rows = self._rows(rows)
-        if r < _SERIES_RADIUS:
-            R0 = self.frame_curvature(0.0, rows)
-            return _series_density(r, self.m, np.trace(R0, axis1=-2, axis2=-1))
         _, _, J, Jp = self._unpack(self._states(r, rows))
-        det_j = np.linalg.det(J)
-        bad = np.flatnonzero(det_j <= 0)
+        bad = np.flatnonzero(np.linalg.slogdet(J).sign <= 0)
         if bad.size:
             raise _conjugate_error(self[int(rows[bad[0]])], r)
-        return det_j, _log_derivative(J, Jp)
+        return np.linalg.det(J), np.trace(np.linalg.solve(J, Jp), axis1=-2, axis2=-1)
 
     def frame_curvature(self, r, rows=None) -> np.ndarray:
         """R_uv = <R(e0, e_u)e0, e_v> at r in the transported frame of each of

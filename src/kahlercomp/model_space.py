@@ -80,7 +80,7 @@ def _check_radius(model: ModelSpace, r: float):
 
 
 def density(model: ModelSpace, r: float) -> float:
-    """Radial Jacobi density sqrt(det <J_u, J_v>) of the model along any ray."""
+    """Radial Jacobi density det J = sqrt(det <J_u, J_v>) of the model along any ray."""
     _check_radius(model, r)
     c = model.c
     return sn(c, r) * sn(c / 4.0, r) ** (2 * model.n - 2)

@@ -82,7 +82,7 @@ class RealAnalyticPotential:
         self.n = _integer(n, "complex dimension n")
         if self.n < 1:
             raise ValidationError("complex dimension must be >= 1")
-        poly = CPoly(self.n)
+        pairs = []
         for t in terms:
             if isinstance(t, Monomial):
                 alpha, beta, coeff = t.alpha, t.beta, t.coeff
@@ -94,8 +94,8 @@ class RealAnalyticPotential:
                 raise ValidationError("multi-index length must equal the complex dimension")
             if any(a < 0 for a in alpha) or any(b < 0 for b in beta):
                 raise ValidationError("exponents must be non-negative")
-            poly = poly + CPoly.monomial(self.n, alpha, beta, QC.from_number(coeff))
-        self.poly = poly
+            pairs.append(((alpha, beta), coeff))
+        self.poly = poly = CPoly(self.n, pairs)
         deg = poly.total_degree()
         self.max_degree = _integer(max_degree, "max_degree") if max_degree is not None else deg
         if deg > self.max_degree:

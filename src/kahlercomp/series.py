@@ -5,13 +5,13 @@ The Jacobi fields J_u(r) = sum_i r^i C^v_{u,i} e_v satisfy the recursion
     C^v_{u,i} = sum_{k+j=i-2, w} C^w_{u,k} R^(j)_{vw} / (j! i (i-1)),
 
 seeded by C_1 = identity, driven by the curvature jets R^(j) along the ray.
-From the coefficients we expand the Gram matrix G = <J_u, J_v>/r^2 as a
-truncated power series and take sqrt(det G) through its logarithmic derivative
-tr(G^-1 G')/2, which gives the per-direction density series whose sphere
-average is W(r) (constant term Vol(S^{2n-1})).  Every coefficient, the
-low-order ones included, comes from ``density_series``; the ``series`` command
-averages it over a sphere rule.  A least-squares fit of sampled W values
-provides the independent numerical route to the same coefficients.
+The coefficients give J / r as a truncated power series C(r), and det C,
+taken through its logarithmic derivative tr(C^-1 C'), is the per-direction
+density series, whose sphere average is W(r) (constant term Vol(S^{2n-1})).
+Every coefficient, the low-order ones included, comes from
+``density_series``; the ``series`` command averages it over a sphere rule.
+A least-squares fit of sampled W values provides the independent numerical
+route to the same coefficients.
 """
 
 from __future__ import annotations
@@ -87,12 +87,13 @@ def _trace_of_product(a, b):
 
 
 def density_series(coeffs: JacobiCoefficients, N: int) -> SeriesExpansion:
-    """Per-direction series of sqrt(det <J_u, J_v>)/r^{2n-1} up to order N.
+    """Per-direction series of det J / r^{2n-1} up to order N.
 
-    The batch axes of ``coeffs`` lead; the coefficients are (..., N+1) and
-    need Jacobi coefficients to order N + 1.  The Gram series G = <J_u, J_v>/r^2
-    is the product of the blocks C_1..C_{N+1} with their transposes.  Its root
-    D = sqrt(det G) solves D' = q D with q = tr(G^-1 G')/2, so
+    J holds the Jacobi fields in an orthonormal parallel frame, so det J is
+    sqrt(det <J_u, J_v>).  The batch axes of ``coeffs`` lead; the coefficients
+    are (..., N+1) and need Jacobi coefficients to order N + 1.  The series
+    C(r) = J / r = sum_i C_i r^{i-1} is read off the blocks C_1..C_{N+1}, and
+    D = det C solves D' = q D with q = tr(C^-1 C'), so
     k D_k = sum_{j<k} q_j D_{k-1-j} (Taylor-mode arithmetic, Griewank and
     Walther, ch. 13).  Every product is a ``cauchy_product`` over all
     directions at once.
@@ -100,13 +101,12 @@ def density_series(coeffs: JacobiCoefficients, N: int) -> SeriesExpansion:
     if N >= coeffs.order:
         raise ValueError(f"order {N} exceeds what Jacobi coefficients of order "
                          f"{coeffs.order} support (at most {coeffs.order - 1})")
-    B = np.moveaxis(coeffs.C[..., 1:N + 2, :], -2, 0)
-    gram = cauchy_product(np.matmul, B, np.swapaxes(B, -1, -2))
-    if np.any(np.abs(np.linalg.det(gram[0]) - 1.0) > 1e-12):
-        raise ValueError("density series expects a Gram constant term of determinant 1")
-    dgram = np.arange(1, N + 1).reshape((N,) + (1,) * (gram.ndim - 1)) * gram[1:]
-    q = 0.5 * cauchy_product(_trace_of_product, curv._series_inverse(gram), dgram)
-    out = np.zeros((N + 1,) + gram.shape[1:-2])
+    C = np.moveaxis(coeffs.C[..., 1:N + 2, :], -2, 0)
+    if np.any(np.abs(np.linalg.det(C[0]) - 1.0) > 1e-12):
+        raise ValueError("density series expects a Jacobi block C_1 of determinant 1")
+    dC = np.arange(1, N + 1).reshape((N,) + (1,) * (C.ndim - 1)) * C[1:]
+    q = cauchy_product(_trace_of_product, curv._series_inverse(C), dC)
+    out = np.zeros((N + 1,) + C.shape[1:-2])
     out[0] = 1.0
     for k in range(1, N + 1):
         out[k] = np.sum(q[:k] * out[k - 1::-1], axis=0) / k

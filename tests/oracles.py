@@ -12,6 +12,7 @@ import numpy as np
 
 from kahlercomp import curvature as C
 from kahlercomp.polynomials import CPoly, cauchy_product
+from kahlercomp.series import SeriesExpansion
 from kahlercomp.sphere import fan_out, unit_sphere_volume
 
 
@@ -47,6 +48,34 @@ def rm_value(RH, xi, eta, zeta, omega) -> float:
     t1 = np.einsum("ij,k,l,ijkl->", c1, zeta, np.conj(omega), RH)
     t2 = np.einsum("ij,k,l,ijlk->", c1, np.conj(zeta), omega, RH)
     return float((t1 - t2).real)
+
+
+# ---------------------------------------------------------------------------
+# the radial Jacobi density through the Gram matrix G = <J_u, J_v>
+# ---------------------------------------------------------------------------
+
+def gram_log_derivative(J, Jp):
+    """d/dr log sqrt(det G) = tr(G^-1 G') / 2 with G = J^T J, for stacks of
+    Jacobi matrices J and their derivatives J' (..., m, m)."""
+    JT = np.swapaxes(J, -1, -2)
+    gram_p = np.swapaxes(Jp, -1, -2) @ J + JT @ Jp
+    return 0.5 * np.trace(np.linalg.solve(JT @ J, gram_p), axis1=-2, axis2=-1)
+
+
+def gram_density_series(coeffs, N) -> SeriesExpansion:
+    """The density series to order N from the Gram series G = <J_u, J_v>/r^2,
+    the Cauchy product of the Jacobi coefficient blocks C_1..C_{N+1} with
+    their transposes, and D = sqrt(det G) from D' = q D, q = tr(G^-1 G')/2."""
+    B = np.moveaxis(coeffs.C[..., 1:N + 2, :], -2, 0)
+    gram = cauchy_product(np.matmul, B, np.swapaxes(B, -1, -2))
+    dgram = np.arange(1, N + 1).reshape((N,) + (1,) * (gram.ndim - 1)) * gram[1:]
+    q = 0.5 * cauchy_product(lambda a, b: np.einsum("...uv,...vu->...", a, b),
+                             C._series_inverse(gram), dgram)
+    out = np.zeros((N + 1,) + gram.shape[1:-2])
+    out[0] = 1.0
+    for k in range(1, N + 1):
+        out[k] = np.sum(q[:k] * out[k - 1::-1], axis=0) / k
+    return SeriesExpansion(coefficients=np.moveaxis(out, 0, -1), provenance="symbolic")
 
 
 # ---------------------------------------------------------------------------

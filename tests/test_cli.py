@@ -5,9 +5,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from kahlercomp import cli
+from kahlercomp import cli, comparison
 from kahlercomp import model_space as M
 from kahlercomp import potential as P
 from kahlercomp.model_space import ModelSpace
@@ -46,6 +47,17 @@ class TestModelCommand:
         assert (out / "tables" / "model.csv").exists()
         assert (out / "config.echo.json").exists()
         assert (out / "report.json").exists()
+
+    def test_out_table_is_what_stdout_prints(self, tmp_path, capsys):
+        argv = ["model", "--n", "2", "--K", "1", "--r-steps", "3"]
+        out = tmp_path / "run"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert sorted(p.name for p in out.iterdir()) == ["config.echo.json", "report.json",
+                                                          "tables"]
+        assert [p.name for p in (out / "tables").iterdir()] == ["model.csv"]
+        assert cli.main(argv) == 0
+        assert (out / "tables" / "model.csv").read_bytes().decode() == capsys.readouterr().out
 
 
 class TestSeriesCommand:
@@ -127,6 +139,18 @@ class TestCheckCommand:
         assert status == 1
         assert "Ricci bound certificate refused" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verdict, status", [("violated", 2), ("inconclusive", 3)])
+    def test_exit_code_of_a_verdict(self, tmp_path, capsys, monkeypatch, verdict, status):
+        """A violated check exits 2 and an inconclusive one 3; both still
+        write their report."""
+        monkeypatch.setattr(comparison, "_verdict", lambda margins, tol: verdict)
+        out = tmp_path / "v"
+        assert cli.main(["check", "--which", "thm4", "--catalog", "flat", "--params", "n=2",
+                         "--K", "0", "--quad-degree", "4", "--r-steps", "3",
+                         "--out", str(out)]) == status
+        report = json.loads((out / "report.json").read_text())
+        assert report["verdicts"] == [verdict] and report["thm4"]["verdict"] == verdict
+
     def test_report_records_ode_tolerance(self, tmp_path, capsys):
         """``--tol`` is the tolerance the flow integrates at and the one reported."""
         out = tmp_path / "tol"
@@ -207,6 +231,8 @@ class TestCheckCommand:
           "--quad-degree", "4"], "certificate refused"),
         (["--which", "thm3", "--catalog", "flat", "--params", "n=2", "--K", "0",
           "--r-min", "0.04", "--r-max", "0.04", "--r-steps", "3"], "distinct radii"),
+        (["--which", "thm3", "--catalog", "flat", "--params", "n=2", "--K", "0",
+          "--r-steps", "1"], "at least two radii"),
     ])
     def test_refused_run_creates_no_output(self, tmp_path, capsys, argv, message):
         out = tmp_path / "d"
@@ -432,6 +458,40 @@ class TestRefusedInputs:
     def test_integral_float_parameter_runs(self, capsys):
         assert cli.main(["series", "--catalog", "flat", "--params", "n=2.0",
                          "--order", "2"]) == 0
+
+
+class TestRadiusFloor:
+    """A radius below r_floor = 64 eps (2n - 1) / TOL_LAPLACIAN exits 1: there
+    one ulp of the Laplacians, about (2n - 1)/r, exceeds TOL_LAPLACIAN / 64."""
+
+    POTENTIALS = [("space_form", "n=2,K=1", "1"), ("section6", "a=0.1", "-1.2"),
+                  ("perturbed", "n=2,seed=0", "-1")]
+
+    @staticmethod
+    def argv(which, potential, r_min):
+        catalog, params, K = potential
+        return ["check", "--which", which, "--catalog", catalog, "--params", params,
+                "--K", K, "--r-min", repr(float(r_min)), "--r-max", "0.04", "--r-steps", "2"]
+
+    @pytest.mark.parametrize("which, potential, r_min", [
+        pytest.param(which, pot, r, id=f"{which}-{pot[0]}-{r:g}")
+        for which, pot, r in [*[("thm4", pot, r) for pot in POTENTIALS for r in (1e-60, 1e-9)],
+                              ("thm4", POTENTIALS[1], 1e-120), ("thm4", POTENTIALS[1], 1e-200),
+                              ("thm3", POTENTIALS[2], 1e-200)]])
+    def test_refused(self, tmp_path, capsys, which, potential, r_min):
+        out = tmp_path / "d"
+        assert cli.main([*self.argv(which, potential, r_min), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "below the floor 4.26e-07" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("which", ["thm3", "thm4"])
+    @pytest.mark.parametrize("potential", POTENTIALS, ids=[p[0] for p in POTENTIALS])
+    def test_twice_the_floor_holds(self, capsys, which, potential):
+        r_floor = 64 * np.finfo(float).eps * 3 / comparison.TOL_LAPLACIAN
+        assert cli.main(self.argv(which, potential, 2 * r_floor)) == 0
+        assert json.loads(capsys.readouterr().out)["verdicts"] == ["holds"]
 
 
 class TestUnreadablePaths:

@@ -393,6 +393,28 @@ class TestLeastEigenvalues:
         else:
             assert refused == 0
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_n4_is_eigvalsh(self, dtype):
+        """At n >= 4 there is no closed form: the least eigenvalues are LAPACK's."""
+        rng = np.random.default_rng(44 + (dtype is complex))
+        x = rng.normal(size=(300, 4, 4))
+        if dtype is complex:
+            x = x + 1j * rng.normal(size=(300, 4, 4))
+        M = x + np.conj(np.swapaxes(x, 1, 2))
+        got = CMP._least_eigenvalues(np.moveaxis(M, 0, -1))
+        assert np.array_equal(got, np.linalg.eigvalsh(M)[:, 0])
+
+    @pytest.mark.parametrize("pot, K", [(P.space_form(4, 1, degree=8), 1.0),
+                                        (P.perturbed(4, 0), -1.0)],
+                             ids=lambda x: getattr(x, "label", ""))
+    def test_n4_certificate(self, pot, K):
+        """The n = 4 certificate passes on the equality case, with a least
+        eigenvalue at rounding level, and on a generic potential."""
+        cert = CMP.certify_ricci_bound(pot, K, 0.04, samples=300)
+        assert cert.passed and cert.samples == 300 + 1 + 64 * 8
+        if K > 0:
+            assert abs(cert.min_eigenvalue) <= 1e-12
+
     def test_reads_the_lower_triangle(self):
         M = np.array([[2.0, 5.0], [1.0, 3.0]])
         expected = np.linalg.eigvalsh(M)[0]
@@ -488,6 +510,19 @@ class TestRadiusGrid:
         monkeypatch.setattr(CMP, "certify_ricci_bound", no_certificate)
         with pytest.raises(ValueError, match="radius grid"):
             check(flat2, 0.0, grid, rule=rule6)
+
+
+    @pytest.mark.parametrize("check", [CMP.check_volume_ratio, CMP.check_average_laplacian])
+    @pytest.mark.parametrize("n, floor", [(2, "4.26e-07"), (3, "7.11e-07")])
+    def test_radius_floor(self, monkeypatch, check, n, floor):
+        """A radius below r_floor = 64 eps (2n - 1) / TOL_LAPLACIAN is refused,
+        with the floor in the message, before anything is certified."""
+        def no_certificate(*args, **kwargs):
+            raise AssertionError("certified a refused grid")
+        monkeypatch.setattr(CMP, "certify_ricci_bound", no_certificate)
+        r_floor = 64 * np.finfo(float).eps * (2 * n - 1) / CMP.TOL_LAPLACIAN
+        with pytest.raises(ValueError, match=f"below the floor {floor}"):
+            check(P.flat(n), 0.0, [r_floor * (1 - 1e-12), 0.04])
 
 
 class TestTheorem4:

@@ -160,14 +160,6 @@ class TestCurvatureTensor:
                    + rm_value(R, z, x, y, w))
             assert abs(cyc) < 1e-10
 
-    def test_json_debug_dump(self, section6_pot):
-        import json
-        t = C.curvature_at(section6_pot, np.zeros(2))
-        doc = t.to_json_dict()
-        text = json.dumps(doc, sort_keys=True)
-        assert "R[1,1b,1,1b]" in text
-        assert doc["components"]["R[1,1b,1,1b]"][0] == pytest.approx(-0.4)
-
     def test_j_invariance(self):
         rng = np.random.default_rng(8)
         pot = P.perturbed(2, 7)
@@ -226,23 +218,29 @@ class TestCurvatureTensor:
                         assert mine == pytest.approx(oracle[a, b, c, e], abs=5e-8)
 
 
+def frame_at(pot, z, e0):
+    """The J-adapted orthonormal frame of e0 at z, as complex representations."""
+    G = C.metric_at(pot, z).g
+    return C.complete_frame(G, C.normalize_direction(G, e0))
+
+
+def frame_curvature(pot, z, e0):
+    """R_uv at z in the frame of e0: the order-0 curvature jet."""
+    return C.curvature_jets_along(pot, z, e0, order=0).R[0]
+
+
 class TestRealFrame:
     def test_flat_zero(self, flat2):
-        t = C.curvature_at(flat2, np.zeros(2))
-        rf = C.real_frame_components(t, np.array([0.2, 0.5, -0.1, 0.3]), pot=flat2)
-        assert np.max(np.abs(rf.R_uv)) == 0.0
+        R_uv = frame_curvature(flat2, np.zeros(2), np.array([0.2, 0.5, -0.1, 0.3]))
+        assert np.max(np.abs(R_uv)) == 0.0
 
     def test_section6_origin_diagonal(self, section6_pot):
-        t = C.curvature_at(section6_pot, np.zeros(2))
-        rf = C.real_frame_components(t, np.array([1.0, 0, 0, 0]), pot=section6_pot)
-        assert np.allclose(rf.R_uv, np.diag([0.4, 0.4, 0.4]), atol=1e-10)
+        R_uv = frame_curvature(section6_pot, np.zeros(2), np.array([1.0, 0, 0, 0]))
+        assert np.allclose(R_uv, np.diag([0.4, 0.4, 0.4]), atol=1e-10)
 
     def test_frame_is_j_adapted_orthonormal(self, section6_pot):
-        t = C.curvature_at(section6_pot, np.zeros(2))
-        rf = C.real_frame_components(t, np.array([0.3, -0.2, 0.4, 0.1]),
-                                     pot=section6_pot)
+        frame_c = frame_at(section6_pot, np.zeros(2), np.array([0.3, -0.2, 0.4, 0.1]))
         G = C.workspace(section6_pot).metric_values(np.zeros(2))
-        frame_c = [C.complex_rep(v) for v in rf.frame]
         for i, a in enumerate(frame_c):
             for j, b in enumerate(frame_c):
                 assert real_pairing(G, a, b) == pytest.approx(float(i == j), abs=1e-12)
@@ -273,31 +271,29 @@ class TestRealFrame:
         c = 2 * K / (n + 1)
         for _ in range(5):
             e0 = rng.normal(size=2 * n)
-            t = C.curvature_at(pot, np.zeros(n))
-            rf = C.real_frame_components(t, e0, pot=pot)
+            R_uv = frame_curvature(pot, np.zeros(n), e0)
             # oracle: same frame, but contracting the analytic tensor form
-            frame_c = [C.complex_rep(v) for v in rf.frame]
+            frame_c = frame_at(pot, np.zeros(n), e0)
             oracle = np.array([[rm_value(expected, frame_c[0], u, frame_c[0], v)
                                 for v in frame_c[1:]] for u in frame_c[1:]])
-            assert np.allclose(rf.R_uv, oracle, atol=1e-12)
-            assert np.allclose(np.diag(rf.R_uv), [-c, -c / 4, -c / 4], atol=1e-12)
+            assert np.allclose(R_uv, oracle, atol=1e-12)
+            assert np.allclose(np.diag(R_uv), [-c, -c / 4, -c / 4], atol=1e-12)
 
     def test_sum_rule_random_potentials_and_directions(self):
         rng = np.random.default_rng(100)
         for trial in range(100):
             pot = P.perturbed(2, trial % 25)
             z = (rng.normal(size=2) + 1j * rng.normal(size=2)) * 0.03
-            t = C.curvature_at(pot, z)
-            rf = C.real_frame_components(t, rng.normal(size=4), pot=pot)
+            e0 = rng.normal(size=4)
+            R_uv = frame_curvature(pot, z, e0)
             ric = C.ricci_at(pot, z)
-            xi0 = C.complex_rep(rf.e0)
-            assert np.trace(rf.R_uv) == pytest.approx(
+            xi0 = frame_at(pot, z, e0)[0]
+            assert np.trace(R_uv) == pytest.approx(
                 -real_pairing(ric, xi0, xi0), rel=1e-9, abs=1e-11)
 
     def test_degenerate_direction_rejected(self, flat2):
-        t = C.curvature_at(flat2, np.zeros(2))
         with pytest.raises(ValueError, match="degenerate"):
-            C.real_frame_components(t, np.zeros(4), pot=flat2)
+            frame_at(flat2, np.zeros(2), np.zeros(4))
 
 
 class TestRicciScalar:
@@ -409,8 +405,10 @@ class TestJets:
         e0 = np.array([0.4, 0.1, -0.3, 0.2])
         jets = C.curvature_jets_along(section6_pot, np.zeros(2), e0, order=1)
         t = C.curvature_at(section6_pot, np.zeros(2))
-        rf = C.real_frame_components(t, e0, pot=section6_pot)
-        assert np.allclose(jets.R[0], rf.R_uv, atol=1e-9)
+        frame_c = frame_at(section6_pot, np.zeros(2), e0)
+        oracle = np.array([[rm_value(t.components, frame_c[0], u, frame_c[0], v)
+                            for v in frame_c[1:]] for u in frame_c[1:]])
+        assert np.allclose(jets.R[0], oracle, atol=1e-9)
 
     def test_degenerate_direction_rejected(self, flat2):
         with pytest.raises(ValueError, match="degenerate"):

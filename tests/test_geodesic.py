@@ -11,8 +11,10 @@ from kahlercomp import curvature as C
 from kahlercomp import geodesic as G
 from kahlercomp import model_space as M
 from kahlercomp import potential as P
+from kahlercomp import series as S
 from kahlercomp.model_space import ModelSpace
-from kahlercomp.sphere import unit_sphere_volume
+from kahlercomp.sphere import build_rule, fan_out, unit_sphere_volume
+from oracles import gram_log_derivative
 
 
 class TestShoot:
@@ -120,7 +122,8 @@ class TestDensity:
                                                          rel=2e-7, abs=1e-8)
 
     def test_small_r_branch_matches_direct_formula(self, section6_pot):
-        """The series branch below r = 1e-4 agrees with the algebraic route."""
+        """Below r = 1e-4 the density is det J as at any radius, and agrees
+        with the Gram route sqrt(det G), tr(G^-1 G')/2."""
         ray = G.shoot(section6_pot, np.zeros(2), np.array([1.0, 0, 0, 0]), 0.01)
         r = 0.99e-4
         series = ray.density(r)
@@ -130,6 +133,45 @@ class TestDensity:
         direct_logd = 0.5 * float(np.trace(np.linalg.solve(gram, Jp.T @ J + J.T @ Jp)))
         assert series.value == pytest.approx(direct_value, rel=1e-10)
         assert series.log_derivative == pytest.approx(direct_logd, rel=1e-10)
+
+    @pytest.mark.parametrize("pot", [P.perturbed(2, 0), P.perturbed(3, 0), P.section6(0.1, 0)],
+                             ids=["perturbed-n2", "perturbed-n3", "section6"])
+    def test_log_derivative_matches_gram_oracle(self, pot):
+        """tr(J^-1 J') equals the Gram route tr(G^-1 G')/2 within 1e-14
+        relative, at radii below and above 1e-4 alike."""
+        p = np.zeros(pot.n)
+        batch = G.GeodesicBatch(pot, p, fan_out(pot, p, build_rule(pot.n, 4))[0], 0.04)
+        for r in (0.99e-4, 1e-8, 1e-30, 0.03):
+            _, logd = batch.densities(r)
+            J, Jp = map(np.array, zip(*(ray.jacobi(r) for ray in batch)))
+            ref = gram_log_derivative(J, Jp)
+            assert np.all(np.abs(logd - ref) <= 1e-14 * np.abs(ref)), r
+
+    def test_dense_output_matches_series_at_tiny_radii(self):
+        """det J and tr(J^-1 J') read from the dense output agree with the
+        order-8 per-direction series r^3 D(r) from r = 2e-4 down to r = 1e-101,
+        where r^3 nears the least normal float.  ``np.linalg.det`` rounds det J
+        by up to about eps |log det J|, 235 eps at the smallest radius."""
+        pot = P.perturbed(2, 0)
+        p = np.zeros(2)
+        dirs = fan_out(pot, p, build_rule(2, 4))[0][:12]
+        batch = G.GeodesicBatch(pot, p, dirs, 4e-4)
+        c = S.direction_series(pot, p, dirs, 8).coefficients
+        k = np.arange(9)
+        for r in np.geomspace(2e-4, 1e-101, 15):
+            vals, logd = batch.densities(r)
+            D, dD = c @ r ** k, c[:, 1:] @ (k[1:] * r ** (k[1:] - 1))
+            assert np.all(np.abs(vals - r ** 3 * D) <= 1e-13 * r ** 3 * D), r
+            assert np.all(np.abs(logd - (3 / r + dD / D)) <= 1e-14 * (3 / r + dD / D)), r
+
+    def test_underflowing_det_is_no_conjugate_point(self):
+        """At n = 3 and r = 1e-70, det J ~ r^5 underflows to 0.  The sign of
+        det J comes from its LU factors, so the density is returned, not
+        refused as a conjugate point."""
+        batch = G.GeodesicBatch(P.perturbed(3, 0), np.zeros(3), np.eye(6)[:2], 0.01)
+        vals, logd = batch.densities(1e-70)
+        assert np.all(vals == 0.0)
+        np.testing.assert_allclose(logd, 5e70, rtol=1e-14)
 
     def test_density_positive_r_required(self, flat2):
         ray = G.shoot(flat2, np.zeros(2), np.array([1.0, 0, 0, 0]), 0.1)
@@ -313,7 +355,8 @@ class TestBatchedIntegrator:
                 DOP853._estimate_error_norm(DOP853, K[:, i], 0.01, scale[i]), rel=1e-13)
 
     def test_a_ray_reads_its_batch_row(self, section6_pot):
-        """Ray readings are the batch's on the ray's row, on both density branches."""
+        """Ray readings are the batch's on the ray's row, at a small and a
+        moderate radius."""
         dirs = [np.array([1.0, 0, 0, 0]), np.array([0.3, -0.1, 0.5, 0.2]),
                 np.array([0.2, 0.6, -0.3, 0.4])]
         batch = G.GeodesicBatch(section6_pot, np.zeros(2), dirs, 0.05, tol=1e-11)

@@ -14,8 +14,9 @@ from kahlercomp import potential as P
 from kahlercomp import series as S
 from kahlercomp.model_space import ModelSpace
 from kahlercomp.polynomials import cauchy_product
-from kahlercomp.sphere import build_rule, unit_sphere_volume
-from oracles import kahler_r11_identity_check, r11_integral, rm_value, tangent_nodes
+from kahlercomp.sphere import build_rule, fan_out, unit_sphere_volume
+from oracles import (gram_density_series, kahler_r11_identity_check, r11_integral, rm_value,
+                     tangent_nodes)
 
 
 def synthetic_jets(R_list, m=3):
@@ -184,7 +185,7 @@ class TestDensitySeries:
             S.density_series(co, 7)
 
     def test_order_needs_coefficients_one_higher(self):
-        """Order N reads the Gram series to r^N, so C_{N+1}: with Jacobi
+        """Order N reads C(r) = J / r to r^N, so C_{N+1}: with Jacobi
         coefficients of order N + 1 the series is final, with order N it is
         refused rather than returned short of its top terms."""
         jets = C.curvature_jets_along(P.perturbed(2, 0), np.zeros(2),
@@ -209,6 +210,21 @@ class TestDensitySeries:
         ref = leibniz_density_series(co, 12)
         assert ds.shape == ref.shape == (16, 13)
         assert np.all(np.abs(ds - ref) <= 1e-12 * np.maximum(np.abs(ref), 1e-8))
+
+    @pytest.mark.parametrize("pot", [P.perturbed(3, 0), P.section6(0.1, 0), P.perturbed(2, 0)],
+                             ids=["perturbed-n3", "section6", "perturbed-n2"])
+    def test_matches_gram_oracle_through_order_8(self, pot):
+        """det C against the Gram route sqrt(det C C^T) on the default rule's
+        directions, within 1e-14 of each order's largest coefficient.  A
+        coefficient that nearly cancels along one direction (c_6 of
+        perturbed(3, 0) falls to 7e-9 there, against 3e-5 elsewhere) carries the
+        rounding of its terms, not of its value."""
+        p = np.zeros(pot.n)
+        dirs, _ = fan_out(pot, p, build_rule(pot.n))
+        co = S.jacobi_recursion(C.curvature_jets_along(pot, p, dirs, order=7), 9)
+        ds = S.density_series(co, 8).coefficients
+        ref = gram_density_series(co, 8).coefficients
+        assert np.all(np.abs(ds - ref) <= 1e-14 * np.abs(ref).max(axis=0))
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("K", [1, -1, -3])
