@@ -75,12 +75,6 @@ def _grid(args):
     return np.linspace(args.r_min, args.r_max, args.r_steps)
 
 
-def _ensure_out(args):
-    out = Path(args.out)
-    (out / "tables").mkdir(parents=True, exist_ok=True)
-    return out
-
-
 # check options a run of ``--which`` does not read: absent from its echoed
 # configuration; the counterexample refuses any of them set off its default
 _UNREAD = {"counterexample": ("catalog", "potential", "K", "quad_degree", "tol",
@@ -113,6 +107,25 @@ def _write_csv(path, header, rows):
             w.writerow([repr(x) if isinstance(x, float) else x for x in row])
 
 
+def _emit(args, doc, table):
+    """Write the run under ``--out``: ``report.json`` (``doc``), the table
+    (file name, header, rows) under ``tables/`` and ``config.echo.json``.
+    Without ``--out``, print the table of ``model`` or the report of the other
+    commands."""
+    name, header, rows = table
+    if args.out:
+        # created only now, so a refused run leaves no output directory behind
+        out = Path(args.out)
+        (out / "tables").mkdir(parents=True, exist_ok=True)
+        _write_csv(out / "tables" / name, header, rows)
+        _echo_config(args, out)
+        (out / "report.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    elif args.command == "model":
+        _write_csv(None, header, rows)
+    else:
+        sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
 def cmd_model(args) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
@@ -129,15 +142,8 @@ def cmd_model(args) -> int:
                          model_space.laplacian(model, r)))
         except ValueError:
             rows.append((r, "domain_error", "", "", "", ""))
-    table = None
-    if args.out:
-        out = _ensure_out(args)
-        _echo_config(args, out)
-        table = out / "tables" / "model.csv"
-        (out / "report.json").write_text(json.dumps(
-            {"command": "model", "n": args.n, "K": args.K, "rows": len(rows)},
-            sort_keys=True, indent=2) + "\n")
-    _write_csv(table, ["r", "status", "density", "area", "volume", "laplacian"], rows)
+    _emit(args, {"command": "model", "n": args.n, "K": args.K, "rows": len(rows)},
+          ("model.csv", ["r", "status", "density", "area", "volume", "laplacian"], rows))
     return EXIT_OK
 
 
@@ -165,17 +171,8 @@ def cmd_series(args) -> int:
                             "provenance": "symbolic",
                             "c0_expected": unit_sphere_volume(pot.n)},
     }
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        out = _ensure_out(args)
-        _echo_config(args, out)
-        (out / "report.json").write_text(text)
-        _write_csv(out / "tables" / "coefficients.csv",
-                   ["order", "per_direction", "sphere_averaged"],
-                   [(k, float(per_dir[k]), float(averaged[k]))
-                    for k in range(order + 1)])
-    else:
-        sys.stdout.write(text)
+    _emit(args, doc, ("coefficients.csv", ["order", "per_direction", "sphere_averaged"],
+                      [(k, float(per_dir[k]), float(averaged[k])) for k in range(order + 1)]))
     return EXIT_OK
 
 
@@ -194,7 +191,7 @@ def cmd_check(args) -> int:
         lam = params.get("lambda", None)
         report = comparison.verify_counterexample(a=a, lam=lam, seed=args.seed)
         payload["counterexample"] = report.to_json_dict()
-        verdicts.append("holds" if report.passed_all else "violated")
+        verdicts.append(report.verdict)
         stage = report.stages["pointwise_gap"]
         table = ("pointwise_gap.csv", ["r", "margin"],
                  list(zip(map(float, stage["r_grid"]), map(float, stage["margins"]))))
@@ -231,16 +228,7 @@ def cmd_check(args) -> int:
         payload["certificate"] = rep.certificate.to_json_dict()
 
     payload["verdicts"] = verdicts
-    if args.out:
-        # created only now, so a refused run leaves no output directory behind
-        out = _ensure_out(args)
-        name, header, rows = table
-        _write_csv(out / "tables" / name, header, rows)
-        _echo_config(args, out)
-        (out / "report.json").write_text(json.dumps(payload, sort_keys=True,
-                                                    indent=2) + "\n")
-    else:
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _emit(args, payload, table)
     if "violated" in verdicts:
         return EXIT_VIOLATED
     if "inconclusive" in verdicts:

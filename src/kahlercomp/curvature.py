@@ -36,8 +36,8 @@ Conventions, fixed once here and anchored by the test suite:
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -399,19 +399,11 @@ def transport(frame, gam):
 # ``verify_counterexample`` holds one besides the ones ``find_lambda`` builds
 # before it, so it never loses one mid-call.
 WORKSPACE_CACHE_SIZE = 8
-_WORKSPACES: OrderedDict = OrderedDict()
 
 
+@functools.lru_cache(maxsize=WORKSPACE_CACHE_SIZE)
 def workspace(pot: RealAnalyticPotential) -> CurvatureWorkspace:
-    ws = _WORKSPACES.get(pot)
-    if ws is None:
-        ws = CurvatureWorkspace(pot)
-        _WORKSPACES[pot] = ws
-        if len(_WORKSPACES) > WORKSPACE_CACHE_SIZE:
-            _WORKSPACES.popitem(last=False)
-    else:
-        _WORKSPACES.move_to_end(pot)
-    return ws
+    return CurvatureWorkspace(pot)
 
 
 # ---------------------------------------------------------------------------

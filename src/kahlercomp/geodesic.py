@@ -381,22 +381,17 @@ class GeodesicBatch:
 
 class GeodesicRay:
     """One ray of a ``GeodesicBatch``: unit-speed geodesic with parallel frame,
-    Jacobi system and dense output.  Its readings are the batch's on its row."""
+    Jacobi system and dense output.  It holds its row's direction, initial
+    frame, ``r_max`` and ``truncated`` flag; its readings are the batch's on
+    its row, and the potential, base point and tolerance are the batch's."""
 
     def __init__(self, batch: GeodesicBatch, index: int):
         self._batch = batch
         self._index = index
-        self.pot = batch.pot
-        self.n = batch.n
-        self.m = batch.m
-        self.tol = batch.tol
-        self.p = batch.p
         self.e0 = batch.e0[index]
         self.initial_frame = batch.initial_frames[index]
         self.truncated = bool(batch.truncated[index])
         self.r_max = float(batch.r_max[index])
-        self._conjugate = None
-        self._conjugate_scanned = False
 
     def _state(self, r):
         """(z, [e0, e_1..e_{2n-1}], J, J') at r."""
@@ -425,17 +420,12 @@ class GeodesicRay:
     # -- conjugate points -------------------------------------------------------
     def conjugate_point(self):
         """First zero of det J in (0, r_max], by grid scan plus bisection."""
-        if self._conjugate_scanned:
-            return self._conjugate
         grid = np.linspace(0.0, self.r_max, 129)[1:]
         dets = [np.linalg.det(self.jacobi(r)[0]) for r in grid]
-        self._conjugate_scanned = True
         for i in range(len(grid) - 1):
             if dets[i] > 0 and dets[i + 1] <= 0:
                 f = lambda r: np.linalg.det(self.jacobi(r)[0])
-                self._conjugate = float(_bisect(f, grid[i], grid[i + 1], xtol=1e-10))
-                return self._conjugate
-        self._conjugate = None
+                return float(_bisect(f, grid[i], grid[i + 1], xtol=1e-10))
         return None
 
 

@@ -37,7 +37,7 @@ __all__ = [
 
 # the catalog entries and the parameters each reads
 _CATALOG_PARAMS = {"flat": ("n",), "space_form": ("n", "K", "degree"),
-                   "section6": ("a", "lambda", "lam"), "perturbed": ("n", "seed", "magnitude")}
+                   "section6": ("a", "lambda"), "perturbed": ("n", "seed", "magnitude")}
 CATALOG_NAMES = tuple(_CATALOG_PARAMS)
 
 
@@ -64,9 +64,6 @@ class Monomial:
     alpha: tuple
     beta: tuple
     coeff: QC
-
-    def degree(self) -> int:
-        return sum(self.alpha) + sum(self.beta)
 
 
 class RealAnalyticPotential:
@@ -124,9 +121,7 @@ class RealAnalyticPotential:
         g0 = np.zeros((self.n, self.n), dtype=complex)
         for i in range(self.n):
             for j in range(self.n):
-                a = tuple(1 if k == i else 0 for k in range(self.n))
-                b = tuple(1 if k == j else 0 for k in range(self.n))
-                c = self.poly.coeffs.get((a, b))
+                c = self.poly.coeffs.get((_unit(self.n, i), _unit(self.n, j)))
                 if c is not None:
                     g0[i, j] = complex(c)
         return g0
@@ -309,7 +304,7 @@ def from_catalog(name: str, **params) -> RealAnalyticPotential:
         kwargs = {"degree": _integer(params["degree"], "degree")} if "degree" in params else {}
         return space_form(_integer(need("n"), "n"), need("K"), **kwargs)
     if name == "section6":
-        return section6(need("a"), params.get("lambda", params.get("lam", 0)))
+        return section6(need("a"), params.get("lambda", 0))
     return perturbed(_integer(need("n"), "n"), _integer(need("seed"), "seed"),
                      float(params.get("magnitude", 0.02)))
 

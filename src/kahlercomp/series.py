@@ -41,7 +41,6 @@ class SeriesExpansion:
     coefficients: np.ndarray
     provenance: str                      # "symbolic" | "fitted"
     covariance: np.ndarray | None = None
-    cv_shift: float | None = None        # relative c2 change under grid change
 
     def __getitem__(self, k):
         return float(self.coefficients[k])
@@ -122,37 +121,26 @@ def direction_series(pot: RealAnalyticPotential, p, e0, order: int) -> SeriesExp
 
 
 def fit_w_series(samples, N: int) -> SeriesExpansion:
-    """Least-squares polynomial fit of W(r) samples, powers r^0..r^N.
+    """Least-squares polynomial fit of W(r) samples, powers r^0..r^N, with the
+    covariance of the coefficients from the residual variance.
 
     Columns are norm-scaled before solving; the condition number of the scaled
-    design must stay below 1e12.  A disjoint-grid refit reports the relative
-    shift of the r^2 coefficient (``cv_shift``).
+    design must stay below 1e12.
     """
     samples = sorted((float(r), float(v)) for r, v in samples)
     if len(samples) < 2 * N:
         raise ValueError(f"need at least {2 * N} samples for a degree-{N} fit")
     r = np.array([s[0] for s in samples])
     y = np.array([s[1] for s in samples])
-
-    def solve(rr, yy):
-        V = rr[:, None] ** np.arange(N + 1)[None, :]
-        scale = np.linalg.norm(V, axis=0)
-        Vs = V / scale
-        cond = float(np.linalg.cond(Vs))
-        if cond > 1e12:
-            raise ValueError(
-                f"fit design condition number {cond:.3g} too large; reduce N or widen grid")
-        coef, res, *_ = np.linalg.lstsq(Vs, yy, rcond=None)
-        coef = coef / scale
-        dof = max(len(rr) - (N + 1), 1)
-        resid = yy - V @ coef
-        sigma2 = float(resid @ resid) / dof
-        cov = sigma2 * np.linalg.inv((Vs.T @ Vs)) / np.outer(scale, scale)
-        return coef, cov
-
-    coef, cov = solve(r, y)
-    coef_half, _ = solve(r[::2], y[::2])
-    denom = abs(coef[2]) if abs(coef[2]) > 1e-12 else 1.0
-    cv_shift = abs(coef_half[2] - coef[2]) / denom
-    return SeriesExpansion(coefficients=coef, provenance="fitted",
-                           covariance=cov, cv_shift=cv_shift)
+    V = r[:, None] ** np.arange(N + 1)[None, :]
+    scale = np.linalg.norm(V, axis=0)
+    Vs = V / scale
+    cond = float(np.linalg.cond(Vs))
+    if cond > 1e12:
+        raise ValueError(
+            f"fit design condition number {cond:.3g} too large; reduce N or widen grid")
+    coef = np.linalg.lstsq(Vs, y, rcond=None)[0] / scale
+    resid = y - V @ coef
+    sigma2 = float(resid @ resid) / max(len(r) - (N + 1), 1)
+    cov = sigma2 * np.linalg.inv(Vs.T @ Vs) / np.outer(scale, scale)
+    return SeriesExpansion(coefficients=coef, provenance="fitted", covariance=cov)

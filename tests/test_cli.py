@@ -190,6 +190,60 @@ class TestCheckCommand:
         passing = [lam for lam, _, ok in search["steps"] if ok]
         assert passing[-1] == report["counterexample"]["lambda"]
 
+    @pytest.mark.parametrize("a", ["1e-4", "-1e-4", "1e-300"])
+    def test_unresolved_counterexample_is_inconclusive(self, tmp_path, capsys, a):
+        """A failing stage whose margins its budget cannot resolve exits 3:
+        at |a| = 1e-4 no pointwise |margin| clears 10 times its budget, and at
+        a = 1e-300 the r^4 margin and its budget are 0."""
+        out = tmp_path / "ce"
+        assert cli.main(["check", "--which", "counterexample", "--params", f"a={a}",
+                         "--out", str(out)]) == 3, capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        stages = report["counterexample"]["stages"]
+        assert report["verdicts"] == ["inconclusive"]
+        assert not report["counterexample"]["passed_all"]
+        gap, r4 = stages["pointwise_gap"], stages["r4_coefficient"]
+        assert gap["passed"] is False and gap["interval"] is None
+        assert max(map(abs, gap["margins"])) <= 10 * gap["error_budget"]
+        assert r4["passed"] or abs(r4["margin"]) <= r4["budget"]
+        assert all(stages[k]["passed"] for k in
+                   ("metric_series", "ricci_vanishing", "origin_curvature"))
+
+    def test_resolved_counterexample_failure_is_violated(self, tmp_path, capsys,
+                                                         monkeypatch):
+        """Stage iv off its closed form by far more than its budget exits 2."""
+        from fractions import Fraction
+        exact = comparison._r4_exact_margin
+        monkeypatch.setattr(comparison, "_r4_exact_margin", lambda a: exact(a) + Fraction(1))
+        out = tmp_path / "ce"
+        assert cli.main(["check", "--which", "counterexample", "--params", "a=0.1",
+                         "--out", str(out)]) == 2, capsys.readouterr().err
+        assert json.loads((out / "report.json").read_text())["verdicts"] == ["violated"]
+
+    def test_thm3_radius_limit(self, tmp_path, capsys, monkeypatch):
+        """thm3 takes up to ``VOLUME_RATIO_RADII`` radii; one more is refused
+        with one ``error:`` line before any certificate is drawn, and leaves
+        no output directory."""
+        limit = comparison.VOLUME_RATIO_RADII
+        argv = ["check", "--which", "thm3", "--catalog", "flat", "--params", "n=2",
+                "--K", "0", "--quad-degree", "2"]
+        out = tmp_path / "ok"
+        assert cli.main([*argv, "--r-steps", str(limit), "--out", str(out)]) == 0
+        rows = json.loads((out / "report.json").read_text())["thm3"]["rows"]
+        assert len(rows) == limit * (limit - 1) // 2
+
+        def no_certificate(*args, **kwargs):
+            raise AssertionError("certificate drawn for a refused radius grid")
+
+        monkeypatch.setattr(comparison, "certify_ricci_bound", no_certificate)
+        capsys.readouterr()
+        out = tmp_path / "refused"
+        assert cli.main([*argv, "--r-steps", str(limit + 1), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"at most {limit} radii" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("which, argv, unread", [
         ("counterexample", ["--params", "a=0.1", "--tol", "1e-11"],
          {"catalog", "potential", "K", "quad_degree", "tol", "r_min", "r_max", "r_steps"}),
@@ -403,6 +457,7 @@ class TestUsageErrors:
         (["series", "--catalog", "flat", "--params", "n=2,K=1"], "'K'"),
         (["check", "--which", "counterexample", "--params", "b=0.1"], "'b'"),
         (["check", "--which", "counterexample", "--params", "a=0.1,lam=1"], "'lam'"),
+        (["series", "--catalog", "section6", "--params", "a=0.1,lam=1"], "'lam'"),
         (["check", "--which", "counterexample", "--params", "a=0.1,lambda=-1"],
          "certificate refused for lambda"),
     ])

@@ -639,6 +639,27 @@ class TestCounterexample:
         text = json.dumps(report.to_json_dict())
         assert "pointwise_gap" in text
 
+    @pytest.mark.parametrize("stage, changes, verdict", [
+        (None, {}, "holds"),
+        ("metric_series", {"passed": False}, "violated"),
+        ("origin_curvature", {"passed": False}, "violated"),
+        ("r4_coefficient", {"passed": False, "margin": 0.0, "budget": 0.0}, "inconclusive"),
+        ("r4_coefficient", {"passed": False, "margin": 2e-16, "budget": 1e-16}, "violated"),
+        ("pointwise_gap", {"passed": False, "margins": [1e-12, 3e-12]}, "inconclusive"),
+        ("pointwise_gap", {"passed": False, "margins": [-3e-11, 3e-12]}, "violated"),
+    ])
+    def test_verdict_reads_whether_a_failure_is_resolved(self, stage, changes, verdict):
+        """A failing stage is a violation only when its number is resolved:
+        stages i-iii always, stage iv with |margin| > budget, stage v with
+        some |margin| > 10 error budgets (here 10 x 2e-12)."""
+        stages = {"metric_series": {"passed": True}, "ricci_vanishing": {"passed": True},
+                  "origin_curvature": {"passed": True},
+                  "r4_coefficient": {"passed": True, "margin": 1e-3, "budget": 1e-16},
+                  "pointwise_gap": {"passed": True, "margins": [1e-9], "error_budget": 2e-12}}
+        if stage:
+            stages[stage].update(changes)
+        assert CMP.CounterexampleReport(a=0.1, lam=0.0, stages=stages).verdict == verdict
+
 
 class TestRigidityProbe:
     def test_space_form_no_deviation(self, space_form_k1, rule6):
@@ -680,7 +701,8 @@ class TestFlowQuality:
         singles = [G.GeodesicBatch(section6_pot, np.zeros(2), [e0], 0.04, tol=1e-11)
                    for e0 in tangent_nodes(rule, C.real_metric_matrix(G0))]
         for r in (0.01, 0.04):
-            vals, logd = (np.repeat(x, len(rule) // len(flow.rays)) for x in flow.densities(r))
+            vals, logd = (np.repeat(x, len(rule) // len(flow.rays))
+                          for x in flow.rays.densities(r))
             single = [batch[0].density(r) for batch in singles]
             np.testing.assert_allclose(vals, [d.value for d in single], rtol=1e-12)
             np.testing.assert_allclose(logd, [d.log_derivative for d in single], rtol=1e-12)

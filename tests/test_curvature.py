@@ -502,23 +502,20 @@ class TestTransport:
 
 
 class TestWorkspaceCache:
-    def test_many_potentials_keep_the_cache_at_its_bound(self, monkeypatch):
-        from collections import OrderedDict
-        monkeypatch.setattr(C, "_WORKSPACES", OrderedDict())
+    def test_many_potentials_keep_the_cache_at_its_bound(self):
+        C.workspace.cache_clear()
         for k in range(2 * C.WORKSPACE_CACHE_SIZE + 3):
             C.workspace(P.section6(0.1, k))
-            assert len(C._WORKSPACES) <= C.WORKSPACE_CACHE_SIZE
-        assert len(C._WORKSPACES) == C.WORKSPACE_CACHE_SIZE
+            assert C.workspace.cache_info().currsize <= C.WORKSPACE_CACHE_SIZE
+        assert C.workspace.cache_info().currsize == C.WORKSPACE_CACHE_SIZE
 
     def test_certificate_leaves_exact_series_unbuilt(self, monkeypatch):
-        from collections import OrderedDict
-
         from kahlercomp import comparison as CMP
 
         def refuse(g, degree):
             raise AssertionError("the certificate built an exact Ricci series")
 
-        monkeypatch.setattr(C, "_WORKSPACES", OrderedDict())
+        C.workspace.cache_clear()
         monkeypatch.setattr(C, "ricci_series", refuse)
         pot = P.space_form(3, 1, degree=12)
         assert CMP.certify_ricci_bound(pot, 1.0, 0.04).passed
@@ -545,8 +542,6 @@ class TestWorkspaceCache:
         """The workspace of section6(a, lam) serves the certificate and the
         numeric stages; the stabilizer's endpoints lam = 1 and 0 give their
         exact metric to ``ricci_series`` and build no workspace."""
-        from collections import OrderedDict
-
         from kahlercomp import comparison as CMP
         built, series_of = [], []
         workspace_class = C.CurvatureWorkspace
@@ -560,7 +555,7 @@ class TestWorkspaceCache:
             series_of.append(tuple(map(tuple, g)))
             return ricci_series(g, degree)
 
-        monkeypatch.setattr(C, "_WORKSPACES", OrderedDict())
+        C.workspace.cache_clear()
         monkeypatch.setattr(C, "CurvatureWorkspace", counting)
         monkeypatch.setattr(C, "ricci_series", recording)
         CMP.verify_counterexample(a=0.1, lam=0.5)

@@ -234,8 +234,6 @@ class TestConjugatePoints:
         """Detector unit test: a ray whose det J crosses zero at r_zero."""
         ray = object.__new__(G.GeodesicRay)
         ray.r_max = 1.0
-        ray._conjugate = None
-        ray._conjugate_scanned = False
         ray.jacobi = lambda r: (np.diag([r_zero - r, 1.0, 1.0]), np.eye(3))
         return ray
 

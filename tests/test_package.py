@@ -6,10 +6,11 @@ import dataclasses
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kahlercomp
-from kahlercomp import curvature, geodesic, polynomials, potential, series, sphere
+from kahlercomp import comparison, curvature, geodesic, polynomials, potential, series, sphere
 
 MODULES = ["comparison", "curvature", "geodesic", "model_space", "polynomials", "potential",
            "series", "sphere"]
@@ -19,14 +20,25 @@ REMOVED = ["rm_value", "real_inner", "ricci_pairing", "real_pairing", "sphere_av
            "tangent_nodes", "complex_nodes", "kahler_r11_identity_check", "_r11_integral",
            "r11_integral", "linear_substitute", "is_even", "series_apply", "_check_point",
            "_metric_unit", "real_frame_components", "RealFrameCurvature", "real_rep",
-           "_series_density", "_SERIES_RADIUS", "_log_derivative"]
+           "_series_density", "_SERIES_RADIUS", "_log_derivative", "_poly_from_terms",
+           "_WORKSPACES"]
 REMOVED_MEMBERS = [(curvature.HermitianMetric, "g_inv"), (series.SeriesExpansion, "condition"),
                    (geodesic.GeodesicRay, "frame"), (polynomials.CPoly, "series_apply"),
                    (polynomials.CPoly, "linear_substitute"),
                    (potential.RealAnalyticPotential, "is_even"),
                    (sphere.SphereRule, "complex_nodes"),
                    (curvature.CurvatureTensor, "to_json_dict"),
-                   (curvature.CurvatureTensor, "sign_convention")]
+                   (curvature.CurvatureTensor, "sign_convention"),
+                   (series.SeriesExpansion, "cv_shift"),
+                   (comparison.RicciBoundCertificate, "potential_id"),
+                   (comparison.RicciBoundCertificate, "K"),
+                   (comparison.SphereFlow, "densities"),
+                   (potential.Monomial, "degree")]
+# attributes set in __init__, checked on an instance
+REMOVED_ATTRIBUTES = [("GeodesicRay", "pot"), ("GeodesicRay", "n"), ("GeodesicRay", "m"),
+                      ("GeodesicRay", "tol"), ("GeodesicRay", "p"),
+                      ("GeodesicRay", "_conjugate"), ("GeodesicRay", "_conjugate_scanned"),
+                      ("SphereFlow", "tol")]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -56,3 +68,15 @@ def test_removed_members_are_not_defined(cls, member):
     assert not hasattr(cls, member)
     if dataclasses.is_dataclass(cls):
         assert member not in {f.name for f in dataclasses.fields(cls)}
+
+
+@pytest.fixture(scope="module")
+def instances():
+    flow = comparison.SphereFlow(potential.flat(2), np.zeros(2), 0.01, sphere.build_rule(2, 2))
+    return {"SphereFlow": flow, "GeodesicRay": flow.rays[0]}
+
+
+@pytest.mark.parametrize("cls, attribute", REMOVED_ATTRIBUTES,
+                         ids=[f"{c}.{a}" for c, a in REMOVED_ATTRIBUTES])
+def test_removed_attributes_are_not_set(instances, cls, attribute):
+    assert not hasattr(instances[cls], attribute)
