@@ -50,7 +50,6 @@ TOL_LAPLACIAN = 1e-7   # absolute, average Laplacian
 VOLUME_RATIO_RADII = 256
 CERT_TOL = 1e-9
 LAMBDA_SAMPLES = 4000  # certificate samples of each find_lambda step
-HALTON_TABLE = 4096    # largest low-digit table b^m of the Halton draw
 # points whose least eigenvalues the certificate takes together: four blocks
 # of the Ricci pass, so that the n = 3 closed form runs on long arrays while
 # the whitened deficits held at once stay small (2048 x 9 floats at n = 3)
@@ -116,127 +115,15 @@ def _verdict(margins, tol):
 # Ricci lower-bound certificates
 # ---------------------------------------------------------------------------
 
-def _halton_permutations(d, seed):
-    """Owen's digit permutations for a scrambled Halton set in d dimensions.
-
-    The bases are the first d primes; base b gets ceil(54 / log2 b) - 1 rows
-    (enough digits to reach double precision), each a shuffle of arange(b)
-    drawn in turn from ``default_rng(seed)``, the shuffles that scipy's
-    ``qmc.Halton(d, seed=seed)`` draws, in the same order.
-    """
-    rng = np.random.default_rng(seed)
-    bases, k = [], 2
-    while len(bases) < d:
-        if all(k % b for b in bases):
-            bases.append(k)
-        k += 1
-    perms = []
-    for b in bases:
-        rows = np.repeat(np.arange(b)[None], math.ceil(54 / math.log2(b)) - 1, axis=0)
-        for row in rows:
-            rng.shuffle(row)
-        perms.append(rows)
-    return perms
-
-
-def _halton_tables(perms):
-    """Per base b: the partial sums over its m low digits for every l < b^m,
-    b^m <= HALTON_TABLE, summed by ``_halton``'s digit loop; the rows of the
-    higher digits; and the factor b^-(m+1) of the first of them."""
-    tables = []
-    for rows in perms:
-        b = rows.shape[1]
-        m = 0
-        while b ** (m + 1) <= HALTON_TABLE:
-            m += 1
-        idx = np.arange(b ** m)
-        table = np.zeros(b ** m)
-        f = 1.0 / b
-        for row in rows[:m]:
-            idx, digit = np.divmod(idx, b)
-            table += row[digit] * f
-            f /= b
-        tables.append((table, rows[m:], f))
-    return tables
-
-
-def _halton(tables, start, count, offsets=None):
-    """Points start..start+count-1 of the scrambled Halton set (Owen,
-    arXiv:1706.02808) from ``_halton_tables``, summed digit by digit in
-    scipy's order; with ``offsets`` (increasing), only the points at those
-    offsets from ``start``.
-
-    Index i = h b^m + l has the low digits of l and the high digits of h, so
-    its sum over the m low digits is the table entry of l, and each higher
-    digit adds one term per h, drawn on the short range of h and gathered to
-    the points.  Every point receives the same terms in the same order as a
-    digit-by-digit loop on i, so the bits are scipy's.
-    """
-    index = np.arange(start, start + count) if offsets is None else start + offsets
-    out = np.empty((len(index), len(tables)))
-    if not len(index):
-        return out
-    for k, (table, rows, f) in enumerate(tables):
-        b = rows.shape[1]
-        h, low = np.divmod(index, len(table))
-        x = table[low]
-        at = h - h[0]
-        hs = np.arange(h[0], h[-1] + 1)
-        for row in rows:
-            if hs[-1]:       # h increases, so the last is the largest
-                hs, digit = np.divmod(hs, b)
-                x += (row[digit] * f)[at]
-            else:            # every remaining digit is 0
-                x += row[0] * f
-            f /= b
-        out[:, k] = x
-    return out
-
-
-def _ball_candidates(tables, start, count):
-    """Offsets of the points start..start+count-1 of ``_halton`` whose cube
-    point 2x - 1 can lie in the unit ball, judged by their low digits alone.
-
-    In base b the digits above the m low ones add less than b^-m = b f to x
-    (digit j adds at most (b - 1) b^-(m+1+j)), so 2x - 1 lies within
-    w = b f of the centre 2t - 1 + b f, t the low-digit table entry.  A point
-    whose centre is farther than 1 + |w| from 0 is outside the ball; the
-    slack of 1e-12 covers the rounding of the sums.
-    """
-    dist = np.zeros(count)
-    width = 0.0
-    for table, rows, f in tables:
-        w = rows.shape[1] * f
-        centre = 2.0 * table + (w - 1.0)
-        # the entries of the low digits of start, start + 1, ..., cyclically
-        dist += np.resize(np.roll(centre * centre, -start), count)
-        width += w * w
-    return np.flatnonzero(dist <= (1.0 + math.sqrt(width) + 1e-12) ** 2)
-
-
 def _ball_points(n, rho, count, seed):
-    """Deterministic low-discrepancy points in the real 2n-ball of radius rho:
-    the first ``count`` scrambled Halton points of the cube [-1, 1)^2n that fall
-    in the unit ball, scaled by rho.  The sequence is drawn in ranges of the
-    expected need, the missing count over the ball's share pi^n / (n! 4^n) of
-    the cube, plus slack.  ``_ball_candidates`` screens a range in blocks of
-    max(count, 256) points, and only its candidates are summed over all their
-    digits."""
-    tables = _halton_tables(_halton_permutations(2 * n, seed))
-    block = max(count, 256)
-    share = math.pi ** n / (math.factorial(n) * 4 ** n)
-    kept, total, start = [], 0, 0
-    while total < count:
-        size = math.ceil(1.1 * (count - total) / share) + 64
-        offsets = np.concatenate([lo + _ball_candidates(tables, start + lo, min(block, size - lo))
-                                  for lo in range(0, size, block)])
-        pts = 2.0 * _halton(tables, start, size, offsets) - 1.0
-        start += size
-        pts = pts[np.einsum("ij,ij->i", pts, pts) <= 1.0]
-        kept.append(pts)
-        total += len(pts)
-    pts = np.concatenate(kept)[:count] * rho
-    return pts[:, 0::2] + 1j * pts[:, 1::2]
+    """``count`` points uniform in the real 2n-ball of radius rho, drawn by
+    ``default_rng(seed)``: Gaussian directions, normalised, at radii
+    rho u^(1/2n) with u uniform on [0, 1), each coordinate pair (x, y) folded
+    to the complex coordinate x + iy."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((count, 2 * n))
+    x *= (rho * rng.random(count) ** (1.0 / (2 * n)) / np.linalg.norm(x, axis=1))[:, None]
+    return x.view(complex)
 
 
 @functools.lru_cache(maxsize=4)
@@ -342,10 +229,10 @@ def certify_ricci_bound(pot: RealAnalyticPotential, K, rho, samples=10000,
     """Sampled evidence that Ric - K g is positive semidefinite on the rho-ball.
 
     Evaluates the minimum eigenvalue of the metric-whitened Ricci deficit
-    M = L^-1 (Ric - K g) L^-H, g = L L^H, on ``_certificate_points``: an
-    Owen-scrambled Halton sample (the same points as scipy's
-    ``qmc.Halton(d=2n, seed=seed)``) plus radial grids along 64 directions
-    (and the origin); the certificate passes when the minimum stays above -1e-9.
+    M = L^-1 (Ric - K g) L^-H, g = L L^H, on ``_certificate_points``: the
+    origin, ``samples`` points drawn uniformly from the ball by
+    ``default_rng(seed)`` and radial grids along 64 of their directions; the
+    certificate passes when the minimum stays above -1e-9.
     The whitening takes W = L^-1 from the Ricci pass itself
     (``CurvatureWorkspace.ricci_blocks``): M = W Ric W^H - K I is formed block
     by block, point-major, and G is factored once.  The least eigenvalue is

@@ -124,6 +124,16 @@ def _bisect(f, a, b, xtol=0.0):
             b = mid
 
 
+def _jacobi_det(J, r):
+    """det J of the Jacobi matrices J (..., m, m) at the radii r, as det(J / s) s^m
+    for s = 2^k within a factor sqrt 2 of r (k = -1 at r = 0), an exact scaling.
+    ``np.linalg.det`` forms exp(sum ln|u_kk|) and so rounds by about eps |ln det|,
+    m |ln r| for J ~ r I near the base point but below m ln 2 / 2 for J / s."""
+    mantissa, k = np.frexp(r)
+    k = k - (mantissa < 0.5 ** 0.5)
+    return np.ldexp(np.linalg.det(np.ldexp(J, -k[..., None, None])), k * J.shape[-1])
+
+
 def _conjugate_error(ray, r):
     # sign flip of det J certifies a crossing; locate it for the report
     cp = ray.conjugate_point()
@@ -234,11 +244,12 @@ class GeodesicBatch:
             ys += y
             K[s] = self._rhs(ys)
 
-    def _volume(self, y_old, F, h, x):
-        """Integral of |det J| over the first fraction x (per ray) of one step."""
+    def _volume(self, y_old, F, t_old, h, x):
+        """Integral of |det J| over the first fraction x (per ray) of a step from t_old."""
         jb = self._jblock
-        J = _interpolate(np.multiply.outer(self._nodes, x)[..., None], y_old[:, jb], F[:, :, jb])
-        det = np.abs(np.linalg.det(J.reshape(J.shape[:2] + (self.m, self.m))))
+        nodes = np.multiply.outer(self._nodes, x)
+        J = _interpolate(nodes[..., None], y_old[:, jb], F[:, :, jb])
+        det = np.abs(_jacobi_det(J.reshape(J.shape[:2] + (self.m, self.m)), t_old + nodes * h))
         return h * x * np.einsum("k,kr->r", self._weights, det)
 
     def _integrate(self, y, r_end):
@@ -291,7 +302,7 @@ class GeodesicBatch:
             F[2] = 2 * delta - h * (f_new + f)
             np.einsum("is,s...->i...", h * dop.D, K, out=F[3:])
             self._segments.append((rows, t, h, y, F, volume))
-            volume = volume + self._volume(y, F, h, np.ones(len(y)))
+            volume = volume + self._volume(y, F, t, h, np.ones(len(y)))
             ts.append(t_new)
 
             if bounded:
@@ -336,7 +347,7 @@ class GeodesicBatch:
             if len(pos) < len(seg_rows):
                 y_old, F, before = y_old[pos], F[:, pos], before[pos]
             x = (r_i[sel] - t_old) / h
-            out[sel] = (before + self._volume(y_old, F, h, x) if volume
+            out[sel] = (before + self._volume(y_old, F, t_old, h, x) if volume
                         else _interpolate(x[:, None], y_old, F))
         return out
 
@@ -357,7 +368,7 @@ class GeodesicBatch:
         bad = np.flatnonzero(np.linalg.slogdet(J).sign <= 0)
         if bad.size:
             raise _conjugate_error(self[int(rows[bad[0]])], r)
-        return np.linalg.det(J), np.trace(np.linalg.solve(J, Jp), axis1=-2, axis2=-1)
+        return _jacobi_det(J, r), np.trace(np.linalg.solve(J, Jp), axis1=-2, axis2=-1)
 
     def frame_curvature(self, r, rows=None) -> np.ndarray:
         """R_uv = <R(e0, e_u)e0, e_v> at r in the transported frame of each of

@@ -386,7 +386,8 @@ class NumericPoly:
         arrays that ``NumericPoly`` builds from the folded ``CPoly`` of each
         row, bit for bit.  Rows that fold to the same coefficients (g_ij and
         g_ji, and mixed partials, at real points) are stored once: the view's
-        ``rows`` maps every entry of this stack to its row."""
+        ``rows`` maps every entry of this stack to its row (space_form(3, 1,
+        degree=12): 671 monomials fold to 286 and 63 rows to 43)."""
         if not self.antiholomorphic:
             return self
         if self._real is None:

@@ -7,6 +7,7 @@ package's batched path checks that path against an independent one.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -60,6 +61,24 @@ def gram_log_derivative(J, Jp):
     JT = np.swapaxes(J, -1, -2)
     gram_p = np.swapaxes(Jp, -1, -2) @ J + JT @ Jp
     return 0.5 * np.trace(np.linalg.solve(JT @ J, gram_p), axis1=-2, axis2=-1)
+
+
+def exact_det(A) -> Fraction:
+    """The determinant of the float matrix A, exactly: Gaussian elimination on
+    the Fractions of its entries."""
+    M = [[Fraction(float(x)) for x in row] for row in A]
+    det = Fraction(1)
+    for k in range(len(M)):
+        p = next((i for i in range(k, len(M)) if M[i][k]), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            M[k], M[p], det = M[p], M[k], -det
+        det *= M[k][k]
+        for i in range(k + 1, len(M)):
+            f = M[i][k] / M[k][k]
+            M[i] = [x - f * y for x, y in zip(M[i], M[k])]
+    return det
 
 
 def gram_density_series(coeffs, N) -> SeriesExpansion:

@@ -144,7 +144,7 @@ class TestCertificates:
         # a refusal without ties: the least eigenvalue is at one drawn point
         cert = CMP.certify_ricci_bound(P.section6(-0.1, 0), 1.2, 0.05, samples=200)
         assert not cert.passed and cert.symmetry == "torus"
-        _assert_drawn_witness(cert.witness, CMP._ball_points(2, 0.05, 200, 0))
+        _assert_drawn_witness(cert.witness, CMP._certificate_points(2, 0.05, 200, 0))
 
     def test_indefinite_metric_refused_with_witness(self):
         pot = _indefinite_potential()
@@ -203,14 +203,14 @@ class TestCertificates:
 
     def test_second_certificate_reuses_the_sample(self, monkeypatch):
         """A certificate with the key (n, rho, samples, seed) of an earlier one
-        draws no Halton point and gives the same bits."""
+        draws no new point and gives the same bits."""
         calls = []
-        halton = CMP._halton
+        ball_points = CMP._ball_points
 
         def counted(*args):
             calls.append(args)
-            return halton(*args)
-        monkeypatch.setattr(CMP, "_halton", counted)
+            return ball_points(*args)
+        monkeypatch.setattr(CMP, "_ball_points", counted)
         CMP._certificate_points.cache_clear()
         pot = P.section6(-0.1, 0)
         first = CMP.certify_ricci_bound(pot, 1.2, 0.05, samples=200)
@@ -231,52 +231,40 @@ class TestCertificates:
         cert = CMP.certify_ricci_bound(section6_pot, -1.2, 0.05, samples=2000)
         assert cert.passed
 
+
+class TestBallPoints:
+    """The certificate's draw is uniform in the real 2n-ball of radius rho,
+    judged on 10 000 points, each statistic within five standard deviations."""
+
+    RHO, COUNT = 0.04, 10000
+
     @pytest.mark.parametrize("n", [2, 3, 4])
-    @pytest.mark.parametrize("seed", [0, 1, 7])
-    @pytest.mark.parametrize("count", [100, 10000])
-    def test_ball_points_are_scipys_scrambled_halton(self, n, seed, count):
-        """scipy's Halton engine with the same blocks and rejection is the oracle;
-        10000 points in 2n = 6 dimensions take 13 blocks, so the index carries over,
-        and in 2n = 8 dimensions base 19 reads a table of 19^2 = 361 low digits."""
-        from scipy.stats import qmc
-        engine = qmc.Halton(d=2 * n, seed=seed)
-        pts = []
-        while len(pts) < count:
-            block = 2.0 * engine.random(max(count, 256)) - 1.0
-            pts.extend(block[np.einsum("ij,ij->i", block, block) <= 1.0])
-        pts = np.array(pts[:count]) * 0.04
-        expected = pts[:, 0::2] + 1j * pts[:, 1::2]
-        assert np.array_equal(CMP._ball_points(n, 0.04, count, seed), expected)
+    def test_shape_and_radius(self, n):
+        Z = CMP._ball_points(n, self.RHO, self.COUNT, 0)
+        assert Z.shape == (self.COUNT, n) and Z.dtype == np.complex128
+        assert np.linalg.norm(Z, axis=1).max() <= self.RHO
 
-    @pytest.mark.parametrize("d, seed", [(2, 0), (6, 1)])
-    def test_ball_candidates_keep_every_ball_point(self, d, seed):
-        """The screen keeps every index whose cube point lies in the unit
-        ball, and none whose point lies beyond 1 + 2|w|, w the half-widths
-        b^-m of the low-digit boxes."""
-        tables = CMP._halton_tables(CMP._halton_permutations(d, seed))
-        start, count = 12345, 40000
-        pts = 2.0 * CMP._halton(tables, start, count) - 1.0
-        norm = np.sqrt(np.einsum("ij,ij->i", pts, pts))
-        width = math.sqrt(sum((rows.shape[1] * f) ** 2 for _, rows, f in tables))
-        kept = np.zeros(count, dtype=bool)
-        kept[CMP._ball_candidates(tables, start, count)] = True
-        assert kept[norm <= 1.0].all()
-        assert (norm[kept] <= 1.0 + 2.0 * width + 1e-12).all()
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_seed_fixes_the_points(self, n):
+        Z = CMP._ball_points(n, self.RHO, self.COUNT, 0)
+        assert np.array_equal(CMP._ball_points(n, self.RHO, self.COUNT, 0).view(np.uint64),
+                              Z.view(np.uint64))
+        assert not np.any(CMP._ball_points(n, self.RHO, self.COUNT, 1) == Z)
 
-    def test_low_digit_tables(self):
-        tables = CMP._halton_tables(CMP._halton_permutations(8, 0))
-        sizes = [len(table) for table, _, _ in tables]
-        assert sizes == [4096, 2187, 3125, 2401, 1331, 2197, 289, 361]
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_half_the_volume_lies_inside_the_median_radius(self, n):
+        """A uniform point of the 2n-ball lies within rho 2^(-1/2n) with
+        probability 1/2."""
+        Z = CMP._ball_points(n, self.RHO, self.COUNT, 0)
+        share = np.mean(np.linalg.norm(Z, axis=1) <= self.RHO * 2.0 ** (-1 / (2 * n)))
+        assert abs(share - 0.5) <= 5 * math.sqrt(0.25 / self.COUNT)
 
-    @pytest.mark.parametrize("d, seed", [(4, 0), (6, 7), (8, 1)])
-    @pytest.mark.parametrize("start, count", [(0, 1), (5, 7), (12345, 3000), (4000, 20000)])
-    def test_halton_is_scipys_at_unaligned_starts(self, d, seed, start, count):
-        """(4000, 20000) crosses five periods of the base-2 table and nine of base 3."""
-        from scipy.stats import qmc
-        engine = qmc.Halton(d=d, seed=seed)
-        engine.fast_forward(start)
-        tables = CMP._halton_tables(CMP._halton_permutations(d, seed))
-        assert np.array_equal(CMP._halton(tables, start, count), engine.random(count))
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_real_coordinates_are_centred(self, n):
+        """Each real coordinate has mean 0 and variance rho^2 / (2n + 2)."""
+        Z = CMP._ball_points(n, self.RHO, self.COUNT, 0)
+        sigma = self.RHO / math.sqrt((2 * n + 2) * self.COUNT)
+        assert np.abs(Z.view(float).mean(axis=0)).max() <= 5 * sigma
 
 
 class TestLeastEigenvalues:
@@ -438,6 +426,14 @@ class TestFindLambda:
         assert any(not ok for _, _, ok in steps)
         cert = CMP.certify_ricci_bound(P.section6(-0.1, lam), 1.2, 0.05, samples=2000)
         assert cert.passed
+
+    @pytest.mark.parametrize("a, expected", [(0.05, 0.0), (-0.05, 0.003), (0.1, 0.0),
+                                             (-0.1, 0.024), (0.2, 0.0), (-0.2, 0.192)])
+    def test_weights_at_default_radius(self, a, expected):
+        """The stabilizer weights of the counterexample's search, each within
+        the 1% width of its bisection."""
+        lam, _ = CMP.find_lambda(a, 0.05)
+        assert abs(lam - expected) <= 0.01 * expected
 
     def test_monotone_in_radius(self):
         lam_small, _ = CMP.find_lambda(-0.1, 0.025, samples=1500)

@@ -2,6 +2,8 @@
 
 import inspect
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from kahlercomp import potential as P
 from kahlercomp import series as S
 from kahlercomp.model_space import ModelSpace
 from kahlercomp.sphere import build_rule, fan_out, unit_sphere_volume
-from oracles import gram_log_derivative
+from oracles import exact_det, gram_log_derivative
 
 
 class TestShoot:
@@ -150,8 +152,7 @@ class TestDensity:
     def test_dense_output_matches_series_at_tiny_radii(self):
         """det J and tr(J^-1 J') read from the dense output agree with the
         order-8 per-direction series r^3 D(r) from r = 2e-4 down to r = 1e-101,
-        where r^3 nears the least normal float.  ``np.linalg.det`` rounds det J
-        by up to about eps |log det J|, 235 eps at the smallest radius."""
+        where r^3 nears the least normal float."""
         pot = P.perturbed(2, 0)
         p = np.zeros(2)
         dirs = fan_out(pot, p, build_rule(2, 4))[0][:12]
@@ -163,6 +164,28 @@ class TestDensity:
             D, dD = c @ r ** k, c[:, 1:] @ (k[1:] * r ** (k[1:] - 1))
             assert np.all(np.abs(vals - r ** 3 * D) <= 1e-13 * r ** 3 * D), r
             assert np.all(np.abs(logd - (3 / r + dD / D)) <= 1e-14 * (3 / r + dD / D)), r
+
+    @pytest.mark.parametrize("pot", [P.perturbed(2, 0), P.perturbed(3, 0)],
+                             ids=["perturbed-n2", "perturbed-n3"])
+    def test_det_matches_the_exact_determinant(self, pot):
+        """det J is within 3 eps of the exact determinant of the same J, from
+        r = 1e-8 to 0.04: ``np.linalg.det`` on J itself, which rounds by about
+        eps |ln det J|, erred by up to 71.5 eps at r = 1e-8 (n = 3)."""
+        p = np.zeros(pot.n)
+        batch = G.GeodesicBatch(pot, p, fan_out(pot, p, build_rule(pot.n, 4))[0], 0.04)
+        for r in (1e-8, 1e-3, 0.04):
+            vals, _ = batch.densities(r)
+            J = [ray.jacobi(r)[0] for ray in batch]
+            err = max(abs(Fraction(v) - d) / d for v, d in zip(vals.tolist(), map(exact_det, J)))
+            assert err <= 3 * np.finfo(float).eps, r
+
+    def test_volume_at_an_underflowing_radius(self):
+        """A Gauss node of a radius below the least subnormal lies at radius 0,
+        where J = 0: the volume is 0, with no warning."""
+        batch = G.GeodesicBatch(P.perturbed(2, 0), np.zeros(2), np.eye(4)[:2], 0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(batch.volumes(5e-324) == 0.0)
 
     def test_underflowing_det_is_no_conjugate_point(self):
         """At n = 3 and r = 1e-70, det J ~ r^5 underflows to 0.  The sign of

@@ -21,7 +21,8 @@ REMOVED = ["rm_value", "real_inner", "ricci_pairing", "real_pairing", "sphere_av
            "r11_integral", "linear_substitute", "is_even", "series_apply", "_check_point",
            "_metric_unit", "real_frame_components", "RealFrameCurvature", "real_rep",
            "_series_density", "_SERIES_RADIUS", "_log_derivative", "_poly_from_terms",
-           "_WORKSPACES"]
+           "_WORKSPACES", "_halton", "_halton_tables", "_halton_permutations",
+           "_ball_candidates", "HALTON_TABLE"]
 REMOVED_MEMBERS = [(curvature.HermitianMetric, "g_inv"), (series.SeriesExpansion, "condition"),
                    (geodesic.GeodesicRay, "frame"), (polynomials.CPoly, "series_apply"),
                    (polynomials.CPoly, "linear_substitute"),
@@ -60,6 +61,12 @@ def test_package_root_names_resolve():
 def test_removed_names_are_not_defined(name):
     module = importlib.import_module(f"kahlercomp.{name}")
     assert [k for k in REMOVED if hasattr(module, k) or hasattr(kahlercomp, k)] == []
+
+
+def test_no_module_draws_from_scipy_stats():
+    """The certificate's sample comes from numpy's generator alone."""
+    sources = sorted(Path(kahlercomp.__file__).parent.glob("*.py"))
+    assert [p.name for p in sources if "qmc" in p.read_text() or "scipy.stats" in p.read_text()] == []
 
 
 @pytest.mark.parametrize("cls, member", REMOVED_MEMBERS,
