@@ -232,37 +232,39 @@ class TestCertificates:
         assert cert.passed
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7])
 class TestBallPoints:
     """The certificate's draw is uniform in the real 2n-ball of radius rho,
-    judged on 10 000 points, each statistic within five standard deviations."""
+    judged on 10 000 points of each seed, each statistic within five standard
+    deviations."""
 
     RHO, COUNT = 0.04, 10000
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_shape_and_radius(self, n):
-        Z = CMP._ball_points(n, self.RHO, self.COUNT, 0)
+    def test_shape_and_radius(self, n, seed):
+        Z = CMP._ball_points(n, self.RHO, self.COUNT, seed)
         assert Z.shape == (self.COUNT, n) and Z.dtype == np.complex128
         assert np.linalg.norm(Z, axis=1).max() <= self.RHO
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_seed_fixes_the_points(self, n):
-        Z = CMP._ball_points(n, self.RHO, self.COUNT, 0)
-        assert np.array_equal(CMP._ball_points(n, self.RHO, self.COUNT, 0).view(np.uint64),
+    def test_seed_fixes_the_points(self, n, seed):
+        Z = CMP._ball_points(n, self.RHO, self.COUNT, seed)
+        assert np.array_equal(CMP._ball_points(n, self.RHO, self.COUNT, seed).view(np.uint64),
                               Z.view(np.uint64))
-        assert not np.any(CMP._ball_points(n, self.RHO, self.COUNT, 1) == Z)
+        assert not np.any(CMP._ball_points(n, self.RHO, self.COUNT, seed + 1) == Z)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_half_the_volume_lies_inside_the_median_radius(self, n):
+    def test_half_the_volume_lies_inside_the_median_radius(self, n, seed):
         """A uniform point of the 2n-ball lies within rho 2^(-1/2n) with
         probability 1/2."""
-        Z = CMP._ball_points(n, self.RHO, self.COUNT, 0)
+        Z = CMP._ball_points(n, self.RHO, self.COUNT, seed)
         share = np.mean(np.linalg.norm(Z, axis=1) <= self.RHO * 2.0 ** (-1 / (2 * n)))
         assert abs(share - 0.5) <= 5 * math.sqrt(0.25 / self.COUNT)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_real_coordinates_are_centred(self, n):
+    def test_real_coordinates_are_centred(self, n, seed):
         """Each real coordinate has mean 0 and variance rho^2 / (2n + 2)."""
-        Z = CMP._ball_points(n, self.RHO, self.COUNT, 0)
+        Z = CMP._ball_points(n, self.RHO, self.COUNT, seed)
         sigma = self.RHO / math.sqrt((2 * n + 2) * self.COUNT)
         assert np.abs(Z.view(float).mean(axis=0)).max() <= 5 * sigma
 
