@@ -4,7 +4,7 @@ from .potential import (RealAnalyticPotential, Monomial, flat, space_form, secti
                         perturbed, from_catalog, evaluate, mixed_partial)
 from .curvature import (HermitianMetric, CurvatureTensor, CurvatureJets, metric_at,
                         curvature_at, ricci_at, scalar_at, curvature_jets_along)
-from .geodesic import GeodesicBatch, GeodesicRay, RadialDensity, shoot
+from .geodesic import GeodesicBatch
 from .model_space import ModelSpace, density, laplacian, sphere_area, ball_volume, model_series
 from .series import (SeriesExpansion, JacobiCoefficients, jacobi_recursion,
                      density_series, fit_w_series)

@@ -249,6 +249,8 @@ def certify_ricci_bound(pot: RealAnalyticPotential, K, rho, samples=10000,
     """
     if samples < 1:
         raise ValueError(f"certificate samples must be at least 1, got {samples}")
+    if seed < 0:
+        raise ValueError(f"certificate seed must be non-negative, got {seed}")
     if not rho > 0:  # nan too
         raise ValueError(f"certificate radius rho must be positive, got {rho}")
     if rho > pot.validity_radius:
@@ -363,9 +365,6 @@ class SphereFlow:
         vals, logd = self.rays.densities(r)
         weighted = self.weights * vals
         return math.fsum(weighted * logd) / math.fsum(weighted)
-
-    def quality(self, r=None):
-        return self.rays.quality(self.r_max if r is None else r)
 
 
 def _certified_flow(pot, K, rho, r_max, rule, tol_ode, seed):
@@ -533,11 +532,14 @@ def verify_counterexample(a=0.1, lam=None, rho=0.05, seed=0) -> CounterexampleRe
     curvature values at the origin; (iv) per-direction r^4 density coefficient
     along the x1-axis exceeding the model's, by its closed form 2a^2/15 within
     a stated rounding ``budget``; (v) positive pointwise gap
-    Laplacian - model Laplacian on a reported interval of r in [0.004, 0.04].  Failing
-    stages are recorded and the remaining stages still run.  Without ``lam``,
-    ``find_lambda`` picks it; a given ``lam`` is certified once, with the same
-    radius, samples and seed, and a refused certificate raises a
-    ``ValueError``.  ``lambda_search`` records the steps either way.
+    Laplacian - model Laplacian on a reported interval of r in [0.004, 0.04],
+    the Laplacian tr(J^-1 J') read from the x1-axis ray as a ``GeodesicBatch``
+    of one, at ODE tolerance 1e-12, with its difference from a 1e-9 run as the
+    ``error_budget``.  Failing stages are recorded and the remaining stages
+    still run.  Without ``lam``, ``find_lambda`` picks it; a given ``lam`` is
+    certified once, with the same radius, samples and seed, and a refused
+    certificate raises a ``ValueError``.  ``lambda_search`` records the steps
+    either way.
     """
     if a == 0:
         raise ValueError("the counterexample needs a nonzero curvature parameter a")
@@ -623,17 +625,17 @@ def verify_counterexample(a=0.1, lam=None, rho=0.05, seed=0) -> CounterexampleRe
         "budget": budget4,
     }
 
-    # stage v: pointwise Laplacian gap on a reported interval
+    # stage v: pointwise Laplacian gap on a reported interval, the ray along
+    # e0 integrated alone (a batch of one) at two tolerances
     r_grid = np.linspace(0.004, 0.04, 19)
-    ray = geodesic.shoot(pot, origin, e0, 0.04 * 1.01, tol=1e-12)
-    ray_coarse = geodesic.shoot(pot, origin, e0, 0.04 * 1.01, tol=1e-9)
+    ray, ray_coarse = (geodesic.GeodesicBatch(pot, origin, [e0], 0.04 * 1.01, tol=tol)
+                       for tol in (1e-12, 1e-9))
     margins = []
     budget = 0.0
     for r in r_grid:
-        d = ray.density(float(r))
-        margins.append(d.log_derivative - model_space.laplacian(model, float(r)))
-        budget = max(budget, abs(d.log_derivative
-                                 - ray_coarse.density(float(r)).log_derivative))
+        logd = float(ray.densities(float(r))[1][0])
+        margins.append(logd - model_space.laplacian(model, float(r)))
+        budget = max(budget, abs(logd - float(ray_coarse.densities(float(r))[1][0])))
     budget = max(budget, 1e-13)
     margins = np.array(margins)
     good = margins > 10.0 * budget

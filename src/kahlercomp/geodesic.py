@@ -23,13 +23,10 @@ Ball volumes integrate |det J| by Gauss-Legendre, exact with ceil((7(2n-1)+1)/2)
 nodes on each step's degree-7 dense output; each ray keeps its running volume.
 
 Every reading of the dense output (densities, frame curvature, drifts) is a
-batch method over the rays it is asked for; a ``GeodesicRay`` reads its own row.
+batch method over all rays at one radius.
 """
 
 from __future__ import annotations
-
-import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,12 +37,9 @@ from .sphere import _gauss01
 
 __all__ = [
     "GeodesicBatch",
-    "GeodesicRay",
-    "RadialDensity",
     "ConjugatePointError",
     "IntegrationStalledError",
     "ODE_TOL",
-    "shoot",
 ]
 
 
@@ -66,16 +60,6 @@ class ConjugatePointError(ValueError):
 
 class IntegrationStalledError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class RadialDensity:
-    """Radial Jacobi density at r.  J holds the Jacobi fields in an orthonormal
-    parallel frame, so sqrt(det <J_u, J_v>) = |det J| = det J before a conjugate point."""
-
-    r: float
-    value: float            # det J
-    log_derivative: float   # d/dr log value = tr(J^-1 J')
 
 
 # ---------------------------------------------------------------------------
@@ -134,30 +118,35 @@ def _jacobi_det(J, r):
     return np.ldexp(np.linalg.det(np.ldexp(J, -k[..., None, None])), k * J.shape[-1])
 
 
-def _conjugate_error(ray, r):
-    # sign flip of det J certifies a crossing; locate it for the report
-    cp = ray.conjugate_point()
-    bracket = (0.0, r) if cp is None else (cp * (1 - 1e-10), cp * (1 + 1e-10))
-    return ConjugatePointError(f"conjugate point reached before r = {r}", bracket=bracket)
+def _conjugate_point(sign, r_max):
+    """First zero of det J in (0, r_max], given ``sign(r)``, the sign of det J
+    at r: the first change from positive to not on a 128-point grid, bisected
+    to 1e-10; None if there is none."""
+    grid = np.linspace(0.0, r_max, 129)[1:]
+    signs = np.array([sign(r) for r in grid])
+    change = np.flatnonzero((signs[:-1] > 0) & (signs[1:] <= 0))
+    if not change.size:
+        return None
+    return float(_bisect(sign, grid[change[0]], grid[change[0] + 1], xtol=1e-10))
 
 
 class GeodesicBatch:
     """Unit-speed geodesics from a common base point, integrated together to r_max.
 
-    Each ray carries its parallel frame, Jacobi system and dense output.
-    Indexing or iterating gives the rays as ``GeodesicRay`` views; the batch
-    methods read the dense output once per radius for all rays.  A ray that
-    leaves the potential's validity ball is cut at the crossing, located on
-    the dense output, flagged in ``truncated`` and dropped from the active
-    set; the others go on.  A step below 10 ulp of r raises
-    ``IntegrationStalledError``.  The tolerance ``tol`` must lie in
-    [100 eps, 1); any other value, nan included, is a ``ValueError``.
+    Each ray carries its parallel frame, Jacobi system and dense output; the
+    batch methods read the dense output once per radius for all rays, and a
+    single ray is a batch of one.  A ray that leaves the potential's validity
+    ball is cut at the crossing, located on the dense output, flagged in
+    ``truncated`` and dropped from the active set; the others go on.  A step
+    below 10 ulp of r raises ``IntegrationStalledError``.  ``r_max`` must be
+    positive and finite, and the tolerance ``tol`` must lie in [100 eps, 1);
+    any other value, nan included, is a ``ValueError``.
     """
 
     def __init__(self, pot: RealAnalyticPotential, p, directions, r_max, tol=ODE_TOL,
                  frames=None):
-        if not r_max > 0:
-            raise ValueError(f"r_max must be positive, got {r_max}")
+        if not 0 < r_max < np.inf:
+            raise ValueError(f"r_max must be positive and finite, got {r_max}")
         if not _TOL_MIN <= tol < 1:
             raise ValueError(f"ODE tolerance must lie in [{_TOL_MIN:.3g}, 1), got {tol}")
         self.pot = pot
@@ -172,7 +161,6 @@ class GeodesicBatch:
         N = len(xi0)
         if frames is None:
             frames = curv.complete_frame(metric.g, xi0)[:, 1:]
-        self.initial_frames = np.array(frames, dtype=complex).reshape(N, m, n)
 
         self._dim = 2 * n + 4 * n * n + 2 * m * m
         self._jblock = slice(2 * n + 4 * n * n, 2 * n + 4 * n * n + m * m)
@@ -181,7 +169,7 @@ class GeodesicBatch:
         z, full, _, Jp = self._unpack(y0)
         z[:] = self.p
         full[:, 0] = xi0
-        full[:, 1:] = self.initial_frames
+        full[:, 1:] = np.array(frames, dtype=complex).reshape(N, m, n)
         Jp[:] = np.eye(m)
         self.nfev = 0
         self.r_max = np.full(N, float(r_max))
@@ -190,10 +178,6 @@ class GeodesicBatch:
 
     def __len__(self):
         return len(self.r_max)
-
-    def __getitem__(self, index) -> "GeodesicRay":
-        """The ray at an integer index; a slice or array is a ``TypeError``."""
-        return GeodesicRay(self, range(len(self))[operator.index(index)])
 
     # -- ODE ----------------------------------------------------------------
     def _unpack(self, Y):
@@ -322,15 +306,13 @@ class GeodesicBatch:
         self._ts = np.array(ts)
 
     # -- dense access ---------------------------------------------------------
-    def _rows(self, rows):
-        return np.arange(len(self)) if rows is None else np.atleast_1d(rows)
-
     def _states(self, r, rows=None, volume=False):
         """Packed states at r for the given ray indices (all rays by default),
-        or with ``volume`` each ray's integral of |det J| over [0, r]."""
-        rows = self._rows(rows)
+        or with ``volume`` each ray's integral of |det J| over [0, r].  An r
+        outside a ray's integrated range, nan included, is a ``ValueError``."""
+        rows = np.arange(len(self)) if rows is None else np.atleast_1d(rows)
         limit = self.r_max[rows]
-        outside = (r < -1e-15) | (r > limit * (1 + 1e-12))
+        outside = ~((r >= -1e-15) & (r <= limit * (1 + 1e-12)))
         if np.any(outside):
             i = rows[np.argmax(outside)]
             raise ValueError(f"r = {r} outside integrated range [0, {self.r_max[i]}]"
@@ -357,94 +339,44 @@ class GeodesicBatch:
             raise ValueError("volume needs r > 0")
         return self._states(r, volume=True)
 
-    def densities(self, r, rows=None):
-        """(det J, tr(J^-1 J')) at r of the given rays (all rays by default), as
-        in ``RadialDensity``.  The sign of det J comes from its LU factors, so a
-        det J that underflows at a tiny r is not taken for a conjugate point."""
+    def densities(self, r):
+        """(det J, tr(J^-1 J')) of every ray at r: the radial Jacobi density
+        and its log-derivative.  J holds the Jacobi fields in an orthonormal
+        parallel frame, so sqrt(det <J_u, J_v>) = |det J| = det J before a
+        conjugate point.  A ray with det J <= 0 at r raises
+        ``ConjugatePointError``, bracketing the first zero of its det J.  The
+        sign of det J comes from its LU factors, so a det J that underflows at
+        a tiny r is not taken for a conjugate point."""
         if r <= 0:
             raise ValueError("density needs r > 0")
-        rows = self._rows(rows)
-        _, _, J, Jp = self._unpack(self._states(r, rows))
+        _, _, J, Jp = self._unpack(self._states(r))
         bad = np.flatnonzero(np.linalg.slogdet(J).sign <= 0)
         if bad.size:
-            raise _conjugate_error(self[int(rows[bad[0]])], r)
+            row = bad[0]
+
+            def sign(s):
+                return np.linalg.slogdet(self._unpack(self._states(s, row))[2]).sign[0]
+
+            cp = _conjugate_point(sign, self.r_max[row])
+            bracket = (0.0, r) if cp is None else (cp * (1 - 1e-10), cp * (1 + 1e-10))
+            raise ConjugatePointError(f"conjugate point reached before r = {r}",
+                                      bracket=bracket)
         return _jacobi_det(J, r), np.trace(np.linalg.solve(J, Jp), axis1=-2, axis2=-1)
 
-    def frame_curvature(self, r, rows=None) -> np.ndarray:
-        """R_uv = <R(e0, e_u)e0, e_v> at r in the transported frame of each of
-        the given rays (all rays by default).
+    def frame_curvature(self, r) -> np.ndarray:
+        """R_uv = <R(e0, e_u)e0, e_v> at r in the transported frame of each ray.
 
         Ric(e0, e0) = -tr R_uv, the sum rule of the ``curvature`` module.
         """
-        z, full, *_ = self._unpack(self._states(r, rows))
+        z, full, *_ = self._unpack(self._states(r))
         return curv.frame_curvature_matrix(self._ws.curvature_values(z)[None], full[None])[0]
 
-    def quality(self, r, rows=None) -> dict:
-        """Worst Wronskian, frame and unit-speed drift at r over the given rays
-        (all rays by default)."""
-        z, full, J, Jp = self._unpack(self._states(r, rows))
+    def quality(self, r) -> dict:
+        """Worst Wronskian, frame and unit-speed drift at r over the rays."""
+        z, full, J, Jp = self._unpack(self._states(r))
         gram = 2.0 * (full @ self._ws.metric_values(z) @ np.swapaxes(full.conj(), -1, -2)).real
         W = np.swapaxes(Jp, -1, -2) @ J - np.swapaxes(J, -1, -2) @ Jp
         return {"wronskian": float(np.abs(W).max()),
                 "frame": float(np.abs(gram - np.eye(self.m + 1)).max()),
                 "speed": float(np.abs(gram[:, 0, 0] - 1.0).max())}
 
-
-class GeodesicRay:
-    """One ray of a ``GeodesicBatch``: unit-speed geodesic with parallel frame,
-    Jacobi system and dense output.  It holds its row's direction, initial
-    frame, ``r_max`` and ``truncated`` flag; its readings are the batch's on
-    its row, and the potential, base point and tolerance are the batch's."""
-
-    def __init__(self, batch: GeodesicBatch, index: int):
-        self._batch = batch
-        self._index = index
-        self.e0 = batch.e0[index]
-        self.initial_frame = batch.initial_frames[index]
-        self.truncated = bool(batch.truncated[index])
-        self.r_max = float(batch.r_max[index])
-
-    def _state(self, r):
-        """(z, [e0, e_1..e_{2n-1}], J, J') at r."""
-        return self._batch._unpack(self._batch._states(r, self._index)[0])
-
-    def position(self, r):
-        return self._state(r)[0].copy()
-
-    def jacobi(self, r):
-        _, _, J, Jp = self._state(r)
-        return J.copy(), Jp.copy()
-
-    def frame_curvature(self, r):
-        """(R_uv, Ric(e0,e0)) at parameter r, in the transported frame."""
-        R_uv = self._batch.frame_curvature(r, self._index)[0]
-        return R_uv, -float(np.trace(R_uv))
-
-    def quality(self, r) -> dict:
-        """Wronskian, frame and unit-speed drift of this ray at r."""
-        return self._batch.quality(r, self._index)
-
-    def density(self, r) -> RadialDensity:
-        value, logd = self._batch.densities(r, self._index)
-        return RadialDensity(r=r, value=float(value[0]), log_derivative=float(logd[0]))
-
-    # -- conjugate points -------------------------------------------------------
-    def conjugate_point(self):
-        """First zero of det J in (0, r_max], by grid scan plus bisection."""
-        grid = np.linspace(0.0, self.r_max, 129)[1:]
-        dets = [np.linalg.det(self.jacobi(r)[0]) for r in grid]
-        for i in range(len(grid) - 1):
-            if dets[i] > 0 and dets[i + 1] <= 0:
-                f = lambda r: np.linalg.det(self.jacobi(r)[0])
-                return float(_bisect(f, grid[i], grid[i + 1], xtol=1e-10))
-        return None
-
-
-def shoot(pot: RealAnalyticPotential, p, e0, r_max, tol=ODE_TOL, frame=None) -> GeodesicRay:
-    """Integrate the unit-speed geodesic from p in direction e0 up to r_max.
-
-    A batch of one.  The ray is truncated (with ``ray.truncated`` set) if it
-    exits the potential's validity ball first.
-    """
-    frames = None if frame is None else [frame]
-    return GeodesicBatch(pot, p, [e0], r_max, tol=tol, frames=frames)[0]

@@ -192,10 +192,10 @@ def test_criterion_6_model_conformance():
             model = ModelSpace(n, K)
             e0 = np.zeros(2 * n)
             e0[0] = 1.0
-            ray = G.shoot(pot, np.zeros(n), e0, 0.5, tol=1e-10)
+            ray = G.GeodesicBatch(pot, np.zeros(n), [e0], 0.5, tol=1e-10)
             for r in np.linspace(0.01, 0.5, 15):
                 dm = M.density(model, float(r))
-                err = abs(ray.density(float(r)).value - dm) / dm
+                err = abs(ray.densities(float(r))[0][0] - dm) / dm
                 worst = max(worst, err)
     assert worst < 1e-6
     elapsed = time.monotonic() - start
@@ -253,7 +253,7 @@ def test_criterion_8_quality_gates(flows, section6_pot):
     start = time.monotonic()
     worst = {"wronskian": 0.0, "frame": 0.0}
     for flow in flows.values():
-        q = flow.quality()
+        q = flow.rays.quality(flow.r_max)
         worst["wronskian"] = max(worst["wronskian"], q["wronskian"])
         worst["frame"] = max(worst["frame"], q["frame"])
     assert worst["wronskian"] < 1e-8

@@ -460,6 +460,10 @@ class TestUsageErrors:
         (["series", "--catalog", "section6", "--params", "a=0.1,lam=1"], "'lam'"),
         (["check", "--which", "counterexample", "--params", "a=0.1,lambda=-1"],
          "certificate refused for lambda"),
+        (["check", "--which", "counterexample", "--params", "a=0.1", "--seed", "-1"],
+         "certificate seed must be non-negative, got -1"),
+        (["check", "--which", "thm4", "--catalog", "flat", "--params", "n=2", "--K", "0",
+          "--seed", "-1"], "certificate seed must be non-negative, got -1"),
     ])
     def test_refused_parameters(self, tmp_path, capsys, argv, message):
         """Each refusal exits 1 with one ``error:`` line and writes nothing."""

@@ -541,9 +541,9 @@ class TestTheorem4:
         # the x1-axis ray alone violates the comparison on the same grid
         from kahlercomp import geodesic as G
         model = ModelSpace(2, -1.2)
-        ray = G.shoot(section6_pot, np.zeros(2), np.array([1.0, 0, 0, 0]), 0.0405,
-                      tol=1e-12)
-        gaps = [ray.density(float(r)).log_derivative - M.laplacian(model, float(r))
+        ray = G.GeodesicBatch(section6_pot, np.zeros(2), [np.array([1.0, 0, 0, 0])], 0.0405,
+                              tol=1e-12)
+        gaps = [ray.densities(float(r))[1][0] - M.laplacian(model, float(r))
                 for r in np.linspace(0.02, 0.04, 5)]
         assert min(gaps) > 0
 
@@ -676,13 +676,13 @@ class TestRigidityProbe:
 
 class TestFlowQuality:
     def test_gates(self, section6_flow):
-        q = section6_flow.quality()
+        q = section6_flow.rays.quality(section6_flow.r_max)
         assert q["wronskian"] < 1e-8
         assert q["frame"] < 1e-9
         assert q["speed"] < 1e-9
 
     def test_batch_matches_single_rays(self, section6_pot):
-        """The batched flow agrees with one shoot() per rule node.
+        """The batched flow agrees with a batch of one per rule node.
 
         section6 is torus-invariant, so the flow's rays are the rule's moment
         nodes; each stands for the nodes of its angle torus, which follow it
@@ -701,9 +701,9 @@ class TestFlowQuality:
         for r in (0.01, 0.04):
             vals, logd = (np.repeat(x, len(rule) // len(flow.rays))
                           for x in flow.rays.densities(r))
-            single = [batch[0].density(r) for batch in singles]
-            np.testing.assert_allclose(vals, [d.value for d in single], rtol=1e-12)
-            np.testing.assert_allclose(logd, [d.log_derivative for d in single], rtol=1e-12)
+            single = [batch.densities(r) for batch in singles]
+            np.testing.assert_allclose(vals, [v[0] for v, _ in single], rtol=1e-12)
+            np.testing.assert_allclose(logd, [d[0] for _, d in single], rtol=1e-12)
             volume = math.fsum(w * batch.volumes(r)[0]
                                for w, batch in zip(rule.weights, singles))
             assert flow.ball_volume(r) == pytest.approx(volume, rel=1e-12)

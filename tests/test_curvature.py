@@ -77,7 +77,7 @@ class TestMetric:
         pot = indefinite_at_06()
         p = np.array([0.6, 0.0])
         e0 = np.array([1.0, 0, 0, 0])
-        for start in (lambda: geodesic.shoot(pot, p, e0, 0.01),
+        for start in (lambda: geodesic.GeodesicBatch(pot, p, [e0], 0.01),
                       lambda: geodesic.GeodesicBatch(pot, p, [e0, [0, 0, 1.0, 0]], 0.01),
                       lambda: comparison.SphereFlow(pot, p, 0.01, rule=rule6)):
             with pytest.raises(C.KahlerDomainError) as err:
@@ -428,7 +428,7 @@ class TestJets:
         jets = C.curvature_jets_along(pot, np.zeros(2), e0, order=6)
         r = 0.01
         poly = sum(jets.R[j] * r ** j / math.factorial(j) for j in range(7))
-        ray = geodesic.shoot(pot, np.zeros(2), e0, 2 * r, tol=1e-13)
+        ray = geodesic.GeodesicBatch(pot, np.zeros(2), [e0], 2 * r, tol=1e-13)
         assert np.max(np.abs(poly - ray.frame_curvature(r)[0])) <= 1e-12
 
     def test_batch_matches_single_directions(self, section6_pot):

@@ -16,19 +16,24 @@ from kahlercomp import potential as P
 from kahlercomp import series as S
 from kahlercomp.model_space import ModelSpace
 from kahlercomp.sphere import build_rule, fan_out, unit_sphere_volume
-from oracles import exact_det, gram_log_derivative
+from oracles import exact_det, gram_log_derivative, ray_states
+
+
+def one_ray(pot, e0, r_max, tol=G.ODE_TOL, frames=None):
+    """A batch of one ray from the origin."""
+    return G.GeodesicBatch(pot, np.zeros(pot.n), [e0], r_max, tol=tol, frames=frames)
 
 
 class TestShoot:
     def test_flat_straight_line(self, flat2):
         p = np.array([0.01 + 0.01j, 0.0])
-        ray = G.shoot(flat2, p, np.array([1.0, 0.5, -0.3, 0.2]), 1.0)
-        xi0 = C.complex_rep(ray.e0)
+        ray = G.GeodesicBatch(flat2, p, [np.array([1.0, 0.5, -0.3, 0.2])], 1.0)
+        xi0 = C.complex_rep(ray.e0[0])
         for r in (0.25, 0.8):
-            assert np.allclose(ray.position(r), p + r * xi0, atol=1e-12)
+            assert np.allclose(ray_states(ray, r)[0][0], p + r * xi0, atol=1e-12)
 
     def test_unit_speed_and_frame_drift(self, section6_pot):
-        ray = G.shoot(section6_pot, np.zeros(2), np.array([0.5, 0.2, 0.1, -0.4]), 0.09)
+        ray = one_ray(section6_pot, np.array([0.5, 0.2, 0.1, -0.4]), 0.09)
         for r in (0.02, 0.05, 0.09):
             q = ray.quality(r)
             assert q["speed"] < 1e-9
@@ -38,9 +43,9 @@ class TestShoot:
         n, K = 2, 3.0
         b = K / (n + 1)
         pot = P.space_form(n, K)
-        ray = G.shoot(pot, np.zeros(n), np.array([1.0, 0, 0, 0]), 0.5, tol=1e-11)
+        ray = one_ray(pot, np.array([1.0, 0, 0, 0]), 0.5, tol=1e-11)
         for r in (0.2, 0.45):
-            rho = np.linalg.norm(ray.position(r))
+            rho = np.linalg.norm(ray_states(ray, r)[0][0])
             assert rho == pytest.approx(math.tan(math.sqrt(b) * r / math.sqrt(2))
                                         / math.sqrt(b), abs=1e-9)
 
@@ -48,34 +53,34 @@ class TestShoot:
         n, K = 2, -3.0
         b = abs(K / (n + 1))
         pot = P.space_form(n, K)
-        ray = G.shoot(pot, np.zeros(n), np.array([1.0, 0, 0, 0]), 0.5, tol=1e-11)
-        rho = np.linalg.norm(ray.position(0.4))
+        ray = one_ray(pot, np.array([1.0, 0, 0, 0]), 0.5, tol=1e-11)
+        rho = np.linalg.norm(ray_states(ray, 0.4)[0][0])
         assert rho == pytest.approx(math.tanh(math.sqrt(b) * 0.4 / math.sqrt(2))
                                     / math.sqrt(b), abs=1e-9)
 
     def test_section6_zero_a_reduces_to_flat(self):
         pot = P.section6(0.0, 0.0)
-        ray = G.shoot(pot, np.zeros(2), np.array([0.3, 0.2, 0.5, -0.1]), 0.09)
-        d = ray.density(0.08)
-        assert d.value == pytest.approx(0.08 ** 3, abs=1e-10)
+        ray = one_ray(pot, np.array([0.3, 0.2, 0.5, -0.1]), 0.09)
+        value = ray.densities(0.08)[0][0]
+        assert value == pytest.approx(0.08 ** 3, abs=1e-10)
 
     def test_validity_ball_truncates_ray(self, section6_pot):
-        ray = G.shoot(section6_pot, np.zeros(2), np.array([1.0, 0, 0, 0]), 0.5)
-        assert ray.truncated
-        assert ray.r_max < 0.5
+        ray = one_ray(section6_pot, np.array([1.0, 0, 0, 0]), 0.5)
+        assert ray.truncated[0]
+        assert ray.r_max[0] < 0.5
         with pytest.raises(ValueError, match="truncated"):
-            ray.position(0.3)
+            ray_states(ray, 0.3)
 
 
 class TestJacobi:
     def test_flat_jacobi_linear(self, flat2):
-        ray = G.shoot(flat2, np.zeros(2), np.array([1.0, 0, 0, 0]), 1.0)
-        J, Jp = ray.jacobi(0.7)
+        ray = one_ray(flat2, np.array([1.0, 0, 0, 0]), 1.0)
+        _, _, (J,), (Jp,) = ray_states(ray, 0.7)
         assert np.allclose(J, 0.7 * np.eye(3), atol=1e-12)
         assert np.allclose(Jp, np.eye(3), atol=1e-12)
 
     def test_wronskian_conserved(self, section6_pot):
-        ray = G.shoot(section6_pot, np.zeros(2), np.array([0.2, -0.4, 0.3, 0.6]), 0.09)
+        ray = one_ray(section6_pot, np.array([0.2, -0.4, 0.3, 0.6]), 0.09)
         for r in (0.03, 0.09):
             assert ray.quality(r)["wronskian"] < 1e-8
 
@@ -83,9 +88,9 @@ class TestJacobi:
         n, K = 2, 3.0
         c = 2 * K / (n + 1)
         pot = P.space_form(n, K)
-        ray = G.shoot(pot, np.zeros(n), np.array([0.2, 0.8, 0.1, -0.4]), 0.5, tol=1e-11)
+        ray = one_ray(pot, np.array([0.2, 0.8, 0.1, -0.4]), 0.5, tol=1e-11)
         for r in (0.2, 0.4):
-            J, _ = ray.jacobi(r)
+            J = ray_states(ray, r)[2][0]
             assert np.linalg.norm(J[:, 0]) == pytest.approx(
                 math.sin(math.sqrt(c) * r) / math.sqrt(c), abs=1e-9)
             for u in (1, 2):
@@ -95,20 +100,20 @@ class TestJacobi:
     def test_small_r_series_expansion(self, section6_pot):
         """J(r) = r I + (r^3/6) R + (r^4/12) R' + O(r^5) in the parallel frame."""
         e0 = np.array([1.0, 0, 0, 0])
-        ray = G.shoot(section6_pot, np.zeros(2), e0, 0.05, tol=1e-12)
+        ray = one_ray(section6_pot, e0, 0.05, tol=1e-12)
         jets = C.curvature_jets_along(section6_pot, np.zeros(2), e0, order=1)
         r = 0.01
-        J, _ = ray.jacobi(r)
+        J = ray_states(ray, r)[2][0]
         model = r * np.eye(3) + (r ** 3 / 6) * jets.R[0] + (r ** 4 / 12) * jets.R[1]
         assert np.max(np.abs(J - model)) < 5 * r ** 5
 
 
 class TestDensity:
     def test_flat_density(self, flat2):
-        ray = G.shoot(flat2, np.zeros(2), np.array([1.0, 0, 0, 0]), 1.0)
-        d = ray.density(0.5)
-        assert d.value == pytest.approx(0.5 ** 3, abs=1e-13)
-        assert d.log_derivative == pytest.approx(3 / 0.5, abs=1e-11)
+        ray = one_ray(flat2, np.array([1.0, 0, 0, 0]), 1.0)
+        (value,), (logd,) = ray.densities(0.5)
+        assert value == pytest.approx(0.5 ** 3, abs=1e-13)
+        assert logd == pytest.approx(3 / 0.5, abs=1e-11)
 
     def test_space_form_density_and_laplacian(self):
         for n, K in ((2, 1.0), (2, -3.0), (3, 3.0)):
@@ -116,25 +121,24 @@ class TestDensity:
             model = ModelSpace(n, K)
             e0 = np.zeros(2 * n)
             e0[0] = 1.0
-            ray = G.shoot(pot, np.zeros(n), e0, 0.5, tol=1e-11)
+            ray = one_ray(pot, e0, 0.5, tol=1e-11)
             for r in (0.05, 0.3, 0.5):
-                d = ray.density(r)
-                assert d.value == pytest.approx(M.density(model, r), rel=2e-7)
-                assert d.log_derivative == pytest.approx(M.laplacian(model, r),
-                                                         rel=2e-7, abs=1e-8)
+                (value,), (logd,) = ray.densities(r)
+                assert value == pytest.approx(M.density(model, r), rel=2e-7)
+                assert logd == pytest.approx(M.laplacian(model, r), rel=2e-7, abs=1e-8)
 
     def test_small_r_branch_matches_direct_formula(self, section6_pot):
         """Below r = 1e-4 the density is det J as at any radius, and agrees
         with the Gram route sqrt(det G), tr(G^-1 G')/2."""
-        ray = G.shoot(section6_pot, np.zeros(2), np.array([1.0, 0, 0, 0]), 0.01)
+        ray = one_ray(section6_pot, np.array([1.0, 0, 0, 0]), 0.01)
         r = 0.99e-4
-        series = ray.density(r)
-        J, Jp = ray.jacobi(r)
+        (value,), (logd,) = ray.densities(r)
+        _, _, (J,), (Jp,) = ray_states(ray, r)
         gram = J.T @ J
         direct_value = float(np.sqrt(np.linalg.det(gram)))
         direct_logd = 0.5 * float(np.trace(np.linalg.solve(gram, Jp.T @ J + J.T @ Jp)))
-        assert series.value == pytest.approx(direct_value, rel=1e-10)
-        assert series.log_derivative == pytest.approx(direct_logd, rel=1e-10)
+        assert value == pytest.approx(direct_value, rel=1e-10)
+        assert logd == pytest.approx(direct_logd, rel=1e-10)
 
     @pytest.mark.parametrize("pot", [P.perturbed(2, 0), P.perturbed(3, 0), P.section6(0.1, 0)],
                              ids=["perturbed-n2", "perturbed-n3", "section6"])
@@ -145,7 +149,7 @@ class TestDensity:
         batch = G.GeodesicBatch(pot, p, fan_out(pot, p, build_rule(pot.n, 4))[0], 0.04)
         for r in (0.99e-4, 1e-8, 1e-30, 0.03):
             _, logd = batch.densities(r)
-            J, Jp = map(np.array, zip(*(ray.jacobi(r) for ray in batch)))
+            _, _, J, Jp = ray_states(batch, r)
             ref = gram_log_derivative(J, Jp)
             assert np.all(np.abs(logd - ref) <= 1e-14 * np.abs(ref)), r
 
@@ -175,7 +179,7 @@ class TestDensity:
         batch = G.GeodesicBatch(pot, p, fan_out(pot, p, build_rule(pot.n, 4))[0], 0.04)
         for r in (1e-8, 1e-3, 0.04):
             vals, _ = batch.densities(r)
-            J = [ray.jacobi(r)[0] for ray in batch]
+            J = ray_states(batch, r)[2]
             err = max(abs(Fraction(v) - d) / d for v, d in zip(vals.tolist(), map(exact_det, J)))
             assert err <= 3 * np.finfo(float).eps, r
 
@@ -197,40 +201,39 @@ class TestDensity:
         np.testing.assert_allclose(logd, 5e70, rtol=1e-14)
 
     def test_density_positive_r_required(self, flat2):
-        ray = G.shoot(flat2, np.zeros(2), np.array([1.0, 0, 0, 0]), 0.1)
+        ray = one_ray(flat2, np.array([1.0, 0, 0, 0]), 0.1)
         with pytest.raises(ValueError):
-            ray.density(0.0)
+            ray.densities(0.0)
 
     def test_section6_beats_model_along_axis(self, section6_pot):
         """Radial density along the distinguished axis exceeds the model's."""
         model = ModelSpace(2, -1.2)
-        ray = G.shoot(section6_pot, np.zeros(2), np.array([1.0, 0, 0, 0]), 0.05,
-                      tol=1e-12)
+        ray = one_ray(section6_pot, np.array([1.0, 0, 0, 0]), 0.05, tol=1e-12)
         for r in (0.02, 0.04):
-            assert ray.density(r).value > M.density(model, r)
+            assert ray.densities(r)[0][0] > M.density(model, r)
 
     def test_gauge_independence_of_density(self, section6_pot):
         """Block-unitary rotation of the initial frame leaves the density alone."""
         e0 = np.array([0.3, -0.1, 0.5, 0.2])
-        ray = G.shoot(section6_pot, np.zeros(2), e0, 0.08, tol=1e-11)
-        rows = ray.initial_frame
+        ray = one_ray(section6_pot, e0, 0.08, tol=1e-11)
+        rows = ray_states(ray, 0.0)[1][0, 1:]   # the initial frame e_1..e_3
         theta = 0.7
         rot = np.array(
             [[1, 0, 0], [0, math.cos(theta), -math.sin(theta)],
              [0, math.sin(theta), math.cos(theta)]])
-        ray2 = G.shoot(section6_pot, np.zeros(2), e0, 0.08, tol=1e-11,
-                       frame=rot @ rows)
+        ray2 = one_ray(section6_pot, e0, 0.08, tol=1e-11, frames=[rot @ rows])
         for r in (0.03, 0.07):
-            d1, d2 = ray.density(r), ray2.density(r)
-            assert d1.value == pytest.approx(d2.value, rel=1e-10)
-            assert d1.log_derivative == pytest.approx(d2.log_derivative, rel=1e-10)
+            (v1,), (l1,) = ray.densities(r)
+            (v2,), (l2,) = ray2.densities(r)
+            assert v1 == pytest.approx(v2, rel=1e-10)
+            assert l1 == pytest.approx(l2, rel=1e-10)
 
     def test_antipodal_symmetry(self, section6_pot):
         e0 = np.array([0.2, 0.6, -0.3, 0.4])
         r = 0.06
-        d1 = G.shoot(section6_pot, np.zeros(2), e0, 0.07).density(r)
-        d2 = G.shoot(section6_pot, np.zeros(2), -e0, 0.07).density(r)
-        assert d1.value == pytest.approx(d2.value, rel=1e-10)
+        d1 = one_ray(section6_pot, e0, 0.07).densities(r)[0][0]
+        d2 = one_ray(section6_pot, -e0, 0.07).densities(r)[0][0]
+        assert d1 == pytest.approx(d2, rel=1e-10)
 
     def test_cumulative_volume_matches_quadrature(self, flat2, space_form_k1):
         """A batch of one integrates det J to the closed-form volume per direction."""
@@ -251,18 +254,30 @@ class TestDensity:
         with pytest.raises(ValueError, match="ODE tolerance"):
             G.GeodesicBatch(flat2, np.zeros(2), [np.array([1.0, 0, 0, 0])], 0.1, tol=tol)
 
+    @pytest.mark.parametrize("r_max", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_r_max_outside_its_range_refused(self, flat2, r_max):
+        """An infinite or nan r_max is refused before any step, as a non-positive one is."""
+        with pytest.raises(ValueError, match="r_max must be positive and finite"):
+            G.GeodesicBatch(flat2, np.zeros(2), [np.array([1.0, 0, 0, 0])], r_max)
+
+    @pytest.mark.parametrize("read", ["volumes", "densities", "frame_curvature", "quality"])
+    def test_nan_radius_refused(self, flat2, read):
+        """Every reading refuses r = nan as outside the integrated range."""
+        batch = G.GeodesicBatch(flat2, np.zeros(2), [np.array([1.0, 0, 0, 0])], 0.1)
+        with pytest.raises(ValueError, match="outside integrated range"):
+            getattr(batch, read)(float("nan"))
+
 
 class TestConjugatePoints:
-    def _fake_ray(self, r_zero):
-        """Detector unit test: a ray whose det J crosses zero at r_zero."""
-        ray = object.__new__(G.GeodesicRay)
-        ray.r_max = 1.0
-        ray.jacobi = lambda r: (np.diag([r_zero - r, 1.0, 1.0]), np.eye(3))
-        return ray
-
     def test_bisection_locates_zero(self):
-        ray = self._fake_ray(0.6180339887)
-        assert ray.conjugate_point() == pytest.approx(0.6180339887, abs=1e-9)
+        """The detector on a det J that crosses zero at 0.6180339887."""
+        def sign(r):
+            return np.linalg.slogdet(np.diag([0.6180339887 - r, 1.0, 1.0])).sign
+
+        assert G._conjugate_point(sign, 1.0) == pytest.approx(0.6180339887, abs=1e-9)
+
+    def test_no_zero_without_a_sign_change(self):
+        assert G._conjugate_point(lambda r: 1.0, 1.0) is None
 
     @pytest.mark.parametrize("a, b", [(0.25, 1.0), (-1.0, 0.25)])
     def test_bisect_root_at_an_endpoint(self, a, b):
@@ -278,27 +293,32 @@ class TestConjugatePoints:
     def test_density_raises_with_bracket(self, flat2):
         """A flat batch whose second ray has its stored J_11 stubbed to 0.5 - r:
         the batch density finds det J <= 0 at r = 0.7 and brackets that ray's
-        crossing at 0.5, whether all rays or that ray alone are read."""
+        crossing at 0.5, scanning that ray alone; the first ray is untouched."""
         dirs = [np.array([0.0, 1.0, 0, 0]), np.array([1.0, 0, 0, 0])]
         batch = G.GeodesicBatch(flat2, np.zeros(2), dirs, 1.0)
         states = batch._states
 
         def stubbed(r, rows=None, volume=False):
             y = states(r, rows, volume)
-            batch._unpack(y)[2][batch._rows(rows) == 1, 0, 0] = 0.5 - r
+            read = np.arange(len(batch)) if rows is None else np.atleast_1d(rows)
+            batch._unpack(y)[2][read == 1, 0, 0] = 0.5 - r
             return y
 
         batch._states = stubbed
-        assert batch[0].density(0.7).value == pytest.approx(0.7 ** 3, rel=1e-12)
-        for read in (lambda: batch.densities(0.7), lambda: batch[1].density(0.7)):
-            with pytest.raises(G.ConjugatePointError, match="conjugate") as err:
-                read()
-            lo, hi = err.value.bracket
-            assert lo <= 0.5 <= hi and hi - lo < 1e-9
+        assert np.linalg.det(ray_states(batch, 0.7, 0)[2][0]) == pytest.approx(0.7 ** 3,
+                                                                               rel=1e-12)
+        with pytest.raises(G.ConjugatePointError, match="conjugate") as err:
+            batch.densities(0.7)
+        lo, hi = err.value.bracket
+        assert lo <= 0.5 <= hi and hi - lo < 1e-9
 
     def test_no_conjugate_point_on_catalog_ray(self, section6_pot):
-        ray = G.shoot(section6_pot, np.zeros(2), np.array([1.0, 0, 0, 0]), 0.09)
-        assert ray.conjugate_point() is None
+        ray = one_ray(section6_pot, np.array([1.0, 0, 0, 0]), 0.09)
+
+        def sign(r):
+            return np.linalg.slogdet(ray_states(ray, r)[2]).sign[0]
+
+        assert G._conjugate_point(sign, ray.r_max[0]) is None
 
 
 class TestConvergenceOrder:
@@ -334,8 +354,8 @@ class TestConvergenceOrder:
         for K in (1.0, -1.0):
             pot = P.space_form(2, K)
             model = ModelSpace(2, K)
-            ray = G.shoot(pot, np.zeros(2), np.array([1.0, 0, 0, 0]), 0.4)
-            err = abs(ray.density(0.4).value - M.density(model, 0.4))
+            ray = one_ray(pot, np.array([1.0, 0, 0, 0]), 0.4)
+            err = abs(ray.densities(0.4)[0][0] - M.density(model, 0.4))
             assert err < 1e-9
 
 
@@ -376,43 +396,16 @@ class TestBatchedIntegrator:
                 DOP853._estimate_error_norm(DOP853, K[:, i], 0.01, scale[i]), rel=1e-13)
 
     def test_a_ray_reads_its_batch_row(self, section6_pot):
-        """Ray readings are the batch's on the ray's row, at a small and a
-        moderate radius."""
+        """The states of some rows, as the conjugate-point scan reads one, are
+        the rows of the reading of every ray, at a small and a moderate radius."""
         dirs = [np.array([1.0, 0, 0, 0]), np.array([0.3, -0.1, 0.5, 0.2]),
                 np.array([0.2, 0.6, -0.3, 0.4])]
         batch = G.GeodesicBatch(section6_pot, np.zeros(2), dirs, 0.05, tol=1e-11)
         for r in (0.5e-4, 0.03):
-            vals, logd = batch.densities(r)
-            R = batch.frame_curvature(r)
-            assert R.shape == (3, 3, 3)
-            sub_vals, sub_logd = batch.densities(r, [2, 0])
-            np.testing.assert_allclose(sub_vals, vals[[2, 0]], rtol=1e-14, atol=0)
-            np.testing.assert_allclose(sub_logd, logd[[2, 0]], rtol=1e-14, atol=0)
-            quality = batch.quality(r)
-            for k, ray in enumerate(batch):
-                d = ray.density(r)
-                assert d.value == pytest.approx(vals[k], rel=1e-14, abs=0)
-                assert d.log_derivative == pytest.approx(logd[k], rel=1e-14, abs=0)
-                R_uv, ric = ray.frame_curvature(r)
-                np.testing.assert_allclose(R_uv, R[k], rtol=0, atol=1e-14)
-                assert ric == pytest.approx(-np.trace(R[k]), abs=1e-14)
-            for key in ("wronskian", "frame", "speed"):
-                assert max(ray.quality(r)[key] for ray in batch) == pytest.approx(
-                    quality[key], abs=1e-15)
-
-    def test_rays_are_read_by_integer_index(self, flat2):
-        """An integer indexes one ray, negative ones from the end; a slice is a
-        TypeError, and iteration stops at the end of the batch."""
-        dirs = [np.array([1.0, 0, 0, 0]), np.array([0, 0, 1.0, 0])]
-        batch = G.GeodesicBatch(flat2, np.zeros(2), dirs, 0.1)
-        assert np.array_equal(batch[-1].e0, batch.e0[1])
-        assert np.array_equal(batch[np.int64(0)].e0, batch.e0[0])
-        assert len(list(batch)) == 2
-        with pytest.raises(IndexError):
-            batch[2]
-        for index in (slice(0, 2), np.array([0, 1])):
-            with pytest.raises(TypeError):
-                batch[index]
+            every = batch._states(r)
+            for rows in ([2, 0], 1):
+                np.testing.assert_allclose(batch._states(r, rows), every[np.atleast_1d(rows)],
+                                           rtol=1e-14, atol=0)
 
     def test_only_the_ray_leaving_the_ball_is_truncated(self, space_form_k1):
         """The outward ray is cut at |z| = 0.42; the others take further steps."""
@@ -421,16 +414,17 @@ class TestBatchedIntegrator:
                 ([1, 0, 0, 0], [-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0])]
         batch = G.GeodesicBatch(space_form_k1, p, dirs, 0.3, tol=1e-11)
         assert batch.truncated.tolist() == [True, False, False, False]
-        out, *inside = batch
-        assert out.r_max < 0.3
+        out_r_max = batch.r_max[0]
+        assert out_r_max < 0.3
         radius = space_form_k1.validity_radius
-        assert np.linalg.norm(out.position(out.r_max)) == pytest.approx(radius, abs=1e-12)
-        alone = G.shoot(space_form_k1, p, dirs[0], 0.3, tol=1e-11)
-        assert alone.truncated and out.r_max == pytest.approx(alone.r_max, abs=1e-10)
+        assert np.linalg.norm(ray_states(batch, out_r_max, 0)[0][0]) == pytest.approx(
+            radius, abs=1e-12)
+        alone = G.GeodesicBatch(space_form_k1, p, dirs[:1], 0.3, tol=1e-11)
+        assert alone.truncated[0] and out_r_max == pytest.approx(alone.r_max[0], abs=1e-10)
         # the crossing, on the dense output of the step that leaves, against brentq
         from scipy.optimize import brentq
         eps = np.finfo(float).eps
-        k = np.searchsorted(batch._ts, out.r_max) - 1
+        k = np.searchsorted(batch._ts, out_r_max) - 1
         rows, t_old, h, y_old, F, _ = batch._segments[k]
 
         def gap(r):
@@ -438,21 +432,21 @@ class TestBatchedIntegrator:
             return radius ** 2 - y[:4] @ y[:4]
 
         assert rows[0] == 0 and gap(t_old) > 0 > gap(t_old + h)
-        assert abs(out.r_max - brentq(gap, t_old, t_old + h, xtol=4 * eps, rtol=4 * eps)) \
-            <= 4 * eps * out.r_max
-        assert abs(gap(out.r_max)) <= 1e-13
+        assert abs(out_r_max - brentq(gap, t_old, t_old + h, xtol=4 * eps, rtol=4 * eps)) \
+            <= 4 * eps * out_r_max
+        assert abs(gap(out_r_max)) <= 1e-13
         with pytest.raises(ValueError, match="truncated"):
-            out.position(0.3)
+            ray_states(batch, 0.3, 0)
         with pytest.raises(ValueError, match="truncated"):
             batch.densities(0.3)
-        for ray, e0 in zip(inside, dirs[1:]):
-            assert ray.r_max == 0.3 and not ray.truncated
-            alone = G.shoot(space_form_k1, p, e0, 0.3, tol=1e-11)
+        for k, e0 in enumerate(dirs[1:], 1):
+            assert batch.r_max[k] == 0.3 and not batch.truncated[k]
+            alone = G.GeodesicBatch(space_form_k1, p, [e0], 0.3, tol=1e-11)
             for r in (0.2, 0.3):
-                np.testing.assert_allclose(ray.position(r), alone.position(r),
+                z, _, (J,), _ = ray_states(batch, r, k)
+                np.testing.assert_allclose(z[0], ray_states(alone, r)[0][0],
                                            rtol=0, atol=1e-11)
-                assert ray.density(r).value == pytest.approx(alone.density(r).value,
-                                                             rel=1e-10)
+                assert np.linalg.det(J) == pytest.approx(alone.densities(r)[0][0], rel=1e-10)
 
     def test_stage_sums_call_no_blas(self, monkeypatch):
         """A 64-ray generic batch integrates with numpy's BLAS entry points made to
@@ -476,7 +470,7 @@ class TestBatchedIntegrator:
 def test_one_ode_tolerance_default():
     """The rays, the checks and the CLI default to the one tolerance ``ODE_TOL``."""
     assert G.ODE_TOL == 1e-11
-    for fn, param in ((G.GeodesicBatch, "tol"), (G.shoot, "tol"), (comparison.SphereFlow, "tol"),
+    for fn, param in ((G.GeodesicBatch, "tol"), (comparison.SphereFlow, "tol"),
                       (comparison.check_volume_ratio, "tol_ode"),
                       (comparison.check_average_laplacian, "tol_ode"),
                       (comparison.rigidity_probe, "tol_ode")):

@@ -4,6 +4,7 @@ the tests read live in tests/oracles.py, not in the package."""
 import ast
 import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +23,10 @@ REMOVED = ["rm_value", "real_inner", "ricci_pairing", "real_pairing", "sphere_av
            "_metric_unit", "real_frame_components", "RealFrameCurvature", "real_rep",
            "_series_density", "_SERIES_RADIUS", "_log_derivative", "_poly_from_terms",
            "_WORKSPACES", "_halton", "_halton_tables", "_halton_permutations",
-           "_ball_candidates", "HALTON_TABLE"]
+           "_ball_candidates", "HALTON_TABLE", "GeodesicRay", "RadialDensity", "shoot",
+           "_conjugate_error", "_rows"]
 REMOVED_MEMBERS = [(curvature.HermitianMetric, "g_inv"), (series.SeriesExpansion, "condition"),
-                   (geodesic.GeodesicRay, "frame"), (polynomials.CPoly, "series_apply"),
+                   (polynomials.CPoly, "series_apply"),
                    (polynomials.CPoly, "linear_substitute"),
                    (potential.RealAnalyticPotential, "is_even"),
                    (sphere.SphereRule, "complex_nodes"),
@@ -34,12 +36,12 @@ REMOVED_MEMBERS = [(curvature.HermitianMetric, "g_inv"), (series.SeriesExpansion
                    (comparison.RicciBoundCertificate, "potential_id"),
                    (comparison.RicciBoundCertificate, "K"),
                    (comparison.SphereFlow, "densities"),
+                   (comparison.SphereFlow, "quality"),
+                   (geodesic.GeodesicBatch, "__getitem__"),
+                   (geodesic.GeodesicBatch, "_rows"),
                    (potential.Monomial, "degree")]
 # attributes set in __init__, checked on an instance
-REMOVED_ATTRIBUTES = [("GeodesicRay", "pot"), ("GeodesicRay", "n"), ("GeodesicRay", "m"),
-                      ("GeodesicRay", "tol"), ("GeodesicRay", "p"),
-                      ("GeodesicRay", "_conjugate"), ("GeodesicRay", "_conjugate_scanned"),
-                      ("SphereFlow", "tol")]
+REMOVED_ATTRIBUTES = [("SphereFlow", "tol"), ("GeodesicBatch", "initial_frames")]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -80,10 +82,17 @@ def test_removed_members_are_not_defined(cls, member):
 @pytest.fixture(scope="module")
 def instances():
     flow = comparison.SphereFlow(potential.flat(2), np.zeros(2), 0.01, sphere.build_rule(2, 2))
-    return {"SphereFlow": flow, "GeodesicRay": flow.rays[0]}
+    return {"SphereFlow": flow, "GeodesicBatch": flow.rays}
 
 
 @pytest.mark.parametrize("cls, attribute", REMOVED_ATTRIBUTES,
                          ids=[f"{c}.{a}" for c, a in REMOVED_ATTRIBUTES])
 def test_removed_attributes_are_not_set(instances, cls, attribute):
     assert not hasattr(instances[cls], attribute)
+
+
+@pytest.mark.parametrize("method", ["densities", "frame_curvature", "quality"])
+def test_batch_readings_take_only_the_radius(method):
+    """A reading covers every ray of the batch; there is no row selection."""
+    params = inspect.signature(getattr(geodesic.GeodesicBatch, method)).parameters
+    assert list(params) == ["self", "r"]

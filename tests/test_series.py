@@ -253,9 +253,9 @@ class TestFit:
 
     def test_flat_samples_give_constant(self, flat2):
         from kahlercomp import geodesic as G
-        ray = G.shoot(flat2, np.zeros(2), np.array([1.0, 0, 0, 0]), 2.1)
+        ray = G.GeodesicBatch(flat2, np.zeros(2), [np.array([1.0, 0, 0, 0])], 2.1)
         vol = unit_sphere_volume(2)
-        samples = [(r, vol * ray.density(float(r)).value / float(r) ** 3)
+        samples = [(r, vol * ray.densities(float(r))[0][0] / float(r) ** 3)
                    for r in np.geomspace(0.5, 2.0, 24)]
         fit = S.fit_w_series(samples, 6)
         assert fit.coefficients[0] == pytest.approx(vol, rel=1e-12)
@@ -264,9 +264,9 @@ class TestFit:
     def test_flat_samples_on_extraction_grid(self, flat2):
         """On the tight W-extraction grid the low orders are still clean."""
         from kahlercomp import geodesic as G
-        ray = G.shoot(flat2, np.zeros(2), np.array([1.0, 0, 0, 0]), 0.09)
+        ray = G.GeodesicBatch(flat2, np.zeros(2), [np.array([1.0, 0, 0, 0])], 0.09)
         vol = unit_sphere_volume(2)
-        samples = [(r, vol * ray.density(float(r)).value / float(r) ** 3)
+        samples = [(r, vol * ray.densities(float(r))[0][0] / float(r) ** 3)
                    for r in np.geomspace(5e-3, 8e-2, 24)]
         fit = S.fit_w_series(samples, 6)
         assert fit.coefficients[0] == pytest.approx(vol, rel=1e-12)
@@ -337,8 +337,8 @@ class TestPerDirectionConsistency:
         e0 = np.array([0.5, 0.2, -0.4, 0.3])
         jets = C.curvature_jets_along(pot, np.zeros(2), e0, order=2)
         sym = S.density_series(S.jacobi_recursion(jets, 5), 4).coefficients
-        ray = G.shoot(pot, np.zeros(2), e0, 0.085, tol=1e-12)
-        samples = [(float(r), ray.density(float(r)).value / float(r) ** 3)
+        ray = G.GeodesicBatch(pot, np.zeros(2), [e0], 0.085, tol=1e-12)
+        samples = [(float(r), ray.densities(float(r))[0][0] / float(r) ** 3)
                    for r in np.geomspace(5e-3, 8e-2, 24)]
         fit = S.fit_w_series(samples, 6).coefficients
         assert abs(sym[3]) > 1e-3  # asymmetry shows up at odd order
