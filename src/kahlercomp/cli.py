@@ -69,8 +69,8 @@ def _load_potential(args):
 def _grid(args):
     if args.r_steps < 1:
         raise ValueError(f"--r-steps must be at least 1, got {args.r_steps}")
-    if not 0 < args.r_min <= args.r_max:
-        raise ValueError(f"--r-min must satisfy 0 < --r-min <= --r-max, got "
+    if not 0 < args.r_min <= args.r_max < math.inf:
+        raise ValueError(f"--r-min must satisfy 0 < --r-min <= --r-max < inf, got "
                          f"--r-min {args.r_min} and --r-max {args.r_max}")
     return np.linspace(args.r_min, args.r_max, args.r_steps)
 
@@ -140,7 +140,7 @@ def cmd_model(args) -> int:
                          model_space.sphere_area(model, r),
                          model_space.ball_volume(model, r),
                          model_space.laplacian(model, r)))
-        except ValueError:
+        except (ValueError, OverflowError):   # beyond the conjugate radius, or overflow
             rows.append((r, "domain_error", "", "", "", ""))
     _emit(args, {"command": "model", "n": args.n, "K": args.K, "rows": len(rows)},
           ("model.csv", ["r", "status", "density", "area", "volume", "laplacian"], rows))

@@ -50,6 +50,7 @@ TOL_LAPLACIAN = 1e-7   # absolute, average Laplacian
 VOLUME_RATIO_RADII = 256
 CERT_TOL = 1e-9
 LAMBDA_SAMPLES = 4000  # certificate samples of each find_lambda step
+LAMBDA_RHO = 0.05      # radius of the ball the counterexample's lambda is certified on
 # points whose least eigenvalues the certificate takes together: four blocks
 # of the Ricci pass, so that the n = 3 closed form runs on long arrays while
 # the whitened deficits held at once stay small (2048 x 9 floats at n = 3)
@@ -405,8 +406,9 @@ def _radius_grid(r_grid, n):
 def check_volume_ratio(pot: RealAnalyticPotential, K, r_grid=None, rule=None,
                        tol_ode=geodesic.ODE_TOL, seed=0) -> ComparisonReport:
     """Vol(B(b))/Vol(B(a)) at the origin against the model ratio over all grid
-    pairs a < b, on the ball where Ric >= K g is certified.  A grid with a
-    repeated radius is refused: its pair (a, a) has margin 0 by construction.
+    pairs a < b, on the ball where Ric >= K g is certified.  A grid that is
+    not strictly increasing is refused: a repeated radius gives the pair
+    (a, a) a margin 0 by construction, and the pairs are taken in grid order.
     So is one of more than ``VOLUME_RATIO_RADII`` radii, whose table of pairs
     grows with the square of the grid."""
     r_grid = _radius_grid(r_grid, pot.n)
@@ -415,8 +417,9 @@ def check_volume_ratio(pot: RealAnalyticPotential, K, r_grid=None, rule=None,
     if r_grid.size > VOLUME_RATIO_RADII:
         raise ValueError(f"volume-ratio check takes at most {VOLUME_RATIO_RADII} radii, "
                          f"got {r_grid.size}")
-    if len(set(r_grid.tolist())) < r_grid.size:
-        raise ValueError(f"volume-ratio check needs distinct radii, got {r_grid.tolist()}")
+    if not np.all(np.diff(r_grid) > 0):
+        raise ValueError(f"volume-ratio check needs distinct radii in increasing order, "
+                         f"got {r_grid.tolist()}")
     b_max = float(r_grid.max())
     certificate, flow = _certified_flow(pot, K, b_max, b_max, rule, tol_ode, seed)
     model = model_space.ModelSpace(pot.n, float(K))
@@ -524,7 +527,7 @@ def _r4_exact_margin(a: Fraction) -> Fraction:
     return Fraction(2, 15) * a * a
 
 
-def verify_counterexample(a=0.1, lam=None, rho=0.05, seed=0) -> CounterexampleReport:
+def verify_counterexample(a=0.1, lam=None, seed=0) -> CounterexampleReport:
     """Staged end-to-end verification of the section6 counterexample family.
 
     Stages: (i) exact metric/determinant series goldens; (ii) exact order-3
@@ -545,15 +548,15 @@ def verify_counterexample(a=0.1, lam=None, rho=0.05, seed=0) -> CounterexampleRe
         raise ValueError("the counterexample needs a nonzero curvature parameter a")
     a_frac = Fraction(a)
     if lam is None:
-        lam, steps = find_lambda(a, rho, seed=seed)
+        lam, steps = find_lambda(a, LAMBDA_RHO, seed=seed)
     else:
-        cert = _lambda_certificate(a, lam, rho, LAMBDA_SAMPLES, seed)
+        cert = _lambda_certificate(a, lam, LAMBDA_RHO, LAMBDA_SAMPLES, seed)
         if not cert.passed:
             raise ValueError(
                 f"Ricci bound certificate refused for lambda {float(lam)} (min eigenvalue "
                 f"{cert.min_eigenvalue:.3g} at {cert.witness})")
         steps = [(float(lam), cert.min_eigenvalue, cert.passed)]
-    search = {"rho": float(rho), "samples": LAMBDA_SAMPLES, "seed": seed,
+    search = {"rho": LAMBDA_RHO, "samples": LAMBDA_SAMPLES, "seed": seed,
               "steps": [list(step) for step in steps]}
     report = CounterexampleReport(a=float(a), lam=float(lam), lambda_search=search)
     pot, pot1, pot0 = section6(a, lam), section6(a, 1), section6(a, 0)

@@ -19,6 +19,10 @@ The rays share one step sequence, but each ray's error norm is taken over
 that ray's own components and a step is accepted only when every ray's norm
 is below one, so each ray meets the tolerance it would meet integrated alone.
 
+Every ray is integrated over the same range [0, r_max], inside the
+potential's validity ball: a step that takes any ray to |z| >= validity radius
+raises ``curvature.KahlerDomainError`` and is not stored.
+
 Ball volumes integrate |det J| by Gauss-Legendre, exact with ceil((7(2n-1)+1)/2)
 nodes on each step's degree-7 dense output; each ray keeps its running volume.
 
@@ -86,7 +90,7 @@ def _interpolate(x, y_old, F):
     return y + y_old
 
 
-def _bisect(f, a, b, xtol=0.0):
+def _bisect(f, a, b, xtol):
     """A root of f in [a, b], given that f(a) and f(b) do not share a sign.
 
     Halves the bracket until it is at most xtol wide or its midpoint no
@@ -135,16 +139,15 @@ class GeodesicBatch:
 
     Each ray carries its parallel frame, Jacobi system and dense output; the
     batch methods read the dense output once per radius for all rays, and a
-    single ray is a batch of one.  A ray that leaves the potential's validity
-    ball is cut at the crossing, located on the dense output, flagged in
-    ``truncated`` and dropped from the active set; the others go on.  A step
-    below 10 ulp of r raises ``IntegrationStalledError``.  ``r_max`` must be
+    single ray is a batch of one.  Every ray shares the range [0, r_max]: a
+    ray that leaves the potential's validity ball raises
+    ``curvature.KahlerDomainError`` during the integration.  A step below
+    10 ulp of r raises ``IntegrationStalledError``.  ``r_max`` must be
     positive and finite, and the tolerance ``tol`` must lie in [100 eps, 1);
     any other value, nan included, is a ``ValueError``.
     """
 
-    def __init__(self, pot: RealAnalyticPotential, p, directions, r_max, tol=ODE_TOL,
-                 frames=None):
+    def __init__(self, pot: RealAnalyticPotential, p, directions, r_max, tol=ODE_TOL):
         if not 0 < r_max < np.inf:
             raise ValueError(f"r_max must be positive and finite, got {r_max}")
         if not _TOL_MIN <= tol < 1:
@@ -154,30 +157,24 @@ class GeodesicBatch:
         m = self.m = 2 * n - 1
         self.tol = float(tol)
         metric = curv.metric_at(pot, p)  # inside the ball, positive definite
-        self.p = metric.point
         self._ws = curv.workspace(pot)
         xi0 = curv.normalize_direction(metric.g, np.reshape(directions, (-1, 2 * n)))
         self.e0 = xi0.view(float).copy()
-        N = len(xi0)
-        if frames is None:
-            frames = curv.complete_frame(metric.g, xi0)[:, 1:]
 
         self._dim = 2 * n + 4 * n * n + 2 * m * m
         self._jblock = slice(2 * n + 4 * n * n, 2 * n + 4 * n * n + m * m)
         self._nodes, self._weights = _gauss01((7 * m + 2) // 2)
-        y0 = np.zeros((N, self._dim))
+        y0 = np.zeros((len(xi0), self._dim))
         z, full, _, Jp = self._unpack(y0)
-        z[:] = self.p
-        full[:, 0] = xi0
-        full[:, 1:] = np.array(frames, dtype=complex).reshape(N, m, n)
+        z[:] = metric.point
+        full[:] = curv.complete_frame(metric.g, xi0)
         Jp[:] = np.eye(m)
         self.nfev = 0
-        self.r_max = np.full(N, float(r_max))
-        self.truncated = np.zeros(N, dtype=bool)
-        self._integrate(y0, float(r_max))
+        self.r_max = float(r_max)
+        self._integrate(y0)
 
     def __len__(self):
-        return len(self.r_max)
+        return len(self.e0)
 
     # -- ODE ----------------------------------------------------------------
     def _unpack(self, Y):
@@ -229,31 +226,24 @@ class GeodesicBatch:
             K[s] = self._rhs(ys)
 
     def _volume(self, y_old, F, t_old, h, x):
-        """Integral of |det J| over the first fraction x (per ray) of a step from t_old."""
+        """Each ray's integral of |det J| over the first fraction x of a step from t_old."""
         jb = self._jblock
-        nodes = np.multiply.outer(self._nodes, x)
-        J = _interpolate(nodes[..., None], y_old[:, jb], F[:, :, jb])
-        det = np.abs(_jacobi_det(J.reshape(J.shape[:2] + (self.m, self.m)), t_old + nodes * h))
+        nodes = self._nodes * x
+        J = _interpolate(nodes[:, None, None], y_old[:, jb], F[:, :, jb])
+        det = np.abs(_jacobi_det(J.reshape(J.shape[:2] + (self.m, self.m)),
+                                 t_old + nodes[:, None] * h))
         return h * x * np.einsum("k,kr->r", self._weights, det)
 
-    def _integrate(self, y, r_end):
-        tol = self.tol
+    def _integrate(self, y):
+        tol, r_end = self.tol, self.r_max
         radius = self.pot.validity_radius
-        bounded = np.isfinite(radius)
-
-        def gap(Y):
-            return radius ** 2 - np.einsum("...i,...i->...", Y[..., :2 * self.n],
-                                           Y[..., :2 * self.n])
-
-        rows = np.arange(len(y))
         f = self._rhs(y)
         h_abs = self._initial_step(y, f, r_end)
-        g = gap(y) if bounded else None
         ts = [0.0]
-        self._segments = []   # (rows, t_old, h, y_old, F, volume at t_old) per accepted step
+        self._segments = []   # (t_old, h, y_old, F, volume at t_old) per accepted step
         volume = np.zeros(len(y))
         t = 0.0
-        while t < r_end and rows.size:
+        while t < r_end:
             min_step = 10 * abs(np.nextafter(t, np.inf) - t)
             h_abs = max(h_abs, min_step)
             K = np.empty((dop.N_STAGES_EXTENDED,) + y.shape)
@@ -279,59 +269,38 @@ class GeodesicBatch:
                 h_abs *= max(MIN_FACTOR, SAFETY * worst ** _ERROR_EXPONENT)
                 rejected = True
 
+            z_new = y_new[:, :2 * self.n]
+            outside = np.flatnonzero(np.einsum("ij,ij->i", z_new, z_new) >= radius ** 2)
+            if outside.size:
+                raise curv.KahlerDomainError(
+                    f"ray {outside[0]} leaves the validity ball |z| < {radius:.4g} in the "
+                    f"step from r = {t:.6g} to r = {t_new:.6g}")
             self._stages(y, h, K, _STAGES + 1, dop.N_STAGES_EXTENDED)
             F = np.empty((dop.INTERPOLATOR_POWER,) + y.shape)
             F[0] = delta = y_new - y
             F[1] = h * f - delta
             F[2] = 2 * delta - h * (f_new + f)
             np.einsum("is,s...->i...", h * dop.D, K, out=F[3:])
-            self._segments.append((rows, t, h, y, F, volume))
-            volume = volume + self._volume(y, F, t, h, np.ones(len(y)))
+            self._segments.append((t, h, y, F, volume))
+            volume = volume + self._volume(y, F, t, h, 1.0)
             ts.append(t_new)
-
-            if bounded:
-                # a ray that crosses the ball's sphere is cut at the crossing,
-                # located on its dense output to the last float
-                g_new = gap(y_new)
-                left = (g >= 0) & (g_new <= 0)
-                for j in np.flatnonzero(left):
-                    def crossing(s, j=j, t_old=t, y_old=y):
-                        return gap(_interpolate((s - t_old) / h, y_old[j], F[:, j]))
-                    self.r_max[rows[j]] = _bisect(crossing, t, t_new)
-                    self.truncated[rows[j]] = True
-                keep = ~left
-                rows, y_new, f_new, g = rows[keep], y_new[keep], f_new[keep], g_new[keep]
-                volume = volume[keep]
             t, y, f = t_new, y_new, f_new
         self._ts = np.array(ts)
 
     # -- dense access ---------------------------------------------------------
-    def _states(self, r, rows=None, volume=False):
-        """Packed states at r for the given ray indices (all rays by default),
-        or with ``volume`` each ray's integral of |det J| over [0, r].  An r
-        outside a ray's integrated range, nan included, is a ``ValueError``."""
-        rows = np.arange(len(self)) if rows is None else np.atleast_1d(rows)
-        limit = self.r_max[rows]
-        outside = ~((r >= -1e-15) & (r <= limit * (1 + 1e-12)))
-        if np.any(outside):
-            i = rows[np.argmax(outside)]
-            raise ValueError(f"r = {r} outside integrated range [0, {self.r_max[i]}]"
-                             + (" (ray truncated at the validity ball)"
-                                if self.truncated[i] else ""))
-        r_i = np.clip(r, 0.0, limit)
-        seg = np.clip(np.searchsorted(self._ts, r_i, side="left") - 1,
-                      0, len(self._segments) - 1)
-        out = np.empty((len(rows),) if volume else (len(rows), self._dim))
-        for k in np.flatnonzero(np.bincount(seg)):
-            sel = seg == k
-            seg_rows, t_old, h, y_old, F, before = self._segments[k]
-            pos = np.searchsorted(seg_rows, rows[sel])
-            if len(pos) < len(seg_rows):
-                y_old, F, before = y_old[pos], F[:, pos], before[pos]
-            x = (r_i[sel] - t_old) / h
-            out[sel] = (before + self._volume(y_old, F, t_old, h, x) if volume
-                        else _interpolate(x[:, None], y_old, F))
-        return out
+    def _states(self, r, volume=False):
+        """Packed states of every ray at r, or with ``volume`` each ray's
+        integral of |det J| over [0, r].  An r outside [0, r_max], nan
+        included, is a ``ValueError``."""
+        if not -1e-15 <= r <= self.r_max * (1 + 1e-12):
+            raise ValueError(f"r = {r} outside integrated range [0, {self.r_max}]")
+        r = min(max(r, 0.0), self.r_max)
+        k = min(max(int(np.searchsorted(self._ts, r, side="left")) - 1, 0),
+                len(self._segments) - 1)
+        t_old, h, y_old, F, before = self._segments[k]
+        x = (r - t_old) / h
+        return (before + self._volume(y_old, F, t_old, h, x) if volume
+                else _interpolate(x, y_old, F))
 
     def volumes(self, r) -> np.ndarray:
         """Every ray's integral of |det J| over [0, r]: its share of the ball volume."""
@@ -355,9 +324,9 @@ class GeodesicBatch:
             row = bad[0]
 
             def sign(s):
-                return np.linalg.slogdet(self._unpack(self._states(s, row))[2]).sign[0]
+                return np.linalg.slogdet(self._unpack(self._states(s))[2][row]).sign
 
-            cp = _conjugate_point(sign, self.r_max[row])
+            cp = _conjugate_point(sign, self.r_max)
             bracket = (0.0, r) if cp is None else (cp * (1 - 1e-10), cp * (1 + 1e-10))
             raise ConjugatePointError(f"conjugate point reached before r = {r}",
                                       bracket=bracket)

@@ -55,10 +55,10 @@ def rm_value(RH, xi, eta, zeta, omega) -> float:
 # the state of the rays of a geodesic batch
 # ---------------------------------------------------------------------------
 
-def ray_states(batch, r, rows=None):
-    """(z, [e0, e_1..e_{2n-1}], J, J') at r of the given rays of a
-    ``GeodesicBatch`` (all by default), read from its dense output."""
-    return batch._unpack(batch._states(r, rows))
+def ray_states(batch, r):
+    """(z, [e0, e_1..e_{2n-1}], J, J') at r of every ray of a
+    ``GeodesicBatch``, read from its dense output."""
+    return batch._unpack(batch._states(r))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """CLI behavior: tables, reports, exit codes, reproducibility."""
 
+import csv
+import io
 import json
 import math
 import subprocess
@@ -406,9 +408,28 @@ class TestUsageErrors:
                          "--order", order]) == 1
         assert f"--order must be at least 0, got {order}" in capsys.readouterr().err
 
-    def test_bad_model_grid(self, capsys):
-        assert cli.main(["model", "--n", "2", "--K", "0", "--r-steps", "0"]) == 1
-        assert "--r-steps" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--r-steps", "0", "--r-steps"), ("--r-max", "inf", "--r-max < inf")])
+    def test_bad_model_grid(self, tmp_path, capsys, flag, value, message):
+        """Each refusal exits 1 with one ``error:`` line and writes nothing; an
+        infinite --r-max used to print a nan row."""
+        out = tmp_path / "d"
+        assert cli.main(["model", "--n", "2", "--K", "-1", flag, value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("K, r_max", [("0", "1e308"), ("-1", "1000")])
+    def test_model_overflow_is_a_domain_error(self, capsys, K, r_max):
+        """A radius where a closed form overflows a float is a ``domain_error``
+        row, not an ``OverflowError`` traceback; the finite row stays ``ok``."""
+        assert cli.main(["model", "--n", "2", "--K", K, "--r-max", r_max,
+                         "--r-steps", "3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = list(csv.reader(io.StringIO(captured.out)))[1:]
+        assert [row[1] for row in rows] == ["ok", "domain_error", "domain_error"]
+        assert all(math.isfinite(float(x)) for x in rows[0][2:])
 
     @pytest.mark.parametrize("n, K, message", [
         ("2", "nan", "--K must be finite"), ("2", "inf", "--K must be finite"),
@@ -464,6 +485,8 @@ class TestUsageErrors:
          "certificate seed must be non-negative, got -1"),
         (["check", "--which", "thm4", "--catalog", "flat", "--params", "n=2", "--K", "0",
           "--seed", "-1"], "certificate seed must be non-negative, got -1"),
+        (["check", "--which", "thm4", "--catalog", "section6", "--params", "a=0.1", "--K",
+          "-1.2", "--r-max", "0.3", "--r-steps", "3"], "leaves the validity ball |z| < 0.1"),
     ])
     def test_refused_parameters(self, tmp_path, capsys, argv, message):
         """Each refusal exits 1 with one ``error:`` line and writes nothing."""

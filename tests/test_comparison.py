@@ -467,6 +467,17 @@ class TestTheorem3:
         assert rep.verdict == "holds"
         assert rep.rule == {"degree": 6, "nodes": 64, "rays": 2, "symmetry": "torus"}
 
+    def test_descending_grid_refused(self):
+        """The pairs are taken in grid order, so a descending grid would compare
+        Vol(B(0.02))/Vol(B(0.04)) and so on: perturbed(2, 0) at K = -1 read
+        `violated` there while the same radii in increasing order hold."""
+        from kahlercomp.sphere import build_rule
+        pot, rule = P.perturbed(2, 0), build_rule(2, 4)
+        with pytest.raises(ValueError, match="distinct radii in increasing order"):
+            CMP.check_volume_ratio(pot, -1.0, [0.04, 0.02, 0.01], rule=rule)
+        rep = CMP.check_volume_ratio(pot, -1.0, [0.01, 0.02, 0.04], rule=rule)
+        assert rep.verdict == "holds"
+
     def test_ratio_monotone_in_radius(self, section6_pot, section6_flow):
         model = ModelSpace(2, -1.2)
         grid = np.linspace(0.005, 0.04, 8)
@@ -608,7 +619,7 @@ class TestCounterexample:
         assert st["max_margin"] > 10 * st["error_budget"]
 
     def test_negative_a_variant(self):
-        rep = CMP.verify_counterexample(a=-0.1, rho=0.05)
+        rep = CMP.verify_counterexample(a=-0.1)
         assert rep.lam > 0
         assert rep.passed_all
         search = rep.lambda_search
@@ -716,12 +727,9 @@ class TestFlowQuality:
                 flow.ball_volume(r)
         with pytest.raises(ValueError, match="outside integrated range"):
             flow.ball_volume(0.05)
-        # off-centre, the outward rays are cut where they leave the validity ball
-        flow = CMP.SphereFlow(space_form_k1, np.array([0.3, 0.0]), 0.3,
-                              rule=build_rule(2, 2))
-        assert flow.rays.truncated.any() and not flow.rays.truncated.all()
-        with pytest.raises(ValueError, match="truncated at the validity ball"):
-            flow.ball_volume(0.3)
+        # off-centre, the outward rays leave the validity ball before r = 0.3
+        with pytest.raises(C.KahlerDomainError, match="leaves the validity ball"):
+            CMP.SphereFlow(space_form_k1, np.array([0.3, 0.0]), 0.3, rule=build_rule(2, 2))
 
     def test_three_complex_dimensions(self):
         from kahlercomp.sphere import build_rule

@@ -19,9 +19,9 @@ from kahlercomp.sphere import build_rule, fan_out, unit_sphere_volume
 from oracles import exact_det, gram_log_derivative, ray_states
 
 
-def one_ray(pot, e0, r_max, tol=G.ODE_TOL, frames=None):
+def one_ray(pot, e0, r_max, tol=G.ODE_TOL):
     """A batch of one ray from the origin."""
-    return G.GeodesicBatch(pot, np.zeros(pot.n), [e0], r_max, tol=tol, frames=frames)
+    return G.GeodesicBatch(pot, np.zeros(pot.n), [e0], r_max, tol=tol)
 
 
 class TestShoot:
@@ -64,12 +64,11 @@ class TestShoot:
         value = ray.densities(0.08)[0][0]
         assert value == pytest.approx(0.08 ** 3, abs=1e-10)
 
-    def test_validity_ball_truncates_ray(self, section6_pot):
-        ray = one_ray(section6_pot, np.array([1.0, 0, 0, 0]), 0.5)
-        assert ray.truncated[0]
-        assert ray.r_max[0] < 0.5
-        with pytest.raises(ValueError, match="truncated"):
-            ray_states(ray, 0.3)
+    def test_validity_ball_refuses_ray(self, section6_pot):
+        """A ray that leaves the 0.1-ball before r_max is refused while it is integrated."""
+        with pytest.raises(C.KahlerDomainError,
+                           match=r"ray 0 leaves the validity ball \|z\| < 0.1"):
+            one_ray(section6_pot, np.array([1.0, 0, 0, 0]), 0.5)
 
 
 class TestJacobi:
@@ -212,16 +211,25 @@ class TestDensity:
         for r in (0.02, 0.04):
             assert ray.densities(r)[0][0] > M.density(model, r)
 
-    def test_gauge_independence_of_density(self, section6_pot):
+    def test_gauge_independence_of_density(self, section6_pot, monkeypatch):
         """Block-unitary rotation of the initial frame leaves the density alone."""
         e0 = np.array([0.3, -0.1, 0.5, 0.2])
         ray = one_ray(section6_pot, e0, 0.08, tol=1e-11)
-        rows = ray_states(ray, 0.0)[1][0, 1:]   # the initial frame e_1..e_3
         theta = 0.7
         rot = np.array(
             [[1, 0, 0], [0, math.cos(theta), -math.sin(theta)],
              [0, math.sin(theta), math.cos(theta)]])
-        ray2 = one_ray(section6_pot, e0, 0.08, tol=1e-11, frames=[rot @ rows])
+        complete = C.complete_frame
+
+        def rotated(g, xi0):
+            frame = complete(g, xi0)
+            frame[:, 1:] = rot @ frame[:, 1:]   # rotate e_1..e_3, keep e0
+            return frame
+
+        monkeypatch.setattr(G.curv, "complete_frame", rotated)
+        ray2 = one_ray(section6_pot, e0, 0.08, tol=1e-11)
+        np.testing.assert_allclose(ray_states(ray2, 0.0)[1][0, 1:],
+                                   rot @ ray_states(ray, 0.0)[1][0, 1:], rtol=0, atol=1e-15)
         for r in (0.03, 0.07):
             (v1,), (l1,) = ray.densities(r)
             (v2,), (l2,) = ray2.densities(r)
@@ -281,7 +289,7 @@ class TestConjugatePoints:
 
     @pytest.mark.parametrize("a, b", [(0.25, 1.0), (-1.0, 0.25)])
     def test_bisect_root_at_an_endpoint(self, a, b):
-        assert G._bisect(lambda x: x - 0.25, a, b) == 0.25
+        assert G._bisect(lambda x: x - 0.25, a, b, 0.0) == 0.25
         assert G._bisect(lambda x: x - 0.25, a, b, xtol=1e-6) == pytest.approx(0.25, abs=1e-6)
 
     def test_bisect_on_adjacent_floats_terminates_inside(self):
@@ -293,20 +301,19 @@ class TestConjugatePoints:
     def test_density_raises_with_bracket(self, flat2):
         """A flat batch whose second ray has its stored J_11 stubbed to 0.5 - r:
         the batch density finds det J <= 0 at r = 0.7 and brackets that ray's
-        crossing at 0.5, scanning that ray alone; the first ray is untouched."""
+        crossing at 0.5, scanning that ray's J; the first ray is untouched."""
         dirs = [np.array([0.0, 1.0, 0, 0]), np.array([1.0, 0, 0, 0])]
         batch = G.GeodesicBatch(flat2, np.zeros(2), dirs, 1.0)
         states = batch._states
 
-        def stubbed(r, rows=None, volume=False):
-            y = states(r, rows, volume)
-            read = np.arange(len(batch)) if rows is None else np.atleast_1d(rows)
-            batch._unpack(y)[2][read == 1, 0, 0] = 0.5 - r
+        def stubbed(r):
+            y = states(r)
+            batch._unpack(y)[2][1, 0, 0] = 0.5 - r
             return y
 
         batch._states = stubbed
-        assert np.linalg.det(ray_states(batch, 0.7, 0)[2][0]) == pytest.approx(0.7 ** 3,
-                                                                               rel=1e-12)
+        assert np.linalg.det(ray_states(batch, 0.7)[2][0]) == pytest.approx(0.7 ** 3,
+                                                                            rel=1e-12)
         with pytest.raises(G.ConjugatePointError, match="conjugate") as err:
             batch.densities(0.7)
         lo, hi = err.value.bracket
@@ -318,7 +325,7 @@ class TestConjugatePoints:
         def sign(r):
             return np.linalg.slogdet(ray_states(ray, r)[2]).sign[0]
 
-        assert G._conjugate_point(sign, ray.r_max[0]) is None
+        assert G._conjugate_point(sign, ray.r_max) is None
 
 
 class TestConvergenceOrder:
@@ -395,58 +402,25 @@ class TestBatchedIntegrator:
             assert norms[i] == pytest.approx(
                 DOP853._estimate_error_norm(DOP853, K[:, i], 0.01, scale[i]), rel=1e-13)
 
-    def test_a_ray_reads_its_batch_row(self, section6_pot):
-        """The states of some rows, as the conjugate-point scan reads one, are
-        the rows of the reading of every ray, at a small and a moderate radius."""
-        dirs = [np.array([1.0, 0, 0, 0]), np.array([0.3, -0.1, 0.5, 0.2]),
-                np.array([0.2, 0.6, -0.3, 0.4])]
-        batch = G.GeodesicBatch(section6_pot, np.zeros(2), dirs, 0.05, tol=1e-11)
-        for r in (0.5e-4, 0.03):
-            every = batch._states(r)
-            for rows in ([2, 0], 1):
-                np.testing.assert_allclose(batch._states(r, rows), every[np.atleast_1d(rows)],
-                                           rtol=1e-14, atol=0)
-
-    def test_only_the_ray_leaving_the_ball_is_truncated(self, space_form_k1):
-        """The outward ray is cut at |z| = 0.42; the others take further steps."""
+    def test_a_ray_leaving_the_ball_refuses_the_batch(self, space_form_k1):
+        """The outward ray reaches |z| = 0.42 before r = 0.3, so its batch is
+        refused and the message names it; the three inward rays as a batch
+        match each ray integrated alone."""
         p = np.array([0.3, 0.0])
         dirs = [np.array(d, dtype=float) for d in
                 ([1, 0, 0, 0], [-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0])]
-        batch = G.GeodesicBatch(space_form_k1, p, dirs, 0.3, tol=1e-11)
-        assert batch.truncated.tolist() == [True, False, False, False]
-        out_r_max = batch.r_max[0]
-        assert out_r_max < 0.3
-        radius = space_form_k1.validity_radius
-        assert np.linalg.norm(ray_states(batch, out_r_max, 0)[0][0]) == pytest.approx(
-            radius, abs=1e-12)
-        alone = G.GeodesicBatch(space_form_k1, p, dirs[:1], 0.3, tol=1e-11)
-        assert alone.truncated[0] and out_r_max == pytest.approx(alone.r_max[0], abs=1e-10)
-        # the crossing, on the dense output of the step that leaves, against brentq
-        from scipy.optimize import brentq
-        eps = np.finfo(float).eps
-        k = np.searchsorted(batch._ts, out_r_max) - 1
-        rows, t_old, h, y_old, F, _ = batch._segments[k]
-
-        def gap(r):
-            y = G._interpolate((r - t_old) / h, y_old[0], F[:, 0])
-            return radius ** 2 - y[:4] @ y[:4]
-
-        assert rows[0] == 0 and gap(t_old) > 0 > gap(t_old + h)
-        assert abs(out_r_max - brentq(gap, t_old, t_old + h, xtol=4 * eps, rtol=4 * eps)) \
-            <= 4 * eps * out_r_max
-        assert abs(gap(out_r_max)) <= 1e-13
-        with pytest.raises(ValueError, match="truncated"):
-            ray_states(batch, 0.3, 0)
-        with pytest.raises(ValueError, match="truncated"):
-            batch.densities(0.3)
-        for k, e0 in enumerate(dirs[1:], 1):
-            assert batch.r_max[k] == 0.3 and not batch.truncated[k]
+        with pytest.raises(C.KahlerDomainError, match="ray 0 leaves the validity ball"):
+            G.GeodesicBatch(space_form_k1, p, dirs, 0.3, tol=1e-11)
+        batch = G.GeodesicBatch(space_form_k1, p, dirs[1:], 0.3, tol=1e-11)
+        assert batch.r_max == 0.3
+        for k, e0 in enumerate(dirs[1:]):
             alone = G.GeodesicBatch(space_form_k1, p, [e0], 0.3, tol=1e-11)
             for r in (0.2, 0.3):
-                z, _, (J,), _ = ray_states(batch, r, k)
-                np.testing.assert_allclose(z[0], ray_states(alone, r)[0][0],
+                z, _, J, _ = ray_states(batch, r)
+                np.testing.assert_allclose(z[k], ray_states(alone, r)[0][0],
                                            rtol=0, atol=1e-11)
-                assert np.linalg.det(J) == pytest.approx(alone.densities(r)[0][0], rel=1e-10)
+                assert np.linalg.det(J[k]) == pytest.approx(alone.densities(r)[0][0],
+                                                            rel=1e-10)
 
     def test_stage_sums_call_no_blas(self, monkeypatch):
         """A 64-ray generic batch integrates with numpy's BLAS entry points made to

@@ -41,7 +41,8 @@ REMOVED_MEMBERS = [(curvature.HermitianMetric, "g_inv"), (series.SeriesExpansion
                    (geodesic.GeodesicBatch, "_rows"),
                    (potential.Monomial, "degree")]
 # attributes set in __init__, checked on an instance
-REMOVED_ATTRIBUTES = [("SphereFlow", "tol"), ("GeodesicBatch", "initial_frames")]
+REMOVED_ATTRIBUTES = [("SphereFlow", "tol"), ("GeodesicBatch", "initial_frames"),
+                      ("GeodesicBatch", "truncated"), ("GeodesicBatch", "p")]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -96,3 +97,10 @@ def test_batch_readings_take_only_the_radius(method):
     """A reading covers every ray of the batch; there is no row selection."""
     params = inspect.signature(getattr(geodesic.GeodesicBatch, method)).parameters
     assert list(params) == ["self", "r"]
+
+
+def test_batch_takes_no_frames_and_reads_no_rows():
+    """Every ray starts from ``curvature.complete_frame`` and every read covers all rays."""
+    batch = geodesic.GeodesicBatch
+    assert "frames" not in inspect.signature(batch.__init__).parameters
+    assert "rows" not in inspect.signature(batch._states).parameters
