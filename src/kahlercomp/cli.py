@@ -20,7 +20,7 @@ import numpy as np
 
 from . import comparison, model_space, potential, series
 from .geodesic import ODE_TOL
-from .sphere import build_rule, fan_out, unit_sphere_volume
+from .sphere import DEFAULT_DEGREE, build_rule, fan_out, rule_record, unit_sphere_volume
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -98,6 +98,17 @@ def _echo_config(args, out: Path):
                                                      default=str) + "\n")
 
 
+def _rule(args, n, order=0):
+    """The sphere rule of a run in dimension n: of degree ``--quad-degree`` if
+    given, else of the least even degree at least ``DEFAULT_DEGREE`` and
+    ``order``, the highest density-series order the run averages, since a rule
+    of degree d averages the orders through d exactly."""
+    degree = args.quad_degree
+    if degree is None:
+        degree = max(DEFAULT_DEGREE, order + order % 2)
+    return build_rule(n, degree)
+
+
 def _write_csv(path, header, rows):
     """Write a table to ``path``, or to standard output when it is None."""
     with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
@@ -136,11 +147,14 @@ def cmd_model(args) -> int:
     for r in _grid(args):
         r = float(r)
         try:
-            rows.append((r, "ok", model_space.density(model, r),
-                         model_space.sphere_area(model, r),
-                         model_space.ball_volume(model, r),
-                         model_space.laplacian(model, r)))
+            values = (model_space.density(model, r), model_space.sphere_area(model, r),
+                      model_space.ball_volume(model, r), model_space.laplacian(model, r))
         except (ValueError, OverflowError):   # beyond the conjugate radius, or overflow
+            values = (math.nan,) * 4
+        # a closed form that overflows or underflows a float is a domain error too
+        if all(0 < v < math.inf for v in values[:3]) and math.isfinite(values[3]):
+            rows.append((r, "ok", *values))
+        else:
             rows.append((r, "domain_error", "", "", "", ""))
     _emit(args, {"command": "model", "n": args.n, "K": args.K, "rows": len(rows)},
           ("model.csv", ["r", "status", "density", "area", "volume", "laplacian"], rows))
@@ -153,7 +167,8 @@ def cmd_series(args) -> int:
         raise ValueError(f"--order must be at least 0, got {order}")
     pot = _load_potential(args)
     p = np.zeros(pot.n, dtype=complex)
-    dirs, weights = fan_out(pot, p, build_rule(pot.n, args.quad_degree))
+    rule = _rule(args, pot.n, order)
+    dirs, weights = fan_out(pot, p, rule)
 
     axis = np.zeros(2 * pot.n)
     axis[0] = 1.0
@@ -170,6 +185,7 @@ def cmd_series(args) -> int:
         "sphere_averaged": {"coefficients": averaged.tolist(),
                             "provenance": "symbolic",
                             "c0_expected": unit_sphere_volume(pot.n)},
+        "rule": rule_record(pot, p, rule, len(dirs)),
     }
     _emit(args, doc, ("coefficients.csv", ["order", "per_direction", "sphere_averaged"],
                       [(k, float(per_dir[k]), float(averaged[k])) for k in range(order + 1)]))
@@ -201,7 +217,7 @@ def cmd_check(args) -> int:
             raise ValueError("--K is required for thm3/thm4/rigidity checks")
         if not math.isfinite(args.K):
             raise ValueError(f"--K must be finite, got {args.K}")
-        opts = {"rule": build_rule(pot.n, args.quad_degree), "tol_ode": args.tol,
+        opts = {"rule": _rule(args, pot.n), "tol_ode": args.tol,
                 "seed": args.seed}
         if args.which == "thm3":
             rep = comparison.check_volume_ratio(pot, args.K, _grid(args), **opts)
@@ -245,7 +261,8 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--quad-degree", type=int, default=None,
-                       help="sphere rule exactness degree")
+                       help=f"sphere rule exactness degree (default {DEFAULT_DEGREE}; "
+                            f"series: the least even degree >= max({DEFAULT_DEGREE}, --order))")
 
     m = sub.add_parser("model", help="closed-form model-space table")
     m.add_argument("--n", type=int, required=True)

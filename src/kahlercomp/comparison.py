@@ -27,7 +27,7 @@ from . import curvature as curv
 from . import geodesic, model_space, series
 from .polynomials import CPoly
 from .potential import RealAnalyticPotential, section6
-from .sphere import SphereRule, build_rule, fan_out, torus_reduced, unit_sphere_volume
+from .sphere import SphereRule, build_rule, fan_out, rule_record, unit_sphere_volume
 
 __all__ = [
     "RicciBoundCertificate",
@@ -351,8 +351,7 @@ class SphereFlow:
 
     def to_json_dict(self):
         """The rule's degree and nodes, the rays integrated and ``fan_out``'s symmetry."""
-        return {"degree": self.rule.degree, "nodes": len(self.rule), "rays": len(self.rays),
-                "symmetry": "torus" if torus_reduced(self.pot, self.p) else "none"}
+        return rule_record(self.pot, self.p, self.rule, len(self.rays))
 
     def ball_volume(self, r) -> float:
         return math.fsum(self.weights * self.rays.volumes(r))
@@ -368,16 +367,30 @@ class SphereFlow:
         return math.fsum(weighted * logd) / math.fsum(weighted)
 
 
-def _certified_flow(pot, K, rho, r_max, rule, tol_ode, seed):
-    """(certificate, flow): certify Ric >= K g on the ball of radius
-    min(rho, validity radius), then fan the rays from the origin to r_max.  A
-    refused certificate raises a ``ValueError`` before any ray is integrated."""
-    certificate = certify_ricci_bound(pot, K, min(rho, pot.validity_radius), seed=seed)
+def _certified(pot, K, rho, seed):
+    """``certify_ricci_bound`` on the rho-ball; a refused certificate raises a
+    ``ValueError``."""
+    certificate = certify_ricci_bound(pot, K, rho, seed=seed)
     if not certificate.passed:
         raise ValueError(
             f"Ricci bound certificate refused (min eigenvalue "
             f"{certificate.min_eigenvalue:.3g} at {certificate.witness})")
-    return certificate, SphereFlow(pot, np.zeros(pot.n, dtype=complex), r_max, rule, tol_ode)
+    return certificate
+
+
+def _certified_flow(pot, K, rho, r_max, rule, tol_ode, seed):
+    """(certificate, flow): certify Ric >= K g on the ball of radius
+    min(rho, validity radius), then fan the rays from the origin to r_max.  A
+    unit-speed ray reaches about |z| = r / sqrt(2 lambda_min(g)), which passes
+    rho where the metric is small; when the rays' ``reach`` exceeds the
+    certified radius, the bound is certified again on the ball of that reach.
+    A refused certificate raises a ``ValueError``: the first before any ray is
+    integrated, the second before any reduction reads the flow."""
+    certificate = _certified(pot, K, min(rho, pot.validity_radius), seed)
+    flow = SphereFlow(pot, np.zeros(pot.n, dtype=complex), r_max, rule, tol_ode)
+    if flow.rays.reach > certificate.rho:
+        certificate = _certified(pot, K, flow.rays.reach, seed)
+    return certificate, flow
 
 
 # ---------------------------------------------------------------------------

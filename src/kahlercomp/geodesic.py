@@ -21,7 +21,8 @@ is below one, so each ray meets the tolerance it would meet integrated alone.
 
 Every ray is integrated over the same range [0, r_max], inside the
 potential's validity ball: a step that takes any ray to |z| >= validity radius
-raises ``curvature.KahlerDomainError`` and is not stored.
+raises ``curvature.KahlerDomainError`` and is not stored.  The batch keeps its
+``reach``, the largest |z| at the base point and the ends of its steps.
 
 Ball volumes integrate |det J| by Gauss-Legendre, exact with ceil((7(2n-1)+1)/2)
 nodes on each step's degree-7 dense output; each ray keeps its running volume.
@@ -141,7 +142,8 @@ class GeodesicBatch:
     batch methods read the dense output once per radius for all rays, and a
     single ray is a batch of one.  Every ray shares the range [0, r_max]: a
     ray that leaves the potential's validity ball raises
-    ``curvature.KahlerDomainError`` during the integration.  A step below
+    ``curvature.KahlerDomainError`` during the integration, and ``reach`` is
+    the largest |z| over the base point and the step ends.  A step below
     10 ulp of r raises ``IntegrationStalledError``.  ``r_max`` must be
     positive and finite, and the tolerance ``tol`` must lie in [100 eps, 1);
     any other value, nan included, is a ``ValueError``.
@@ -237,6 +239,7 @@ class GeodesicBatch:
     def _integrate(self, y):
         tol, r_end = self.tol, self.r_max
         radius = self.pot.validity_radius
+        reach2 = float(np.einsum("ij,ij->i", y[:, :2 * self.n], y[:, :2 * self.n]).max())
         f = self._rhs(y)
         h_abs = self._initial_step(y, f, r_end)
         ts = [0.0]
@@ -270,7 +273,8 @@ class GeodesicBatch:
                 rejected = True
 
             z_new = y_new[:, :2 * self.n]
-            outside = np.flatnonzero(np.einsum("ij,ij->i", z_new, z_new) >= radius ** 2)
+            abs2 = np.einsum("ij,ij->i", z_new, z_new)
+            outside = np.flatnonzero(abs2 >= radius ** 2)
             if outside.size:
                 raise curv.KahlerDomainError(
                     f"ray {outside[0]} leaves the validity ball |z| < {radius:.4g} in the "
@@ -281,11 +285,13 @@ class GeodesicBatch:
             F[1] = h * f - delta
             F[2] = 2 * delta - h * (f_new + f)
             np.einsum("is,s...->i...", h * dop.D, K, out=F[3:])
+            reach2 = max(reach2, float(abs2.max()))
             self._segments.append((t, h, y, F, volume))
             volume = volume + self._volume(y, F, t, h, 1.0)
             ts.append(t_new)
             t, y, f = t_new, y_new, f_new
         self._ts = np.array(ts)
+        self.reach = reach2 ** 0.5
 
     # -- dense access ---------------------------------------------------------
     def _states(self, r, volume=False):

@@ -45,7 +45,23 @@ from . import curvature as curv
 from .potential import RealAnalyticPotential
 
 __all__ = ["SphereRule", "build_rule", "rank1_lattice", "unit_sphere_volume",
-           "torus_reduced", "fan_out"]
+           "torus_reduced", "fan_out", "rule_record", "DEFAULT_DEGREE", "MAX_RULE_NODES"]
+
+# Exactness degree of ``build_rule(n)`` at every n.  The order-k coefficient of
+# the density series is a homogeneous polynomial of degree k in the unit
+# direction (Gray, Michigan Math. J. 20, 1973), so a rule of degree d averages
+# c_0..c_d exactly and its error starts at order d + 2 (the odd orders cancel
+# on these symmetric rules).  6 is the least degree that keeps exact every
+# order the rigidity probe fits (``comparison.RIGIDITY_ORDER``).
+DEFAULT_DEGREE = 6
+# Most nodes a rule may have, read on the lower bound M N_min (the moment nodes
+# times the angle count ``rank1_lattice`` starts its search at), which is known
+# before any search and which the true count exceeds by a factor 1.1 to 2.2.  A
+# flow keeps every ray's dense output, about 75 KiB a ray at n = 4: the 20 232
+# rays of (n, degree) = (4, 8), bound 11 592, peak at 1.5 GiB.  The bound stays
+# below the limit through (2, 20), (3, 15), (4, 9) and (5, 5), and exceeds it
+# from (3, 16), (4, 10) and (5, 6) on.
+MAX_RULE_NODES = 15_000
 
 
 def unit_sphere_volume(n: int) -> float:
@@ -54,8 +70,7 @@ def unit_sphere_volume(n: int) -> float:
 
 
 def _frequencies(n, degree):
-    """One of each pair +-k of the k in Z^n with 0 < |k|_1 <= degree, by |k|_1,
-    and their |k|_1."""
+    """One of each pair +-k of the k in Z^n with 0 < |k|_1 <= degree, by |k|_1."""
     ks = np.zeros((1, 0), dtype=np.int64)
     values = np.arange(-degree, degree + 1)
     for _ in range(n):
@@ -63,9 +78,16 @@ def _frequencies(n, degree):
         ks = np.column_stack([ks[rows], values[cols]])
     first = ks[np.arange(len(ks)), np.argmax(ks != 0, axis=1)]
     ks = ks[first > 0]
-    norms = np.abs(ks).sum(axis=1)
-    order = np.argsort(norms, kind="stable")
-    return ks[order], norms[order]
+    return ks[np.argsort(np.abs(ks).sum(axis=1), kind="stable")]
+
+
+def _least_lattice_size(n, degree):
+    """The least even N at least the count of k in Z^n with |k|_1 <= degree // 2,
+    sum_i 2^i C(n, i) C(degree // 2, i): those k must land on distinct lattice
+    points, since their differences are frequencies the lattice cancels."""
+    half = degree // 2
+    N = sum(2 ** i * math.comb(n, i) * math.comb(half, i) for i in range(n + 1))
+    return N + N % 2
 
 
 @cache
@@ -74,15 +96,12 @@ def rank1_lattice(n: int, degree: int) -> tuple[int, tuple[int, ...]]:
 
     N is the least even number, and g = (1, a, a^2, ..) mod N the Korobov
     generator of least odd a, such that k.g is not 0 mod N for any k in Z^n
-    with 0 < |k|_1 <= degree.  The k with |k|_1 <= degree // 2 must land on
-    distinct points (their differences are such k), so the search starts at
-    their count.  Candidates a are filtered by the k in order of |k|_1, in
-    chunks that double, so that most fail on the first few.  Memoized per
-    (n, degree).
+    with 0 < |k|_1 <= degree.  The search starts at ``_least_lattice_size``.
+    Candidates a are filtered by the k in order of |k|_1, in chunks that
+    double, so that most fail on the first few.  Memoized per (n, degree).
     """
-    ks, norms = _frequencies(n, degree)
-    N = 2 * int(np.count_nonzero(norms <= degree // 2)) + 1
-    N += N % 2
+    ks = _frequencies(n, degree)
+    N = _least_lattice_size(n, degree)
     while True:
         a = np.arange(1, N, 2)
         g = np.ones((n, len(a)), dtype=np.int64)
@@ -153,23 +172,32 @@ def _gauss01(k):
 
 def build_rule(n: int, degree: int | None = None) -> SphereRule:
     """Conical-product moments times a rank-1 angle lattice on S^{2n-1}, any
-    n >= 2, exact through ``degree``.
+    n >= 2, exact through ``degree`` (``DEFAULT_DEGREE`` if None).
 
-    The default degree is 12 for n = 2 and 8 otherwise, the cap 20.  With
-    half = degree // 2, s_k gets (half + n - k + 1) // 2 Gauss-Legendre nodes,
-    exact for the degree half + n - 1 - k that a moment monomial of degree
-    half times the Jacobian reaches in s_k.  The angles are the lattice of
-    ``rank1_lattice(n, degree)``, searched when the nodes are first read.
+    With half = degree // 2, s_k gets (half + n - k + 1) // 2 Gauss-Legendre
+    nodes, exact for the degree half + n - 1 - k that a moment monomial of
+    degree half times the Jacobian reaches in s_k.  The angles are the lattice
+    of ``rank1_lattice(n, degree)``, searched when the nodes are first read.
+    A degree outside 0..20 is a ``ValueError``, and so is a rule whose node
+    count is out of reach: M moment nodes times the ``_least_lattice_size``
+    that the search starts at, above ``MAX_RULE_NODES``.  Both are refused
+    before any lattice search.
     """
     n = int(n)
     if n < 2:
         raise ValueError(f"sphere rules need complex dimension n >= 2, got {n}")
-    degree = (12 if n == 2 else 8) if degree is None else int(degree)
+    degree = DEFAULT_DEGREE if degree is None else int(degree)
     if not 0 <= degree <= 20:
         raise ValueError(f"exactness degree must lie in 0..20, got {degree}")
     half = degree // 2
+    counts = [(half + n - k + 1) // 2 for k in range(1, n)]
+    bound = math.prod(counts) * _least_lattice_size(n, degree)
+    if bound > MAX_RULE_NODES:
+        raise ValueError(f"the sphere rule of degree {degree} at n = {n} has at least "
+                         f"{bound} nodes, above the limit MAX_RULE_NODES = {MAX_RULE_NODES}; "
+                         f"pass a smaller --quad-degree, exact only through that degree")
 
-    factors = [_gauss01((half + n - k + 1) // 2) for k in range(1, n)]
+    factors = [_gauss01(count) for count in counts]
     s = np.stack(np.meshgrid(*[x for x, _ in factors], indexing="ij"), axis=-1).reshape(-1, n - 1)
     w = np.stack(np.meshgrid(*[w for _, w in factors], indexing="ij"), axis=-1).reshape(-1, n - 1)
     moments = np.empty((len(s), n))
@@ -189,9 +217,9 @@ def torus_reduced(pot: RealAnalyticPotential, p) -> bool:
     return pot.torus_invariant and not np.any(p)
 
 
-def fan_out(pot: RealAnalyticPotential, p, rule: SphereRule | None = None):
+def fan_out(pot: RealAnalyticPotential, p, rule: SphereRule):
     """(directions, weights) of a sphere integral over the metric-unit tangent
-    sphere at p, from ``rule`` (the default rule of ``build_rule`` if None).
+    sphere at p, from ``rule``.
 
     A potential whose terms all have alpha = beta is invariant under the
     torus action z_i -> e^{i theta_i} z_i.  At p = 0 the action is an isometry
@@ -205,7 +233,6 @@ def fan_out(pot: RealAnalyticPotential, p, rule: SphereRule | None = None):
     factor of the real Gram matrix H at p, an isometry from the round sphere
     onto the metric unit sphere.  ``p`` is gated by ``curvature.metric_at``.
     """
-    rule = build_rule(pot.n) if rule is None else rule
     metric = curv.metric_at(pot, p)
     if torus_reduced(pot, metric.point):
         nodes = rule.moment_nodes()
@@ -214,3 +241,10 @@ def fan_out(pot: RealAnalyticPotential, p, rule: SphereRule | None = None):
         nodes, weights = rule.nodes, rule.weights
     L = np.linalg.cholesky(curv.real_metric_matrix(metric.g))
     return nodes @ np.linalg.inv(L), weights
+
+
+def rule_record(pot: RealAnalyticPotential, p, rule: SphereRule, rays: int) -> dict:
+    """The ``rule`` block of a report: the rule's exactness degree and node
+    count, the ``rays`` integrated, and ``fan_out``'s symmetry at p."""
+    return {"degree": rule.degree, "nodes": len(rule), "rays": rays,
+            "symmetry": "torus" if torus_reduced(pot, p) else "none"}

@@ -109,6 +109,36 @@ class TestSeriesCommand:
         assert r1.stdout == r2.stdout
 
 
+    @pytest.mark.parametrize("catalog, params, argv, rule", [
+        ("perturbed", "n=2,seed=0", ["--order", "4"],
+         {"degree": 6, "nodes": 64, "rays": 64, "symmetry": "none"}),
+        ("perturbed", "n=2,seed=0", ["--order", "7"],
+         {"degree": 8, "nodes": 150, "rays": 150, "symmetry": "none"}),
+        ("perturbed", "n=2,seed=0", ["--order", "10", "--quad-degree", "4"],
+         {"degree": 4, "nodes": 36, "rays": 36, "symmetry": "none"}),
+        ("section6", "a=0.1", [], {"degree": 6, "nodes": 64, "rays": 2, "symmetry": "torus"}),
+    ])
+    def test_report_records_derived_rule(self, capsys, catalog, params, argv, rule):
+        """Without --quad-degree the rule has the least even degree at least 6
+        and --order, so every averaged order is exact."""
+        assert cli.main(["series", "--catalog", catalog, "--params", params, *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["rule"] == rule
+
+    @pytest.mark.parametrize("argv", [
+        ["series", "--catalog", "perturbed", "--params", "n=4,seed=0", "--order", "10"],
+        ["check", "--which", "thm4", "--catalog", "flat", "--params", "n=5", "--K", "0"],
+    ])
+    def test_derived_rule_out_of_reach(self, tmp_path, capsys, argv):
+        """A derived rule above the node limit is refused before anything runs,
+        and the message points to --quad-degree."""
+        out = tmp_path / "d"
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "MAX_RULE_NODES" in err and "pass a smaller --quad-degree" in err
+        assert not out.exists()
+
+
 class TestCheckCommand:
     def test_thm4_flat_holds(self, tmp_path):
         out = tmp_path / "c"
@@ -430,6 +460,16 @@ class TestUsageErrors:
         rows = list(csv.reader(io.StringIO(captured.out)))[1:]
         assert [row[1] for row in rows] == ["ok", "domain_error", "domain_error"]
         assert all(math.isfinite(float(x)) for x in rows[0][2:])
+
+    @pytest.mark.parametrize("K, r_min, r_max", [("-1", "1e-320", "1e-300"),
+                                                 ("1", "1e-200", "1e-100")])
+    def test_model_underflow_is_a_domain_error(self, capsys, K, r_min, r_max):
+        """A row is ``ok`` only when its density, area and volume are finite and
+        positive and its Laplacian is finite: here r^3 or r^4 underflows to 0."""
+        assert cli.main(["model", "--n", "2", "--K", K, "--r-min", r_min, "--r-max", r_max,
+                         "--r-steps", "2"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        assert [row[1:] for row in rows] == [["domain_error", "", "", "", ""]] * 2
 
     @pytest.mark.parametrize("n, K, message", [
         ("2", "nan", "--K must be finite"), ("2", "inf", "--K must be finite"),

@@ -559,6 +559,29 @@ class TestTheorem4:
         assert min(gaps) > 0
 
 
+class TestCertificateReach:
+    """The certificate covers the ball the rays reach, not only the radius
+    they are integrated to."""
+
+    def test_certified_again_on_the_reach(self):
+        """g = 0.1 I at the origin, so a unit-speed ray is at |z| = r / sqrt(0.2),
+        0.0894 at r = 0.04: the certificate is drawn again on that ball."""
+        from kahlercomp.sphere import build_rule
+        pot = P.RealAnalyticPotential(
+            2, [((1, 0), (1, 0), Fraction(1, 10)), ((0, 1), (0, 1), Fraction(1, 10)),
+                ((2, 0), (2, 0), Fraction(1, 100)), ((0, 2), (0, 2), Fraction(1, 100))],
+            validity_radius=0.2)
+        rule = build_rule(2, 4)
+        rep = CMP.check_average_laplacian(pot, -100.0, rule=rule)
+        flow = CMP.SphereFlow(pot, np.zeros(2), 0.04, rule)
+        z = np.stack([flow.rays._unpack(flow.rays._states(r))[0]
+                      for r in np.linspace(0.0, 0.04, 41)])
+        furthest = np.linalg.norm(z, axis=-1).max()
+        assert rep.verdict == "holds" and rep.certificate.passed
+        assert rep.certificate.rho == flow.rays.reach == pytest.approx(furthest, rel=1e-12)
+        assert furthest > 0.089
+
+
 @pytest.fixture(scope="module")
 def report():
     return CMP.verify_counterexample(a=0.1, lam=0.0)

@@ -214,13 +214,13 @@ class TestDensitySeries:
     @pytest.mark.parametrize("pot", [P.perturbed(3, 0), P.section6(0.1, 0), P.perturbed(2, 0)],
                              ids=["perturbed-n3", "section6", "perturbed-n2"])
     def test_matches_gram_oracle_through_order_8(self, pot):
-        """det C against the Gram route sqrt(det C C^T) on the default rule's
-        directions, within 1e-14 of each order's largest coefficient.  A
+        """det C against the Gram route sqrt(det C C^T) on the directions of the
+        rule (2, 12) or (3, 8), within 1e-14 of each order's largest coefficient.  A
         coefficient that nearly cancels along one direction (c_6 of
         perturbed(3, 0) falls to 7e-9 there, against 3e-5 elsewhere) carries the
         rounding of its terms, not of its value."""
         p = np.zeros(pot.n)
-        dirs, _ = fan_out(pot, p, build_rule(pot.n))
+        dirs, _ = fan_out(pot, p, build_rule(pot.n, 12 if pot.n == 2 else 8))
         co = S.jacobi_recursion(C.curvature_jets_along(pot, p, dirs, order=7), 9)
         ds = S.density_series(co, 8).coefficients
         ref = gram_density_series(co, 8).coefficients
@@ -319,6 +319,34 @@ class TestSphereAveragedC4:
         c4 = self.averaged_c4(capsys, "section6", "a=0.1")
         ms = M.model_series(ModelSpace(2, -1.2), 4)
         assert c4 < ms.coefficients[4]
+
+
+def rule_averaged_series(pot, degree, order):
+    """The density series through ``order`` averaged over ``build_rule(n, degree)``."""
+    p = np.zeros(pot.n)
+    dirs, weights = fan_out(pot, p, build_rule(pot.n, degree))
+    return weights @ S.direction_series(pot, p, dirs, order).coefficients
+
+
+class TestRuleExactness:
+    """c_k is a homogeneous polynomial of degree k in the direction, so a rule
+    of degree d averages c_0..c_d exactly and misses c_{d+2}."""
+
+    @pytest.mark.parametrize("degree", [4, 6])
+    @pytest.mark.parametrize("pot", [P.section6(0.1, 0), P.perturbed(2, 0), P.perturbed(3, 0),
+                                     P.space_form(2, 1), P.space_form(3, -1, degree=12)],
+                             ids=["section6", "perturbed-n2", "perturbed-n3",
+                                  "space_form2", "space_form3"])
+    def test_orders_through_the_degree_are_exact(self, pot, degree):
+        got = rule_averaged_series(pot, degree, degree)
+        want = rule_averaged_series(pot, degree + 4, degree)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+    def test_the_order_after_the_degree_is_not(self):
+        pot = P.perturbed(3, 0)
+        got = rule_averaged_series(pot, 4, 6)[6]
+        want = rule_averaged_series(pot, 8, 6)[6]
+        assert abs(got - want) > 1e-10
 
 
 class TestPerDirectionConsistency:

@@ -10,6 +10,7 @@ import pytest
 
 from kahlercomp import curvature as C
 from kahlercomp import potential as P
+from kahlercomp import sphere
 from kahlercomp.sphere import build_rule, fan_out, rank1_lattice, torus_reduced, unit_sphere_volume
 from oracles import complex_nodes, real_pairing, sphere_average, tangent_nodes
 
@@ -35,7 +36,7 @@ class TestRuleBasics:
         for n in (1, 0):
             with pytest.raises(ValueError, match="n >= 2"):
                 build_rule(n)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must lie in 0..20, got 22"):
             build_rule(2, 22)
 
 
@@ -67,8 +68,9 @@ class TestExactness:
         assert val == pytest.approx(golden, abs=1e-12)
 
     def test_monomial_basis_spot_checks(self):
-        """Exact values from the Dirichlet moment formula on S^{2n-1}."""
-        rule = build_rule(2)
+        """Exact values from the Dirichlet moment formula on S^{2n-1}, through
+        degree 12."""
+        rule = build_rule(2, 12)
         Z = complex_nodes(rule)
 
         def moment(p, q):
@@ -223,6 +225,35 @@ class TestLattice:
         assert r.stdout.strip() == "[0, 0, 0]"
 
 
+    def test_out_of_reach_rules_refused_before_any_search(self):
+        """M N_min, the moment nodes times the angle count the lattice search
+        starts at, bounds the node count from below; above ``MAX_RULE_NODES``
+        the rule is refused and the lattice memo stays empty."""
+        code = (
+            "from kahlercomp import sphere\n"
+            "for n, degree in ((4, 12), (4, 16), (3, 20), (5, 8)):\n"
+            "    try:\n"
+            "        sphere.build_rule(n, degree)\n"
+            "    except ValueError as exc:\n"
+            "        assert 'MAX_RULE_NODES = 15000' in str(exc), exc\n"
+            "    else:\n"
+            "        raise AssertionError((n, degree))\n"
+            "print(sphere.rank1_lattice.cache_info().currsize)\n")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "0"
+
+    @pytest.mark.parametrize("n, degree", [(3, 15), (4, 9), (5, 5)])
+    def test_largest_accepted_degree(self, n, degree):
+        """The limit falls between the degree and the next, as ``MAX_RULE_NODES``
+        states; the default degree 6 is accepted through n = 4."""
+        rule = build_rule(n, degree)
+        assert len(rule.moment_weights) * sphere._least_lattice_size(n, degree) \
+            <= sphere.MAX_RULE_NODES
+        with pytest.raises(ValueError, match="MAX_RULE_NODES"):
+            build_rule(n, degree + 1)
+
+
 class TestFanOut:
     def test_invariant_potential_at_origin_uses_moment_nodes(self, section6_pot):
         rule = build_rule(2, 6)
@@ -244,9 +275,9 @@ class TestFanOut:
 
     @pytest.mark.parametrize("pot, degree, count", [
         (P.perturbed(2, 0), 6, 64),
-        (P.perturbed(3, 0), None, 1710),
+        (P.perturbed(3, 0), None, 624),
         (P.section6(0.1, 0), 6, 2),
-        (P.space_form(3, 1, degree=12), None, 9),
+        (P.space_form(3, 1, degree=12), None, 6),
     ], ids=["perturbed2", "perturbed3", "section6", "space_form3"])
     def test_direction_counts(self, pot, degree, count):
         dirs, weights = fan_out(pot, np.zeros(pot.n), build_rule(pot.n, degree))
