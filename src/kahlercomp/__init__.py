@@ -1,5 +1,22 @@
 """Curvature, geodesic-sphere expansions and comparison checks for Kahler potentials."""
 
+import os as _os
+import sys as _sys
+
+# OpenBLAS starts its thread pool when numpy loads, and the pool costs more of
+# a run's start-up than any other step of it, while no hot path of this
+# package hands BLAS an operand large enough to use a second thread.  So numpy
+# is loaded with one thread, unless it is loaded already or the user has set
+# a thread count (each variable OpenBLAS reads); the environment is then put
+# back as it was, so the user and any subprocess see no change.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in _sys.modules and not any(v in _os.environ for v in _BLAS_THREAD_VARS):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+
 from .potential import (RealAnalyticPotential, Monomial, flat, space_form, section6,
                         perturbed, from_catalog, evaluate, mixed_partial)
 from .curvature import (HermitianMetric, CurvatureTensor, CurvatureJets, metric_at,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import sys
@@ -102,11 +103,18 @@ def _rule(args, n, order=0):
     """The sphere rule of a run in dimension n: of degree ``--quad-degree`` if
     given, else of the least even degree at least ``DEFAULT_DEGREE`` and
     ``order``, the highest density-series order the run averages, since a rule
-    of degree d averages the orders through d exactly."""
-    degree = args.quad_degree
-    if degree is None:
-        degree = max(DEFAULT_DEGREE, order + order % 2)
-    return build_rule(n, degree)
+    of degree d averages the orders through d exactly.  A refused rule of a
+    degree that ``order`` raised names ``--order``."""
+    if args.quad_degree is not None:
+        return build_rule(n, args.quad_degree)
+    degree = max(DEFAULT_DEGREE, order + order % 2)
+    try:
+        return build_rule(n, degree)
+    except ValueError as exc:
+        if degree == DEFAULT_DEGREE:
+            raise
+        raise ValueError(f"--order {order} asks for a sphere rule of degree {degree}: "
+                         f"{exc}") from None
 
 
 def _write_csv(path, header, rows):
@@ -252,7 +260,9 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one argument parser of the process, built on first use."""
     parser = _Parser(prog="kahlercomp",
                      description="curvature and volume comparison checks for "
                                  "polynomial Kahler potentials")

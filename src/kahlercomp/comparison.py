@@ -299,7 +299,8 @@ def find_lambda(a, rho, samples=LAMBDA_SAMPLES, seed=0):
 
     Doubling search for a passing value, then bisection to 1 percent relative
     width; returns the passing endpoint (0.0 when no stabilizer is needed)
-    and the steps (lambda, min_eigenvalue, passed).
+    and the steps (lambda, min_eigenvalue, passed).  A ``ValueError`` when
+    the doubling search passes no weight below 1e6.
     """
     if a == 0:
         return 0.0, [(0.0, 0.0, True)]
@@ -316,7 +317,8 @@ def find_lambda(a, rho, samples=LAMBDA_SAMPLES, seed=0):
     while not passes(hi):
         lo, hi = hi, hi * 2.0
         if hi > 1e6:
-            raise RuntimeError("no stabilizer weight below 1e6; reduce rho")
+            raise ValueError(f"no stabilizer weight lambda below 1e6 makes Ric >= -12a g "
+                             f"hold on the {rho}-ball for a = {a}")
     while hi - lo > 0.01 * hi:
         mid = 0.5 * (lo + hi)
         if passes(mid):

@@ -16,6 +16,7 @@ product is scipy's compiled ``csr_matvecs``, read from
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -104,6 +105,15 @@ class QC:
 
 
 _QC_ZERO = QC()
+
+
+def _beyond_float_range(c: QC, monomial: str) -> ValueError:
+    """The error for ``c``, the coefficient of ``monomial``, when ``complex(c)``
+    overflows: it names the monomial and the part that does not fit."""
+    part, value = ("real", c.re) if abs(c.re) >= abs(c.im) else ("imaginary", c.im)
+    return ValueError(f"the coefficient of {monomial} has {part} part "
+                      f"{Decimal(value.numerator) / value.denominator:.3e}, beyond the "
+                      f"float range")
 
 
 class CPoly:
@@ -358,7 +368,10 @@ class NumericPoly:
                 key = (holo.setdefault(a, len(holo)), anti.setdefault(b, len(anti)))
                 rows.append(r)
                 cols.append(index.setdefault(key, len(index)))
-                vals.append(complex(c))
+                try:
+                    vals.append(complex(c))
+                except OverflowError:
+                    raise _beyond_float_range(c, f"z^{a} conj(z)^{b}") from None
         self.n = n
         self.A = np.array(list(holo), dtype=np.int64).reshape(len(holo), n)
         self.B = np.array(list(anti), dtype=np.int64).reshape(len(anti), n)
@@ -414,7 +427,11 @@ class NumericPoly:
             total = _QC_ZERO
             for m in self.indices[order[head[g]:head[g] + size[g]]].tolist():
                 total = total + poly.coeffs[tuple(A[self.ia[m]]), tuple(B[self.ib[m]])]
-            vals[g] = complex(total)
+            try:
+                vals[g] = complex(total)
+            except OverflowError:
+                monomial = f"x^{tuple(E[order[head[g]]].tolist())} at real points"
+                raise _beyond_float_range(total, monomial) from None
             keep[g] = not total.is_zero()
         head = head[keep]
         # columns: the distinct exponents, numbered by first appearance

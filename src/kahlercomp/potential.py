@@ -342,14 +342,25 @@ def loads(text: str) -> RealAnalyticPotential:
                                   f"'name', got {spec!r}")
         return from_catalog(**spec)
     try:
-        terms = [(tuple(t["alpha"]), tuple(t["beta"]),
-                  QC(Fraction(t["re"]), Fraction(t.get("im", 0))))
+        terms = [(tuple(t["alpha"]), tuple(t["beta"]), _document_coefficient(t))
                  for t in doc["terms"]]
         return RealAnalyticPotential(
             doc["n"], terms, max_degree=doc.get("max_degree"),
             validity_radius=doc.get("validity_radius", 0.1))
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed potential document: {exc}") from exc
+
+
+def _document_coefficient(term) -> QC:
+    """The exact coefficient of a document's term; its parts must be finite
+    numbers (JSON reads 1e309 as inf)."""
+    re, im = term["re"], term.get("im", 0)
+    try:
+        return QC(Fraction(re), Fraction(im))
+    except (ValueError, OverflowError, ZeroDivisionError):
+        raise ValidationError(f"the coefficient of the term with alpha {term['alpha']} and "
+                              f"beta {term['beta']} must be a finite number, got re {re!r}, "
+                              f"im {im!r}") from None
 
 
 def dump_json(pot: RealAnalyticPotential, path):

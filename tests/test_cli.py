@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -14,6 +15,10 @@ from kahlercomp import cli, comparison
 from kahlercomp import model_space as M
 from kahlercomp import potential as P
 from kahlercomp.model_space import ModelSpace
+
+# the variables OpenBLAS reads its thread count from, and the CPUs it may use
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+CPUS = len(os.sched_getaffinity(0))
 
 
 def run_cli(*args):
@@ -549,6 +554,11 @@ class TestRefusedInputs:
         ({"n": 2, "validity_radius": math.nan, "terms": FLAT}, "validity radius"),
         ({"n": 2, "validity_radius": -1, "terms": FLAT}, "validity radius"),
         ({"n": 2, "validity_radius": 0, "terms": FLAT}, "validity radius"),
+        # JSON reads 1e309 as inf
+        ({"n": 2, "terms": [*FLAT, {"alpha": [2, 0], "beta": [2, 0], "re": math.inf}]},
+         "alpha [2, 0] and beta [2, 0] must be a finite number, got re inf"),
+        ({"n": 2, "terms": [*FLAT, {"alpha": [2, 0], "beta": [2, 0], "re": 1, "im": math.nan}]},
+         "must be a finite number, got re 1, im nan"),
     ])
     def test_refused_documents(self, tmp_path, capsys, doc, message):
         """Each malformed potential document exits 1 with one ``error:`` line."""
@@ -572,6 +582,37 @@ class TestRefusedInputs:
     ])
     def test_non_integral_parameters(self, tmp_path, capsys, argv, message):
         out = tmp_path / "d"
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not out.exists()
+
+    # the flat terms plus 1e308 |z1|^4: g_11 then has the coefficient 4e308
+    HUGE = [*FLAT, {"alpha": [2, 0], "beta": [2, 0], "re": 1e308}]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["check", "--which", "thm4", "--K", "0", "--potential", "HUGE"],
+         "the coefficient of z^(1, 0) conj(z)^(1, 0) has real part 4.000e+308, beyond the "
+         "float range"),
+        (["series", "--potential", "HUGE"],
+         "the coefficient of z^(1, 0) conj(z)^(1, 0) has real part 4.000e+308"),
+        (["check", "--which", "counterexample", "--params", "a=1e308"],
+         "the coefficient of z^(0, 1) conj(z)^(0, 1) has real part 8.000e+308"),
+        (["check", "--which", "counterexample", "--params", "a=-100"],
+         "no stabilizer weight lambda below 1e6 makes Ric >= -12a g hold on the 0.05-ball "
+         "for a = -100"),
+        (["series", "--catalog", "flat", "--params", "n=2", "--order", "25"],
+         "--order 25 asks for a sphere rule of degree 26: exactness degree must lie in 0..20"),
+    ], ids=["thm4-overflow", "series-overflow", "counterexample-overflow",
+            "counterexample-no-lambda", "series-order-25"])
+    def test_out_of_range(self, tmp_path, capsys, argv, message):
+        """Coefficients beyond the float range, a counterexample no stabilizer
+        weight certifies and a series order beyond every rule exit 1 with one
+        ``error:`` line, not a traceback."""
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 2, "terms": self.HUGE}))
+        out = tmp_path / "d"
+        argv = [str(path) if a == "HUGE" else a for a in argv]
         assert cli.main([*argv, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
@@ -637,7 +678,73 @@ class TestUnreadablePaths:
         assert (tmp_path / "FILE").read_text() == ""
 
 
+class TestParser:
+    def test_main_builds_one_parser(self, monkeypatch, capsys):
+        """Repeated ``cli.main`` calls in one process, the counterexample's
+        check of unread flags included, build the argument parser once."""
+        built = []
+        init = cli._Parser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        cli._build_parser.cache_clear()
+        monkeypatch.setattr(cli._Parser, "__init__", counting)
+        model = ["model", "--n", "2", "--K", "1", "--r-steps", "2"]
+        assert cli.main(model) == 0
+        assert cli.main(["check", "--which", "counterexample", "--K", "5"]) == 1
+        assert cli.main(model) == 0
+        assert "does not read --K" in capsys.readouterr().err
+        assert built.count("kahlercomp") == 1
+
+
 class TestImports:
+    @staticmethod
+    def fresh(code, **env):
+        """Run ``code`` in a fresh interpreter, with no BLAS thread count in its
+        environment but ``env``; returns its standard output."""
+        base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env={**base, **env})
+        assert r.returncode == 0, r.stderr
+        return r.stdout.split()
+
+    REPORT = ("import os\n"
+              "before = dict(os.environ)\n"
+              "import kahlercomp\n"
+              "print(len(os.listdir('/proc/self/task')), dict(os.environ) == before)\n")
+
+    def test_numpy_loads_with_one_blas_thread(self):
+        """``import kahlercomp`` loads numpy with one OpenBLAS thread, so no
+        pool thread starts, and leaves the environment as it was."""
+        threads, same = self.fresh(self.REPORT)
+        assert same == "True"
+        if CPUS >= 2:   # on one CPU OpenBLAS starts no pool either way
+            assert threads == "1"
+
+    @pytest.mark.skipif(CPUS < 2, reason="OpenBLAS caps its threads at the CPUs it may use")
+    @pytest.mark.parametrize("var", BLAS_THREAD_VARS)
+    def test_user_thread_count_is_kept(self, var):
+        """A thread count the user set is left as it is."""
+        code = self.REPORT + f"print(os.environ[{var!r}])\n"
+        assert self.fresh(code, **{var: "2"}) == ["2", "True", "2"]
+
+    def test_numpy_loaded_first_is_left_alone(self):
+        """With numpy loaded before kahlercomp, its pool is left as it is and
+        the environment is not written to: another thread may be reading it."""
+        code = ("import os\n"
+                "import numpy\n"
+                "threads = len(os.listdir('/proc/self/task'))\n"
+                "writes = []\n"
+                "os.putenv = lambda key, value: writes.append(key)\n"
+                "os.unsetenv = lambda key: writes.append(key)\n"
+                "import kahlercomp\n"
+                "print(threads, len(os.listdir('/proc/self/task')), writes)\n")
+        before, after, writes = self.fresh(code)
+        assert before == after and writes == "[]"
+        if CPUS >= 2:
+            assert int(after) > 1
     def test_core_loads_no_heavy_scipy_subpackage(self):
         """Importing the CLI loads numpy and two scipy files read by path; no
         scipy package (not even the top-level one), no ``numpy.f2py`` and no

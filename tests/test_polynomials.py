@@ -3,6 +3,7 @@ numeric evaluator along points and Taylor series."""
 
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -538,6 +539,33 @@ class TestRealView:
         assert np.array_equal(real.A, [[2, 0]])
         x = np.array([[[0.3, -0.2]]])
         assert np.array_equal(npoly.evaluate_many(x), [[[3 * 0.3 ** 2, 0.0, 0.0, 3 * 0.3 ** 2]]])
+
+
+class TestCoefficientRange:
+    """A coefficient beyond the float range is a ``ValueError`` that names it,
+    where ``NumericPoly`` rounds it: at construction, or in the real view's
+    sum of the coefficients that merge."""
+
+    @pytest.mark.parametrize("coeff, message", [
+        (QC(4 * 10 ** 308), "the coefficient of z^(1, 0) conj(z)^(1, 0) has real part 4.000e+308"),
+        (QC(1, -3 * 10 ** 400), "the coefficient of z^(1, 0) conj(z)^(1, 0) has imaginary "
+                                "part -3.000e+400"),
+    ])
+    def test_at_construction(self, coeff, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            NumericPoly([CPoly(2, {((1, 0), (1, 0)): coeff})])
+
+    def test_in_the_real_view(self):
+        """z + conj(z), each 1e308, is 2e308 x at real points."""
+        npoly = NumericPoly([CPoly(1, {((1,), (0,)): 1e308, ((0,), (1,)): 1e308})])
+        with pytest.raises(ValueError, match=re.escape(
+                "the coefficient of x^(1,) at real points has real part 2.000e+308")):
+            npoly._real_view()
+
+    def test_largest_float_is_kept(self):
+        top = np.finfo(float).max
+        npoly = NumericPoly([CPoly(2, {((1, 0), (1, 0)): top})])
+        assert npoly.data.tolist() == [top]
 
 
 class TestScipyFiles:
