@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import numpy.random  # at import: numpy loads it lazily, on first use
 
 from . import curvature as curv
 from . import geodesic, model_space, series
@@ -55,6 +54,13 @@ LAMBDA_RHO = 0.05      # radius of the ball the counterexample's lambda is certi
 # of the Ricci pass, so that the n = 3 closed form runs on long arrays while
 # the whitened deficits held at once stay small (2048 x 9 floats at n = 3)
 EIGEN_CHUNK = 2048
+# the certificate's draw: SplitMix64's counter increment, 2^64 / phi rounded
+# to an odd integer; the seeds it keys a stream by; and the points drawn at a
+# time, so that each integer or float temporary of a block stays near 56 KiB
+# at n = 3
+SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+SEED_LIMIT = 2 ** 64
+BALL_BLOCK = 1024
 
 # radii of the rigidity probe's W-series fit of order RIGIDITY_ORDER; its flow
 # reaches 1% past the last radius so that radius lies inside the integrated range
@@ -116,24 +122,70 @@ def _verdict(margins, tol):
 # Ricci lower-bound certificates
 # ---------------------------------------------------------------------------
 
+def _splitmix64(z):
+    """SplitMix64's output function of each entry of the uint64 array z, in
+    place (Steele, Lea & Flood, "Fast splittable pseudorandom number
+    generators", OOPSLA 2014).  A bijection of [0, 2^64); its products wrap
+    modulo 2^64, silently since z is an array."""
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
+
+
 def _ball_points(n, rho, count, seed):
-    """``count`` points uniform in the real 2n-ball of radius rho, drawn by
-    ``default_rng(seed)``: Gaussian directions, normalised, at radii
-    rho u^(1/2n) with u uniform on [0, 1), each coordinate pair (x, y) folded
-    to the complex coordinate x + iy."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((count, 2 * n))
-    x *= (rho * rng.random(count) ** (1.0 / (2 * n)) / np.linalg.norm(x, axis=1))[:, None]
-    return x.view(complex)
+    """``count`` points uniform in the real 2n-ball of radius rho: Gaussian
+    directions, normalised, at radii rho u^(1/2n), as complex coordinates
+    x + iy.
+
+    Every u is a uniform on (0, 1] of the SplitMix64 sequence keyed by
+    mix(seed), seed in [0, 2^64): output k = 1, 2, .. is
+    mix(key + k SPLITMIX_GAMMA) mod 2^64, and its top 53 bits plus one, times
+    2^-53, the uniform.  The seed is mixed before it offsets the counter, so
+    that nearby seeds key unrelated streams.  Point i reads the 2n + 1
+    outputs from k = (2n + 1) i + 1 on: u_1..u_n, v_1..v_n and the radius's
+    u.  Its coordinate j is the Box-Muller pair sqrt(-2 log u_j)
+    e^(2 pi i v_j), a standard complex Gaussian, whose factor sqrt(2) the
+    normalisation cancels.  rho enters as one factor of every coordinate, so
+    halving rho halves every point exactly.  Points are drawn ``BALL_BLOCK``
+    at a time straight into the output, so that the temporaries stay small
+    whatever ``count``; the points do not depend on the block size."""
+    width = 2 * n + 1
+    key = _splitmix64(np.array([seed], dtype=np.uint64))
+    out = np.empty((count, n), dtype=complex)
+    for start in range(0, count, BALL_BLOCK):
+        stop = min(start + BALL_BLOCK, count)
+        z = np.arange(width * start + 1, width * stop + 1, dtype=np.uint64)
+        z *= SPLITMIX_GAMMA
+        z += key
+        _splitmix64(z)
+        z >>= 11
+        z += 1
+        u = z.reshape(-1, width) * 2.0 ** -53
+        energy = -np.log(u[:, :n])
+        total = energy[:, 0].copy()   # by columns: numpy reduces a short last axis slowly
+        for j in range(1, n):
+            total += energy[:, j]
+        scale = rho * u[:, -1] ** (1.0 / (2 * n)) / np.sqrt(total)
+        modulus = np.sqrt(energy) * scale[:, None]
+        angle = 2.0 * math.pi * u[:, n:-1]
+        block = out[start:stop]
+        np.multiply(modulus, np.cos(angle), out=block.real)
+        np.multiply(modulus, np.sin(angle), out=block.imag)
+    return out
 
 
 @functools.lru_cache(maxsize=4)
 def _certificate_points(n, rho, samples, seed):
     """The certificate's sample: the origin, ``_ball_points(n, rho, samples,
-    seed)``, and radial grids of 8 radii up to rho along the directions of the
-    first 64 of those points.  Read-only and kept for the last few keys, since
-    the checks of one request, and the steps of ``find_lambda``, certify on
-    the same sample."""
+    seed)``, and radial grids of 8 radii from rho/8 to rho along the
+    directions of the first 64 of those points.  Each point is formed from
+    rho by products, quotients and sums that a power of two scales exactly,
+    so the sample at rho/2 is exactly half the sample at rho.  Read-only and
+    kept for the last few keys, since the checks of one request, and the
+    steps of ``find_lambda``, certify on the same sample."""
     Z = _ball_points(n, rho, samples, seed)
     norms = np.linalg.norm(Z[:64], axis=1)
     keep = norms > 1e-12
@@ -232,8 +284,10 @@ def certify_ricci_bound(pot: RealAnalyticPotential, K, rho, samples=10000,
     Evaluates the minimum eigenvalue of the metric-whitened Ricci deficit
     M = L^-1 (Ric - K g) L^-H, g = L L^H, on ``_certificate_points``: the
     origin, ``samples`` points drawn uniformly from the ball by
-    ``default_rng(seed)`` and radial grids along 64 of their directions; the
-    certificate passes when the minimum stays above -1e-9.
+    ``_ball_points`` from the SplitMix64 stream of ``seed`` and radial grids
+    along 64 of their directions; the certificate passes when the minimum
+    stays above -1e-9.  A seed that is not an integer in [0, 2^64)
+    (``SEED_LIMIT``) is a ``ValueError``, raised before anything is drawn.
     The whitening takes W = L^-1 from the Ricci pass itself
     (``CurvatureWorkspace.ricci_blocks``): M = W Ric W^H - K I is formed block
     by block, point-major, and G is factored once.  The least eigenvalue is
@@ -250,8 +304,8 @@ def certify_ricci_bound(pot: RealAnalyticPotential, K, rho, samples=10000,
     """
     if samples < 1:
         raise ValueError(f"certificate samples must be at least 1, got {samples}")
-    if seed < 0:
-        raise ValueError(f"certificate seed must be non-negative, got {seed}")
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < SEED_LIMIT):
+        raise ValueError(f"certificate seed must be an integer in [0, 2^64), got {seed}")
     if not rho > 0:  # nan too
         raise ValueError(f"certificate radius rho must be positive, got {rho}")
     if rho > pot.validity_radius:

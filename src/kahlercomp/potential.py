@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import numpy.random  # at import: numpy loads it lazily, on first use
 
 from .polynomials import QC, CPoly
 

@@ -244,7 +244,10 @@ def fan_out(pot: RealAnalyticPotential, p, rule: SphereRule):
 
 
 def rule_record(pot: RealAnalyticPotential, p, rule: SphereRule, rays: int) -> dict:
-    """The ``rule`` block of a report: the rule's exactness degree and node
-    count, the ``rays`` integrated, and ``fan_out``'s symmetry at p."""
-    return {"degree": rule.degree, "nodes": len(rule), "rays": rays,
-            "symmetry": "torus" if torus_reduced(pot, p) else "none"}
+    """The ``rule`` block of a report: the rule's exactness degree, the nodes
+    ``fan_out`` read (the moment nodes on the torus-reduced path, whose
+    lattice is then never searched, and every node otherwise), the ``rays``
+    integrated, and ``fan_out``'s symmetry at p."""
+    torus = torus_reduced(pot, p)
+    return {"degree": rule.degree, "nodes": len(rule.moment_weights) if torus else len(rule),
+            "rays": rays, "symmetry": "torus" if torus else "none"}

@@ -6,6 +6,7 @@ slots, term-by-term substitution), so a test that compares it with the
 package's batched path checks that path against an independent one.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ import numpy as np
 
 from kahlercomp import curvature as C
 from kahlercomp.polynomials import CPoly, cauchy_product
+from kahlercomp.potential import RealAnalyticPotential
 from kahlercomp.series import SeriesExpansion
 from kahlercomp.sphere import fan_out, unit_sphere_volume
 
@@ -196,3 +198,44 @@ def linear_substitute(poly, U) -> CPoly:
 def is_even(pot) -> bool:
     """True when every term has even total degree (z -> -z symmetry)."""
     return all((sum(a) + sum(b)) % 2 == 0 for (a, b) in pot.poly.coeffs)
+
+
+def scaled(pot, s) -> RealAnalyticPotential:
+    """The exact potential f(s z) / s^2: the coefficient of z^alpha conj(z)^beta
+    times s^(|alpha| + |beta| - 2), and the validity radius divided by s.  Its
+    metric at z is the metric of ``pot`` at s z, and its Ricci form s^2 times
+    the Ricci form of ``pot`` there."""
+    s = Fraction(s)
+    terms = [(a, b, c.scale(s ** (sum(a) + sum(b) - 2))) for (a, b), c in pot.poly.coeffs.items()]
+    return RealAnalyticPotential(pot.n, terms, max_degree=pot.max_degree,
+                                 validity_radius=pot.validity_radius / s,
+                                 label=f"{pot.label} at s = {s}")
+
+
+# ---------------------------------------------------------------------------
+# the certificate's draw, one point at a time
+# ---------------------------------------------------------------------------
+
+def splitmix64(state) -> int:
+    """SplitMix64's output function on a Python int (Steele, Lea & Flood,
+    OOPSLA 2014), reduced modulo 2^64 after every step."""
+    mask = 2 ** 64 - 1
+    z = state & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def ball_point(n, rho, seed, i) -> list:
+    """Point i of ``comparison._ball_points(n, rho, count, seed)`` in Python
+    ints and floats: the 2n + 1 outputs of the SplitMix64 stream keyed by
+    mix(seed) from k = (2n + 1) i + 1 on, their top 53 bits plus one times
+    2^-53, then Box-Muller coordinates normalised and set at radius
+    rho u^(1/2n)."""
+    key, width = splitmix64(seed), 2 * n + 1
+    u = [((splitmix64(key + k * 0x9E3779B97F4A7C15) >> 11) + 1) * 2.0 ** -53
+         for k in range(width * i + 1, width * (i + 1) + 1)]
+    energy = [-math.log(x) for x in u[:n]]
+    radius = rho * u[-1] ** (1 / (2 * n))
+    return [radius * math.sqrt(e / math.fsum(energy)) * cmath.exp(2j * math.pi * v)
+            for e, v in zip(energy, u[n:2 * n])]

@@ -121,7 +121,7 @@ class TestSeriesCommand:
          {"degree": 8, "nodes": 150, "rays": 150, "symmetry": "none"}),
         ("perturbed", "n=2,seed=0", ["--order", "10", "--quad-degree", "4"],
          {"degree": 4, "nodes": 36, "rays": 36, "symmetry": "none"}),
-        ("section6", "a=0.1", [], {"degree": 6, "nodes": 64, "rays": 2, "symmetry": "torus"}),
+        ("section6", "a=0.1", [], {"degree": 6, "nodes": 2, "rays": 2, "symmetry": "torus"}),
     ])
     def test_report_records_derived_rule(self, capsys, catalog, params, argv, rule):
         """Without --quad-degree the rule has the least even degree at least 6
@@ -332,7 +332,7 @@ class TestCheckCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("catalog, params, K, rule", [
-        ("section6", "a=0.1", "-1.2", {"degree": 6, "nodes": 64, "rays": 2,
+        ("section6", "a=0.1", "-1.2", {"degree": 6, "nodes": 2, "rays": 2,
                                        "symmetry": "torus"}),
         ("perturbed", "n=2,seed=0", "-1", {"degree": 6, "nodes": 64, "rays": 64,
                                            "symmetry": "none"}),
@@ -344,6 +344,24 @@ class TestCheckCommand:
                            "--r-steps", "2", "--out", str(out)])
         assert status == 0, capsys.readouterr().err
         assert json.loads((out / "report.json").read_text())["rule"] == rule
+
+    def test_torus_runs_search_no_lattice(self):
+        """A torus-reduced check or series reads only the moment nodes, and
+        records them as its ``nodes``: the lattice memo stays empty."""
+        code = (
+            "import contextlib, io, json\n"
+            "from kahlercomp import cli, sphere\n"
+            "for argv in (['check', '--which', 'thm4', '--catalog', 'space_form',"
+            " '--params', 'n=3,K=1', '--K', '1'],"
+            " ['series', '--catalog', 'section6', '--params', 'a=0.1', '--order', '4']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "        status = cli.main(argv)\n"
+            "    rule = json.loads(out.getvalue())['rule']\n"
+            "    print(status, rule['nodes'], rule['rays'],"
+            " sphere.rank1_lattice.cache_info().currsize)\n")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.split("\n")[:2] == ["0 6 6 0", "0 2 2 0"]
 
     @pytest.mark.parametrize("which", ["thm3", "thm4", "rigidity"])
     @pytest.mark.parametrize("catalog, params, K, symmetry", [
@@ -527,9 +545,15 @@ class TestUsageErrors:
         (["check", "--which", "counterexample", "--params", "a=0.1,lambda=-1"],
          "certificate refused for lambda"),
         (["check", "--which", "counterexample", "--params", "a=0.1", "--seed", "-1"],
-         "certificate seed must be non-negative, got -1"),
+         "certificate seed must be an integer in [0, 2^64), got -1"),
         (["check", "--which", "thm4", "--catalog", "flat", "--params", "n=2", "--K", "0",
-          "--seed", "-1"], "certificate seed must be non-negative, got -1"),
+          "--seed", "-1"], "certificate seed must be an integer in [0, 2^64), got -1"),
+        (["check", "--which", "thm4", "--catalog", "section6", "--params", "a=0.1", "--K",
+          "-1.2", "--seed", "18446744073709551616"],
+         "certificate seed must be an integer in [0, 2^64), got 18446744073709551616"),
+        (["check", "--which", "counterexample", "--params", "a=0.1", "--seed",
+          "18446744073709551616"],
+         "certificate seed must be an integer in [0, 2^64), got 18446744073709551616"),
         (["check", "--which", "thm4", "--catalog", "section6", "--params", "a=0.1", "--K",
           "-1.2", "--r-max", "0.3", "--r-steps", "3"], "leaves the validity ball |z| < 0.1"),
     ])
@@ -750,13 +774,19 @@ class TestImports:
         scipy package (not even the top-level one), no ``numpy.f2py`` and no
         ``numpy.ma``.  A thm3 check (Ricci certificate, ray fan, volumes)
         imports nothing further than building the argument parser does
-        (argparse's gettext loads the standard ``locale`` on first use)."""
+        (argparse's gettext loads the standard ``locale`` on first use).
+
+        The certificate draws its sample without ``numpy.random``, so neither
+        it nor what it imports (``secrets``, ``hashlib`` and OpenSSL's
+        ``_hashlib``) is loaded.  A ``perturbed`` potential loads
+        ``numpy.random`` on first use and draws the same potential as ever."""
         code = (
             "import contextlib, io, sys\n"
-            "from kahlercomp import cli\n"
+            "from kahlercomp import cli, potential\n"
             "assert 'scipy' not in sys.modules\n"
             "heavy = ('scipy.stats', 'scipy.integrate', 'scipy.optimize',"
-            " 'scipy.linalg', 'scipy.special', 'scipy.sparse', 'numpy.f2py', 'numpy.ma')\n"
+            " 'scipy.linalg', 'scipy.special', 'scipy.sparse', 'numpy.f2py', 'numpy.ma',"
+            " 'numpy.random', 'secrets', 'hashlib', '_hashlib')\n"
             "def loaded():\n"
             "    return sorted(m for m in sys.modules if m in heavy"
             " or m.startswith(tuple(h + '.' for h in heavy)))\n"
@@ -766,7 +796,11 @@ class TestImports:
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    status = cli.main(['check', '--which', 'thm3', '--catalog', 'section6',"
             " '--params', 'a=0.1', '--K', '-1.2', '--quad-degree', '6', '--r-steps', '2'])\n"
-            "print(status, at_import, loaded(), sorted(set(sys.modules) - before))\n")
+            "print(status, at_import, loaded(), sorted(set(sys.modules) - before))\n"
+            "pot = potential.from_catalog('perturbed', n=2, seed=0)\n"
+            "import hashlib\n"
+            "print('numpy.random' in sys.modules,"
+            " hashlib.sha256(potential.dumps(pot).encode()).hexdigest()[:16])\n")
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
-        assert r.stdout.strip() == "0 [] [] []"
+        assert r.stdout.split("\n")[:2] == ["0 [] [] []", "True 7b70b3b13bca70d0"]

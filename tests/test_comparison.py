@@ -268,6 +268,75 @@ class TestBallPoints:
         sigma = self.RHO / math.sqrt((2 * n + 2) * self.COUNT)
         assert np.abs(Z.view(float).mean(axis=0)).max() <= 5 * sigma
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_points_are_the_splitmix64_oracle(self, n, seed):
+        """The blocked numpy draw against the oracle's one point at a time in
+        Python ints and floats, across the first block boundary."""
+        from oracles import ball_point
+        Z = CMP._ball_points(n, self.RHO, 1100, seed)
+        for i in (0, 1, 57, 1023, 1024, 1099):
+            np.testing.assert_allclose(Z[i], ball_point(n, self.RHO, seed, i), rtol=0,
+                                       atol=1e-14 * self.RHO)
+
+    def test_points_do_not_depend_on_the_block_size(self, seed, monkeypatch):
+        Z = CMP._ball_points(3, self.RHO, 1000, seed)
+        monkeypatch.setattr(CMP, "BALL_BLOCK", 7)
+        assert np.array_equal(CMP._ball_points(3, self.RHO, 1000, seed).view(np.uint64),
+                              Z.view(np.uint64))
+
+
+class TestBallPointSeeds:
+    """The draw takes every seed of [0, 2^64), and mixes it before it offsets
+    the counter."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_seeds_a_point_apart_share_no_point(self, n):
+        """Unmixed, the seed (2n + 1) GAMMA would start the stream of seed 0
+        one point later."""
+        shifted = (2 * n + 1) * CMP.SPLITMIX_GAMMA % CMP.SEED_LIMIT
+        Z = CMP._ball_points(n, 0.04, 200, 0)
+        W = CMP._ball_points(n, 0.04, 200, shifted)
+        assert not np.intersect1d(Z.view(float), W.view(float)).size
+
+    def test_largest_seed_draws(self):
+        from oracles import ball_point
+        Z = CMP._ball_points(2, 0.04, 3, CMP.SEED_LIMIT - 1)
+        np.testing.assert_allclose(Z[2], ball_point(2, 0.04, CMP.SEED_LIMIT - 1, 2), rtol=0,
+                                   atol=1e-16)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 70, 1.5])
+    def test_seed_out_of_range_refused_before_drawing(self, section6_pot, monkeypatch, seed):
+        def no_draw(*args):
+            raise AssertionError("drew a sample")
+        monkeypatch.setattr(CMP, "_certificate_points", no_draw)
+        with pytest.raises(ValueError, match=rf"seed must be an integer in \[0, 2\^64\), "
+                                             rf"got {seed}$"):
+            CMP.certify_ricci_bound(section6_pot, -1.2, 0.04, seed=seed)
+
+
+class TestCertificateCovariance:
+    """Under z -> 2z the certificate's problem maps to itself: f(2z)/4 has the
+    metric g(2z) and the Ricci form 4 Ric(2z), so it satisfies Ric >= 4K g on
+    the 0.02-ball exactly where f satisfies Ric >= K g on the 0.04-ball, with
+    every whitened eigenvalue times 4.  The scalings are by powers of two, so
+    the sample and the eigenvalues scale to the last bit."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sample_halves_with_the_radius(self, n):
+        half = CMP._certificate_points(n, 0.02, 10000, 0)
+        assert np.array_equal(half, CMP._certificate_points(n, 0.04, 10000, 0) / 2)
+
+    @pytest.mark.parametrize("pot, K", [(P.section6(0.1, 0), -1.2), (P.perturbed(2, 0), -1.0),
+                                        (P.perturbed(3, 0), -1.0),
+                                        (P.space_form(3, 1, degree=12), 1.0)],
+                             ids=lambda x: getattr(x, "label", ""))
+    def test_min_eigenvalue_scales_by_four(self, pot, K):
+        from oracles import scaled
+        cert = CMP.certify_ricci_bound(pot, K, 0.04)
+        cert_half = CMP.certify_ricci_bound(scaled(pot, 2), 4 * K, 0.02)
+        assert cert.passed and cert_half.passed
+        assert cert_half.min_eigenvalue == 4 * cert.min_eigenvalue
+
 
 class TestLeastEigenvalues:
     """The closed forms at n = 2 and n = 3 against LAPACK's ``eigvalsh`` on
@@ -465,7 +534,7 @@ class TestTheorem3:
     def test_section6_holds(self, section6_pot, rule6):
         rep = CMP.check_volume_ratio(section6_pot, -1.2, rule=rule6)
         assert rep.verdict == "holds"
-        assert rep.rule == {"degree": 6, "nodes": 64, "rays": 2, "symmetry": "torus"}
+        assert rep.rule == {"degree": 6, "nodes": 2, "rays": 2, "symmetry": "torus"}
 
     def test_descending_grid_refused(self):
         """The pairs are taken in grid order, so a descending grid would compare
