@@ -18,9 +18,8 @@ if "numpy" not in _sys.modules and not any(v in _os.environ for v in _BLAS_THREA
         del _os.environ["OPENBLAS_NUM_THREADS"]
 
 from .potential import (RealAnalyticPotential, Monomial, flat, space_form, section6,
-                        perturbed, from_catalog, evaluate, mixed_partial)
-from .curvature import (HermitianMetric, CurvatureTensor, CurvatureJets, metric_at,
-                        curvature_at, ricci_at, scalar_at, curvature_jets_along)
+                        perturbed, from_catalog)
+from .curvature import HermitianMetric, CurvatureJets, metric_at, curvature_jets_along
 from .geodesic import GeodesicBatch
 from .model_space import ModelSpace, density, laplacian, sphere_area, ball_volume, model_series
 from .series import (SeriesExpansion, JacobiCoefficients, jacobi_recursion,

@@ -99,22 +99,14 @@ def _echo_config(args, out: Path):
                                                      default=str) + "\n")
 
 
-def _rule(args, n, order=0):
-    """The sphere rule of a run in dimension n: of degree ``--quad-degree`` if
-    given, else of the least even degree at least ``DEFAULT_DEGREE`` and
-    ``order``, the highest density-series order the run averages, since a rule
-    of degree d averages the orders through d exactly.  A refused rule of a
-    degree that ``order`` raised names ``--order``."""
+def _degree(args, order=0):
+    """The sphere-rule degree of a run: ``--quad-degree`` if given, else the
+    least even degree at least ``DEFAULT_DEGREE`` and ``order``, the highest
+    density-series order the run averages, since a rule of degree d averages
+    the orders through d exactly."""
     if args.quad_degree is not None:
-        return build_rule(n, args.quad_degree)
-    degree = max(DEFAULT_DEGREE, order + order % 2)
-    try:
-        return build_rule(n, degree)
-    except ValueError as exc:
-        if degree == DEFAULT_DEGREE:
-            raise
-        raise ValueError(f"--order {order} asks for a sphere rule of degree {degree}: "
-                         f"{exc}") from None
+        return args.quad_degree
+    return max(DEFAULT_DEGREE, order + order % 2)
 
 
 def _write_csv(path, header, rows):
@@ -175,8 +167,16 @@ def cmd_series(args) -> int:
         raise ValueError(f"--order must be at least 0, got {order}")
     pot = _load_potential(args)
     p = np.zeros(pot.n, dtype=complex)
-    rule = _rule(args, pot.n, order)
-    dirs, weights = fan_out(pot, p, rule)
+    degree = _degree(args, order)
+    try:
+        rule = build_rule(pot.n, degree)
+        dirs, weights = fan_out(pot, p, rule)
+    except ValueError as exc:
+        # a refused rule of a degree that --order raised names --order
+        if args.quad_degree is not None or degree == DEFAULT_DEGREE:
+            raise
+        raise ValueError(f"--order {order} asks for a sphere rule of degree {degree}: "
+                         f"{exc}") from None
 
     axis = np.zeros(2 * pot.n)
     axis[0] = 1.0
@@ -225,7 +225,7 @@ def cmd_check(args) -> int:
             raise ValueError("--K is required for thm3/thm4/rigidity checks")
         if not math.isfinite(args.K):
             raise ValueError(f"--K must be finite, got {args.K}")
-        opts = {"rule": _rule(args, pot.n), "tol_ode": args.tol,
+        opts = {"rule": build_rule(pot.n, _degree(args)), "tol_ode": args.tol,
                 "seed": args.seed}
         if args.which == "thm3":
             rep = comparison.check_volume_ratio(pot, args.K, _grid(args), **opts)

@@ -49,15 +49,10 @@ from .potential import RealAnalyticPotential
 
 __all__ = [
     "HermitianMetric",
-    "CurvatureTensor",
     "CurvatureJets",
     "KahlerDomainError",
     "metric_at",
-    "curvature_at",
-    "ricci_at",
-    "scalar_at",
     "curvature_jets_along",
-    "complex_rep",
     "real_metric_matrix",
     "complete_frame",
     "frame_curvature_matrix",
@@ -80,11 +75,6 @@ class KahlerDomainError(ValueError):
 # ---------------------------------------------------------------------------
 # real <-> complex tangent bookkeeping
 # ---------------------------------------------------------------------------
-
-def complex_rep(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return x[0::2] + 1j * x[1::2]
-
 
 def real_metric_matrix(G) -> np.ndarray:
     """Real 2n x 2n Gram matrix of the coordinate vector fields."""
@@ -231,26 +221,6 @@ class CurvatureWorkspace:
         dtype rule of ``field_values``: the g rows of its stack."""
         return self.field_values(np.asarray(z)[None])[0][0]
 
-    def ricci_values(self, z):
-        """(G, Ric) at one point (n,) or at a batch (..., n).
-
-        Ric_ij = tr(G^-1 d_iG G^-1 dbar_jG) - tr(G^-1 d_i dbar_jG), equal to
-        -d_i dbar_j log det g with no series truncation, computed from the
-        field values alone (``ricci_blocks``): no inverse of G and no
-        curvature array.  The values have the dtype rule of ``field_values``.
-        Raises ``np.linalg.LinAlgError`` when G is not positive definite at a
-        point.
-        """
-        n = self.n
-        z = np.asarray(z)
-        Z = z.reshape(-1, n)
-        G = np.empty((len(Z), n, n), dtype=self._field_eval.result_type(Z))
-        ric = np.empty_like(G)
-        for rows, g, _, r in self.ricci_blocks(Z):
-            G[rows] = np.moveaxis(g, -1, 0)
-            ric[rows] = np.moveaxis(r, -1, 0)
-        return G.reshape(z.shape[:-1] + (n, n)), ric.reshape(z.shape[:-1] + (n, n))
-
     def ricci_blocks(self, Z):
         """(rows, G, W, Ric) for the points ``Z`` (P, n), one
         ``NumericPoly.blocks`` block at a time: ``rows`` is the slice of Z,
@@ -267,10 +237,6 @@ class CurvatureWorkspace:
             G, D1, D2 = (vals[field].reshape(shape + (-1,)) for field, shape in self._fields)
             W = _inverse_cholesky(G)
             yield rows, G, W, _ricci_from_fields(W, D1, D2)
-
-    def curvature_values(self, z):
-        """Complex curvature array R[i,j,k,l] at one point (n,) or a batch (..., n)."""
-        return connection_and_curvature(*self.field_values(np.asarray(z)[None]))[1][0]
 
 
 def exact_metric(pot: RealAnalyticPotential):
@@ -417,25 +383,15 @@ class HermitianMetric:
 
 
 @dataclass(frozen=True)
-class CurvatureTensor:
-    point: np.ndarray
-    components: np.ndarray  # R[i,j,k,l], deviation convention (see module doc)
-
-
-@dataclass(frozen=True)
 class CurvatureJets:
     """Jets R[j] = d^j/dr^j R_uv(r) along the geodesic, in the parallel frame.
 
-    Batch axes of the directions lead; indexing picks directions."""
+    Batch axes of the directions lead."""
 
     e0: np.ndarray          # (..., 2n) metric-unit direction
     order: int
     R: np.ndarray           # (..., order+1, 2n-1, 2n-1)
     ric: np.ndarray         # (..., order+1); Ric^{(j)}(e0, e0) = -tr R^{(j)}
-
-    def __getitem__(self, index) -> "CurvatureJets":
-        return CurvatureJets(e0=self.e0[index], order=self.order,
-                             R=self.R[index], ric=self.ric[index])
 
 
 # ---------------------------------------------------------------------------
@@ -457,27 +413,6 @@ def metric_at(pot: RealAnalyticPotential, z) -> HermitianMetric:
             f"outside Kahler domain: metric eigenvalue {eigs[0]:.4g} at |z| = "
             f"{np.linalg.norm(z):.4g}", eigenvalue=float(eigs[0]))
     return HermitianMetric(point=z, g=G)
-
-
-def curvature_at(pot: RealAnalyticPotential, z) -> CurvatureTensor:
-    z = metric_at(pot, z).point  # inside the ball, positive definite
-    return CurvatureTensor(point=z, components=workspace(pot).curvature_values(z))
-
-
-def ricci_at(pot: RealAnalyticPotential, z) -> np.ndarray:
-    """Complex Ricci matrix -d dbar log det g at z."""
-    z = metric_at(pot, z).point  # inside the ball, positive definite
-    return workspace(pot).ricci_values(z)[1]
-
-
-def scalar_at(pot: RealAnalyticPotential, z) -> float:
-    """Scalar curvature as the trace of the Ricci matrix against g^{-1}.
-
-    Normalized so Ric = K g gives scalar = n K.
-    """
-    metric = metric_at(pot, z)  # positivity gate
-    ric = workspace(pot).ricci_values(metric.point)[1]
-    return float(np.sum(np.linalg.inv(metric.g).conj() * ric).real)
 
 
 def normalize_direction(G, e0) -> np.ndarray:

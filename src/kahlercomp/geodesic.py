@@ -338,14 +338,6 @@ class GeodesicBatch:
                                       bracket=bracket)
         return _jacobi_det(J, r), np.trace(np.linalg.solve(J, Jp), axis1=-2, axis2=-1)
 
-    def frame_curvature(self, r) -> np.ndarray:
-        """R_uv = <R(e0, e_u)e0, e_v> at r in the transported frame of each ray.
-
-        Ric(e0, e0) = -tr R_uv, the sum rule of the ``curvature`` module.
-        """
-        z, full, *_ = self._unpack(self._states(r))
-        return curv.frame_curvature_matrix(self._ws.curvature_values(z)[None], full[None])[0]
-
     def quality(self, r) -> dict:
         """Worst Wronskian, frame and unit-speed drift at r over the rays."""
         z, full, J, Jp = self._unpack(self._states(r))

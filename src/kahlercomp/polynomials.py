@@ -125,12 +125,11 @@ class CPoly:
     equality of the exact polynomials.
     """
 
-    __slots__ = ("n", "coeffs", "_numeric")
+    __slots__ = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs=None):
         self.n = n
         self.coeffs: dict = {}
-        self._numeric = None
         if coeffs:
             for key, val in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
                 self._accumulate(key, QC.from_number(val))
@@ -268,16 +267,6 @@ class CPoly:
                 break
             out = out + power.scale(Fraction((-1) ** (k + 1), k))
         return out
-
-    # -- evaluation --------------------------------------------------------
-    def numeric(self) -> "NumericPoly":
-        if self._numeric is None:
-            self._numeric = NumericPoly([self])
-        return self._numeric
-
-    def evaluate(self, z) -> complex:
-        z = np.asarray(z, dtype=complex).reshape(1, 1, self.n)
-        return complex(self.numeric().evaluate_many(z)[0, 0, 0])
 
     def __repr__(self):
         terms = []

@@ -26,8 +26,6 @@ __all__ = [
     "section6",
     "perturbed",
     "from_catalog",
-    "evaluate",
-    "mixed_partial",
     "load_json",
     "dump_json",
     "loads",
@@ -144,34 +142,6 @@ class RealAnalyticPotential:
 
     def __repr__(self):
         return f"RealAnalyticPotential({self.label!r})"
-
-
-# ---------------------------------------------------------------------------
-# operations
-# ---------------------------------------------------------------------------
-
-def evaluate(pot: RealAnalyticPotential, z) -> float:
-    """Value of the potential at a complex n-vector; real by Hermitian symmetry."""
-    return float(pot.poly.evaluate(z).real)
-
-
-def mixed_partial(pot: RealAnalyticPotential, holo_index, antiholo_index, z) -> complex:
-    """d^{|holo|} dbar^{|antiholo|} f at z, by exact polynomial differentiation.
-
-    Orders beyond the polynomial degree simply return 0.
-    """
-    return mixed_partial_poly(pot, holo_index, antiholo_index).evaluate(z)
-
-
-def mixed_partial_poly(pot: RealAnalyticPotential, holo_index, antiholo_index) -> CPoly:
-    p = pot.poly
-    for i, order in enumerate(holo_index):
-        for _ in range(order):
-            p = p.dz(i)
-    for i, order in enumerate(antiholo_index):
-        for _ in range(order):
-            p = p.dzbar(i)
-    return p
 
 
 # ---------------------------------------------------------------------------

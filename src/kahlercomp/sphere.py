@@ -54,13 +54,16 @@ __all__ = ["SphereRule", "build_rule", "rank1_lattice", "unit_sphere_volume",
 # on these symmetric rules).  6 is the least degree that keeps exact every
 # order the rigidity probe fits (``comparison.RIGIDITY_ORDER``).
 DEFAULT_DEGREE = 6
-# Most nodes a rule may have, read on the lower bound M N_min (the moment nodes
-# times the angle count ``rank1_lattice`` starts its search at), which is known
-# before any search and which the true count exceeds by a factor 1.1 to 2.2.  A
-# flow keeps every ray's dense output, about 75 KiB a ray at n = 4: the 20 232
-# rays of (n, degree) = (4, 8), bound 11 592, peak at 1.5 GiB.  The bound stays
-# below the limit through (2, 20), (3, 15), (4, 9) and (5, 5), and exceeds it
-# from (3, 16), (4, 10) and (5, 6) on.
+# Most directions ``fan_out`` may return, one ray each.  A flow keeps every
+# ray's dense output, about 75 KiB a ray at n = 4: the 20 232 rays of
+# (n, degree) = (4, 8) peak at 1.5 GiB.  The torus-reduced path returns the M
+# moment nodes, which ``build_rule`` bounds; at the default degree M exceeds
+# the limit from n = 9 on.  Every other path returns the full rule, bounded
+# before its lattice is searched by M N_min, the moment nodes times the angle
+# count ``rank1_lattice`` starts its search at; the true count exceeds that
+# bound by a factor 1.1 to 2.2.  The full-rule bound stays below the limit
+# through (2, 20), (3, 15), (4, 9) and (5, 5), and exceeds it from (3, 16),
+# (4, 10) and (5, 6) on.
 MAX_RULE_NODES = 15_000
 
 
@@ -79,6 +82,15 @@ def _frequencies(n, degree):
     first = ks[np.arange(len(ks)), np.argmax(ks != 0, axis=1)]
     ks = ks[first > 0]
     return ks[np.argsort(np.abs(ks).sum(axis=1), kind="stable")]
+
+
+def _refuse_above_limit(n, degree, bound):
+    """A ``ValueError`` when ``bound`` nodes of the rule of ``degree`` at n
+    exceed ``MAX_RULE_NODES``."""
+    if bound > MAX_RULE_NODES:
+        raise ValueError(f"the sphere rule of degree {degree} at n = {n} has at least "
+                         f"{bound} nodes, above the limit MAX_RULE_NODES = {MAX_RULE_NODES}; "
+                         f"pass a smaller --quad-degree, exact only through that degree")
 
 
 def _least_lattice_size(n, degree):
@@ -123,7 +135,9 @@ class SphereRule:
     ``nodes`` and ``weights`` are the full rule, built on first read:
     moment-major, then the lattice points j = 0..N-1.  The point j = 0 has
     every angle 0, so ``moment_nodes()`` is ``nodes[::N]``.  The lattice is
-    searched only when ``nodes``, ``weights``, ``lattice`` or ``len`` is read.
+    searched only when ``nodes``, ``weights``, ``lattice`` or ``len`` is read,
+    and a rule out of reach, M N_min above ``MAX_RULE_NODES``, is refused
+    there, before the search.
     """
 
     n: int
@@ -134,6 +148,8 @@ class SphereRule:
     @property
     def lattice(self) -> tuple[int, tuple[int, ...]]:
         """(N, g): lattice point j has the angles 2 pi (j g mod N) / N."""
+        _refuse_above_limit(self.n, self.degree,
+                            len(self.moment_weights) * _least_lattice_size(self.n, self.degree))
         return rank1_lattice(self.n, self.degree)
 
     def __len__(self):
@@ -178,10 +194,8 @@ def build_rule(n: int, degree: int | None = None) -> SphereRule:
     nodes, exact for the degree half + n - 1 - k that a moment monomial of
     degree half times the Jacobian reaches in s_k.  The angles are the lattice
     of ``rank1_lattice(n, degree)``, searched when the nodes are first read.
-    A degree outside 0..20 is a ``ValueError``, and so is a rule whose node
-    count is out of reach: M moment nodes times the ``_least_lattice_size``
-    that the search starts at, above ``MAX_RULE_NODES``.  Both are refused
-    before any lattice search.
+    A degree outside 0..20 is a ``ValueError``, and so is a rule whose M
+    moment nodes exceed ``MAX_RULE_NODES``, before they are built.
     """
     n = int(n)
     if n < 2:
@@ -191,11 +205,7 @@ def build_rule(n: int, degree: int | None = None) -> SphereRule:
         raise ValueError(f"exactness degree must lie in 0..20, got {degree}")
     half = degree // 2
     counts = [(half + n - k + 1) // 2 for k in range(1, n)]
-    bound = math.prod(counts) * _least_lattice_size(n, degree)
-    if bound > MAX_RULE_NODES:
-        raise ValueError(f"the sphere rule of degree {degree} at n = {n} has at least "
-                         f"{bound} nodes, above the limit MAX_RULE_NODES = {MAX_RULE_NODES}; "
-                         f"pass a smaller --quad-degree, exact only through that degree")
+    _refuse_above_limit(n, degree, math.prod(counts))
 
     factors = [_gauss01(count) for count in counts]
     s = np.stack(np.meshgrid(*[x for x, _ in factors], indexing="ij"), axis=-1).reshape(-1, n - 1)
@@ -229,9 +239,11 @@ def fan_out(pot: RealAnalyticPotential, p, rule: SphereRule):
     each angle torus is then the value at angle 0 times (2 pi)^n, and one
     direction per moment node gives the lattice rule's sum exactly, without
     searching the lattice.  In every other case the directions are every node
-    of the rule.  A node u maps to F u with F the inverse-transpose Cholesky
-    factor of the real Gram matrix H at p, an isometry from the round sphere
-    onto the metric unit sphere.  ``p`` is gated by ``curvature.metric_at``.
+    of the rule, refused before the lattice search when the rule is out of
+    reach (``MAX_RULE_NODES``).  A node u maps to F u with F the
+    inverse-transpose Cholesky factor of the real Gram matrix H at p, an
+    isometry from the round sphere onto the metric unit sphere.  ``p`` is
+    gated by ``curvature.metric_at``.
     """
     metric = curv.metric_at(pot, p)
     if torus_reduced(pot, metric.point):

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from kahlercomp import curvature as C
-from kahlercomp.polynomials import CPoly, cauchy_product
+from kahlercomp.polynomials import QC, CPoly, NumericPoly, cauchy_product
 from kahlercomp.potential import RealAnalyticPotential
 from kahlercomp.series import SeriesExpansion
 from kahlercomp.sphere import fan_out, unit_sphere_volume
@@ -22,6 +22,13 @@ from kahlercomp.sphere import fan_out, unit_sphere_volume
 # ---------------------------------------------------------------------------
 # real tangent vectors in their complex representation
 # ---------------------------------------------------------------------------
+
+def complex_rep(x) -> np.ndarray:
+    """xi^i = x^{2i} + i x^{2i+1}: the complex representation of real vectors
+    x (..., 2n), coordinates ordered x1, y1, ..., xn, yn."""
+    x = np.asarray(x, dtype=float)
+    return x[..., 0::2] + 1j * x[..., 1::2]
+
 
 def real_pairing(H, xi, eta) -> float:
     """2 Re(sum_ij H_ij xi^i conj(eta^j)) for a Hermitian matrix H: the real
@@ -51,6 +58,38 @@ def rm_value(RH, xi, eta, zeta, omega) -> float:
     t1 = np.einsum("ij,k,l,ijkl->", c1, zeta, np.conj(omega), RH)
     t2 = np.einsum("ij,k,l,ijlk->", c1, np.conj(zeta), omega, RH)
     return float((t1 - t2).real)
+
+
+# ---------------------------------------------------------------------------
+# point values on the paths the checks run
+# ---------------------------------------------------------------------------
+
+def poly_values(poly, Z) -> np.ndarray:
+    """The ``CPoly`` ``poly`` at the complex points Z (..., n), by the
+    package's one numeric evaluator, ``NumericPoly.evaluate_many``."""
+    Z = np.asarray(Z, dtype=complex)
+    values = NumericPoly([poly]).evaluate_many(Z.reshape(1, -1, poly.n))
+    return values[0, :, 0].reshape(Z.shape[:-1])
+
+
+def curvature_array(pot, Z) -> np.ndarray:
+    """The curvature array R[i,j,k,l] at the points Z (..., n): the
+    ``connection_and_curvature`` of the field values, as the ray right-hand
+    side and the curvature jets form it, at a length-1 series."""
+    return C.connection_and_curvature(*C.workspace(pot).field_values(np.asarray(Z)[None]))[1][0]
+
+
+def ricci(pot, Z):
+    """(G, Ric) at the points Z (P, n), point-first, gathered from the blocks of
+    ``CurvatureWorkspace.ricci_blocks``, the path the Ricci certificate runs."""
+    blocks = [(G, ric) for _, G, _, ric in C.workspace(pot).ricci_blocks(np.asarray(Z))]
+    return tuple(np.moveaxis(np.concatenate(parts, axis=-1), -1, 0) for parts in zip(*blocks))
+
+
+def scalar_curvature(pot, Z) -> np.ndarray:
+    """tr(G^-1 Ric) at the points Z (P, n), from ``ricci``: Ric = K g gives n K."""
+    G, ric = ricci(pot, Z)
+    return np.einsum("pij,pji->p", np.linalg.inv(G), ric).real
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +182,9 @@ def tangent_nodes(rule, H) -> np.ndarray:
 def r11_integral(pot, p, rule):
     """Sphere integral of R_11(e0) = <R(e0, Je0)e0, Je0> at p."""
     p = np.asarray(p, dtype=complex).reshape(pot.n)
-    RH = C.workspace(pot).curvature_values(p)
+    RH = curvature_array(pot, p)
     dirs, weights = fan_out(pot, p, rule)
-    xi = dirs[:, 0::2] + 1j * dirs[:, 1::2]
+    xi = complex_rep(dirs)
     # R_11 is the frame curvature of the frame [e0, Je0], at a point (a length-1 series)
     vals = C.frame_curvature_matrix(RH[None], np.stack([xi, 1j * xi], axis=1)[None])
     return math.fsum(weights * vals[0, :, 0, 0])
@@ -159,8 +198,9 @@ def kahler_r11_identity_check(pot, p, rule=None):
     (lhs, rhs, residual).
     """
     n = pot.n
+    p = np.asarray(p, dtype=complex).reshape(n)
     lhs = r11_integral(pot, p, rule)
-    rhs = -2.0 * unit_sphere_volume(n) / (n * (n + 1)) * C.scalar_at(pot, p)
+    rhs = -2.0 * unit_sphere_volume(n) / (n * (n + 1)) * scalar_curvature(pot, p[None])[0]
     return lhs, rhs, lhs - rhs
 
 
@@ -169,9 +209,9 @@ def kahler_r11_identity_check(pot, p, rule=None):
 # ---------------------------------------------------------------------------
 
 def linear_substitute(poly, U) -> CPoly:
-    """``poly`` with z -> U z (and conj(z) -> conj(U) conj(z)) for a complex matrix U."""
+    """``poly`` with z -> U z (and conj(z) -> conj(U) conj(z)) for a matrix U
+    of complex numbers or ``QC`` entries, in exact arithmetic on them."""
     n = poly.n
-    U = np.asarray(U, dtype=complex)
     zs = [CPoly.monomial(n, tuple(1 if j == i else 0 for j in range(n)), (0,) * n, 1)
           for i in range(n)]
     new_z = []
@@ -179,7 +219,7 @@ def linear_substitute(poly, U) -> CPoly:
     for i in range(n):
         acc = CPoly.zero(n)
         for j in range(n):
-            acc = acc + zs[j].scale(U[i, j])
+            acc = acc + zs[j].scale(U[i][j])
         new_z.append(acc)
         new_zb.append(acc.conj())
     out = CPoly.zero(n)
@@ -193,6 +233,51 @@ def linear_substitute(poly, U) -> CPoly:
                 term = term * new_zb[i]
         out = out + term
     return out
+
+
+def _qc_inverse(q) -> QC:
+    """1 / q for a nonzero ``QC``, exactly."""
+    norm = q.re * q.re + q.im * q.im
+    return QC(q.re / norm, -q.im / norm)
+
+
+def cayley_rotated(pot, A) -> tuple:
+    """The exact potential f(U z) with U = (I - A)(I + A)^-1, the Cayley
+    transform of a skew-Hermitian matrix A (A^H = -A) of rationals or ``QC``
+    entries, so that U is rational and unitary.  (I + A)^-1 comes from
+    Gauss-Jordan elimination in ``QC`` arithmetic (I + A is invertible, since
+    A has imaginary eigenvalues).  z -> U z is an isometry from the metric of
+    f(U z) to the metric of f, so every invariant of the metric (the scalar
+    curvature at z, the sphere averages at the origin) is the one of f at
+    U z, and the validity ball is the same.  Returns the rotated potential
+    and U as a complex array."""
+    n = pot.n
+    A = [[QC.from_number(x) for x in row] for row in A]
+    if any(A[i][j] != -A[j][i].conjugate() for i in range(n) for j in range(n)):
+        raise ValueError("A must be skew-Hermitian")
+    one = QC(1)
+    # [I + A | I], row-reduced until its left half is I: the right half is then (I + A)^-1
+    M = [[A[i][j] + (one if i == j else QC()) for j in range(n)]
+         + [one if i == j else QC() for j in range(n)] for i in range(n)]
+    for k in range(n):
+        p = next(i for i in range(k, n) if not M[i][k].is_zero())
+        M[k], M[p] = M[p], M[k]
+        inv = _qc_inverse(M[k][k])
+        M[k] = [x * inv for x in M[k]]
+        for i in range(n):
+            if i != k and not M[i][k].is_zero():
+                f = M[i][k]
+                M[i] = [x - f * y for x, y in zip(M[i], M[k])]
+    inverse = [row[n:] for row in M]
+    minus = [[(one if i == j else QC()) - A[i][j] for j in range(n)] for i in range(n)]
+    U = [[sum((minus[i][k] * inverse[k][j] for k in range(n)), QC()) for j in range(n)]
+         for i in range(n)]
+    poly = linear_substitute(pot.poly, U)
+    rotated = RealAnalyticPotential(n, [(a, b, c) for (a, b), c in poly.coeffs.items()],
+                                    max_degree=pot.max_degree,
+                                    validity_radius=pot.validity_radius,
+                                    label=f"{pot.label} rotated")
+    return rotated, np.array([[complex(x) for x in row] for row in U])
 
 
 def is_even(pot) -> bool:

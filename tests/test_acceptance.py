@@ -23,7 +23,7 @@ from kahlercomp import series as S
 from kahlercomp.model_space import ModelSpace
 from kahlercomp.polynomials import CPoly
 from kahlercomp.sphere import build_rule, unit_sphere_volume
-from oracles import real_pairing, sphere_average, tangent_nodes
+from oracles import complex_rep, real_pairing, ricci, sphere_average, tangent_nodes
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "counterexample_golden.json"
 
@@ -259,10 +259,10 @@ def test_criterion_8_quality_gates(flows, section6_pot):
     assert worst["wronskian"] < 1e-8
     assert worst["frame"] < 1e-9
 
-    ric = C.workspace(section6_pot).ricci_values(np.zeros(2))[1]
+    ric = ricci(section6_pot, np.zeros((1, 2)))[1][0]
 
     def integrand(x):
-        xi = C.complex_rep(x)
+        xi = complex_rep(x)
         return 1.0 / (2.0 + real_pairing(ric, xi, xi))
 
     v12 = sphere_average(build_rule(2, 12), integrand)

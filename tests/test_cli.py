@@ -131,11 +131,12 @@ class TestSeriesCommand:
 
     @pytest.mark.parametrize("argv", [
         ["series", "--catalog", "perturbed", "--params", "n=4,seed=0", "--order", "10"],
-        ["check", "--which", "thm4", "--catalog", "flat", "--params", "n=5", "--K", "0"],
+        ["check", "--which", "thm4", "--catalog", "perturbed", "--params", "n=5,seed=0",
+         "--K", "-1"],
     ])
     def test_derived_rule_out_of_reach(self, tmp_path, capsys, argv):
-        """A derived rule above the node limit is refused before anything runs,
-        and the message points to --quad-degree."""
+        """A derived rule above the node limit is refused before any lattice
+        search and any ray, and the message points to --quad-degree."""
         out = tmp_path / "d"
         assert cli.main([*argv, "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -362,6 +363,25 @@ class TestCheckCommand:
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
         assert r.stdout.split("\n")[:2] == ["0 6 6 0", "0 2 2 0"]
+
+    def test_torus_run_at_n5_integrates_the_moment_rays(self):
+        """The node limit reads the rays a run integrates: flat(5) at the
+        default degree 6 fans out to its 72 moment nodes, far below the
+        limit that its full rule (at least 16 704 nodes) exceeds, so the
+        check runs and the lattice memo stays empty."""
+        code = (
+            "import contextlib, io, json\n"
+            "from kahlercomp import cli, sphere\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    status = cli.main(['check', '--which', 'thm4', '--catalog', 'flat',"
+            " '--params', 'n=5', '--K', '0'])\n"
+            "report = json.loads(out.getvalue())\n"
+            "print(status, report['verdicts'], report['rule'],"
+            " sphere.rank1_lattice.cache_info().currsize)\n")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == ("0 ['holds'] {'degree': 6, 'nodes': 72, 'rays': 72, "
+                                    "'symmetry': 'torus'} 0")
 
     @pytest.mark.parametrize("which", ["thm3", "thm4", "rigidity"])
     @pytest.mark.parametrize("catalog, params, K, symmetry", [

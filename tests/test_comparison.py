@@ -13,6 +13,7 @@ from kahlercomp import curvature as C
 from kahlercomp import model_space as M
 from kahlercomp import potential as P
 from kahlercomp.model_space import ModelSpace
+from oracles import ricci
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +39,7 @@ def _assert_drawn_witness(witness, points):
 
 def _whitened_deficit(pot, K, Z):
     """L^-1 (Ric - K g) L^-H, g = L L^H, at each point of Z, by LAPACK."""
-    G, ric = C.workspace(pot).ricci_values(Z)
+    G, ric = ricci(pot, Z)
     L = np.linalg.cholesky(G)
     X = np.linalg.solve(L, ric - K * G)
     return np.linalg.solve(L, np.conj(np.swapaxes(X, 1, 2)))
@@ -157,7 +158,7 @@ class TestCertificates:
         assert cert.symmetry == "torus"
         _assert_drawn_witness(cert.witness, CMP._certificate_points(2, 0.6, 200, 0))
 
-    def test_ricci_values_raise_on_the_indefinite_sample(self):
+    def test_ricci_blocks_raise_on_the_indefinite_sample(self):
         """Ric is refused, not computed, on a sample where g is indefinite
         somewhere: a typed error, no NaN and no warning."""
         ws = C.workspace(_indefinite_potential())
@@ -166,7 +167,7 @@ class TestCertificates:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(np.linalg.LinAlgError):
-                    ws.ricci_values(at)
+                    list(ws.ricci_blocks(at))
 
     @pytest.mark.parametrize("pot, K", [(P.section6(0.1, 0), -1.2), (P.perturbed(2, 0), -1.0),
                                         (P.space_form(3, 1, degree=12), 1.0)],

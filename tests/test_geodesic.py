@@ -16,7 +16,7 @@ from kahlercomp import potential as P
 from kahlercomp import series as S
 from kahlercomp.model_space import ModelSpace
 from kahlercomp.sphere import build_rule, fan_out, unit_sphere_volume
-from oracles import exact_det, gram_log_derivative, ray_states
+from oracles import complex_rep, exact_det, gram_log_derivative, ray_states
 
 
 def one_ray(pot, e0, r_max, tol=G.ODE_TOL):
@@ -28,7 +28,7 @@ class TestShoot:
     def test_flat_straight_line(self, flat2):
         p = np.array([0.01 + 0.01j, 0.0])
         ray = G.GeodesicBatch(flat2, p, [np.array([1.0, 0.5, -0.3, 0.2])], 1.0)
-        xi0 = C.complex_rep(ray.e0[0])
+        xi0 = complex_rep(ray.e0[0])
         for r in (0.25, 0.8):
             assert np.allclose(ray_states(ray, r)[0][0], p + r * xi0, atol=1e-12)
 
@@ -268,7 +268,7 @@ class TestDensity:
         with pytest.raises(ValueError, match="r_max must be positive and finite"):
             G.GeodesicBatch(flat2, np.zeros(2), [np.array([1.0, 0, 0, 0])], r_max)
 
-    @pytest.mark.parametrize("read", ["volumes", "densities", "frame_curvature", "quality"])
+    @pytest.mark.parametrize("read", ["volumes", "densities", "quality"])
     def test_nan_radius_refused(self, flat2, read):
         """Every reading refuses r = nan as outside the integrated range."""
         batch = G.GeodesicBatch(flat2, np.zeros(2), [np.array([1.0, 0, 0, 0])], 0.1)

@@ -15,8 +15,8 @@ from kahlercomp import series as S
 from kahlercomp.model_space import ModelSpace
 from kahlercomp.polynomials import cauchy_product
 from kahlercomp.sphere import build_rule, fan_out, unit_sphere_volume
-from oracles import (gram_density_series, kahler_r11_identity_check, r11_integral, rm_value,
-                     tangent_nodes)
+from oracles import (complex_rep, curvature_array, gram_density_series,
+                     kahler_r11_identity_check, r11_integral, rm_value, tangent_nodes)
 
 
 def synthetic_jets(R_list, m=3):
@@ -172,7 +172,8 @@ class TestDensitySeries:
         ds = S.density_series(co, 4).coefficients
         assert co.C.shape == (2, 3, 3, 6, 3) and ds.shape == (2, 3, 5)
         for idx in np.ndindex(2, 3):
-            one = S.jacobi_recursion(jets[idx], 5)
+            one = S.jacobi_recursion(C.CurvatureJets(e0=jets.e0[idx], order=jets.order,
+                                                     R=jets.R[idx], ric=jets.ric[idx]), 5)
             assert np.allclose(co.C[idx], one.C, rtol=1e-14, atol=0)
             assert np.allclose(ds[idx], S.density_series(one, 4).coefficients,
                                rtol=1e-14, atol=0)
@@ -404,9 +405,9 @@ class TestKahlerIdentity:
         from kahlercomp.sphere import fan_out
         rule = build_rule(*rule)
         p = np.zeros(pot.n)
-        RH = C.workspace(pot).curvature_values(p)
+        RH = curvature_array(pot, p.astype(complex))
         dirs, weights = fan_out(pot, p, rule)
-        vals = [rm_value(RH, xi, 1j * xi, xi, 1j * xi) for xi in map(C.complex_rep, dirs)]
+        vals = [rm_value(RH, xi, 1j * xi, xi, 1j * xi) for xi in complex_rep(dirs)]
         loop = math.fsum(w * v for w, v in zip(weights, vals))
         assert r11_integral(pot, p, rule) == pytest.approx(loop, rel=1e-14, abs=0)
 

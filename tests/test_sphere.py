@@ -12,7 +12,7 @@ from kahlercomp import curvature as C
 from kahlercomp import potential as P
 from kahlercomp import sphere
 from kahlercomp.sphere import build_rule, fan_out, rank1_lattice, torus_reduced, unit_sphere_volume
-from oracles import complex_nodes, real_pairing, sphere_average, tangent_nodes
+from oracles import complex_nodes, complex_rep, real_pairing, ricci, sphere_average, tangent_nodes
 
 
 class TestRuleBasics:
@@ -102,12 +102,11 @@ class TestExactness:
         """Einstein identity: integral of Ric(e0,e0) over unit directions is K Vol."""
         K = 1.5
         pot = P.space_form(2, K)
-        ws = C.workspace(pot)
-        G, ric = ws.ricci_values(np.zeros(2))
+        G, ric = (m[0] for m in ricci(pot, np.zeros((1, 2))))
         rule = build_rule(2, 8)
         dirs = tangent_nodes(rule, C.real_metric_matrix(G))
-        val = math.fsum(w * real_pairing(ric, C.complex_rep(e0), C.complex_rep(e0))
-                        for w, e0 in zip(rule.weights, dirs))
+        val = math.fsum(w * real_pairing(ric, xi, xi)
+                        for w, xi in zip(rule.weights, complex_rep(dirs)))
         assert val == pytest.approx(K * unit_sphere_volume(2), rel=1e-12)
 
     def test_n3_moments(self):
@@ -126,11 +125,10 @@ class TestExactness:
 class TestConvergencePlateau:
     def test_smooth_integrand_stable_under_refinement(self, section6_pot):
         """Non-polynomial catalog integrand: refinement changes the value < 1e-9."""
-        ws = C.workspace(section6_pot)
-        ric = ws.ricci_values(np.zeros(2))[1]
+        ric = ricci(section6_pot, np.zeros((1, 2)))[1][0]
 
         def integrand(x):
-            xi = C.complex_rep(x)
+            xi = complex_rep(x)
             return 1.0 / (2.0 + real_pairing(ric, xi, xi))
 
         vals = {}
@@ -228,12 +226,18 @@ class TestLattice:
     def test_out_of_reach_rules_refused_before_any_search(self):
         """M N_min, the moment nodes times the angle count the lattice search
         starts at, bounds the node count from below; above ``MAX_RULE_NODES``
-        the rule is refused and the lattice memo stays empty."""
+        ``fan_out`` refuses the full rule and the lattice memo stays empty.
+        The torus-reduced path of the same rules returns only the M moment
+        nodes, and is not refused."""
         code = (
-            "from kahlercomp import sphere\n"
+            "import numpy as np\n"
+            "from kahlercomp import potential as P, sphere\n"
             "for n, degree in ((4, 12), (4, 16), (3, 20), (5, 8)):\n"
+            "    rule = sphere.build_rule(n, degree)\n"
+            "    dirs, _ = sphere.fan_out(P.flat(n), np.zeros(n), rule)\n"
+            "    assert len(dirs) == len(rule.moment_weights) <= 150, (n, degree)\n"
             "    try:\n"
-            "        sphere.build_rule(n, degree)\n"
+            "        sphere.fan_out(P.perturbed(n, 0), np.zeros(n), rule)\n"
             "    except ValueError as exc:\n"
             "        assert 'MAX_RULE_NODES = 15000' in str(exc), exc\n"
             "    else:\n"
@@ -245,13 +249,22 @@ class TestLattice:
 
     @pytest.mark.parametrize("n, degree", [(3, 15), (4, 9), (5, 5)])
     def test_largest_accepted_degree(self, n, degree):
-        """The limit falls between the degree and the next, as ``MAX_RULE_NODES``
-        states; the default degree 6 is accepted through n = 4."""
+        """The limit on the full rule falls between the degree and the next, as
+        ``MAX_RULE_NODES`` states; the default degree 6 is accepted through
+        n = 4."""
         rule = build_rule(n, degree)
         assert len(rule.moment_weights) * sphere._least_lattice_size(n, degree) \
             <= sphere.MAX_RULE_NODES
+        assert len(rule) >= len(rule.moment_weights) * sphere._least_lattice_size(n, degree)
         with pytest.raises(ValueError, match="MAX_RULE_NODES"):
-            build_rule(n, degree + 1)
+            build_rule(n, degree + 1).lattice
+
+    def test_moment_rule_out_of_reach_refused_before_it_is_built(self):
+        """No path integrates fewer than the M moment nodes, so a rule with M
+        above ``MAX_RULE_NODES`` is refused by ``build_rule`` itself: 12 700 800
+        moment nodes at (n, degree) = (12, 6)."""
+        with pytest.raises(ValueError, match="has at least 12700800 nodes"):
+            build_rule(12, 6)
 
 
 class TestFanOut:
