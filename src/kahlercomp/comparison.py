@@ -26,7 +26,8 @@ from . import curvature as curv
 from . import geodesic, model_space, series
 from .polynomials import CPoly
 from .potential import RealAnalyticPotential, section6
-from .sphere import SphereRule, build_rule, fan_out, rule_record, unit_sphere_volume
+from .sphere import (SphereRule, build_rule, fan_out, rule_record, torus_reduced,
+                     unit_sphere_volume)
 
 __all__ = [
     "RicciBoundCertificate",
@@ -441,9 +442,17 @@ def _certified_flow(pot, K, rho, r_max, rule, tol_ode, seed):
     rho where the metric is small; when the rays' ``reach`` exceeds the
     certified radius, the bound is certified again on the ball of that reach.
     A refused certificate raises a ``ValueError``: the first before any ray is
-    integrated, the second before any reduction reads the flow."""
+    integrated, the second before any reduction reads the flow.  A rule whose
+    nodes ``fan_out`` would refuse (``MAX_RULE_NODES``) is refused first,
+    before the certificate: ``len`` of a ``SphereRule`` checks its node bound
+    M N_min before any lattice search, and runs the search ``fan_out`` needs
+    only for a rule in reach."""
+    origin = np.zeros(pot.n, dtype=complex)
+    rule = build_rule(pot.n) if rule is None else rule
+    if not torus_reduced(pot, origin):
+        len(rule)   # the node limit, before the certificate
     certificate = _certified(pot, K, min(rho, pot.validity_radius), seed)
-    flow = SphereFlow(pot, np.zeros(pot.n, dtype=complex), r_max, rule, tol_ode)
+    flow = SphereFlow(pot, origin, r_max, rule, tol_ode)
     if flow.rays.reach > certificate.rho:
         certificate = _certified(pot, K, flow.rays.reach, seed)
     return certificate, flow

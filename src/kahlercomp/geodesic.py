@@ -11,7 +11,11 @@ a batch of one.  The stepper is the DOP853 pair with its error norm and dense
 output (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4-II.6), with scipy's
 tableau and step-size constants.  Every Runge-Kutta sum over the stage axis
 is one ``np.einsum`` (numpy's own loop, never a BLAS call, whose threads would
-spin); ``curvature.transport`` moves the frame, as in the curvature jets.  The
+spin).  The right-hand side has its own point formula (``_rhs``): the
+connection and the frame curvature matrix of the curvature jets, contracted
+with the frame first, each product over the rays one ``block_matmul`` call
+on a plan the batch keeps.  The curvature jets keep the series formula, to
+which tests/test_geodesic.py pins the point formula at length 1.  The
 tableau, scipy's ``integrate/_ivp/dop853_coefficients.py``, is loaded by its
 file path (``_scipy_files``): it imports only numpy, while importing it as a
 package member would first load ``scipy.integrate`` and ``scipy.optimize``.
@@ -37,6 +41,7 @@ import numpy as np
 
 from . import curvature as curv
 from ._scipy_files import load_scipy_file
+from .polynomials import block_matmul
 from .potential import RealAnalyticPotential
 from .sphere import _gauss01
 
@@ -114,13 +119,17 @@ def _bisect(f, a, b, xtol):
 
 
 def _jacobi_det(J, r):
-    """det J of the Jacobi matrices J (..., m, m) at the radii r, as det(J / s) s^m
-    for s = 2^k within a factor sqrt 2 of r (k = -1 at r = 0), an exact scaling.
-    ``np.linalg.det`` forms exp(sum ln|u_kk|) and so rounds by about eps |ln det|,
-    m |ln r| for J ~ r I near the base point but below m ln 2 / 2 for J / s."""
+    """(sign, det J) of the Jacobi matrices J (..., m, m) at the radii r, with
+    det J = det(J / s) s^m for s = 2^k within a factor sqrt 2 of r (k = -1 at
+    r = 0), an exact scaling.  ``np.linalg.det`` forms exp(sum ln|u_kk|) and
+    so rounds by about eps |ln det|, m |ln r| for J ~ r I near the base point
+    but below m ln 2 / 2 for J / s.  The sign is that of det(J / s), taken
+    before the factor s^m, so a det J that underflows at a tiny r keeps it;
+    scaling by a power of two leaves LAPACK's pivots as they are."""
     mantissa, k = np.frexp(r)
     k = k - (mantissa < 0.5 ** 0.5)
-    return np.ldexp(np.linalg.det(np.ldexp(J, -k[..., None, None])), k * J.shape[-1])
+    scaled = np.linalg.det(np.ldexp(J, -k[..., None, None]))
+    return np.sign(scaled), np.ldexp(scaled, k * J.shape[-1])
 
 
 def _conjugate_point(sign, r_max):
@@ -172,6 +181,7 @@ class GeodesicBatch:
         full[:] = curv.complete_frame(metric.g, xi0)
         Jp[:] = np.eye(m)
         self.nfev = 0
+        self._plans = {}   # block_matmul's plans for this batch's products
         self.r_max = float(r_max)
         self._integrate(y0)
 
@@ -190,16 +200,51 @@ class GeodesicBatch:
         return z, full, J, Jp
 
     def _rhs(self, Y):
-        """Right-hand side for a batch of states (N, d); autonomous in r."""
+        """Right-hand side for a batch of states (N, d); autonomous in r.
+
+        The point formula of ``curv.connection_and_curvature``, ``transport``
+        and ``frame_curvature_matrix``, contracted with the frame first, so
+        that no n^2 x n^2 curvature matrix is formed.  With xi = e0, X = xi.D1
+        (X_kq = sum_i xi_i d_i g_kq) and U = xi.D2 (U_jkl = sum_i xi_i d_i
+        dbar_j g_kl) from one product, Gamma(xi, e_k)^m = (X conj(G^-1)^T)_km,
+        and the frame moves by -Gamma(xi, e_a), whose row a = 0 is
+        Gamma(xi, xi).  The rows c_u = xi (x) conj(e_u) - e_u (x) conj(xi) of
+        ``frame_curvature_matrix`` have rank 2, so with E the rows e_1..e_{2n-1}
+        R_uv = <R(e0, e_u)e0, e_v> is the symmetric part of 2 Re((E S +
+        conj(E) T) E^T), where, by the Kahler symmetries of d g and d dbar g,
+        S_ik = sum_m d_i g_km conj(Gamma(xi, xi)^m)
+               - conj(sum_jl xi_j xi_l d_j dbar_i g_lk) and
+        T_jk = sum_l U_jkl conj(xi_l) - sum_m conj(X_jm) Gamma(xi, e_k)^m
+        (T is Hermitian).  Every product over the rays is one
+        ``block_matmul`` call on the batch's plans.  tests/test_geodesic.py
+        pins this to the series formula at length 1.
+        """
         self.nfev += 1
         z, full, J, Jp = self._unpack(Y)
-        gam, RH = curv.connection_and_curvature(*self._ws.field_values(z[None]))
+        N, n = Y.shape[0], self.n
+
+        def mm(a, b):
+            return block_matmul(a, b, self._plans)
+
+        G, D1, D2 = (values[0] for values in self._ws.field_values(z[None]))
+        xi, E = full[:, :1], full[:, 1:]
+        XU = mm(xi, np.concatenate((D1.reshape(N, n, n * n), D2.reshape(N, n, n ** 3)), axis=2))
+        X, U = XU[:, 0, :n * n].reshape(N, n, n), XU[:, 0, n * n:].reshape(N, n, n, n)
+        gam = mm(X, np.swapaxes(np.linalg.inv(G).conj(), 1, 2))
+        transport = mm(full, gam)
+        S = mm(D1.reshape(N, n * n, n), transport[:, 0, :, None].conj()).reshape(N, n, n)
+        S -= mm(xi, np.swapaxes(U, 1, 2).reshape(N, n, n * n)).reshape(N, n, n).conj()
+        T = mm(U.reshape(N, n * n, n), xi.conj().reshape(N, n, 1)).reshape(N, n, n)
+        T -= mm(X.conj(), np.swapaxes(gam, 1, 2))
+        W = mm(E, S)
+        W += mm(E.conj(), T)
+        R = mm(W, np.swapaxes(E, 1, 2)).real
         out = np.empty_like(Y)
         dz, dfull, dJ, dJp = self._unpack(out)
-        dz[:] = full[:, 0]
-        dfull[:] = -curv.transport(full[None], gam)[0]
+        dz[:] = xi[:, 0]
+        np.negative(transport, out=dfull)
         dJ[:] = Jp
-        dJp[:] = curv.frame_curvature_matrix(RH, full[None])[0] @ J
+        dJp[:] = mm(R + np.swapaxes(R, 1, 2), J)
         return out
 
     def _initial_step(self, y, f, r_end):
@@ -233,7 +278,7 @@ class GeodesicBatch:
         nodes = self._nodes * x
         J = _interpolate(nodes[:, None, None], y_old[:, jb], F[:, :, jb])
         det = np.abs(_jacobi_det(J.reshape(J.shape[:2] + (self.m, self.m)),
-                                 t_old + nodes[:, None] * h))
+                                 t_old + nodes[:, None] * h)[1])
         return h * x * np.einsum("k,kr->r", self._weights, det)
 
     def _integrate(self, y):
@@ -320,23 +365,24 @@ class GeodesicBatch:
         parallel frame, so sqrt(det <J_u, J_v>) = |det J| = det J before a
         conjugate point.  A ray with det J <= 0 at r raises
         ``ConjugatePointError``, bracketing the first zero of its det J.  The
-        sign of det J comes from its LU factors, so a det J that underflows at
-        a tiny r is not taken for a conjugate point."""
+        sign of det J is that of the scaled determinant of ``_jacobi_det``, so
+        a det J that underflows at a tiny r is not taken for a conjugate point."""
         if r <= 0:
             raise ValueError("density needs r > 0")
         _, _, J, Jp = self._unpack(self._states(r))
-        bad = np.flatnonzero(np.linalg.slogdet(J).sign <= 0)
+        signs, det = _jacobi_det(J, r)
+        bad = np.flatnonzero(signs <= 0)
         if bad.size:
             row = bad[0]
 
             def sign(s):
-                return np.linalg.slogdet(self._unpack(self._states(s))[2][row]).sign
+                return _jacobi_det(self._unpack(self._states(s))[2][row], s)[0]
 
             cp = _conjugate_point(sign, self.r_max)
             bracket = (0.0, r) if cp is None else (cp * (1 - 1e-10), cp * (1 + 1e-10))
             raise ConjugatePointError(f"conjugate point reached before r = {r}",
                                       bracket=bracket)
-        return _jacobi_det(J, r), np.trace(np.linalg.solve(J, Jp), axis1=-2, axis2=-1)
+        return det, np.trace(np.linalg.solve(J, Jp), axis1=-2, axis2=-1)
 
     def quality(self, r) -> dict:
         """Worst Wronskian, frame and unit-speed drift at r over the rays."""

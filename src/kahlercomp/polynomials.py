@@ -11,6 +11,11 @@ the monomials with a sparse (CSR) coefficient matrix holding each distinct
 polynomial once: no dense linear algebra, so no threaded BLAS call.  The CSR
 product is scipy's compiled ``csr_matvecs``, read from
 ``scipy/sparse/_sparsetools`` by path, without the ``scipy.sparse`` package.
+
+Series of arrays multiply order by order (``cauchy_product``).  A stack of
+small matrices, one per ray of a geodesic batch, multiplies through the same
+kernel (``block_matmul``): the stack is one block-diagonal CSR matrix, so a
+product is one kernel call where ``np.matmul`` makes one BLAS call per matrix.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 from ._scipy_files import load_scipy_file
 
-__all__ = ["QC", "CPoly", "NumericPoly", "cauchy_product"]
+__all__ = ["QC", "CPoly", "NumericPoly", "cauchy_product", "block_matmul"]
 
 _sparsetools = load_scipy_file("sparse/_sparsetools")
 
@@ -297,6 +302,30 @@ def cauchy_product(op, a, b, out=None):
         op(a[k], b[0], out=out[k])
         for j in range(k):
             out[k] += op(a[j], b[k - j], tmp)
+    return out
+
+
+def block_matmul(a, b, plans):
+    """``a @ b`` for the stacks ``a`` (N, r, c) and ``b`` (N, c, k) of small
+    matrices, in one ``csr_matvecs`` call.
+
+    The stack ``a`` is read as the block-diagonal CSR matrix whose rows point
+    every c entries and whose row (t, i) holds the columns t c .. t c + c - 1,
+    the rows of b's matrix t; its data are a's entries in their own order.
+    ``plans`` is the caller's dict of these (indptr, indices) by the shape of
+    ``a``, built on first use, so they live as long as the caller (one batch
+    of rays) and no longer.  The kernel accumulates into its output, which is
+    therefore zeroed on every call.  A real operand is cast to complex by
+    the kernel when the other one is complex.
+    """
+    N, r, c = a.shape
+    plan = plans.get(a.shape)
+    if plan is None:
+        columns = np.arange(N * c, dtype=np.int32).reshape(N, 1, c)
+        plan = plans[a.shape] = (np.arange(0, N * r * c + 1, c, dtype=np.int32),
+                                 np.repeat(columns, r, axis=1).ravel())
+    out = np.zeros((N, r, b.shape[2]), np.promote_types(a.dtype, b.dtype))
+    _sparsetools.csr_matvecs(N * r, N * c, b.shape[2], *plan, a, b, out)
     return out
 
 

@@ -383,6 +383,24 @@ class TestCheckCommand:
         assert r.stdout.strip() == ("0 ['holds'] {'degree': 6, 'nodes': 72, 'rays': 72, "
                                     "'symmetry': 'torus'} 0")
 
+    def test_out_of_reach_rule_is_refused_before_the_certificate(self, monkeypatch, capsys):
+        """A generic input at n = 5 needs the full default rule, at least
+        16 704 nodes: thm4 and rigidity refuse it before they certify
+        anything.  flat(5) fans out to its moment nodes, so its run goes on
+        to the certificate (and holds: ``test_torus_run_at_n5_...``)."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("certified before the node limit")
+
+        monkeypatch.setattr(comparison, "certify_ricci_bound", refuse)
+        for which in ("thm4", "rigidity"):
+            assert cli.main(["check", "--which", which, "--catalog", "perturbed",
+                             "--params", "n=5,seed=0", "--K", "-1"]) == 1
+            err = capsys.readouterr().err
+            assert "has at least 16704 nodes" in err and "MAX_RULE_NODES" in err, err
+        with pytest.raises(AssertionError, match="certified before the node limit"):
+            cli.main(["check", "--which", "thm4", "--catalog", "flat", "--params", "n=5",
+                      "--K", "0"])
+
     @pytest.mark.parametrize("which", ["thm3", "thm4", "rigidity"])
     @pytest.mark.parametrize("catalog, params, K, symmetry", [
         ("section6", "a=0.1", "-1.2", "torus"),

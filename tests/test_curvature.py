@@ -513,16 +513,14 @@ class TestTransport:
             np.testing.assert_allclose(got[t], want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
 
     @pytest.mark.parametrize("pot, n", [(P.section6(0.1), 2), (P.perturbed(3, 0), 3)])
-    def test_jets_and_ray_rhs_equal_the_hand_written_formula(self, monkeypatch, pot, n):
-        """The jets at order 6 and the ray right-hand side are bit for bit what
-        the hand-written vf formula gives."""
+    def test_jets_equal_the_hand_written_formula(self, monkeypatch, pot, n):
+        """The jets at order 6 are bit for bit what the hand-written vf
+        formula gives.  The ray right-hand side has its own point formula,
+        pinned to the series one in tests/test_geodesic.py."""
         dirs = np.random.default_rng(11).normal(size=(6, 2 * n))
-        batch = geodesic.GeodesicBatch(pot, np.zeros(n), dirs, 1e-3)
-        Y = batch._states(0.0) + 1e-3 * np.random.default_rng(12).normal(size=(6, batch._dim))
-        jets, rhs = C.curvature_jets_along(pot, np.zeros(n), dirs, order=6), batch._rhs(Y)
+        jets = C.curvature_jets_along(pot, np.zeros(n), dirs, order=6)
         monkeypatch.setattr(C, "transport", transport_vf)
         assert np.array_equal(C.curvature_jets_along(pot, np.zeros(n), dirs, order=6).R, jets.R)
-        assert np.array_equal(batch._rhs(Y), rhs)
 
 
 class TestWorkspaceCache:

@@ -441,6 +441,41 @@ class TestBatchedIntegrator:
             assert np.array_equal(a, b)
 
 
+def series_rhs(batch, Y):
+    """The ray right-hand side by the series formula at length 1:
+    ``connection_and_curvature``, ``transport`` and ``frame_curvature_matrix``,
+    the path of the curvature jets."""
+    z, full, J, Jp = batch._unpack(Y)
+    gam, RH = C.connection_and_curvature(*batch._ws.field_values(z[None]))
+    out = np.empty_like(Y)
+    dz, dfull, dJ, dJp = batch._unpack(out)
+    dz[:] = full[:, 0]
+    dfull[:] = -C.transport(full[None], gam)[0]
+    dJ[:] = Jp
+    dJp[:] = C.frame_curvature_matrix(RH, full[None])[0] @ J
+    return out
+
+
+class TestPointRightHandSide:
+    @pytest.mark.parametrize("rays", [1, 2, 64])
+    @pytest.mark.parametrize("pot", [P.section6(0.1), P.perturbed(2, 0), P.perturbed(3, 0),
+                                     P.perturbed(4, 0), P.space_form(3, 1, degree=12)],
+                             ids=["section6", "perturbed2", "perturbed3", "perturbed4",
+                                  "space_form3"])
+    def test_point_formula_equals_the_series_formula(self, pot, rays):
+        """``_rhs`` agrees with the series formula at length 1 to 1e-14 of
+        each block's largest entry, on states whose frames are perturbed off
+        orthonormal, so the Kahler symmetries it uses are tested, not the
+        frame's."""
+        n = pot.n
+        dirs = np.random.default_rng(11).normal(size=(rays, 2 * n))
+        batch = G.GeodesicBatch(pot, np.zeros(n), dirs, 1e-3)
+        Y = batch._states(1e-3) + 1e-3 * np.random.default_rng(12).normal(size=(rays, batch._dim))
+        got, want = batch._unpack(batch._rhs(Y)), batch._unpack(series_rhs(batch, Y))
+        for name, g, w in zip(("z", "frame", "J", "J'"), got, want):
+            assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max(), name
+
+
 def test_one_ode_tolerance_default():
     """The rays, the checks and the CLI default to the one tolerance ``ODE_TOL``."""
     assert G.ODE_TOL == 1e-11

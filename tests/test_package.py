@@ -173,3 +173,16 @@ def test_batch_takes_no_frames_and_reads_no_rows():
     batch = geodesic.GeodesicBatch
     assert "frames" not in inspect.signature(batch.__init__).parameters
     assert "rows" not in inspect.signature(batch._states).parameters
+
+
+def test_src_reads_one_compiled_kernel():
+    """``src/`` calls one routine of scipy's compiled ``_sparsetools``,
+    ``csr_matvecs``: the first call of any other kernel faults in code pages
+    of its own, which every run would pay in peak memory."""
+    kernels = set()
+    for path in sorted((REPO / "src" / "kahlercomp").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "_sparsetools"):
+                kernels.add(node.attr)
+    assert kernels == {"csr_matvecs"}

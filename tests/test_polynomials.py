@@ -13,7 +13,7 @@ import sympy as sp
 
 from kahlercomp import curvature as C
 from kahlercomp import potential as P
-from kahlercomp.polynomials import CPoly, NumericPoly, QC, cauchy_product
+from kahlercomp.polynomials import CPoly, NumericPoly, QC, block_matmul, cauchy_product
 from oracles import linear_substitute, poly_values
 
 
@@ -349,6 +349,49 @@ class TestCSRProduct:
         assert np.array_equal(npoly.indices, expected.indices)
         assert npoly.data.dtype == expected.data.dtype
         assert np.array_equal(npoly.data, expected.data)
+
+
+_SIZES = [1, 2, 3, 4, 7, 9, 16]
+# (r, c, k) of a (r x c)(c x k) block product: every square block from 1 to
+# 16, and rectangular ones of the sizes above
+_BLOCK_SHAPES = sorted({(s, s, s) for s in range(1, 17)} | {
+    (r, c, _SIZES[(r + c) % len(_SIZES)]) for r in _SIZES for c in _SIZES})
+
+
+class TestBlockMatmul:
+    """``block_matmul`` multiplies stacks of small matrices through the CSR
+    kernel; ``np.matmul`` is the oracle."""
+
+    @pytest.mark.parametrize("N", [1, 2, 64, 624])
+    def test_equals_matmul_and_repeats_on_one_plan(self, N):
+        rng = np.random.default_rng(N)
+        plans = {}
+        for r, c, k in _BLOCK_SHAPES:
+            a = rng.normal(size=(N, r, c)) + 1j * rng.normal(size=(N, r, c))
+            b = rng.normal(size=(N, c, k)) + 1j * rng.normal(size=(N, c, k))
+            got = block_matmul(a, b, plans)
+            want = np.matmul(a, b)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            atol = 4 * c * 1e-15 * np.abs(want).max()
+            np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+            # the kernel accumulates: a second call on the plan must not add to the first
+            assert np.array_equal(block_matmul(a, b, plans), got)
+        assert set(plans) == {(N, r, c) for r, c, _ in _BLOCK_SHAPES}
+
+    @pytest.mark.parametrize("N", [1, 64])
+    def test_strided_and_real_operands(self, N):
+        """Views of other arrays are read as their values, and a real factor
+        times a complex one is their complex product."""
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(N, 5, 3)) + 1j * rng.normal(size=(N, 5, 3))
+        b = rng.normal(size=(N, 5, 3))
+        plans = {}
+        for x, y in ((a[:, :, ::-1], np.swapaxes(b, 1, 2)), (a.real, np.swapaxes(b, 1, 2) + 0j),
+                     (np.swapaxes(b, 1, 2), a)):
+            want = np.matmul(x, y)
+            got = block_matmul(x, y, plans)
+            assert got.dtype == want.dtype
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
 
 
 def _fresh_product(a, b, out):
